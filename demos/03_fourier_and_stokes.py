@@ -17,10 +17,10 @@ from fractions import Fraction as Q
 
 from infrared.geometry import Dir, config, segment_wall_events
 from infrared.fourier import (
-    clockwise_monodromy_product,
     factorization_check,
     fourier_diagram,
     global_monodromy,
+    monodromy_product,
     stokes_pair,
 )
 from infrared.randomgen import maximally_concave_config, rand_transport, rng
@@ -37,7 +37,7 @@ diag = fourier_diagram(m, zeta, A)
 print("spider order:", diag.order)
 print(
     "Id - b-check a-check equals the clockwise product:",
-    diag.monodromy() == clockwise_monodromy_product(m.permuted(diag.order)),
+    diag.monodromy() == monodromy_product(m.permuted(diag.order), "descending"),
 )
 
 pair = stokes_pair(m, A, zeta0)

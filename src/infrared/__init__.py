@@ -72,9 +72,8 @@ from .fourier import (
     fourier_diagram,
     global_monodromy,
     iterated_transport,
-    stokes_minus,
+    monodromy_product,
     stokes_pair,
-    stokes_plus,
 )
 from .secondary import (
     Cell,

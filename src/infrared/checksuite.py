@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fourier import factorization_check, fourier_diagram, clockwise_monodromy_product
+from .errors import NotInvertible
+from .fourier import factorization_check, fourier_diagram, monodromy_product
 from .geometry import Dir
 from .perverse import (
     braid_act_quiver,
@@ -35,7 +36,7 @@ def run(seed: int = 0, n: int = 4, dim: int = 2) -> dict:
         u, v = rand_matrix(r, rows, cols), rand_matrix(r, cols, rows)
         try:
             lhs, rhs = jacobson(u, v)
-        except Exception:
+        except NotInvertible:
             continue
         ok = ok and lhs == rhs
     results["jacobson"] = ok
@@ -85,7 +86,7 @@ def run(seed: int = 0, n: int = 4, dim: int = 2) -> dict:
         diag = fourier_diagram(m, zeta, A)
         mono = diag.monodromy()
         mm = m.permuted(diag.order)
-        ok = ok and mono == clockwise_monodromy_product(mm)
+        ok = ok and mono == monodromy_product(mm, "descending")
     results["fourier_monodromy"] = ok
 
     ok = True

@@ -44,10 +44,31 @@ from .wallcross import CrossingSpec, apply_crossings, transport_along_path
 
 
 def _parse_zeta(text: str) -> Dir:
-    if "/" not in text:
-        raise InvalidInput("--zeta expects 'dx/dy' with integer components")
-    dx, dy = text.split("/", 1)
-    return Dir(Fraction(int(dx)), Fraction(int(dy)))
+    dx, _, dy = text.partition("/")
+    try:
+        return Dir(Fraction(int(dx)), Fraction(int(dy)))
+    except ValueError:
+        raise InvalidInput(
+            f"zeta expects 'dx/dy' with integer components, got {text!r}"
+        ) from None
+
+
+def _load(path: str, build):
+    """build(document) for the JSON file at path.  An unreadable file,
+    malformed JSON or a document of the wrong shape is invalid input."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: malformed instance data: {exc}") from None
 
 
 def _mat_json(mat: MatQ):
@@ -76,8 +97,7 @@ class Instance:
 
     @staticmethod
     def load(path: str) -> "Instance":
-        with open(path) as fh:
-            return Instance(json.load(fh))
+        return _load(path, Instance)
 
 
 def _need(instance: Instance, *fields):
@@ -185,12 +205,13 @@ def cmd_walk(inst: Instance, args) -> dict:
     _need(inst, "transport")
     if args.to is not None:
         _need(inst, "config")
-        with open(args.to) as fh:
-            target = Config.from_json(json.load(fh)["config"])
+        target = _load(args.to, lambda data: Config.from_json(data["config"]))
         new_m, log = transport_along_path(inst.transport, inst.config, target)
     elif args.events is not None:
-        with open(args.events) as fh:
-            specs = [CrossingSpec.from_json(d) for d in json.load(fh)["events"]]
+        specs = _load(
+            args.events,
+            lambda data: [CrossingSpec.from_json(d) for d in data["events"]],
+        )
         new_m = apply_crossings(inst.transport, specs)
         log = specs
     else:

@@ -12,6 +12,16 @@ monodromy invariant
 
     Id - b-check a-check = (Id - a_N b_N)^{-1} ... (Id - a_1 b_1)^{-1}.
 
+Products of slot monodromies (the right side above, the global monodromy
+and the left side of the factorization) all come from monodromy_product.
+It applies one slot at a time in the Jacobson form
+
+    (Id - a_i b_i)^{-1} = Id + a_i (Id - b_i a_i)^{-1} b_i,
+
+a rank-d_i update of the running product that inverts only the d_i x d_i
+local monodromy T_{i,Phi}, never a matrix on Psi; a-check is built the
+same way.
+
 Stokes matrices are computed as sums of iterated rectilinear transports
 over convex polygonal paths: block (i, j) of C+ sums over the
 (-conj(zeta0))-convex paths from w_i to w_j, and C- mirrors this with the
@@ -32,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegeneratePosition, ShapeMismatch
-from .geometry import Config, Dir, general_position
+from .errors import DegeneratePosition, InvalidInput, ShapeMismatch
+from .geometry import Config, Dir, general_position, infinity_generic
 from .linalg import MatQ, block_diagonal
 from .paths import enumerate_circum_paths, enumerate_zeta_convex_paths
 from .perverse import Quiver, TransportData, gmv_embed
@@ -45,8 +55,7 @@ def fourier_order(A: Config, zeta: Dir) -> list[int]:
     """Indices sorted so Im(-zeta w) increases: the spider numbering toward
     the far point in direction -conj(zeta)."""
     spider_dir = zeta.conjugate().opposite()
-    rep = general_position(A, spider_dir)
-    if not rep.incl_infinity:
+    if not infinity_generic(A, spider_dir):
         raise DegeneratePosition(
             "configuration not in general position including the spider "
             "infinity"
@@ -88,27 +97,55 @@ def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
     mm = m.permuted(order)
     q = gmv_embed(mm)
     n = q.n
-    t_psi_inv = [q.t_psi(i).inverse() for i in range(n)]
+    # e_i = a_i T_{i,Phi}^{-1}, so that T_{i,Psi}^{-1} = Id + e_i b_i
+    e = [q.a[i] @ q.t_phi(i).inverse() for i in range(n)]
     a_check = []
     for i in range(n):
         acc = q.b[i]
         for j in range(i - 1, -1, -1):
-            acc = acc @ t_psi_inv[j]
+            acc = acc + (acc @ e[j]) @ q.b[j]
         a_check.append(acc)
-    cols = [-(q.a[i] @ q.t_phi(i).inverse()) for i in range(n)]
-    b_check = MatQ.from_blocks([cols])
+    b_check = MatQ.from_blocks([[-x for x in e]])
     return FourierDiagram(
         tuple(order), tuple(mm.dims), q.d_psi, tuple(a_check), b_check
     )
 
 
-def clockwise_monodromy_product(m: TransportData) -> MatQ:
-    """(Id - a_N b_N)^{-1} ... (Id - a_1 b_1)^{-1} from the spider
-    representative, in the given slot order."""
+_LHS_CHOICES = ("ascending", "descending", "ascending_inverse", "descending_inverse")
+
+
+def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
+    """Ordered product of the slot monodromies T_{i,Psi} = Id - a_i b_i of
+    the spider representative gmv_embed(m), in the given slot order:
+
+        ascending           T_1^{-1} T_2^{-1} ... T_N^{-1}
+        descending          T_N^{-1} ... T_2^{-1} T_1^{-1}
+        *_inverse           the inverse of that product
+
+    Each factor right-multiplies the running product as a rank-d_i update,
+    T_{i,Psi}^{-1} = Id + a_i T_{i,Phi}^{-1} b_i (Jacobson), at O(D^2 d_i)
+    per slot; the only inverses taken are of the local T_{i,Phi}."""
+    if kind not in _LHS_CHOICES:
+        raise InvalidInput(f"unknown monodromy product {kind!r}")
     q = gmv_embed(m)
+    # (X_1 ... X_N)^{-1} = X_N^{-1} ... X_1^{-1}: an inverted product runs
+    # through the slots the other way, with the plain factors T_{i,Psi}
+    invert = kind.endswith("_inverse")
+    slots = list(range(q.n))
+    if kind.startswith("ascending") == invert:
+        slots.reverse()
+    offs = _block_offsets(m.dims)
     acc = MatQ.identity(q.d_psi)
-    for i in range(q.n):
-        acc = q.t_psi(i).inverse() @ acc
+    for i in slots:
+        # b_i projects Psi onto slot i, so adding u b_i to the running
+        # product adds u to its slot-i columns
+        u = acc @ q.a[i]
+        u = -u if invert else u @ q.t_phi(i).inverse()
+        lo, hi = offs[i], offs[i + 1]
+        acc = MatQ([
+            row[:lo] + tuple(x + y for x, y in zip(row[lo:hi], urow)) + row[hi:]
+            for row, urow in zip(acc.entries, u.entries)
+        ])
     return acc
 
 
@@ -134,6 +171,9 @@ class StokesPair:
     c_minus: MatQ
     paths_plus: dict
     paths_minus: dict
+    # every off-diagonal path sum, keyed (source slot, target slot): the
+    # blocks of C+ for s < t and of C- for s > t (zero when no path)
+    blocks: dict
 
 
 def _block_offsets(dims: Sequence[int]) -> list[int]:
@@ -178,42 +218,33 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
         raise DegeneratePosition("dominance tie in the Stokes numbering")
     n = len(order)
     dims = [m.dims[i] for i in order]
-    blocks_plus: dict[tuple[int, int], MatQ] = {}
-    blocks_minus: dict[tuple[int, int], MatQ] = {}
+    blocks: dict[tuple[int, int], MatQ] = {}
     paths_plus: dict[tuple[int, int], list] = {}
     paths_minus: dict[tuple[int, int], list] = {}
+
+    def path_sum(paths, src: int, tgt: int) -> MatQ:
+        acc = MatQ.zeros(m.dims[tgt], m.dims[src])
+        for p in paths:
+            acc = acc + iterated_transport(m, p.vertices)
+        return acc
+
     for s, t in itertools.combinations(range(n), 2):
         i, j = order[s], order[t]
-        plus = enumerate_zeta_convex_paths(A, i, j, zplus)
-        paths_plus[(s, t)] = plus
-        if plus:
-            acc = MatQ.zeros(m.dims[j], m.dims[i])
-            for p in plus:
-                acc = acc + iterated_transport(m, p.vertices)
-            blocks_plus[(s, t)] = acc
-        minus = enumerate_zeta_convex_paths(A, j, i, zminus)
-        paths_minus[(t, s)] = minus
-        if minus:
-            acc = MatQ.zeros(m.dims[i], m.dims[j])
-            for p in minus:
-                acc = acc + iterated_transport(m, p.vertices)
-            blocks_minus[(t, s)] = acc
+        plus = paths_plus[(s, t)] = enumerate_zeta_convex_paths(A, i, j, zplus)
+        blocks[(s, t)] = path_sum(plus, i, j)
+        minus = paths_minus[(t, s)] = enumerate_zeta_convex_paths(A, j, i, zminus)
+        blocks[(t, s)] = path_sum(minus, j, i)
+    upward = {k: b for k, b in blocks.items() if k[0] < k[1]}
+    downward = {k: b for k, b in blocks.items() if k[0] > k[1]}
     return StokesPair(
         tuple(order),
         tuple(dims),
-        _assemble_unitriangular(dims, blocks_plus),
-        _assemble_unitriangular(dims, blocks_minus),
+        _assemble_unitriangular(dims, upward),
+        _assemble_unitriangular(dims, downward),
         paths_plus,
         paths_minus,
+        blocks,
     )
-
-
-def stokes_plus(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
-    return stokes_pair(m, A, zeta0).c_plus
-
-
-def stokes_minus(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
-    return stokes_pair(m, A, zeta0).c_minus
 
 
 def dressed_transport(
@@ -230,27 +261,12 @@ def dressed_transport(
     """
     pair = stokes_pair(m, A, zeta0)
     n = m.n
-    mm = m.permuted(pair.order)
-    grid = [[mm.m[s][t] for t in range(n)] for s in range(n)]
-    slot_block = _pair_blocks(pair, m)
-    for (s, t), blk in slot_block.items():
-        grid[s][t] = blk
+    diagonal = [m.m[i][i] for i in pair.order]
+    grid = [
+        [pair.blocks[(s, t)] if s != t else diagonal[s] for t in range(n)]
+        for s in range(n)
+    ]
     return TransportData(pair.dims, grid), pair
-
-
-def _pair_blocks(pair: StokesPair, m: TransportData) -> dict:
-    out = {}
-    for (s, t), ps in pair.paths_plus.items():
-        acc = MatQ.zeros(pair.dims[t], pair.dims[s])
-        for p in ps:
-            acc = acc + iterated_transport(m, p.vertices)
-        out[(s, t)] = acc
-    for (t, s), ps in pair.paths_minus.items():
-        acc = MatQ.zeros(pair.dims[s], pair.dims[t])
-        for p in ps:
-            acc = acc + iterated_transport(m, p.vertices)
-        out[(t, s)] = acc
-    return out
 
 
 def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
@@ -258,11 +274,7 @@ def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
     dressed (spider) representative: the monodromy invariant preserved by
     every collinearity wall-crossing."""
     mt, _ = dressed_transport(m, A, zeta0)
-    q = gmv_embed(mt)
-    acc = MatQ.identity(q.d_psi)
-    for i in range(q.n):
-        acc = acc @ q.t_psi(i).inverse()
-    return acc
+    return monodromy_product(mt, "ascending")
 
 
 # The factorization identity carries a finite convention freedom: the
@@ -280,9 +292,6 @@ FACTORIZATION_CONVENTION = {
     "lhs": "ascending",
 }
 
-_LHS_CHOICES = ("ascending", "descending", "ascending_inverse", "descending_inverse")
-
-
 @dataclass(frozen=True)
 class FactorizationReport:
     ok: bool
@@ -293,17 +302,6 @@ class FactorizationReport:
     c_minus_twisted: MatQ
     delta: MatQ
     order: tuple[int, ...]
-
-
-def _monodromy_product(mt: TransportData, kind: str) -> MatQ:
-    q = gmv_embed(mt)
-    acc = MatQ.identity(q.d_psi)
-    slots = range(q.n) if kind.startswith("ascending") else range(q.n - 1, -1, -1)
-    for i in slots:
-        acc = acc @ q.t_psi(i).inverse()
-    if kind.endswith("_inverse"):
-        acc = acc.inverse()
-    return acc
 
 
 def _twisted_c_minus(
@@ -328,7 +326,7 @@ def _factorization_sides(m, A, zeta0, conv) -> FactorizationReport:
         conv["twist_exponent"], conv["twist_side"], conv["twist_sign"],
     )
     rhs = pair.c_plus @ delta @ c_til.inverse()
-    lhs = _monodromy_product(mt, conv["lhs"])
+    lhs = monodromy_product(mt, conv["lhs"])
     return FactorizationReport(
         lhs == rhs, lhs, rhs, pair.c_plus, pair.c_minus, c_til, delta,
         pair.order,

@@ -25,16 +25,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
+from .linalg import _frac
 
 Q = Fraction
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InvalidInput(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -215,26 +208,31 @@ class GPReport:
     incl_infinity: Optional[bool]
 
 
+def infinity_generic(A: Config, zeta: Dir) -> bool:
+    """Whether the zeta-infinity form takes pairwise distinct values on A."""
+    vals = [zeta.infinity_form(p) for p in A]
+    return len(set(vals)) == len(vals)
+
+
+def _slope(u: Pt):
+    """Parallel class of a nonzero vector: its slope, None when vertical."""
+    return u.y / u.x if u.x else None
+
+
 def general_position(A: Config, zeta: Optional[Dir] = None) -> GPReport:
     """Check linear / strong linear general position, and distinctness of
-    the zeta-infinity form when a direction is given."""
+    the zeta-infinity form when a direction is given.
+
+    Two segments are parallel exactly when their slopes agree, so strong
+    position holds when the C(N, 2) segments have pairwise distinct slopes.
+    """
     n = len(A)
     lin = all(
         orient(A, i, j, k) != 0 for i, j, k in itertools.combinations(range(n), 3)
     )
-    strong = lin
-    if strong:
-        segs = list(itertools.combinations(range(n), 2))
-        for (i, j), (k, l) in itertools.combinations(segs, 2):
-            u = A[j] - A[i]
-            v = A[l] - A[k]
-            if u.cross(v) == 0:
-                strong = False
-                break
-    infinity = None
-    if zeta is not None:
-        vals = [zeta.infinity_form(p) for p in A]
-        infinity = len(set(vals)) == len(vals)
+    slopes = {_slope(A[j] - A[i]) for i, j in itertools.combinations(range(n), 2)}
+    strong = lin and len(slopes) == n * (n - 1) // 2
+    infinity = None if zeta is None else infinity_generic(A, zeta)
     return GPReport(lin, strong, infinity)
 
 
@@ -740,10 +738,12 @@ def _collinearity_event(A0, A1, i, j, k, quad, root) -> WallEvent:
             full = ux * ux + uy * uy
             return s.sign() > 0 and (full - s).sign() > 0
 
+        # (ia, ib, ic) is (a, b, c) rescaled to a positive leading
+        # coefficient, so its derivative carries an extra factor sign(a)
         deriv = QuadExt.rational(2 * Fraction(ia), d) * tq + QuadExt.rational(
             Fraction(ib), d
         )
-        eps_ijk_before = -deriv.sign()
+        eps_ijk_before = -deriv.sign() * (1 if a > 0 else -1)
 
     for mid_name, lo_name, hi_name, parity in _MIDDLE_CASES:
         mid, lo, hi = names[mid_name], names[lo_name], names[hi_name]

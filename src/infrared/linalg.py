@@ -10,19 +10,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotInvertible, ShapeMismatch
+from .errors import InvalidInput, NotInvertible, ShapeMismatch
 
 Q = Fraction
 
 
 def _frac(x) -> Fraction:
+    """An exact rational from a Fraction, an int or a "num/den" string."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput(f"not an exact rational: {x!r}")
 
 
 class MatQ:
@@ -130,9 +134,11 @@ class MatQ:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         cols = list(zip(*other.entries)) if other.entries else []
+        # zero terms are skipped: block-structured operands (unitriangular
+        # Stokes matrices, block diagonals, slot projections) are mostly zero
         return MatQ(
             [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
+                [sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
                 for row in self.entries
             ]
             if self.cols

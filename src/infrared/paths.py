@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePosition, InvalidEndpoints, InvalidReduction
-from .geometry import Config, Dir, Pt, general_position
+from .geometry import Config, Dir, Pt
 
 Q = Fraction
 
@@ -83,14 +83,6 @@ class IncidenceEntry:
     removed: int
     gamma_prime: PolyPath
     sign: int
-
-
-def _require_infinity(A: Config, zeta: Dir):
-    rep = general_position(A, zeta)
-    if not rep.incl_infinity:
-        raise DegeneratePosition(
-            "configuration not in general position including zeta-infinity"
-        )
 
 
 def zeta_hull_chain(A: Config, subset: Iterable[int], zeta: Dir) -> list[int]:
@@ -175,23 +167,26 @@ def enumerate_zeta_convex_paths(
     strict clockwise-turn condition; correctness against the hull-equality
     oracle is asserted in the test suite.
     """
-    _require_infinity(A, zeta)
-    li, lj = ell(zeta, A[i]), ell(zeta, A[j])
+    proj = [ell(zeta, p) for p in A]
+    if len(set(proj)) != len(proj):
+        raise DegeneratePosition(
+            "configuration not in general position including zeta-infinity"
+        )
+    li, lj = proj[i], proj[j]
     if not li < lj:
         raise InvalidEndpoints(
             f"projection of source {i} must be strictly below target {j}"
         )
     between = sorted(
-        (w for w in range(len(A)) if li < ell(zeta, A[w]) < lj and w != j),
-        key=lambda w: ell(zeta, A[w]),
+        (w for w in range(len(A)) if li < proj[w] < lj and w != j),
+        key=proj.__getitem__,
     )
     found: list[PolyPath] = []
 
-    def extend(chain: list[int]):
+    def extend(chain: list[int], start: int):
+        # between[start:] are the points above chain[-1] in projection
         last = chain[-1]
-        ll = ell(zeta, A[last])
-        candidates = [w for w in between if ell(zeta, A[w]) > ll] + [j]
-        for w in candidates:
+        for k, w in enumerate(between[start:] + [j], start):
             if len(chain) >= 2:
                 if (A[last] - A[chain[-2]]).cross(A[w] - A[last]) >= 0:
                     continue
@@ -199,10 +194,10 @@ def enumerate_zeta_convex_paths(
             if w == j:
                 found.append(PolyPath(A, tuple(chain), zeta))
             else:
-                extend(chain)
+                extend(chain, k + 1)
             chain.pop()
 
-    extend([i])
+    extend([i], 0)
     found.sort(key=lambda p: p.vertices)
     return found
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import InvalidInput, NotInvertible
 from .geometry import Config, Dir, Pt, general_position
 from .linalg import MatQ
 from .perverse import Quiver, TransportData
@@ -127,7 +127,7 @@ def maximally_concave_config(r: random.Random, n: int, tries: int = 600) -> Conf
             pts.append(Pt(x, y))
         try:
             A = Config(pts)
-        except Exception:
+        except InvalidInput:
             continue
         rep = general_position(A, Dir(Q(1), Q(0)))
         if not (rep.strong_lin_general and rep.incl_infinity):

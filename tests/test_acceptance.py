@@ -28,10 +28,10 @@ from infrared.geometry import (
 from infrared.linalg import MatQ, block_diagonal
 from infrared.fourier import (
     FACTORIZATION_CONVENTION,
-    clockwise_monodromy_product,
     factorization_check,
     fourier_diagram,
     global_monodromy,
+    monodromy_product,
     solve_factorization_convention,
     stokes_pair,
 )
@@ -236,8 +236,8 @@ def test_criterion_06_fourier_monodromy():
             A = rand_config(r, n, require_strong=False, extra_dirs=(Z_RIGHT,))
             m = rand_transport(r, n, max_dim=3)
             diag = fourier_diagram(m, Z_RIGHT, A)
-            assert diag.monodromy() == clockwise_monodromy_product(
-                m.permuted(diag.order)
+            assert diag.monodromy() == monodromy_product(
+                m.permuted(diag.order), "descending"
             )
     report(6, "Id - b-check a-check equals the clockwise product, N <= 5, dims <= 3")
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import infrared
 from infrared.cli import main
 from infrared.geometry import Config, config
 from infrared.perverse import TransportData
@@ -170,6 +172,45 @@ def test_error_reporting(tmp_path, capsys):
     assert code == 2
     assert out["error"]["code"] == "degenerate_position"
 
+    # malformed input of every kind is reported, never a traceback
+    points = [["0", "0"], ["1", "2"]]
+    transport = {"dims": [1, 1], "m": [[[["0"]], [["5"]]], [[["7"]], [["0"]]]]}
+    cases = {
+        "malformed_json": ("stokes", '{"config": {"points": [["0", "0"]'),
+        "not_an_object": ("matroid", json.dumps([points])),
+        "missing_points": ("matroid", json.dumps({"config": {"pts": points}})),
+        "missing_m": ("stokes", json.dumps(
+            {"config": {"points": points}, "transport": {"dims": [1, 1]}})),
+        "point_not_a_pair": ("matroid", json.dumps({"config": {"points": [["0"]]}})),
+        "zero_denominator": ("matroid", json.dumps(
+            {"config": {"points": [["1/0", "0"], ["1", "2"]]}})),
+        "not_a_rational": ("matroid", json.dumps(
+            {"config": {"points": [["x", "0"], ["1", "2"]]}})),
+        "bad_matrix_entry": ("stokes", json.dumps({
+            "config": {"points": points},
+            "transport": {"dims": [1, 1],
+                          "m": [[[["0"]], [["1/0"]]], [[["7"]], [["0"]]]]}})),
+        "bad_zeta_in_file": ("matroid", json.dumps(
+            {"config": {"points": points}, "zeta": "1/x"})),
+    }
+    for name, (command, text) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code = main([command, str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2, name
+        assert out["error"]["code"] == "invalid_input", name
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"config": {"points": points}, "transport": transport}))
+    for zeta in ("1/x", "1", "x/1", "1.5/2"):
+        code = main(["stokes", str(good), "--zeta", zeta])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2, zeta
+        assert out["error"]["code"] == "invalid_input", zeta
+    code = main(["matroid", str(tmp_path / "absent.json")])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["code"] == "invalid_input"
+
 
 def test_json_round_trips():
     A = config((0, 0), ("1/2", "-3/7"))
@@ -185,10 +226,14 @@ def test_json_round_trips():
 
 
 def test_console_entry_point():
+    # the child imports infrared from wherever this process found it
+    src = os.path.dirname(os.path.dirname(infrared.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "infrared.cli", "check", "--seed", "1", "--n", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_ok"] is True

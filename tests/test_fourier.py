@@ -2,19 +2,20 @@ from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import EdgePrecondition, ShapeMismatch
+from infrared.errors import EdgePrecondition, InvalidInput, ShapeMismatch
 from infrared.geometry import Dir, config
 from infrared.linalg import MatQ, block_diagonal
 from infrared.fourier import (
     FACTORIZATION_CONVENTION,
+    _LHS_CHOICES,
     alt_circum_sum,
     circum_sum,
-    clockwise_monodromy_product,
     dressed_transport,
     factorization_check,
     fourier_diagram,
     global_monodromy,
     iterated_transport,
+    monodromy_product,
     solve_factorization_convention,
     stokes_pair,
 )
@@ -69,9 +70,56 @@ def test_fourier_monodromy_product():
         m = rand_transport(r, n, max_dim=3)
         diag = fourier_diagram(m, Z_RIGHT, A)
         mm = m.permuted(diag.order)
-        assert diag.monodromy() == clockwise_monodromy_product(mm)
+        assert diag.monodromy() == monodromy_product(mm, "descending")
         # the transform is a valid one-singularity diagram
         diag.as_quiver()
+
+
+def _direct_monodromy_product(m, kind):
+    """Oracle: the product of the D x D inverses T_{i,Psi}^{-1}, inverted as
+    a whole for the *_inverse kinds."""
+    q = gmv_embed(m)
+    slots = range(q.n) if kind.startswith("ascending") else range(q.n - 1, -1, -1)
+    acc = MatQ.identity(q.d_psi)
+    for i in slots:
+        acc = acc @ q.t_psi(i).inverse()
+    return acc.inverse() if kind.endswith("_inverse") else acc
+
+
+def test_monodromy_product_against_direct_inverses():
+    r = rng(58)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            m = rand_transport(r, n, max_dim=3)
+            for kind in _LHS_CHOICES:
+                assert monodromy_product(m, kind) == _direct_monodromy_product(m, kind)
+    with pytest.raises(InvalidInput):
+        monodromy_product(m, "clockwise")
+
+
+def test_dressed_transport_blocks_resum_the_paths():
+    r = rng(59)
+    multi_vertex = 0
+    for A in (
+        rand_config(r, 5, extra_dirs=(Z_RIGHT,)),
+        rand_config(r, 6, extra_dirs=(Z_RIGHT,)),
+        config((0, 0), (-2, 1), (-5, 3), (-6, 7), (-4, 11)),  # convex arc
+    ):
+        m = rand_transport(r, len(A), max_dim=2)
+        mt, pair = dressed_transport(m, A, Z0)
+        mm = m.permuted(pair.order)
+        for s in range(m.n):
+            assert mt.m[s][s] == mm.m[s][s]
+            for t in range(m.n):
+                if s == t:
+                    continue
+                paths = (pair.paths_plus if s < t else pair.paths_minus)[(s, t)]
+                expect = MatQ.zeros(pair.dims[t], pair.dims[s])
+                for p in paths:
+                    expect = expect + iterated_transport(m, p.vertices)
+                    multi_vertex += len(p.vertices) > 2
+                assert mt.m[s][t] == expect
+    assert multi_vertex > 0
 
 
 def test_iterated_transport():

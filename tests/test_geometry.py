@@ -1,14 +1,16 @@
 import itertools
 import math
+from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import DegeneratePosition, PathNotGeneric
+from infrared.errors import DegeneratePosition, InvalidInput, PathNotGeneric
 from infrared.geometry import (
     AlgebraicTime,
     Config,
     Dir,
     Pt,
+    _interp,
     anti_stokes_sequence,
     chirotope,
     config,
@@ -73,6 +75,78 @@ def test_general_position_flags():
     generic = general_position(config((0, 0), (3, 1), (1, 2)), Z_RIGHT)
     assert generic.lin_general and generic.strong_lin_general
     assert generic.incl_infinity is True
+
+
+def _strong_by_cross_products(A):
+    """Oracle: linear general position and no two segments parallel, by the
+    cross product of every pair of segments."""
+    n = len(A)
+    if any(orient(A, *t) == 0 for t in itertools.combinations(range(n), 3)):
+        return False
+    segs = itertools.combinations(range(n), 2)
+    return all(
+        (A[j] - A[i]).cross(A[l] - A[k]) != 0
+        for (i, j), (k, l) in itertools.combinations(segs, 2)
+    )
+
+
+def test_strong_position_against_cross_product_oracle():
+    named = {
+        "parallelogram": config((0, 0), (2, 0), (3, 1), (1, 1)),
+        "trapezoid": config((0, 0), (4, 0), (3, 2), (1, 2)),
+        "parallel verticals": config((0, 0), (0, 1), (2, 3), (2, 5)),
+        "one vertical": config((0, 0), (0, 1), (3, 5), (5, 2)),
+    }
+    for name, A in named.items():
+        rep = general_position(A)
+        assert rep.lin_general, name
+        assert rep.strong_lin_general == _strong_by_cross_products(A), name
+        assert rep.strong_lin_general == (name == "one vertical"), name
+    r = rng(31)
+    outcomes = set()
+    for _ in range(300):
+        n = r.randint(3, 7)
+        pts = {(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(n)}
+        A = config(*sorted(pts))
+        expect = _strong_by_cross_products(A)
+        assert general_position(A).strong_lin_general == expect, A
+        outcomes.add((general_position(A).lin_general, expect))
+    # the draws reach all three cases: collinear, parallel only, strong
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_collinearity_sign_before_irrational_events():
+    """eps_before is the orientation sign of the reported triple at a
+    rational time just before the event, whatever the sign of the leading
+    coefficient of the orientation polynomial."""
+    r = rng(32)
+    leading_signs = set()
+    checked = 0
+    while checked < 40:
+        a0 = [(r.randint(-6, 6), r.randint(-6, 6)) for _ in range(3)]
+        a1 = list(a0)
+        for k in r.sample(range(3), 2):
+            a1[k] = (r.randint(-6, 6), r.randint(-6, 6))
+        try:
+            A0, A1 = config(*a0), config(*a1)
+            events = segment_wall_events(A0, A1)
+        except (InvalidInput, PathNotGeneric):
+            continue
+        for ev in events:
+            if ev.kind != "coll" or ev.time.rational is not None:
+                continue
+            def det_at(t):
+                a, b, c = (_interp(A0[m], A1[m], t) for m in (ev.i, ev.j, ev.k))
+                return (b - a).cross(c - a)
+
+            # the isolating interval holds no other root, so the sign at its
+            # lower end is the sign just before the event
+            d = det_at(ev.time.lo)
+            assert (d > 0) - (d < 0) == ev.eps_before, (a0, a1)
+            # second difference: the sign of the leading coefficient
+            leading_signs.add(det_at(1) + det_at(0) - 2 * det_at(Q(1, 2)) > 0)
+            checked += 1
+    assert leading_signs == {True, False}
 
 
 def test_convex_hull_examples():

@@ -3,7 +3,13 @@ from fractions import Fraction as Q
 import pytest
 
 from infrared.errors import InvalidInput
-from infrared.geometry import Dir, Pt, config, segment_wall_events
+from infrared.geometry import (
+    Dir,
+    Pt,
+    _quad_coeff_of_orient,
+    config,
+    segment_wall_events,
+)
 from infrared.linalg import MatQ
 from infrared.perverse import TransportData
 from infrared.fourier import dressed_transport, global_monodromy, stokes_pair
@@ -147,6 +153,29 @@ def test_stokes_blocks_invariant_under_collinearity():
         assert p0.c_minus == p1.c_minus
         assert global_monodromy(m0, a0, Z0) == global_monodromy(m1, a1, Z0)
         count += 1
+
+
+def test_isomonodromy_two_movers_irrational_negative_leading():
+    """Points 1 and 2 both move, so the orientation polynomial of (0, 1, 2)
+    is quadratic; its leading coefficient is negative and the one wall is
+    met at an irrational time."""
+    a0 = config((1, 1), (4, 6), (-1, -6))
+    a1 = config((1, 1), (-2, 3), (0, -1))
+    events = segment_wall_events(a0, a1)
+    assert [e.kind for e in events] == ["coll"]
+    assert events[0].time.rational is None
+    a, _, _ = _quad_coeff_of_orient(a0, a1, 0, 1, 2)
+    assert a < 0
+    r = rng(61)
+    for _ in range(3):
+        m0 = rand_transport(r, 3, max_dim=2)
+        m1, _ = transport_along_path(m0, a0, a1)
+        p0 = stokes_pair(m0, a0, Z0)
+        p1 = stokes_pair(m1, a1, Z0)
+        assert p0.order == p1.order
+        assert p0.c_plus == p1.c_plus
+        assert p0.c_minus == p1.c_minus
+        assert global_monodromy(m0, a0, Z0) == global_monodromy(m1, a1, Z0)
 
 
 def test_dressed_transport_invariance():
