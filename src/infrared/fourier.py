@@ -18,9 +18,10 @@ It applies one slot at a time in the Jacobson form
 
     (Id - a_i b_i)^{-1} = Id + a_i (Id - b_i a_i)^{-1} b_i,
 
-a rank-d_i update of the running product that inverts only the d_i x d_i
-local monodromy T_{i,Phi}, never a matrix on Psi; a-check is built the
-same way.
+a rank-d_i update of the running product.  For the spider representative
+gmv_embed(m), T_{i,Phi} = Id - m_ii is the local monodromy T_i, so the
+update reads the inverse that TransportData owns and inverts nothing
+itself; a-check is built the same way.
 
 Stokes matrices are computed as sums of iterated rectilinear transports
 over convex polygonal paths: block (i, j) of C+ sums over the
@@ -39,16 +40,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegeneratePosition, InvalidInput, ShapeMismatch
 from .geometry import Config, Dir, general_position, infinity_generic
 from .linalg import MatQ, block_diagonal
 from .paths import enumerate_circum_paths, enumerate_zeta_convex_paths
-from .perverse import Quiver, TransportData, gmv_embed
-
-Q = Fraction
+from .perverse import Quiver, TransportData
 
 
 def fourier_order(A: Config, zeta: Dir) -> list[int]:
@@ -90,24 +88,38 @@ class FourierDiagram:
         return Quiver([self.d_psi], sum(self.dims), [a], [self.b_check])
 
 
+def _arm(m: TransportData, i: int) -> MatQ:
+    """a_i of gmv_embed(m): the blocks m_ij stacked over the slots j."""
+    return MatQ.from_blocks([[m.m[i][j]] for j in range(m.n)])
+
+
+def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
+    """acc + u b_j: b_j of gmv_embed projects Psi onto slot j, so this adds
+    u to the slot-j columns of acc."""
+    lo, hi = offs[j], offs[j + 1]
+    return MatQ([
+        row[:lo] + tuple(x + y for x, y in zip(row[lo:hi], urow)) + row[hi:]
+        for row, urow in zip(acc.entries, u.entries)
+    ])
+
+
 def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
     """Build the transform diagram from the straight spider toward
     -conj(zeta) infinity."""
     order = fourier_order(A, zeta)
     mm = m.permuted(order)
-    q = gmv_embed(mm)
-    n = q.n
+    offs = _block_offsets(mm.dims)
     # e_i = a_i T_{i,Phi}^{-1}, so that T_{i,Psi}^{-1} = Id + e_i b_i
-    e = [q.a[i] @ q.t_phi(i).inverse() for i in range(n)]
+    e = [_arm(mm, i) @ mm.local_monodromy_inverse(i) for i in range(mm.n)]
     a_check = []
-    for i in range(n):
-        acc = q.b[i]
+    for i, d in enumerate(mm.dims):
+        acc = _add_to_columns(MatQ.zeros(d, offs[-1]), offs, i, MatQ.identity(d))
         for j in range(i - 1, -1, -1):
-            acc = acc + (acc @ e[j]) @ q.b[j]
+            acc = _add_to_columns(acc, offs, j, acc @ e[j])
         a_check.append(acc)
     b_check = MatQ.from_blocks([[-x for x in e]])
     return FourierDiagram(
-        tuple(order), tuple(mm.dims), q.d_psi, tuple(a_check), b_check
+        tuple(order), tuple(mm.dims), offs[-1], tuple(a_check), b_check
     )
 
 
@@ -124,28 +136,21 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
 
     Each factor right-multiplies the running product as a rank-d_i update,
     T_{i,Psi}^{-1} = Id + a_i T_{i,Phi}^{-1} b_i (Jacobson), at O(D^2 d_i)
-    per slot; the only inverses taken are of the local T_{i,Phi}."""
+    per slot, with T_{i,Phi} = Id - m_ii and its inverse read from m."""
     if kind not in _LHS_CHOICES:
         raise InvalidInput(f"unknown monodromy product {kind!r}")
-    q = gmv_embed(m)
     # (X_1 ... X_N)^{-1} = X_N^{-1} ... X_1^{-1}: an inverted product runs
     # through the slots the other way, with the plain factors T_{i,Psi}
     invert = kind.endswith("_inverse")
-    slots = list(range(q.n))
+    slots = list(range(m.n))
     if kind.startswith("ascending") == invert:
         slots.reverse()
     offs = _block_offsets(m.dims)
-    acc = MatQ.identity(q.d_psi)
+    acc = MatQ.identity(offs[-1])
     for i in slots:
-        # b_i projects Psi onto slot i, so adding u b_i to the running
-        # product adds u to its slot-i columns
-        u = acc @ q.a[i]
-        u = -u if invert else u @ q.t_phi(i).inverse()
-        lo, hi = offs[i], offs[i + 1]
-        acc = MatQ([
-            row[:lo] + tuple(x + y for x, y in zip(row[lo:hi], urow)) + row[hi:]
-            for row, urow in zip(acc.entries, u.entries)
-        ])
+        u = acc @ _arm(m, i)
+        u = -u if invert else u @ m.local_monodromy_inverse(i)
+        acc = _add_to_columns(acc, offs, i, u)
     return acc
 
 
@@ -187,17 +192,14 @@ def _assemble_unitriangular(dims, blocks: dict[tuple[int, int], MatQ]) -> MatQ:
     """Identity diagonal blocks plus the given off-diagonal blocks; entry
     (s, t) is a map slot_s -> slot_t placed at block row t, column s."""
     n = len(dims)
-    offs = _block_offsets(dims)
-    total = offs[-1]
-    grid = [[Q(0)] * total for _ in range(total)]
-    for s in range(n):
-        for r in range(dims[s]):
-            grid[offs[s] + r][offs[s] + r] = Q(1)
-    for (s, t), blk in blocks.items():
-        for r in range(blk.rows):
-            for c in range(blk.cols):
-                grid[offs[t] + r][offs[s] + c] = blk.entries[r][c]
-    return MatQ(grid)
+    return MatQ.from_blocks([
+        [
+            MatQ.identity(dims[t]) if s == t
+            else blocks.get((s, t), MatQ.zeros(dims[t], dims[s]))
+            for s in range(n)
+        ]
+        for t in range(n)
+    ])
 
 
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
@@ -260,13 +262,7 @@ def dressed_transport(
     statements.
     """
     pair = stokes_pair(m, A, zeta0)
-    n = m.n
-    diagonal = [m.m[i][i] for i in pair.order]
-    grid = [
-        [pair.blocks[(s, t)] if s != t else diagonal[s] for t in range(n)]
-        for s in range(n)
-    ]
-    return TransportData(pair.dims, grid), pair
+    return m.permuted(pair.order).replace(pair.blocks), pair
 
 
 def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
@@ -304,12 +300,15 @@ class FactorizationReport:
     order: tuple[int, ...]
 
 
-def _twisted_c_minus(
-    c_minus: MatQ, t_blocks, dims, exponent: int, side: str, sign: int
-) -> MatQ:
+def _local_monodromies(m: TransportData, exponent: int) -> MatQ:
+    """Block diagonal of the T_i, or for exponent -1 of the stored T_i^{-1}."""
+    t = m.local_monodromy if exponent == 1 else m.local_monodromy_inverse
+    return block_diagonal([t(s) for s in range(m.n)])
+
+
+def _twisted_c_minus(c_minus: MatQ, tw: MatQ, side: str, sign: int) -> MatQ:
     ident = MatQ.identity(c_minus.rows)
     off = c_minus - ident
-    tw = block_diagonal([t.power(exponent) for t in t_blocks])
     if side == "source":
         off = off @ tw
     else:
@@ -319,11 +318,10 @@ def _twisted_c_minus(
 
 def _factorization_sides(m, A, zeta0, conv) -> FactorizationReport:
     mt, pair = dressed_transport(m, A, zeta0)
-    t_blocks = [mt.local_monodromy(s) for s in range(mt.n)]
-    delta = block_diagonal([t.power(conv["delta_exponent"]) for t in t_blocks])
+    delta = _local_monodromies(mt, conv["delta_exponent"])
     c_til = _twisted_c_minus(
-        pair.c_minus, t_blocks, pair.dims,
-        conv["twist_exponent"], conv["twist_side"], conv["twist_sign"],
+        pair.c_minus, _local_monodromies(mt, conv["twist_exponent"]),
+        conv["twist_side"], conv["twist_sign"],
     )
     rhs = pair.c_plus @ delta @ c_til.inverse()
     lhs = monodromy_product(mt, conv["lhs"])

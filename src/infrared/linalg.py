@@ -149,16 +149,6 @@ class MatQ:
     def T(self) -> "MatQ":
         return MatQ(list(zip(*self.entries)) if self.entries else [])
 
-    def power(self, k: int) -> "MatQ":
-        if not self.is_square():
-            raise ShapeMismatch("power of a non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        acc = MatQ.identity(self.rows)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
-
     # -- elimination -------------------------------------------------------
 
     def _rref(self):
@@ -243,15 +233,7 @@ class MatQ:
 
 
 def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
-    sizes = [(b.rows, b.cols) for b in blocks]
-    total_r = sum(r for r, _ in sizes)
-    total_c = sum(c for _, c in sizes)
-    out = [[Q(0)] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
-        c0 += b.cols
-    return MatQ(out)
+    return MatQ.from_blocks([
+        [b if s == t else MatQ.zeros(b.rows, c.cols) for s, c in enumerate(blocks)]
+        for t, b in enumerate(blocks)
+    ])

@@ -4,7 +4,8 @@ Two equivalent pictures are implemented, both with exact rational matrices:
 
 * ``TransportData`` (the localized model): vanishing-cycle spaces Phi_i with
   rectilinear transport matrices m[i][j] : Phi_i -> Phi_j for all pairs,
-  subject to Id - m[i][i] invertible.
+  subject to Id - m[i][i] invertible.  It is the one owner of the inverse
+  local monodromies T_i^{-1}; every other layer reads them from it.
 
 * ``Quiver`` (the full model): a central space Psi with maps
   a_i : Phi_i -> Psi and b_i : Psi -> Phi_i, subject to Id - b_i a_i
@@ -42,10 +43,25 @@ def jacobson(u: MatQ, v: MatQ) -> tuple[MatQ, MatQ]:
     return lhs, rhs
 
 
-class TransportData:
-    """Dimension vector plus the full grid of rectilinear transports."""
+def _check_block(dims, i: int, j: int, blk: MatQ) -> None:
+    if (blk.rows, blk.cols) != (dims[j], dims[i]):
+        raise ShapeMismatch(f"m[{i}][{j}] must map dim {dims[i]} to dim {dims[j]}")
 
-    __slots__ = ("dims", "m")
+
+def _monodromy_inverse(i: int, blk: MatQ) -> MatQ:
+    """(Id - m_ii)^{-1} for a square m_ii; raises NotInvertible naming i."""
+    try:
+        return (MatQ.identity(blk.rows) - blk).inverse()
+    except NotInvertible:
+        raise NotInvertible(f"Id - m[{i}][{i}] is singular") from None
+
+
+class TransportData:
+    """Dimension vector plus the full grid of rectilinear transports; owns
+    T_i^{-1} = (Id - m_ii)^{-1}, kept from the constructor's invertibility
+    check and carried over by `replace` and `permuted`."""
+
+    __slots__ = ("dims", "m", "_t_inv")
 
     def __init__(self, dims: Sequence[int], m: Sequence[Sequence[MatQ]]):
         self.dims = tuple(dims)
@@ -53,19 +69,16 @@ class TransportData:
         n = len(self.dims)
         if len(self.m) != n or any(len(row) != n for row in self.m):
             raise ShapeMismatch("transport grid must be N x N")
-        for i in range(n):
-            for j in range(n):
-                blk = self.m[i][j]
-                if (blk.rows, blk.cols) != (self.dims[j], self.dims[i]):
-                    raise ShapeMismatch(
-                        f"m[{i}][{j}] must map dim {self.dims[i]} to "
-                        f"dim {self.dims[j]}"
-                    )
-        for i in range(n):
-            try:
-                (MatQ.identity(self.dims[i]) - self.m[i][i]).inverse()
-            except NotInvertible:
-                raise NotInvertible(f"Id - m[{i}][{i}] is singular") from None
+        for i, j in itertools.product(range(n), repeat=2):
+            _check_block(self.dims, i, j, self.m[i][j])
+        self._t_inv = tuple(_monodromy_inverse(i, self.m[i][i]) for i in range(n))
+
+    @classmethod
+    def _checked(cls, dims, m, t_inv) -> "TransportData":
+        """Assemble from parts whose shapes and inverses are already known."""
+        out = object.__new__(cls)
+        out.dims, out.m, out._t_inv = dims, m, t_inv
+        return out
 
     @property
     def n(self) -> int:
@@ -75,17 +88,31 @@ class TransportData:
         """T_i = Id - m_ii."""
         return MatQ.identity(self.dims[i]) - self.m[i][i]
 
+    def local_monodromy_inverse(self, i: int) -> MatQ:
+        """T_i^{-1} = (Id - m_ii)^{-1}, computed when m_ii was set."""
+        return self._t_inv[i]
+
     def replace(self, updates: dict[tuple[int, int], MatQ]) -> "TransportData":
+        """Copy with the given blocks swapped in; only those blocks are
+        checked, and only a changed diagonal block is inverted again."""
         grid = [list(row) for row in self.m]
+        t_inv = list(self._t_inv)
         for (i, j), blk in updates.items():
+            _check_block(self.dims, i, j, blk)
             grid[i][j] = blk
-        return TransportData(self.dims, grid)
+            if i == j:
+                t_inv[i] = _monodromy_inverse(i, blk)
+        return TransportData._checked(self.dims, tuple(map(tuple, grid)), tuple(t_inv))
 
     def permuted(self, perm: Sequence[int]) -> "TransportData":
         """Relabel slots so that new slot s is old slot perm[s]."""
-        dims = [self.dims[p] for p in perm]
-        grid = [[self.m[pi][pj] for pj in perm] for pi in perm]
-        return TransportData(dims, grid)
+        if sorted(perm) != list(range(self.n)):
+            raise InvalidInput(f"{list(perm)} is not a permutation of the slots")
+        return TransportData._checked(
+            tuple(self.dims[p] for p in perm),
+            tuple(tuple(self.m[pi][pj] for pj in perm) for pi in perm),
+            tuple(self._t_inv[p] for p in perm),
+        )
 
     def __eq__(self, other):
         return (
@@ -395,8 +422,7 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
     grid = [[None] * n for _ in range(n)]
     others = [v for v in range(n) if v not in (i, i + 1)]
     if not inverse:
-        t = MatQ.identity(m.dims[i]) - old[i][i]
-        t_inv = t.inverse()
+        t, t_inv = m.local_monodromy(i), m.local_monodromy_inverse(i)
         for v in others:
             for j in others:
                 grid[v][j] = old[v][j]
@@ -409,8 +435,7 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
         grid[i][i] = old[i + 1][i + 1]
         grid[i + 1][i + 1] = old[i][i]
     else:
-        t = MatQ.identity(m.dims[i + 1]) - old[i + 1][i + 1]
-        t_inv = t.inverse()
+        t, t_inv = m.local_monodromy(i + 1), m.local_monodromy_inverse(i + 1)
         for v in others:
             for j in others:
                 grid[v][j] = old[v][j]

@@ -562,15 +562,12 @@ def refinement_poset(subs: Sequence[Subdivision]) -> dict:
         for i in range(n)
     ]
     heights = [0] * n
-    order = sorted(range(n), key=lambda i: sum(less[i]))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if less[i][j] and heights[j] < heights[i] + 1:
-                    heights[j] = heights[i] + 1
-                    changed = True
+    # refines is transitive, so i < j gives i strictly more successors than
+    # j: descending successor count is a topological order of the relation
+    for i in sorted(range(n), key=lambda i: -sum(less[i])):
+        for j in range(n):
+            if less[i][j]:
+                heights[j] = max(heights[j], heights[i] + 1)
     return {"less": less, "height": max(heights) if heights else 0}
 
 

@@ -93,20 +93,17 @@ def cross_horizontality(m: TransportData, spec: CrossingSpec) -> TransportData:
     if spec.kind != "horiz":
         raise InvalidInput("expected a horizontality spec")
     i, j = spec.i, spec.j
-    t_i, t_j = m.local_monodromy(i), m.local_monodromy(j)
+    # left: sandwich with T_i on the Phi_i side; right: T_j on the Phi_j side;
+    # above multiplies m_ij by T and m_ji by T^{-1}, below the other way
+    k = i if spec.re_cmp == "left" else j
+    t, t_inv = m.local_monodromy(k), m.local_monodromy_inverse(k)
+    if spec.motion == "below":
+        t, t_inv = t_inv, t
     mij, mji = m.m[i][j], m.m[j][i]
-    if spec.motion == "above" and spec.re_cmp == "left":
-        new_ij = mij @ t_i          # m_ij T_i
-        new_ji = t_i.inverse() @ mji
-    elif spec.motion == "above" and spec.re_cmp == "right":
-        new_ij = t_j @ mij
-        new_ji = mji @ t_j.inverse()
-    elif spec.motion == "below" and spec.re_cmp == "left":
-        new_ij = mij @ t_i.inverse()
-        new_ji = t_i @ mji
-    else:  # below / right
-        new_ij = t_j.inverse() @ mij
-        new_ji = mji @ t_j
+    if spec.re_cmp == "left":
+        new_ij, new_ji = mij @ t, t_inv @ mji
+    else:
+        new_ij, new_ji = t @ mij, mji @ t_inv
     return m.replace({(i, j): new_ij, (j, i): new_ji})
 
 

@@ -1,0 +1,31 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+import infrared
+from infrared.linalg import MatQ
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """Every matrix passed to MatQ.inverse while the test runs, in order."""
+    calls = []
+    inverse = MatQ.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(MatQ, "inverse", counting)
+    return calls
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child Python that imports infrared from wherever
+    this process found it."""
+    src = os.path.dirname(os.path.dirname(infrared.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,11 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import infrared
 from infrared.cli import main
 from infrared.geometry import Config, config
 from infrared.perverse import TransportData
@@ -225,15 +223,12 @@ def test_json_round_trips():
     assert TransportData.from_json(m.to_json()) == m
 
 
-def test_console_entry_point():
-    # the child imports infrared from wherever this process found it
-    src = os.path.dirname(os.path.dirname(infrared.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "infrared.cli", "check", "--seed", "1", "--n", "3"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_ok"] is True

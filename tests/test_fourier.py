@@ -204,6 +204,16 @@ def test_factorization_zero_and_random():
         assert factorization_check(m, A, Z0).ok
 
 
+def test_factorization_check_inverts_only_c_tilde(inverse_calls):
+    r = rng(56)
+    A = rand_config(r, 5, extra_dirs=(Z_RIGHT,))
+    m = rand_transport(r, 5, max_dim=2)
+    inverse_calls.clear()
+    rep = factorization_check(m, A, Z0)
+    assert rep.ok
+    assert inverse_calls == [rep.c_minus_twisted]
+
+
 def test_factorization_maximally_concave():
     r = rng(54)
     for n in (2, 3, 4, 5):

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import NotInvertible, NotSpherical
+from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
 from infrared.linalg import MatQ, block_diagonal
 from infrared.perverse import (
     BilinearData,
@@ -51,6 +51,39 @@ def test_jacobson_examples():
 def test_matrix_inverse_errors():
     with pytest.raises(NotInvertible):
         MatQ([[1, 2], [2, 4]]).inverse()
+
+
+def test_replace_inverts_only_a_changed_diagonal_block(inverse_calls):
+    m = rand_transport(rng(22), 4, max_dim=3)
+    inverse_calls.clear()
+    m.replace({(0, 1): m.m[0][1].scale(2), (3, 2): m.m[3][2].scale(-1)})
+    assert inverse_calls == []
+    d = m.dims[2]
+    out = m.replace({(2, 2): MatQ.scalar(2, d), (1, 3): m.m[1][3].scale(2)})
+    # T_2 = Id - 2 Id = -Id is the one matrix inverted
+    assert inverse_calls == [MatQ.scalar(-1, d)]
+    assert out.local_monodromy_inverse(2) == MatQ.scalar(-1, d)
+    for i in (0, 1, 3):
+        assert out.local_monodromy_inverse(i) is m.local_monodromy_inverse(i)
+
+
+def test_replace_checks_the_blocks_it_changes():
+    m = rand_transport(rng(23), 3, max_dim=2)
+    d0, d1 = m.dims[0], m.dims[1]
+    with pytest.raises(NotInvertible):
+        m.replace({(1, 1): MatQ.identity(d1)})
+    with pytest.raises(ShapeMismatch):
+        m.replace({(0, 1): MatQ.zeros(d1 + 1, d0)})
+    with pytest.raises(ShapeMismatch):
+        m.replace({(0, 0): MatQ.zeros(d0, d0 + 1)})
+
+
+def test_permuted_rejects_non_permutations():
+    m = rand_transport(rng(24), 3, max_dim=2)
+    for perm in ([0, 0, 1], [0, 0], [0], [0, 1, 3], [0, 1, 2, 0]):
+        with pytest.raises(InvalidInput):
+            m.permuted(perm)
+    assert m.permuted([2, 0, 1]).permuted([1, 2, 0]) == m
 
 
 def test_mu_and_embed():

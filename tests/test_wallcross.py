@@ -11,7 +11,7 @@ from infrared.geometry import (
     segment_wall_events,
 )
 from infrared.linalg import MatQ
-from infrared.perverse import TransportData
+from infrared.perverse import TransportData, braid_act_transport
 from infrared.fourier import dressed_transport, global_monodromy, stokes_pair
 from infrared.randomgen import rand_config, rand_transport, rng
 from infrared.wallcross import (
@@ -100,6 +100,23 @@ def test_transport_single_collinearity_leg():
     # the only other event is a horizontality touching m_01/m_10
     assert out.m[0][2] == single.m[0][2]
     assert out.m[2][0] == single.m[2][0]
+
+
+def test_walk_leg_reads_the_stored_inverses(inverse_calls):
+    a0 = config((-4, -2), (-1, 2), (4, "5/2"))
+    a1 = config((-4, -2), (0, -3), (4, "5/2"))
+    m = rand_transport(rng(49), 3, max_dim=3)
+    inverse_calls.clear()
+    out, log = transport_along_path(m, a0, a1)
+    assert "horiz" in [s.kind for s in log]
+    assert inverse_calls == []
+    # the carried inverses stay those of the data they travel with
+    for data in (
+        out, braid_act_transport(out, 1), braid_act_transport(out, -2),
+        out.permuted([2, 0, 1]),
+    ):
+        for i in range(data.n):
+            assert data.local_monodromy_inverse(i) == data.local_monodromy(i).inverse()
 
 
 def test_out_and_back_restores():
