@@ -97,7 +97,7 @@ def direction(dx, dy) -> Dir:
 class Config:
     """An ordered tuple of pairwise distinct marked points w_1..w_N."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_signs")
 
     def __init__(self, points: Iterable[Pt]):
         pts = tuple(points)
@@ -122,6 +122,22 @@ class Config:
     def __repr__(self):
         coords = ", ".join(f"({p.x},{p.y})" for p in self.points)
         return f"Config[{coords}]"
+
+    def sign_table(self) -> list[list[list[int]]]:
+        """t[i][j][k] = orient(self, i, j, k) for every ordered triple, 0 where
+        an index repeats; computed on first use and kept."""
+        try:
+            return self._signs
+        except AttributeError:
+            pass
+        n = len(self.points)
+        t = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k in itertools.combinations(range(n), 3):
+            s = orient(self, i, j, k)
+            t[i][j][k] = t[j][k][i] = t[k][i][j] = s
+            t[i][k][j] = t[k][j][i] = t[j][i][k] = -s
+        self._signs = t
+        return t
 
     # JSON schema: {"points": [["x", "y"], ...]} with canonical "num/den"
     # strings (denominator omitted when 1).
@@ -155,23 +171,15 @@ class Chirotope:
 
     def __init__(self, A: Config):
         self.n = len(A)
+        self._table = A.sign_table()
         self.signs = {
-            (i, j, k): orient(A, i, j, k)
+            (i, j, k): self._table[i][j][k]
             for i, j, k in itertools.combinations(range(self.n), 3)
         }
 
     def chi(self, i: int, j: int, k: int) -> int:
         """Alternating extension to arbitrary triples (0 on repeats)."""
-        if len({i, j, k}) != 3:
-            return 0
-        perm = sorted((i, j, k))
-        base = self.signs[tuple(perm)]
-        # parity of the permutation taking sorted order to (i, j, k)
-        seq = (i, j, k)
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if seq[a] > seq[b]
-        )
-        return base if inversions % 2 == 0 else -base
+        return self._table[i][j][k]
 
     @property
     def lin_general(self) -> bool:

@@ -1,14 +1,23 @@
 """Exact rational linear programming by simplex with Bland's rule.
 
-Solves  max c.x  subject to  A x <= b  with x free and b >= 0, entirely
-over Fraction.  Free variables are split into differences of nonnegatives;
-with nonnegative right-hand sides the slack basis is immediately feasible,
-so no phase-one is needed.  The regularity systems solved here are
-homogeneous except for a single normalization row, so this covers them.
+Solves  max c.x  subject to  A x <= b  with x free and b >= 0.  Free
+variables are split into differences of nonnegatives; with nonnegative
+right-hand sides the slack basis is immediately feasible, so no phase-one is
+needed.  The regularity systems solved here are homogeneous except for a
+single normalization row, so this covers them.
+
+The tableau is kept fraction-free, row by row: each row is a list of ints
+with one positive denominator, and a pivot updates a row by integer
+multiplies followed by one gcd reduction.  Only signs and ratio comparisons
+of tableau entries steer the simplex, and both are read exactly from the
+integers, so the pivot path (Bland's entering and leaving rule, ratio ties
+broken by basis index) is that of the plain Fraction tableau; the value and
+the solution come back as Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +26,22 @@ Q = Fraction
 
 class Unbounded(Exception):
     pass
+
+
+def _int_row(vals: Sequence) -> tuple[list[int], int]:
+    """Rationals as (ints, least positive common denominator)."""
+    vals = [v if isinstance(v, (int, Fraction)) else Q(v) for v in vals]
+    den = math.lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _reduce(row: list[int], den: int) -> int:
+    """Divide row and den by their gcd in place of row; returns the new den."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den //= g
+    return den
 
 
 def maximize(
@@ -31,46 +56,66 @@ def maximize(
     nrows = len(a_rows)
     ncols = 2 * nfree + nrows
 
-    tab: list[list[Fraction]] = []
+    # row r of the tableau is tab[r] / den[r]; the last row is the objective
+    tab: list[list[int]] = []
+    den: list[int] = []
     for r in range(nrows):
-        row = [Q(a_rows[r][i]) for i in range(nfree)]
-        row += [-Q(a_rows[r][i]) for i in range(nfree)]
-        row += [Q(1) if s == r else Q(0) for s in range(nrows)]
-        row.append(Q(b[r]))
+        coef, d = _int_row([a_rows[r][i] for i in range(nfree)] + [b[r]])
+        row = coef[:nfree] + [-v for v in coef[:nfree]] + [0] * nrows + coef[-1:]
+        row[2 * nfree + r] = d
         tab.append(row)
+        den.append(d)
     basis = list(range(2 * nfree, 2 * nfree + nrows))
-
-    obj = [Q(c[i]) for i in range(nfree)]
-    obj += [-Q(c[i]) for i in range(nfree)]
-    obj += [Q(0)] * nrows + [Q(0)]
-    tab.append(obj)
+    coef, d = _int_row(c)
+    tab.append(coef + [-v for v in coef] + [0] * (nrows + 1))
+    den.append(d)
 
     while True:
         objrow = tab[-1]
         col = next((j for j in range(ncols) if objrow[j] > 0), None)
         if col is None:
             break
-        pivot = None
+        # leaving row: least ratio rhs/entry, ties to the least basis index;
+        # a row's denominator cancels in its ratio
+        row = None
         for r in range(nrows):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if pivot is None or (ratio, basis[r]) < (pivot[0], basis[pivot[1]]):
-                    pivot = (ratio, r)
-        if pivot is None:
+            t = tab[r]
+            if t[col] > 0:
+                if row is None:
+                    row = r
+                    continue
+                lhs = t[-1] * tab[row][col]
+                rhs = tab[row][-1] * t[col]
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
+                    row = r
+        if row is None:
             raise Unbounded()
-        row = pivot[1]
-        pv = tab[row][col]
-        tab[row] = [x / pv for x in tab[row]]
+        # scale the pivot row to a unit pivot: its pivot entry becomes its
+        # denominator
+        prow = tab[row]
+        pv = den[row] = _reduce(prow, prow[col])
+        nz = [(j, q) for j, q in enumerate(prow) if q]
         for r in range(nrows + 1):
-            if r != row and tab[r][col] != 0:
-                f = tab[r][col]
-                tab[r] = [a - f * bb for a, bb in zip(tab[r], tab[row])]
+            t = tab[r]
+            f = t[col]
+            if r == row or f == 0:
+                continue
+            # t/den[r] - (f/den[r]) prow/pv over the denominator den[r] pv,
+            # with gcd(f, pv) cancelled; only the nonzeros of prow change t
+            g = math.gcd(f, pv)
+            p, f = pv // g, f // g
+            if p != 1:
+                t = [a * p for a in t]
+            for j, q in nz:
+                t[j] -= f * q
+            tab[r] = t
+            den[r] = _reduce(t, den[r] * p)
         basis[row] = col
 
-    value = -tab[-1][-1]
+    value = Q(-tab[-1][-1], den[-1])
     split = [Q(0)] * (2 * nfree)
     for r in range(nrows):
         if basis[r] < 2 * nfree:
-            split[basis[r]] = tab[r][-1]
+            split[basis[r]] = Q(tab[r][-1], den[r])
     x = [split[i] - split[nfree + i] for i in range(nfree)]
     return value, x

@@ -447,7 +447,11 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
         grid[i + 1][i] = t_inv @ old[i][i + 1]
         grid[i][i] = old[i + 1][i + 1]
         grid[i + 1][i + 1] = old[i][i]
-    return TransportData(dims, grid)
+    # every block is built from blocks of the right shapes, and the new
+    # diagonal is the old one with slots i and i+1 swapped
+    inverses = list(m._t_inv)
+    inverses[i], inverses[i + 1] = inverses[i + 1], inverses[i]
+    return TransportData._checked(tuple(dims), tuple(map(tuple, grid)), tuple(inverses))
 
 
 def braid_act_word(obj, word: Sequence[int]):

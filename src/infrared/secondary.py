@@ -78,9 +78,10 @@ class Subdivision:
         for c in self.cells:
             marked_total |= c.marked
         self.omitted = frozenset(range(len(A))) - marked_total
+        self._valid = False  # set once validate_subdivision has passed
 
     def key(self):
-        return tuple((c.polygon, tuple(sorted(c.marked))) for c in self.cells)
+        return tuple([(c.polygon, tuple(sorted(c.marked))) for c in self.cells])
 
     def __eq__(self, other):
         return isinstance(other, Subdivision) and self.key() == other.key()
@@ -144,14 +145,18 @@ def _polygon_area2(A: Config, cycle: Sequence[int]) -> Fraction:
 
 def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
     """Weak containment of point w in the closed convex ccw polygon."""
+    t = A.sign_table()
     for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-        if (A[b] - A[a]).cross(A[w] - A[a]) < 0:
+        if t[a][b][w] < 0:
             return False
     return True
 
 
 def validate_subdivision(sub: Subdivision) -> None:
-    """Cover, common-face and marking checks; raises InvalidInput."""
+    """Cover, common-face and marking checks; raises InvalidInput.  A
+    subdivision that passed once is not checked again."""
+    if sub._valid:
+        return
     A = sub.config
     if not sub.cells:
         raise InvalidInput("empty subdivision")
@@ -179,25 +184,20 @@ def validate_subdivision(sub: Subdivision) -> None:
                 raise InvalidInput(f"hull edge {sorted(e)} shared {k} times")
         elif k != 2:
             raise InvalidInput(f"edge {sorted(e)} shared {k} times")
-    # no corner of one cell strictly inside another cell or its edges
+    # no corner of one cell strictly inside another cell
+    t = A.sign_table()
     corners = set()
     for c in sub.cells:
         corners |= set(c.polygon)
     for c in sub.cells:
-        cset = set(c.polygon)
-        for w in corners - cset:
-            if _point_in_polygon(A, c.polygon, w):
-                strict = all(
-                    (A[b] - A[a]).cross(A[w] - A[a]) > 0
-                    for a, b in zip(
-                        c.polygon, c.polygon[1:] + c.polygon[:1]
-                    )
+        edges = list(zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
+        for w in corners - set(c.polygon):
+            if all(t[a][b][w] > 0 for a, b in edges):
+                raise InvalidInput(
+                    f"corner {w} inside cell {c.polygon}: not a common-face "
+                    "decomposition"
                 )
-                if strict:
-                    raise InvalidInput(
-                        f"corner {w} inside cell {c.polygon}: not a common-face "
-                        "decomposition"
-                    )
+    sub._valid = True
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +339,14 @@ def _full_triangulations(A: Config, used: Sequence[int]) -> list[frozenset]:
     edge sets."""
     pts = list(used)
     segs = list(itertools.combinations(pts, 2))
+    t = A.sign_table()
 
     def crosses(e1, e2) -> bool:
         a, b = e1
         c, d = e2
         if {a, b} & {c, d}:
             return False
-        o1 = orient(A, a, b, c)
-        o2 = orient(A, a, b, d)
-        o3 = orient(A, c, d, a)
-        o4 = orient(A, c, d, b)
-        return o1 != o2 and o3 != o4
+        return t[a][b][c] != t[a][b][d] and t[c][d][a] != t[c][d][b]
 
     compat = {
         frozenset((e1, e2))
@@ -360,20 +357,20 @@ def _full_triangulations(A: Config, used: Sequence[int]) -> list[frozenset]:
     def compatible(e1, e2):
         return frozenset((e1, e2)) in compat
 
+    # depth-first over (chosen, rest): take rest[0] when it crosses nothing
+    # chosen, or leave it out, which can only lead to a maximal set if
+    # something crosses it
     results: list[frozenset] = []
-
-    def extend(chosen: list, rest: list):
+    stack = [([], segs)]
+    while stack:
+        chosen, rest = stack.pop()
         if not rest:
             results.append(frozenset(chosen))
-            return
-        e = rest[0]
-        tail = rest[1:]
-        extend(chosen + [e], [f for f in tail if compatible(e, f)])
-        # excluding e can only lead to a maximal set if something crosses it
+            continue
+        e, tail = rest[0], rest[1:]
         if any(not compatible(e, f) for f in itertools.chain(chosen, tail)):
-            extend(chosen, tail)
-
-    extend([], segs)
+            stack.append((chosen, tail))
+        stack.append((chosen + [e], [f for f in tail if compatible(e, f)]))
     maximal = [
         s
         for s in set(results)
@@ -394,18 +391,15 @@ def _full_triangulations(A: Config, used: Sequence[int]) -> list[frozenset]:
                 ):
                     faces.add(frozenset(tri))
         tris.add(frozenset(faces))
-    return sorted(tris, key=lambda fs: sorted(sorted(t) for t in fs))
+    return sorted(tris, key=lambda fs: sorted(sorted(f) for f in fs))
 
 
 def _strictly_inside_triangle(A: Config, tri, w) -> bool:
+    # w is strictly inside exactly when it is strictly on the same side of
+    # all three edges, whichever way the triangle turns
     a, b, c = tri
-    if orient(A, a, b, c) < 0:
-        a, b, c = a, c, b
-    return (
-        orient(A, a, b, w) > 0
-        and orient(A, b, c, w) > 0
-        and orient(A, c, a, w) > 0
-    )
+    t = A.sign_table()
+    return t[a][b][w] == t[b][c][w] == t[c][a][w] != 0
 
 
 def enumerate_triangulations(A: Config) -> list[Subdivision]:
@@ -422,6 +416,7 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
         raise DegeneratePosition("triangulation enumeration needs general position")
     hull = convex_hull(A)
     interior = [w for w in range(n) if w not in hull]
+    t = A.sign_table()
     out = []
     for r in range(len(interior) + 1):
         for extra in itertools.combinations(interior, r):
@@ -429,13 +424,9 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
             for faces in _full_triangulations(A, used):
                 cells = []
                 for tri in faces:
-                    labels = sorted(tri)
-                    cyc = convex_hull(Config([A[w] for w in labels]))
-                    cells.append(
-                        Cell(
-                            tuple(labels[t] for t in cyc), frozenset(tri)
-                        )
-                    )
+                    a, b, c = sorted(tri)
+                    ccw = (a, b, c) if t[a][b][c] > 0 else (a, c, b)
+                    cells.append(Cell(ccw, frozenset(tri)))
                 sub = Subdivision(A, cells)
                 expected = 2 * len(used) - 2 - len(hull)
                 assert len(sub.cells) == expected, "face count off"
@@ -447,7 +438,8 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
 
 def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision]:
     """Coarsen by deleting the given interior edges; merged cells must be
-    convex, markings are unions.  Returns None when a merge is non-convex."""
+    convex, markings are unions.  Returns None when a merge is non-convex.
+    The result is not validated."""
     parent = list(range(len(sub.cells)))
 
     def find(x):
@@ -472,7 +464,7 @@ def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision
         groups.setdefault(find(ci), []).append(ci)
     new_cells = []
     for members in groups.values():
-        marked = frozenset().union(*(sub.cells[ci].marked for ci in members))
+        marked = frozenset().union(*[sub.cells[ci].marked for ci in members])
         # boundary edges of the union = edges not deleted and not shared
         # between two members
         edge_count: dict[frozenset[int], int] = {}
@@ -509,31 +501,33 @@ def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision
         if _polygon_area2(A, cycle) < 0:
             cycle.reverse()
         # convexity (allowing no straight angles: corners must be corners)
-        m = len(cycle)
-        for t in range(m):
-            a, b, c = cycle[t], cycle[(t + 1) % m], cycle[(t + 2) % m]
-            if orient(A, a, b, c) <= 0:
-                return None
+        t = A.sign_table()
+        turns = zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
+        if any(t[a][b][c] <= 0 for a, b, c in turns):
+            return None
         new_cells.append(Cell(_canon_cycle(cycle), marked))
-    merged = Subdivision(A, new_cells)
-    try:
-        validate_subdivision(merged)
-    except InvalidInput:
-        return None
-    return merged
+    return Subdivision(A, new_cells)
 
 
 def enumerate_subdivisions(A: Config) -> list[Subdivision]:
     """All marked subdivisions arising as coarsenings of triangulations
-    (marked sets merged by union), including the triangulations."""
+    (marked sets merged by union), including the triangulations.  Each
+    distinct coarsening is validated once, however many triangulations
+    it comes from."""
     subs: set[Subdivision] = set()
     for tri in enumerate_triangulations(A):
+        subs.add(tri)  # its coarsening that drops no edge
         interior = tri.interior_edges()
-        for r in range(len(interior) + 1):
+        for r in range(1, len(interior) + 1):
             for drop in itertools.combinations(interior, r):
                 merged = _merge_cells(A, tri, set(drop))
-                if merged is not None:
-                    subs.add(merged)
+                if merged is None or merged in subs:
+                    continue
+                try:
+                    validate_subdivision(merged)
+                except InvalidInput:
+                    continue
+                subs.add(merged)
     return sorted(subs, key=lambda s: s.key())
 
 

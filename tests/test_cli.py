@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -232,3 +233,15 @@ def test_console_entry_point(child_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_ok"] is True
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name", ["pentagon", "four_plus_one"])
+def test_secondary_output_is_pinned(name, capsys):
+    """`infrared secondary` prints exactly the committed output, witnesses
+    included, for a convex pentagon and four hull corners plus one point."""
+    assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
+    with open(os.path.join(DATA, name + ".secondary.json"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()

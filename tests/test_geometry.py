@@ -33,6 +33,20 @@ def test_orient_examples():
     assert orient(config((0, 0), (3, 1), (1, 2)), 0, 1, 2) == 1
 
 
+
+def test_sign_table_matches_orient():
+    r = rng(71)
+    configs = [config((0, 0), (1, 1), (2, 2), (0, 1), (3, 1))]  # one collinear triple
+    for n in (3, 4, 5, 6, 7):
+        configs += [rand_config(r, n, require_strong=False) for _ in range(3)]
+    for A in configs:
+        t = A.sign_table()
+        assert A.sign_table() is t
+        for i, j, k in itertools.product(range(len(A)), repeat=3):
+            want = orient(A, i, j, k) if len({i, j, k}) == 3 else 0
+            assert t[i][j][k] == want, (A, i, j, k)
+    assert configs[0].sign_table()[0][1][2] == 0
+
 def test_orient_alternating_random():
     r = rng(1)
     A = rand_config(r, 6, require_strong=False)

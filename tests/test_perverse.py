@@ -302,6 +302,20 @@ def test_braid_round_trip():
             assert braid_act_transport(braid_act_transport(m, -g), g) == m
 
 
+
+def test_braid_moves_carry_the_stored_inverses(inverse_calls):
+    m = rand_transport(rng(33), 4, max_dim=3)
+    for g in (1, -1, 2, -2, 3, -3):
+        inverse_calls.clear()
+        out = braid_act_transport(m, g)
+        back = braid_act_transport(out, -g)
+        assert inverse_calls == []
+        assert back == m
+        for data in (out, back):
+            for k in range(data.n):
+                want = data.local_monodromy(k).inverse()
+                assert data.local_monodromy_inverse(k) == want
+
 def test_braid_relations():
     r = rng(30)
     for n in (3, 4, 5):

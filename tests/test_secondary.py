@@ -1,12 +1,16 @@
+import gc
 import itertools
 from fractions import Fraction as Q
 
 import pytest
 
+from infrared import secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from infrared.geometry import config, direction
+from infrared.geometry import config, convex_hull, direction, orient
 from infrared.secondary import (
     Cell,
+    _full_triangulations,
+    _point_in_polygon,
     Subdivision,
     coarse_subdivisions,
     content,
@@ -284,6 +288,86 @@ def test_validate_rejects_bad_subdivisions():
         )  # does not tile the hull
     with pytest.raises(InvalidInput):
         Cell((0, 1, 2), frozenset((0, 1)))  # corners not marked
+
+
+def test_enumeration_validates_each_subdivision_once(monkeypatch):
+    calls = []
+    validate = secondary.validate_subdivision
+
+    def counting(sub):
+        calls.append(sub.key())
+        validate(sub)
+
+    monkeypatch.setattr(secondary, "validate_subdivision", counting)
+    A = convex_gon(5)
+    subs = enumerate_subdivisions(A)
+    assert sorted(calls) == sorted(s.key() for s in subs)
+    # a subdivision that passed is not checked again downstream
+    areas = []
+    area = secondary._polygon_area2
+
+    def counting_area(*args):
+        areas.append(args)
+        return area(*args)
+
+    monkeypatch.setattr(secondary, "_polygon_area2", counting_area)
+    for sub in subs:
+        is_regular(A, sub)
+        deformation_complex(A, sub)
+    assert areas == []
+    # a failed check is not remembered
+    bad = Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            validate_subdivision(bad)
+
+
+def cross_point_in_polygon(A, cycle, w):
+    """The cross-product containment test that the sign lookups replaced."""
+    for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+        if (A[b] - A[a]).cross(A[w] - A[a]) < 0:
+            return False
+    return True
+
+
+def test_point_in_polygon_matches_cross_products():
+    # a 3 x 3 grid puts points on many edges; four more points off the grid
+    pts = [(x, y) for x in (0, 2, 4) for y in (0, 2, 4)]
+    pts += [(1, 3), (5, 1), (-1, 2), (3, "1/2")]
+    A = config(*pts)
+    n = len(A)
+    cycles = [c for c in itertools.permutations(range(n), 3) if orient(A, *c) > 0]
+    r = rng(72)
+    for _ in range(60):
+        labels = sorted(r.sample(range(n), r.randint(4, 8)))
+        hull = convex_hull(config(*[pts[w] for w in labels]))
+        cycles.append(tuple(labels[t] for t in hull))
+    kinds = set()
+    for cyc in cycles:
+        edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+        for w in range(n):
+            inside = cross_point_in_polygon(A, cyc, w)
+            assert _point_in_polygon(A, cyc, w) == inside, (cyc, w)
+            on_edge = any(
+                w not in e and (A[e[1]] - A[e[0]]).cross(A[w] - A[e[0]]) == 0
+                for e in edges
+            )
+            kind = "corner" if w in cyc else "edge" if on_edge and inside else "other"
+            kinds.add((kind, inside))
+    assert {("corner", True), ("edge", True), ("other", True), ("other", False)} <= kinds
+
+
+def test_full_triangulations_leave_no_reference_cycles():
+    A = convex_gon(6)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_full_triangulations(A, range(6))) == catalan(4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _flip_adjacent(t1, t2):
