@@ -16,6 +16,7 @@ machine-readable JSON (--pretty for indentation); errors surface as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -287,7 +288,9 @@ def cmd_plot(inst: Instance, args) -> dict:
     return {"content": text}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="infrared",
         description="exact workbench for planar perverse-sheaf combinatorics",
@@ -326,8 +329,11 @@ def main(argv=None) -> int:
     p = add("plot", cmd_plot)
     p.add_argument("--poset", action="store_true",
                    help="emit the refinement poset instead of the points")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         inst = None
         if getattr(args, "instance", None):

@@ -26,14 +26,16 @@ itself; a-check is built the same way.
 Stokes matrices are computed as sums of iterated rectilinear transports
 over convex polygonal paths: block (i, j) of C+ sums over the
 (-conj(zeta0))-convex paths from w_i to w_j, and C- mirrors this with the
-opposite convexity.  The normalized monodromy factors exactly as
+opposite convexity.  The ascending monodromy product of the dressed
+transport data factors exactly as
 
-    LHS = C+ . Delta . (twisted C-)^{-1}
+    T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
 
-where Delta is block diagonal in the local monodromies; the remaining
-exponent and twist-placement freedom is a module-level convention fixed
-once by the N=2 closed form (see FACTORIZATION_CONVENTION) and never tuned
-per instance.
+where Delta is the block diagonal of the inverse local monodromies.  Of the
+exponents of Delta and of the twist, the side and sign of the twist and the
+slot order of T_glob, the N=2 closed form admits this one convention;
+factorization_check writes it out, and the test suite re-derives it from a
+search over all the alternatives.
 """
 
 from __future__ import annotations
@@ -123,33 +125,26 @@ def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
     )
 
 
-_LHS_CHOICES = ("ascending", "descending", "ascending_inverse", "descending_inverse")
-
-
 def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
-    """Ordered product of the slot monodromies T_{i,Psi} = Id - a_i b_i of
-    the spider representative gmv_embed(m), in the given slot order:
+    """Ordered product of the inverse slot monodromies T_{i,Psi}^{-1}, with
+    T_{i,Psi} = Id - a_i b_i of the spider representative gmv_embed(m):
 
         ascending           T_1^{-1} T_2^{-1} ... T_N^{-1}
         descending          T_N^{-1} ... T_2^{-1} T_1^{-1}
-        *_inverse           the inverse of that product
 
     Each factor right-multiplies the running product as a rank-d_i update,
     T_{i,Psi}^{-1} = Id + a_i T_{i,Phi}^{-1} b_i (Jacobson), at O(D^2 d_i)
     per slot, with T_{i,Phi} = Id - m_ii and its inverse read from m."""
-    if kind not in _LHS_CHOICES:
+    if kind == "ascending":
+        slots = range(m.n)
+    elif kind == "descending":
+        slots = range(m.n - 1, -1, -1)
+    else:
         raise InvalidInput(f"unknown monodromy product {kind!r}")
-    # (X_1 ... X_N)^{-1} = X_N^{-1} ... X_1^{-1}: an inverted product runs
-    # through the slots the other way, with the plain factors T_{i,Psi}
-    invert = kind.endswith("_inverse")
-    slots = list(range(m.n))
-    if kind.startswith("ascending") == invert:
-        slots.reverse()
     offs = _block_offsets(m.dims)
     acc = MatQ.identity(offs[-1])
     for i in slots:
-        u = acc @ _arm(m, i)
-        u = -u if invert else u @ m.local_monodromy_inverse(i)
+        u = acc @ _arm(m, i) @ m.local_monodromy_inverse(i)
         acc = _add_to_columns(acc, offs, i, u)
     return acc
 
@@ -205,8 +200,8 @@ def _assemble_unitriangular(dims, blocks: dict[tuple[int, int], MatQ]) -> MatQ:
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     """Both Stokes matrices of the transform in direction zeta0.
 
-    Slots follow the dominance numbering (ell along -conj(zeta0)
-    increasing); C+ sums iterated transports over (-conj(zeta0))-convex
+    Slots follow fourier_order(A, zeta0), i.e. ell along -conj(zeta0)
+    increasing; C+ sums iterated transports over (-conj(zeta0))-convex
     paths upward in slots, C- over (conj(zeta0))-convex paths downward.
     """
     rep = general_position(A)
@@ -214,10 +209,7 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
         raise DegeneratePosition("Stokes sums need strong general position")
     zplus = zeta0.conjugate().opposite()
     zminus = zeta0.conjugate()
-    order = sorted(range(len(A)), key=lambda i: zplus.infinity_form(A[i]))
-    vals = [zplus.infinity_form(A[i]) for i in order]
-    if len(set(vals)) != len(vals):
-        raise DegeneratePosition("dominance tie in the Stokes numbering")
+    order = fourier_order(A, zeta0)
     n = len(order)
     dims = [m.dims[i] for i in order]
     blocks: dict[tuple[int, int], MatQ] = {}
@@ -273,21 +265,6 @@ def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
     return monodromy_product(mt, "ascending")
 
 
-# The factorization identity carries a finite convention freedom: the
-# exponent of the local monodromies in the diagonal factor, the side, sign
-# and exponent of the whole-monodromy block twist turning C- into C-tilde,
-# and the slot order of the monodromy product on the left.  The N=2 closed
-# form pins all of them; solve_factorization_convention re-derives the set
-# of surviving conventions and the frozen values below are asserted against
-# it in the test suite.
-FACTORIZATION_CONVENTION = {
-    "delta_exponent": -1,
-    "twist_exponent": -1,
-    "twist_side": "source",
-    "twist_sign": -1,
-    "lhs": "ascending",
-}
-
 @dataclass(frozen=True)
 class FactorizationReport:
     ok: bool
@@ -300,37 +277,6 @@ class FactorizationReport:
     order: tuple[int, ...]
 
 
-def _local_monodromies(m: TransportData, exponent: int) -> MatQ:
-    """Block diagonal of the T_i, or for exponent -1 of the stored T_i^{-1}."""
-    t = m.local_monodromy if exponent == 1 else m.local_monodromy_inverse
-    return block_diagonal([t(s) for s in range(m.n)])
-
-
-def _twisted_c_minus(c_minus: MatQ, tw: MatQ, side: str, sign: int) -> MatQ:
-    ident = MatQ.identity(c_minus.rows)
-    off = c_minus - ident
-    if side == "source":
-        off = off @ tw
-    else:
-        off = tw @ off
-    return ident + off.scale(sign)
-
-
-def _factorization_sides(m, A, zeta0, conv) -> FactorizationReport:
-    mt, pair = dressed_transport(m, A, zeta0)
-    delta = _local_monodromies(mt, conv["delta_exponent"])
-    c_til = _twisted_c_minus(
-        pair.c_minus, _local_monodromies(mt, conv["twist_exponent"]),
-        conv["twist_side"], conv["twist_sign"],
-    )
-    rhs = pair.c_plus @ delta @ c_til.inverse()
-    lhs = monodromy_product(mt, conv["lhs"])
-    return FactorizationReport(
-        lhs == rhs, lhs, rhs, pair.c_plus, pair.c_minus, c_til, delta,
-        pair.order,
-    )
-
-
 def factorization_check(
     m: TransportData, A: Config, zeta0: Dir
 ) -> FactorizationReport:
@@ -338,28 +284,19 @@ def factorization_check(
 
         T_glob = C+ . Delta . (C-tilde)^{-1},
 
-    with Delta the block diagonal of inverse local monodromies and
-    C-tilde = Id - (C- - Id) Delta, all conventions frozen module-wide."""
-    return _factorization_sides(m, A, zeta0, FACTORIZATION_CONVENTION)
-
-
-def solve_factorization_convention(instances) -> list[dict]:
-    """The symbolic oracle: return every convention in the finite search
-    space that holds exactly on all supplied (m, A, zeta0) triples."""
-    survivors = []
-    for de, te, side, sign, lhs_kind in itertools.product(
-        (-1, 1), (-1, 1), ("source", "target"), (-1, 1), _LHS_CHOICES
-    ):
-        conv = {
-            "delta_exponent": de,
-            "twist_exponent": te,
-            "twist_side": side,
-            "twist_sign": sign,
-            "lhs": lhs_kind,
-        }
-        if all(_factorization_sides(m, A, z, conv).ok for m, A, z in instances):
-            survivors.append(conv)
-    return survivors
+    on the dressed transport data, with T_glob the ascending monodromy
+    product, Delta the block diagonal of the inverse local monodromies and
+    C-tilde = Id - (C- - Id) Delta."""
+    mt, pair = dressed_transport(m, A, zeta0)
+    delta = block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)])
+    ident = MatQ.identity(delta.rows)
+    c_til = ident - (pair.c_minus - ident) @ delta
+    rhs = pair.c_plus @ delta @ c_til.inverse()
+    lhs = monodromy_product(mt, "ascending")
+    return FactorizationReport(
+        lhs == rhs, lhs, rhs, pair.c_plus, pair.c_minus, c_til, delta,
+        pair.order,
+    )
 
 
 # ---------------------------------------------------------------------------

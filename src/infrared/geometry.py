@@ -8,7 +8,9 @@ cross products, so no floating point enters any predicate.
 Conventions
 -----------
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
-  it is the sign of det [[1,1,1],[x_a,x_b,x_c],[y_a,y_b,y_c]].
+  it is the sign of det [[1,1,1],[x_a,x_b,x_c],[y_a,y_b,y_c]].  Predicates
+  read these signs from ``Config.sign_table()``, computed once per
+  configuration.
 * The dominance value of a point w in direction zeta is
   ``Re(zeta * w) = dx*x - dy*y`` (complex product).
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
@@ -235,9 +237,8 @@ def general_position(A: Config, zeta: Optional[Dir] = None) -> GPReport:
     position holds when the C(N, 2) segments have pairwise distinct slopes.
     """
     n = len(A)
-    lin = all(
-        orient(A, i, j, k) != 0 for i, j, k in itertools.combinations(range(n), 3)
-    )
+    t = A.sign_table()
+    lin = all(t[i][j][k] for i, j, k in itertools.combinations(range(n), 3))
     slopes = {_slope(A[j] - A[i]) for i, j in itertools.combinations(range(n), 2)}
     strong = lin and len(slopes) == n * (n - 1) // 2
     infinity = None if zeta is None else infinity_generic(A, zeta)
@@ -248,19 +249,20 @@ def general_position(A: Config, zeta: Optional[Dir] = None) -> GPReport:
 # hulls and orders
 
 
-def convex_hull(A: Config) -> list[int]:
-    """Counterclockwise cycle of hull vertex indices (corners only),
-    starting at the smallest participating index."""
-    idx = sorted(range(len(A)), key=lambda i: (A[i].x, A[i].y))
+def convex_hull(A: Config, subset: Optional[Iterable[int]] = None) -> list[int]:
+    """Counterclockwise cycle of hull vertex indices (corners only) of the
+    given points of A (default all), starting at the smallest participating
+    index."""
+    t = A.sign_table()
+    pts = range(len(A)) if subset is None else set(subset)
+    idx = sorted(pts, key=lambda i: (A[i].x, A[i].y))
     if len(idx) == 1:
         return [idx[0]]
 
     def build(seq):
         out: list[int] = []
         for i in seq:
-            while len(out) >= 2 and (A[out[-1]] - A[out[-2]]).cross(
-                A[i] - A[out[-1]]
-            ) <= 0:
+            while len(out) >= 2 and t[out[-2]][out[-1]][i] <= 0:
                 out.pop()
             out.append(i)
         return out
@@ -592,20 +594,12 @@ def _interp(p0: Pt, p1: Pt, t: Fraction) -> Pt:
 
 
 def _quad_coeff_of_orient(A0: Config, A1: Config, i: int, j: int, k: int):
-    """Coefficients (a, b, c) of p_ijk(A(t)) as a quadratic in t."""
-
-    def val(t: Fraction) -> Fraction:
-        a, b, c = (
-            _interp(A0[m], A1[m], t) for m in (i, j, k)
-        )
-        return (b - a).cross(c - a)
-
-    v0, v1, vh = val(Q(0)), val(Q(1)), val(Q(1, 2))
-    # v(t) = a t^2 + b t + c  with  c = v0, a + b + c = v1, a/4 + b/2 + c = vh
-    c = v0
-    a = 2 * v1 + 2 * c - 4 * vh
-    b = v1 - a - c
-    return a, b, c
+    """Coefficients (a, b, c) of p_ijk(A(t)) as a quadratic in t: with
+    u = w_j - w_i = u0 + t du and v = w_k - w_i = v0 + t dv, the cross
+    product cross(u, v) expands in closed form."""
+    u0, v0 = A0[j] - A0[i], A0[k] - A0[i]
+    du, dv = A1[j] - A1[i] - u0, A1[k] - A1[i] - v0
+    return du.cross(dv), u0.cross(dv) + du.cross(v0), u0.cross(v0)
 
 
 def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
@@ -676,21 +670,13 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
             ev = _collinearity_event(A0, A1, i, j, k, (a, b, c), root)
             events.append(ev)
 
-    events.sort(key=_EventKey)
+    events.sort(key=lambda e: e.time)
     for e, f in zip(events, events[1:]):
         if not (e.time < f.time):
             raise PathNotGeneric(
                 f"coincident event times for {_name(e)} and {_name(f)}"
             )
     return events
-
-
-class _EventKey:
-    def __init__(self, ev: WallEvent):
-        self.t = ev.time
-
-    def __lt__(self, other: "_EventKey") -> bool:
-        return self.t < other.t
 
 
 def _name(e: WallEvent) -> str:

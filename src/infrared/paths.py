@@ -26,8 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePosition, InvalidEndpoints, InvalidReduction
-from .geometry import Config, Dir, Pt
+from .errors import (
+    DegeneratePosition,
+    EdgePrecondition,
+    InvalidEndpoints,
+    InvalidReduction,
+)
+from .geometry import Config, Dir, Pt, convex_hull
 
 Q = Fraction
 
@@ -95,11 +100,10 @@ def zeta_hull_chain(A: Config, subset: Iterable[int], zeta: Dir) -> list[int]:
     if len(set(keys.values())) != len(subset):
         raise DegeneratePosition("projection tie inside zeta-hull input")
     order = sorted(subset, key=keys.get)
+    t = A.sign_table()
     chain: list[int] = []
     for i in order:
-        while len(chain) >= 2 and (A[chain[-1]] - A[chain[-2]]).cross(
-            A[i] - A[chain[-1]]
-        ) >= 0:
+        while len(chain) >= 2 and t[chain[-2]][chain[-1]][i] >= 0:
             chain.pop()
         chain.append(i)
     return chain
@@ -126,14 +130,6 @@ def is_zeta_convex(A: Config, vertices: Sequence[int], zeta: Dir) -> bool:
     return list(vertices) == chain
 
 
-def turns_clockwise(A: Config, vertices: Sequence[int]) -> bool:
-    """Fast pre-filter: strictly clockwise turn at every interior vertex."""
-    for a, b, c in zip(vertices, vertices[1:], vertices[2:]):
-        if (A[b] - A[a]).cross(A[c] - A[b]) >= 0:
-            return False
-    return True
-
-
 def height_data(path: PolyPath) -> HeightData:
     """Intermediate vertices, and all configuration points inside the
     zeta-hull of the path (endpoints excluded)."""
@@ -143,6 +139,7 @@ def height_data(path: PolyPath) -> HeightData:
     lo = ell(zeta, A[chain[0]])
     hi = ell(zeta, A[chain[-1]])
     members = set(chain[1:-1])
+    t = A.sign_table()
     for w in range(len(A)):
         if w in chain:
             continue
@@ -151,7 +148,7 @@ def height_data(path: PolyPath) -> HeightData:
             continue
         for a, b in zip(chain, chain[1:]):
             if ell(zeta, A[a]) < lw < ell(zeta, A[b]):
-                if (A[b] - A[a]).cross(A[w] - A[a]) <= 0:
+                if t[a][b][w] <= 0:
                     members.add(w)
                 break
     return HeightData(lset, tuple(sorted(members)))
@@ -181,15 +178,15 @@ def enumerate_zeta_convex_paths(
         (w for w in range(len(A)) if li < proj[w] < lj and w != j),
         key=proj.__getitem__,
     )
+    t = A.sign_table()
     found: list[PolyPath] = []
 
     def extend(chain: list[int], start: int):
         # between[start:] are the points above chain[-1] in projection
         last = chain[-1]
         for k, w in enumerate(between[start:] + [j], start):
-            if len(chain) >= 2:
-                if (A[last] - A[chain[-2]]).cross(A[w] - A[last]) >= 0:
-                    continue
+            if len(chain) >= 2 and t[chain[-2]][last][w] >= 0:
+                continue
             chain.append(w)
             if w == j:
                 found.append(PolyPath(A, tuple(chain), zeta))
@@ -255,9 +252,6 @@ def enumerate_circum_paths(A: Config, i: int, j: int) -> list[list[int]]:
     """Paths gamma from w_i to w_j such that gamma together with the chord
     [w_i, w_j] bounds a convex polygon; requires the chord to be an edge of
     the hull of A.  The two-vertex path [i, j] is always included."""
-    from .errors import EdgePrecondition
-    from .geometry import convex_hull
-
     hull = convex_hull(A)
     edges = {
         frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
@@ -269,10 +263,9 @@ def enumerate_circum_paths(A: Config, i: int, j: int) -> list[list[int]]:
     for r in range(1, len(others) + 1):
         for sub in itertools.combinations(others, r):
             cycle_pts = (i, j) + sub
-            cyc = convex_hull(Config([A[t] for t in cycle_pts]))
-            if len(cyc) != len(cycle_pts):
+            labels = convex_hull(A, cycle_pts)
+            if len(labels) != len(cycle_pts):
                 continue  # some chosen point not a corner: not convex position
-            labels = [cycle_pts[t] for t in cyc]
             pos_i, pos_j = labels.index(i), labels.index(j)
             n = len(labels)
             if (pos_i - pos_j) % n != 1 and (pos_j - pos_i) % n != 1:

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import itertools
 
-from .geometry import Config, Dir, convex_hull
+from .geometry import Config, Dir, convex_hull, infinity_generic
 from .paths import enumerate_zeta_convex_paths
+from .secondary import enumerate_subdivisions, is_regular, refinement_poset
 
 
 def config_csv(A: Config) -> str:
@@ -40,15 +41,12 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
     parts.append(
         f'<polygon points="{pts}" fill="#eef" stroke="#88a" stroke-width="1"/>'
     )
-    if zeta is not None and len(A) >= 2:
+    # convex paths exist only for a direction that separates the points
+    if zeta is not None and infinity_generic(A, zeta):
         vals = sorted(range(len(A)), key=lambda i: zeta.infinity_form(A[i]))
         for a, i in enumerate(vals):
             for j in vals[a + 1:]:
-                try:
-                    paths = enumerate_zeta_convex_paths(A, i, j, zeta)
-                except Exception:
-                    continue
-                for path in paths:
+                for path in enumerate_zeta_convex_paths(A, i, j, zeta):
                     chain = " ".join(
                         "%.2f,%.2f" % tx(A[v]) for v in path.vertices
                     )
@@ -66,49 +64,40 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _poset_covers(A: Config):
+    """Regular subdivisions of A and the covering pairs (i, j) of their
+    refinement poset."""
+    subs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
+    less = refinement_poset(subs)["less"]
+    n = len(subs)
+    covers = [
+        (i, j)
+        for i, j in itertools.product(range(n), range(n))
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
+    ]
+    return subs, covers
+
+
+def _label(sub) -> str:
+    return "|".join("".join(str(v) for v in c.polygon) for c in sub.cells)
+
+
 def poset_csv(A: Config) -> str:
     """CSV edge list (covering relations) of the refinement poset of
     regular subdivisions, with one node row per subdivision."""
-    from .secondary import enumerate_subdivisions, is_regular, refines
-
-    subs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
-    n = len(subs)
-    less = [
-        [i != j and subs[i] != subs[j] and refines(subs[i], subs[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    subs, covers = _poset_covers(A)
     lines = ["kind,source,target,label"]
-    for i, s in enumerate(subs):
-        label = "|".join("".join(str(v) for v in c.polygon) for c in s.cells)
-        lines.append(f"node,{i},,{label}")
-    for i in range(n):
-        for j in range(n):
-            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
-                lines.append(f"edge,{i},{j},")
+    lines += [f"node,{i},,{_label(s)}" for i, s in enumerate(subs)]
+    lines += [f"edge,{i},{j}," for i, j in covers]
     return "\n".join(lines) + "\n"
 
 
 def poset_dot(A: Config) -> str:
     """DOT digraph of the refinement poset of regular subdivisions
     (covering relations only)."""
-    from .secondary import enumerate_subdivisions, is_regular, refines
-
-    subs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
-    n = len(subs)
-    less = [
-        [i != j and subs[i] != subs[j] and refines(subs[i], subs[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    subs, covers = _poset_covers(A)
     lines = ["digraph refinement {", "  rankdir=BT;"]
-    for i, s in enumerate(subs):
-        label = "|".join(
-            "".join(str(v) for v in c.polygon) for c in s.cells
-        )
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, j in itertools.product(range(n), range(n)):
-        if less[i][j] and not any(
-            less[i][k] and less[k][j] for k in range(n)
-        ):
-            lines.append(f"  n{i} -> n{j};")
+    lines += [f'  n{i} [label="{_label(s)}"];' for i, s in enumerate(subs)]
+    lines += [f"  n{i} -> n{j};" for i, j in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"

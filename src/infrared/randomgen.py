@@ -134,11 +134,7 @@ def maximally_concave_config(r: random.Random, n: int, tries: int = 600) -> Conf
             continue
         # counterclockwise turns up the chain kill every multi-segment
         # left-convex path, leaving only the plain segments
-        chain_ok = True
-        for a, b, cc in zip(pts, pts[1:], pts[2:]):
-            if (b - a).cross(cc - b) <= 0:
-                chain_ok = False
-                break
-        if chain_ok:
+        t = A.sign_table()
+        if all(t[k][k + 1][k + 2] > 0 for k in range(n - 2)):
             return A
     raise AssertionError("failed to draw a maximally concave configuration")

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from .geometry import Config, Dir, convex_hull, general_position, orient
+from .geometry import Config, Dir, convex_hull, general_position
 from .linalg import MatQ
 
 Q = Fraction
@@ -212,9 +212,10 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
     psi = [Q(p) if not isinstance(p, Fraction) else p for p in psi]
     if len(psi) != n:
         raise InvalidInput("one lift value per point")
+    t = A.sign_table()
     facets: dict[frozenset[int], tuple] = {}
     for i, j, k in itertools.combinations(range(n), 3):
-        if orient(A, i, j, k) == 0:
+        if t[i][j][k] == 0:
             continue
         # plane z = ax + by + c through the three lifted points
         mat = MatQ(
@@ -244,11 +245,7 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
         if support in seen:
             continue
         seen.add(support)
-        sub_cfg = [A[w] for w in sorted(support)]
-        cyc = convex_hull(Config(sub_cfg))
-        labels = sorted(support)
-        polygon = tuple(labels[t] for t in cyc)
-        cells.append(Cell(polygon, frozenset(support)))
+        cells.append(Cell(tuple(convex_hull(A, support)), frozenset(support)))
     sub = Subdivision(A, cells)
     validate_subdivision(sub)
     return sub

@@ -27,12 +27,10 @@ from infrared.geometry import (
 )
 from infrared.linalg import MatQ, block_diagonal
 from infrared.fourier import (
-    FACTORIZATION_CONVENTION,
     factorization_check,
     fourier_diagram,
     global_monodromy,
     monodromy_product,
-    solve_factorization_convention,
     stokes_pair,
 )
 from infrared.paths import (
@@ -78,6 +76,7 @@ from infrared.secondary import (
     validate_subdivision,
 )
 from infrared.wallcross import CrossingSpec, apply_crossing, transport_along_path
+from test_fourier import FACTORIZATION_CONVENTION, solve_factorization_convention
 
 Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -155,6 +156,16 @@ def test_plot_svg(tmp_path, circuit_file, capsys):
     assert text.startswith("<svg") and "</svg>" in text
 
 
+def test_plot_svg_draws_no_path_for_a_non_generic_direction(circuit_file, capsys):
+    # the infinity form of 1/0 is the height, and points 0 and 1 share y = 0
+    code, data = run_cli(["plot", circuit_file, "--format", "svg", "--zeta", "1/0"], capsys)
+    assert code == 0
+    assert "<svg" in data["content"] and "<polyline" not in data["content"]
+    code, data = run_cli(["plot", circuit_file, "--format", "svg", "--zeta", "5/1"], capsys)
+    assert code == 0
+    assert "<polyline" in data["content"]
+
+
 def test_plot_dot(circuit_file, capsys):
     code, data = run_cli(["plot", circuit_file, "--format", "dot"], capsys)
     assert code == 0
@@ -245,3 +256,60 @@ def test_secondary_output_is_pinned(name, capsys):
     assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
     with open(os.path.join(DATA, name + ".secondary.json"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["stokes", "stokes_random.json"], "stokes_random.stokes.json"),
+        (["stokes", "stokes_arc.json"], "stokes_arc.stokes.json"),
+        (["walk", "walk_leg.json", "--to", "walk_leg_target.json"], "walk_leg.walk.json"),
+        (["plot", "pentagon.json", "--format", "dot"], "pentagon.dot.json"),
+        (["plot", "pentagon.json", "--format", "csv", "--poset"], "pentagon.poset_csv.json"),
+    ],
+)
+def test_cli_output_is_pinned(argv, expected, capsys):
+    """`stokes` on a random and a convex-arc 8-point instance, `walk --to`
+    on a 5-point leg and the poset plots of the pentagon print exactly the
+    committed output."""
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    with open(os.path.join(DATA, expected), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
+def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
+    from infrared.geometry import _quad_coeff_of_orient, segment_wall_events
+
+    with open(os.path.join(DATA, "walk_leg.json")) as fh:
+        a0 = Config.from_json(json.load(fh)["config"])
+    with open(os.path.join(DATA, "walk_leg_target.json")) as fh:
+        a1 = Config.from_json(json.load(fh)["config"])
+    irrational = [
+        e for e in segment_wall_events(a0, a1)
+        if e.kind == "coll" and e.time.rational is None
+    ]
+    leading = {
+        _quad_coeff_of_orient(a0, a1, *sorted((e.i, e.j, e.k)))[0] > 0
+        for e in irrational
+    }
+    assert leading == {True, False}
+
+
+def test_repeated_calls_leave_no_argparse_garbage(circuit_file, capsys):
+    """The parser is built once per process, so a second call leaves no
+    argparse object in a reference cycle."""
+    assert main(["secondary", circuit_file]) == 0
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        assert main(["secondary", circuit_file]) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []

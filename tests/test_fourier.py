@@ -1,13 +1,17 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import EdgePrecondition, InvalidInput, ShapeMismatch
+from infrared.errors import (
+    DegeneratePosition,
+    EdgePrecondition,
+    InvalidInput,
+    ShapeMismatch,
+)
 from infrared.geometry import Dir, config
 from infrared.linalg import MatQ, block_diagonal
 from infrared.fourier import (
-    FACTORIZATION_CONVENTION,
-    _LHS_CHOICES,
     alt_circum_sum,
     circum_sum,
     dressed_transport,
@@ -16,7 +20,6 @@ from infrared.fourier import (
     global_monodromy,
     iterated_transport,
     monodromy_product,
-    solve_factorization_convention,
     stokes_pair,
 )
 from infrared.perverse import Quiver, TransportData, gmv_embed, mu
@@ -75,6 +78,21 @@ def test_fourier_monodromy_product():
         diag.as_quiver()
 
 
+# The factorization identity carries a finite convention freedom: the
+# exponent of the local monodromies in the diagonal factor, the side, sign
+# and exponent of the whole-monodromy block twist turning C- into C-tilde,
+# and the slot order of the monodromy product on the left.  The N=2 closed
+# form pins all of them; factorization_check writes out the values below.
+FACTORIZATION_CONVENTION = {
+    "delta_exponent": -1,
+    "twist_exponent": -1,
+    "twist_side": "source",
+    "twist_sign": -1,
+    "lhs": "ascending",
+}
+LHS_CHOICES = ("ascending", "descending", "ascending_inverse", "descending_inverse")
+
+
 def _direct_monodromy_product(m, kind):
     """Oracle: the product of the D x D inverses T_{i,Psi}^{-1}, inverted as
     a whole for the *_inverse kinds."""
@@ -86,15 +104,63 @@ def _direct_monodromy_product(m, kind):
     return acc.inverse() if kind.endswith("_inverse") else acc
 
 
+def _convention_inputs(m, A, zeta0):
+    """What every convention is built from, computed once per instance: the
+    Stokes pair, Delta for both exponents and the four left sides."""
+    mt, pair = dressed_transport(m, A, zeta0)
+    diagonal = {
+        -1: block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)]),
+        1: block_diagonal([mt.local_monodromy(s) for s in range(mt.n)]),
+    }
+    lhs = {kind: _direct_monodromy_product(mt, kind) for kind in LHS_CHOICES}
+    return pair, diagonal, lhs
+
+
+def _factorization_sides(inputs, conv):
+    """(Delta, C-tilde, lhs, rhs) of the factorization under conv."""
+    pair, diagonal, lhs = inputs
+    delta = diagonal[conv["delta_exponent"]]
+    twist = diagonal[conv["twist_exponent"]]
+    ident = MatQ.identity(delta.rows)
+    off = pair.c_minus - ident
+    off = off @ twist if conv["twist_side"] == "source" else twist @ off
+    c_til = ident + off.scale(conv["twist_sign"])
+    return delta, c_til, lhs[conv["lhs"]], pair.c_plus @ delta @ c_til.inverse()
+
+
+def solve_factorization_convention(instances) -> list[dict]:
+    """The symbolic oracle: every convention in the finite search space
+    that holds exactly on all supplied (m, A, zeta0) triples."""
+    inputs = [_convention_inputs(*inst) for inst in instances]
+    survivors = []
+    for de, te, side, sign, lhs_kind in itertools.product(
+        (-1, 1), (-1, 1), ("source", "target"), (-1, 1), LHS_CHOICES
+    ):
+        conv = {
+            "delta_exponent": de,
+            "twist_exponent": te,
+            "twist_side": side,
+            "twist_sign": sign,
+            "lhs": lhs_kind,
+        }
+        if all(
+            lhs == rhs
+            for _, _, lhs, rhs in (_factorization_sides(x, conv) for x in inputs)
+        ):
+            survivors.append(conv)
+    return survivors
+
+
 def test_monodromy_product_against_direct_inverses():
     r = rng(58)
     for n in (1, 2, 3, 4, 5):
         for _ in range(3):
             m = rand_transport(r, n, max_dim=3)
-            for kind in _LHS_CHOICES:
+            for kind in ("ascending", "descending"):
                 assert monodromy_product(m, kind) == _direct_monodromy_product(m, kind)
-    with pytest.raises(InvalidInput):
-        monodromy_product(m, "clockwise")
+    for kind in ("clockwise", "ascending_inverse", "descending_inverse"):
+        with pytest.raises(InvalidInput):
+            monodromy_product(m, kind)
 
 
 def test_dressed_transport_blocks_resum_the_paths():
@@ -137,6 +203,17 @@ def test_stokes_n2():
     assert pair.order == (0, 1)
     assert pair.c_plus == MatQ([[1, 0], [5, 1]])
     assert pair.c_minus == MatQ([[1, 7], [0, 1]])
+
+
+def test_stokes_numbering_rejects_a_height_tie():
+    # strong general position, but points 0 and 1 share the height that
+    # numbers the slots for zeta0 = -1/0
+    A = config((0, 0), (1, 0), (0, 1))
+    m = scalar_transport([[0, 1, 2], [3, 0, 4], [5, 6, 0]])
+    with pytest.raises(DegeneratePosition):
+        stokes_pair(m, A, Z0)
+    with pytest.raises(DegeneratePosition):
+        factorization_check(m, A, Z0)
 
 
 def test_stokes_three_point_two_term_block():
@@ -236,6 +313,12 @@ def test_factorization_convention_unique():
         instances.append((rand_transport(r, n, max_dim=1), A, Z0))
     survivors = solve_factorization_convention(instances)
     assert survivors == [FACTORIZATION_CONVENTION]
+    # factorization_check computes exactly the surviving candidate
+    for m, A, z in instances:
+        rep = factorization_check(m, A, z)
+        assert (rep.delta, rep.c_minus_twisted, rep.lhs, rep.rhs) == (
+            _factorization_sides(_convention_inputs(m, A, z), FACTORIZATION_CONVENTION)
+        )
 
 
 def test_factorization_after_wall_crossing():

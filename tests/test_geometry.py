@@ -11,6 +11,7 @@ from infrared.geometry import (
     Dir,
     Pt,
     _interp,
+    _quad_coeff_of_orient,
     anti_stokes_sequence,
     chirotope,
     config,
@@ -163,6 +164,42 @@ def test_collinearity_sign_before_irrational_events():
     assert leading_signs == {True, False}
 
 
+def _interpolated_quad(A0, A1, i, j, k):
+    """Oracle: the orientation quadratic of (i, j, k) along the leg, through
+    its values at t = 0, 1/2 and 1."""
+
+    def val(t):
+        a, b, c = (_interp(A0[m], A1[m], t) for m in (i, j, k))
+        return (b - a).cross(c - a)
+
+    v0, v1, vh = val(Q(0)), val(Q(1)), val(Q(1, 2))
+    a = 2 * v1 + 2 * v0 - 4 * vh
+    return a, v1 - a - v0, v0
+
+
+def test_orient_quadratic_closed_form_matches_interpolation():
+    r = rng(6)
+    leading = set()
+
+    def draw():
+        return Pt(Q(r.randint(-9, 9), r.randint(1, 3)), Q(r.randint(-9, 9), r.randint(1, 3)))
+
+    for _ in range(300):
+        pts0 = [draw() for _ in range(4)]
+        pts1 = list(pts0)
+        for k in r.sample(range(4), r.randint(1, 4)):
+            pts1[k] = draw()
+        try:
+            A0, A1 = Config(pts0), Config(pts1)
+        except InvalidInput:
+            continue
+        for tri in itertools.permutations(range(4), 3):
+            coeffs = _quad_coeff_of_orient(A0, A1, *tri)
+            assert coeffs == _interpolated_quad(A0, A1, *tri)
+            leading.add((coeffs[0] > 0) - (coeffs[0] < 0))
+    assert leading == {-1, 0, 1}
+
+
 def test_convex_hull_examples():
     assert convex_hull(config((0, 0), (1, 0), (0, 1))) == [0, 1, 2]
     square_center = config((0, 0), (1, 0), (1, 1), (0, 1), ("1/2", "1/2"))
@@ -195,6 +232,24 @@ def test_convex_hull_against_halfplane_oracle():
     for _ in range(10):
         A = rand_config(r, 5, require_strong=False)
         assert set(convex_hull(A)) == brute_force_hull(A)
+
+
+def test_convex_hull_of_a_subset_matches_the_sub_configuration():
+    """convex_hull(A, subset) is the hull of the sub-Config, mapped back to
+    A's indices; grid points give collinear triples inside the subsets."""
+    r = rng(4)
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    collinear = 0
+    for _ in range(40):
+        A = config(*r.sample(grid, 8))
+        for size in (1, 2, 3, 4, 6, 8):
+            sub = sorted(r.sample(range(len(A)), size))
+            expect = [sub[t] for t in convex_hull(Config(A[w] for w in sub))]
+            assert convex_hull(A, r.sample(sub, size)) == expect
+            collinear += any(
+                orient(A, *tri) == 0 for tri in itertools.combinations(sub, 3)
+            )
+    assert collinear > 0
 
 
 def test_dominance_orders():

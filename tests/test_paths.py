@@ -13,7 +13,6 @@ from infrared.paths import (
     is_zeta_convex,
     paths_by_height,
     reduce_path,
-    turns_clockwise,
     wedge_sign,
     zeta_hull,
     zeta_hull_chain,
@@ -55,6 +54,14 @@ def test_is_zeta_convex():
     # turning away from the hull side
     assert not is_zeta_convex(A, [0, 3, 2], Z)
     assert not is_zeta_convex(A, [0, 0, 2], Z)
+
+
+def turns_clockwise(A, vertices):
+    """Strictly clockwise turn at every interior vertex, by cross products."""
+    for a, b, c in zip(vertices, vertices[1:], vertices[2:]):
+        if (A[b] - A[a]).cross(A[c] - A[b]) >= 0:
+            return False
+    return True
 
 
 def test_fast_filter_equals_hull_oracle():
