@@ -16,6 +16,11 @@ Conventions
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
   a configuration is in general position including zeta-infinity when these
   values are pairwise distinct.
+* Wall events along a straight leg are computed on the leg scaled to integer
+  coordinates.  Their times are roots of integer polynomials of degree <= 2
+  (``AlgebraicTime``), and every question about a time (its order, whether
+  it lies in (0, 1), a sign there) is the exact sign of an integer
+  polynomial at it, with at most one integer squaring.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
 from .linalg import _frac
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -359,69 +362,101 @@ def anti_stokes_sequence(
 
 
 class AlgebraicTime:
-    """A real algebraic number of degree <= 2 over Q.
+    """A real algebraic number of degree <= 2 over Q, compared exactly.
 
-    Rational values are stored exactly; irrational ones as the branch
-    (-b + s*sqrt(disc)) / (2a) of a primitive integer quadratic
-    a t^2 + b t + c with disc > 0 not a perfect square, together with an
-    isolating interval containing this root and not its conjugate.
+    Rational values are stored as a Fraction; irrational ones as the branch
+    s = +-1 of t = (-b + s*sqrt(d)) / (2a), a root of a primitive integer
+    quadratic a t^2 + b t + c with a > 0 and d = b^2 - 4ac > 0 not a perfect
+    square.  Every question about a time is the sign of an integer
+    polynomial at it (`sign_at`), decided with at most one integer squaring,
+    so comparing two times takes at most two.  The isolating interval
+    [lo, hi], which holds this root and not its conjugate, is built on first
+    use and serves `to_float` alone; no comparison refines it.
     """
 
-    __slots__ = ("rational", "a", "b", "c", "branch", "lo", "hi")
+    __slots__ = ("rational", "a", "b", "c", "branch", "_interval")
 
-    def __init__(self, rational=None, quad=None, branch=0, interval=None):
+    def __init__(self, rational=None, quad=None, branch=0):
         self.rational = rational
         if rational is None:
             self.a, self.b, self.c = quad
             self.branch = branch
-            self.lo, self.hi = interval
+            self._interval = None
         else:
             self.a = self.b = self.c = None
             self.branch = 0
-            self.lo = self.hi = rational
+            self._interval = (rational, rational)
 
     @staticmethod
     def from_rational(r) -> "AlgebraicTime":
         return AlgebraicTime(rational=Fraction(r))
 
     @staticmethod
-    def quadratic_roots(a: Fraction, b: Fraction, c: Fraction):
-        """All real roots of a t^2 + b t + c (a != 0), each tagged with its
-        multiplicity, as AlgebraicTime values sorted increasingly."""
+    def quadratic_roots(a, b, c):
+        """All real roots of a t^2 + b t + c (a != 0; int or Fraction
+        coefficients), each tagged with its multiplicity, as AlgebraicTime
+        values sorted increasingly."""
+        # primitive integer form, positive leading coefficient
+        den = math.lcm(a.denominator, b.denominator, c.denominator)
+        a, b, c = int(a * den), int(b * den), int(c * den)
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+        if a < 0:
+            a, b, c = -a, -b, -c
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
         if disc == 0:
-            return [(AlgebraicTime.from_rational(-b / (2 * a)), 2)]
-        root = _fraction_sqrt(disc)
-        if root is not None:
-            r1 = (-b - root) / (2 * a)
-            r2 = (-b + root) / (2 * a)
-            lo, hi = sorted((r1, r2))
+            return [(AlgebraicTime.from_rational(Fraction(-b, 2 * a)), 2)]
+        root = math.isqrt(disc)
+        if root * root == disc:
             return [
-                (AlgebraicTime.from_rational(lo), 1),
-                (AlgebraicTime.from_rational(hi), 1),
+                (AlgebraicTime.from_rational(Fraction(-b - root, 2 * a)), 1),
+                (AlgebraicTime.from_rational(Fraction(-b + root, 2 * a)), 1),
             ]
-        # primitive integer form, positive leading coefficient
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        ia, ib, ic = int(a * den), int(b * den), int(c * den)
-        g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))
-        ia, ib, ic = ia // g, ib // g, ic // g
-        if ia < 0:
-            ia, ib, ic = -ia, -ib, -ic
-        mid = Fraction(-ib, 2 * ia)
-        idisc = Fraction(ib * ib - 4 * ia * ic)
-        spread = 1 + idisc / (4 * ia * ia)  # 1 + x >= sqrt(x)
-        out = []
-        for s in (-1, 1):
-            if s < 0:
-                iv = (mid - spread, mid)
+        return [
+            (AlgebraicTime(quad=(a, b, c), branch=-1), 1),
+            (AlgebraicTime(quad=(a, b, c), branch=1), 1),
+        ]
+
+    def sign_at(self, p2: int, p1: int, p0: int) -> int:
+        """Exact sign of the integer polynomial p2 t^2 + p1 t + p0 at t = self."""
+        if self.rational is not None:
+            n, m = self.rational.numerator, self.rational.denominator
+            v = (p2 * n + p1 * m) * n + p0 * m * m  # m^2 P(n/m)
+            return (v > 0) - (v < 0)
+        a, b, c = self.a, self.b, self.c
+        # a P(t) = l1 t + l0 modulo a t^2 + b t + c, and
+        # 2a (l1 t + l0) = x + s l1 sqrt(d): the sign of 2a^2 P(t), a > 0
+        l1 = a * p1 - b * p2
+        x = 2 * a * (a * p0 - c * p2) - b * l1
+        sx = (x > 0) - (x < 0)
+        sy = self.branch * ((l1 > 0) - (l1 < 0))
+        if sy == 0 or sx == sy:
+            return sx
+        if sx == 0:
+            return sy
+        # opposite signs: x^2 = l1^2 d is impossible, d being no square
+        return sx if x * x > l1 * l1 * (b * b - 4 * a * c) else sy
+
+    def _isolating_interval(self) -> tuple[Fraction, Fraction]:
+        if self._interval is None:
+            a, b, c = self.a, self.b, self.c
+            mid = Fraction(-b, 2 * a)
+            spread = 1 + Fraction(b * b - 4 * a * c, 4 * a * a)  # 1 + x >= sqrt(x)
+            if self.branch < 0:
+                self._interval = (mid - spread, mid)
             else:
-                iv = (mid, mid + spread)
-            out.append(
-                (AlgebraicTime(quad=(ia, ib, ic), branch=s, interval=iv), 1)
-            )
-        return out
+                self._interval = (mid, mid + spread)
+        return self._interval
+
+    @property
+    def lo(self) -> Fraction:
+        return self._isolating_interval()[0]
+
+    @property
+    def hi(self) -> Fraction:
+        return self._isolating_interval()[1]
 
     def _poly_at(self, t: Fraction) -> Fraction:
         return self.a * t * t + self.b * t + self.c
@@ -430,14 +465,15 @@ class AlgebraicTime:
         """Halve the isolating interval (no-op for rationals)."""
         if self.rational is not None:
             return
-        mid = (self.lo + self.hi) / 2
+        lo, hi = self._isolating_interval()
+        mid = (lo + hi) / 2
         vm = self._poly_at(mid)
         if vm == 0:  # cannot happen for irrational roots
             raise AssertionError("irrational root hit exactly")
-        if (self._poly_at(self.lo) < 0) != (vm < 0):
-            self.hi = mid
+        if (self._poly_at(lo) < 0) != (vm < 0):
+            self._interval = (lo, mid)
         else:
-            self.lo = mid
+            self._interval = (mid, hi)
 
     def key(self):
         if self.rational is not None:
@@ -451,38 +487,30 @@ class AlgebraicTime:
         return hash(self.key())
 
     def __lt__(self, other: "AlgebraicTime") -> bool:
-        if self == other:
-            return False
-        if self.rational is not None and other.rational is not None:
-            return self.rational < other.rational
-        # distinct values: bisect until the isolating intervals separate
-        # (irrational roots never sit on their rational interval endpoints)
-        for _ in range(100000):
-            if self.hi <= other.lo:
-                return True
-            if other.hi <= self.lo:
-                return False
-            self.refine()
-            other.refine()
-        raise AssertionError("isolating intervals failed to separate")
+        if self.rational is not None:
+            if other.rational is not None:
+                return self.rational < other.rational
+            r = self.rational
+            return other.sign_at(0, r.denominator, -r.numerator) > 0
+        if other.rational is not None:
+            r = other.rational
+            return self.sign_at(0, r.denominator, -r.numerator) < 0
+        a, b, c = other.a, other.b, other.c
+        if (self.a, self.b, self.c) == (a, b, c):
+            return self.branch < other.branch
+        # distinct primitive quadratics share no root.  Strictly between the
+        # roots of other's quadratic, self lies below the upper one; outside
+        # them, it lies below both exactly when it lies below their midpoint.
+        if self.sign_at(a, b, c) < 0:
+            return other.branch > 0
+        return self.sign_at(0, 2 * a, b) < 0
 
     def in_open_unit_interval(self) -> bool:
-        if self.rational is not None:
-            return 0 < self.rational < 1
-        # 0 and 1 are never roots of an irrational-root quadratic
-        while self.lo < 0 < self.hi:
-            self.refine()
-        if self.hi <= 0:
-            return False
-        while self.lo < 1 < self.hi:
-            self.refine()
-        return self.hi <= 1
+        return self.sign_at(0, 1, 0) > 0 and self.sign_at(0, 1, -1) < 0
 
     def hits(self, t) -> bool:
         """Exact test whether this number equals the rational t."""
-        if self.rational is not None:
-            return self.rational == t
-        return False
+        return self.rational == t
 
     def to_float(self) -> float:
         if self.rational is not None:
@@ -490,64 +518,6 @@ class AlgebraicTime:
         for _ in range(80):
             self.refine()
         return float((self.lo + self.hi) / 2)
-
-
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-class QuadExt:
-    """Exact arithmetic in Q(sqrt(d)) for sign tests at quadratic times."""
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p: Fraction, q: Fraction, d: int):
-        self.p, self.q, self.d = Fraction(p), Fraction(q), d
-
-    @staticmethod
-    def rational(r, d: int) -> "QuadExt":
-        return QuadExt(Fraction(r), Fraction(0), d)
-
-    def __add__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.p + o.p, self.q + o.q, self.d)
-
-    def __sub__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.p - o.p, self.q - o.q, self.d)
-
-    def __mul__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(
-            self.p * o.p + self.q * o.q * self.d,
-            self.p * o.q + self.q * o.p,
-            self.d,
-        )
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.p, -self.q, self.d)
-
-    def sign(self) -> int:
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 with q^2 d
-        lhs, rhs = p * p, q * q * d
-        if lhs == rhs:
-            return 0
-        if p > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +559,38 @@ class WallEvent:
         )
 
 
-def _interp(p0: Pt, p1: Pt, t: Fraction) -> Pt:
-    return Pt(p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y))
+def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:
+    """(x, y, dx, dy) of each point on the leg A0 -> A1, both endpoints scaled
+    by the lcm of their coordinate denominators.  A positive factor changes
+    no event time, no sign and no primitive quadratic, so the wall events
+    are computed on Python ints."""
+    scale = math.lcm(*[c.denominator for A in (A0, A1) for p in A for c in (p.x, p.y)])
+    leg = []
+    for p, q in zip(A0, A1):
+        x0, y0, x1, y1 = [c.numerator * (scale // c.denominator) for c in (p.x, p.y, q.x, q.y)]
+        leg.append((x0, y0, x1 - x0, y1 - y0))
+    return leg
 
 
-def _quad_coeff_of_orient(A0: Config, A1: Config, i: int, j: int, k: int):
-    """Coefficients (a, b, c) of p_ijk(A(t)) as a quadratic in t: with
-    u = w_j - w_i = u0 + t du and v = w_k - w_i = v0 + t dv, the cross
-    product cross(u, v) expands in closed form."""
-    u0, v0 = A0[j] - A0[i], A0[k] - A0[i]
-    du, dv = A1[j] - A1[i] - u0, A1[k] - A1[i] - v0
-    return du.cross(dv), u0.cross(dv) + du.cross(v0), u0.cross(v0)
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _leg_quadratic(leg, form, i: int, j: int, k: int):
+    """Coefficients (a, b, c) of form(w_j - w_i, w_k - w_i) along the leg as a
+    quadratic in t, for form = _cross (orientation) or _dot: with
+    u = u0 + t du and v = v0 + t dv it is
+    form(du, dv) t^2 + (form(u0, dv) + form(du, v0)) t + form(u0, v0)."""
+    xi, yi, dxi, dyi = leg[i]
+    xj, yj, dxj, dyj = leg[j]
+    xk, yk, dxk, dyk = leg[k]
+    u0, du = (xj - xi, yj - yi), (dxj - dxi, dyj - dyi)
+    v0, dv = (xk - xi, yk - yi), (dxk - dxi, dyk - dyi)
+    return form(du, dv), form(u0, dv) + form(du, v0), form(u0, v0)
 
 
 def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
@@ -612,52 +603,60 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
     if len(A0) != len(A1):
         raise InvalidInput("configuration sizes differ")
     n = len(A0)
-    horizontal = Dir(Q(1), Q(0))
-    for A in (A0, A1):
-        rep = general_position(A, horizontal)
-        if not (rep.lin_general and rep.incl_infinity):
-            raise PathNotGeneric(
-                "endpoints must be in general position including horizontal "
-                "infinity"
-            )
+    leg = _integer_leg(A0, A1)
+    triples = list(itertools.combinations(range(n), 3))
+    quads = [_leg_quadratic(leg, _cross, i, j, k) for i, j, k in triples]
+    # the orientation quadratic is c at t = 0 and a + b + c at t = 1; the
+    # horizontal infinity form is the height y
+    if not (
+        all(c and a + b + c for a, b, c in quads)
+        and len({y for _, y, _, _ in leg}) == n
+        and len({y + dy for _, y, _, dy in leg}) == n
+    ):
+        raise PathNotGeneric(
+            "endpoints must be in general position including horizontal "
+            "infinity"
+        )
 
     events: list[WallEvent] = []
 
-    # horizontality: Im(w_j - w_i)(t) is linear in t
+    # horizontality: Im(w_j - w_i)(t) = d0 + t (d1 - d0) is linear in t
     for i, j in itertools.combinations(range(n), 2):
-        d0 = A0[j].y - A0[i].y
-        d1 = A1[j].y - A1[i].y
+        xi, yi, dxi, dyi = leg[i]
+        xj, yj, dxj, dyj = leg[j]
+        d0 = yj - yi
+        d1 = d0 + dyj - dyi
         if d0 == d1:
             continue  # constant difference: nonzero by endpoint genericity
-        t = d0 / (d0 - d1)
-        if t == 0 or t == 1:
+        if d0 == 0 or d1 == 0:
             raise PathNotGeneric(f"horizontality of ({i},{j}) at an endpoint")
-        if not (0 < t < 1):
-            continue
-        xi = _interp(A0[i], A1[i], t).x
-        xj = _interp(A0[j], A1[j], t).x
-        if xi == xj:
+        if (d0 > 0) == (d1 > 0):
+            continue  # t = d0 / (d0 - d1) lies outside (0, 1)
+        # at that t, (d0 - d1) Re(w_j - w_i) = d0 e1 - d1 e0
+        e0 = xj - xi
+        e1 = e0 + dxj - dxi
+        re_diff = (d0 * e1 - d1 * e0) * (d0 - d1)
+        if re_diff == 0:
             raise PathNotGeneric(f"points {i} and {j} collide on the leg")
         motion = "above" if d1 > d0 else "below"
-        re_cmp = "left" if xj < xi else "right"
+        re_cmp = "left" if re_diff < 0 else "right"
         events.append(
             WallEvent(
-                "horiz", AlgebraicTime.from_rational(t), i, j,
+                "horiz", AlgebraicTime.from_rational(Fraction(d0, d0 - d1)), i, j,
                 motion=motion, re_cmp=re_cmp,
             )
         )
 
     # collinearity: p_ijk(A(t)) is quadratic in t
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, b, c = _quad_coeff_of_orient(A0, A1, i, j, k)
+    for (i, j, k), (a, b, c) in zip(triples, quads):
         if a == 0 and b == 0:
             continue  # identically nonzero by endpoint genericity
         if a == 0:
-            roots = [(AlgebraicTime.from_rational(-c / b), 1)]
+            roots = [(AlgebraicTime.from_rational(Fraction(-c, b)), 1)]
         else:
             roots = AlgebraicTime.quadratic_roots(a, b, c)
         for root, mult in roots:
-            if root.hits(Q(0)) or root.hits(Q(1)):
+            if root.hits(0) or root.hits(1):
                 raise PathNotGeneric(
                     f"collinearity of ({i},{j},{k}) at an endpoint"
                 )
@@ -667,8 +666,7 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
                 raise PathNotGeneric(
                     f"tangential collinearity of ({i},{j},{k})"
                 )
-            ev = _collinearity_event(A0, A1, i, j, k, (a, b, c), root)
-            events.append(ev)
+            events.append(_collinearity_event(leg, i, j, k, a, b, root))
 
     events.sort(key=lambda e: e.time)
     for e, f in zip(events, events[1:]):
@@ -685,63 +683,24 @@ def _name(e: WallEvent) -> str:
     return f"D({e.i},{e.j},{e.k})"
 
 
-# the reported triple is (lo, mid, hi); the sign polynomial was computed for
-# the ascending combination (i, j, k), so correct by the permutation parity
-_MIDDLE_CASES = (
-    # (middle, left, right, parity of (i,j,k) -> (left, middle, right))
-    ("j", "i", "k", 1),
-    ("i", "j", "k", -1),
-    ("k", "i", "j", -1),
-)
+def _collinearity_event(leg, i, j, k, a, b, root) -> WallEvent:
+    """Identify which point crosses which open segment and the sign before.
 
-
-def _collinearity_event(A0, A1, i, j, k, quad, root) -> WallEvent:
-    """Identify which point crosses which open segment and the sign before."""
-    a, b, c = quad
-    names = {"i": i, "j": j, "k": k}
-    if root.rational is not None:
-        t = root.rational
-        pts = {m: _interp(A0[m], A1[m], t) for m in (i, j, k)}
-
-        def strictly_between(m0, m1, m2) -> bool:
-            u = pts[m2] - pts[m0]
-            s = (pts[m1] - pts[m0]).dot(u)
-            return 0 < s < u.dot(u)
-
-        deriv = 2 * a * t + b
-        eps_ijk_before = -1 if deriv > 0 else 1
-    else:
-        ia, ib, ic = root.a, root.b, root.c
-        d = ib * ib - 4 * ia * ic
-        tq = QuadExt(Fraction(-ib, 2 * ia), Fraction(root.branch, 2 * ia), d)
-
-        def coord(m):
-            p0, p1 = A0[m], A1[m]
-            x = QuadExt.rational(p0.x, d) + tq * QuadExt.rational(p1.x - p0.x, d)
-            y = QuadExt.rational(p0.y, d) + tq * QuadExt.rational(p1.y - p0.y, d)
-            return x, y
-
-        pos = {m: coord(m) for m in (i, j, k)}
-
-        def strictly_between(m0, m1, m2) -> bool:
-            ux = pos[m2][0] - pos[m0][0]
-            uy = pos[m2][1] - pos[m0][1]
-            sx = pos[m1][0] - pos[m0][0]
-            sy = pos[m1][1] - pos[m0][1]
-            s = sx * ux + sy * uy
-            full = ux * ux + uy * uy
-            return s.sign() > 0 and (full - s).sign() > 0
-
-        # (ia, ib, ic) is (a, b, c) rescaled to a positive leading
-        # coefficient, so its derivative carries an extra factor sign(a)
-        deriv = QuadExt.rational(2 * Fraction(ia), d) * tq + QuadExt.rational(
-            Fraction(ib), d
-        )
-        eps_ijk_before = -deriv.sign() * (1 if a > 0 else -1)
-
-    for mid_name, lo_name, hi_name, parity in _MIDDLE_CASES:
-        mid, lo, hi = names[mid_name], names[lo_name], names[hi_name]
-        if strictly_between(lo, mid, hi):
+    The orientation of (i, j, k) just before the simple root of
+    a t^2 + b t + c is minus the sign of its derivative 2at + b there.
+    """
+    eps_ijk_before = -root.sign_at(0, 2 * a, b)
+    # the three points are collinear at the root; an apex m has a positive
+    # dot product of its vectors to the other two exactly when m is an end
+    # of the open segment that the third point lies in
+    acute = {
+        m: root.sign_at(*_leg_quadratic(leg, _dot, m, p, q)) > 0
+        for m, p, q in ((i, j, k), (j, i, k), (k, i, j))
+    }
+    # (lo, mid, hi) in the order tried; the sign was computed for the
+    # ascending triple (i, j, k), so correct by the permutation parity
+    for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1), (i, k, j, -1)):
+        if acute[lo] and acute[hi]:
             return WallEvent(
                 "coll", root, lo, mid, hi,
                 eps_before=parity * eps_ijk_before,

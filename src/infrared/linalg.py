@@ -35,7 +35,7 @@ class MatQ:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(_frac(x) for x in row) for row in entries)
+        grid = tuple([tuple([_frac(x) for x in row]) for row in entries])
         self.entries = grid
         self.rows = len(grid)
         self.cols = len(grid[0]) if grid else 0

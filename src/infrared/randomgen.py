@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import InvalidInput, NotInvertible
-from .geometry import Config, Dir, Pt, general_position
+from .geometry import Config, Dir, Pt, general_position, infinity_generic
 from .linalg import MatQ
 from .perverse import Quiver, TransportData
 
@@ -97,9 +97,7 @@ def rand_config(
             continue
         if require_strong and not rep.strong_lin_general:
             continue
-        if any(
-            not general_position(A, d).incl_infinity for d in extra_dirs
-        ):
+        if not all(infinity_generic(A, d) for d in extra_dirs):
             continue
         return A
     raise AssertionError("failed to draw a generic configuration")

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import infrared
+from infrared.geometry import AlgebraicTime
 from infrared.linalg import MatQ
 
 
@@ -19,6 +20,21 @@ def inverse_calls(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(MatQ, "inverse", counting)
+    return calls
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """Every AlgebraicTime whose isolating interval is halved while the test
+    runs, in order."""
+    calls = []
+    refine = AlgebraicTime.refine
+
+    def counting(self):
+        calls.append(self)
+        return refine(self)
+
+    monkeypatch.setattr(AlgebraicTime, "refine", counting)
     return calls
 
 

@@ -266,34 +266,64 @@ def test_secondary_output_is_pinned(name, capsys):
         (["walk", "walk_leg.json", "--to", "walk_leg_target.json"], "walk_leg.walk.json"),
         (["plot", "pentagon.json", "--format", "dot"], "pentagon.dot.json"),
         (["plot", "pentagon.json", "--format", "csv", "--poset"], "pentagon.poset_csv.json"),
+        (["walk", "walk_leg8.json", "--to", "walk_leg8_target.json"], "walk_leg8.walk.json"),
+        (["walk", "walk_leg8_back.json", "--to", "walk_leg8.json"], "walk_leg8_back.walk.json"),
     ],
 )
 def test_cli_output_is_pinned(argv, expected, capsys):
     """`stokes` on a random and a convex-arc 8-point instance, `walk --to`
-    on a 5-point leg and the poset plots of the pentagon print exactly the
-    committed output."""
+    on a 5-point leg and on an 8-point leg there and back, and the poset
+    plots of the pentagon print exactly the committed output."""
     argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     with open(os.path.join(DATA, expected), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
 
 
-def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
-    from infrared.geometry import _quad_coeff_of_orient, segment_wall_events
-
-    with open(os.path.join(DATA, "walk_leg.json")) as fh:
+def _pinned_leg(name, target):
+    with open(os.path.join(DATA, name)) as fh:
         a0 = Config.from_json(json.load(fh)["config"])
-    with open(os.path.join(DATA, "walk_leg_target.json")) as fh:
+    with open(os.path.join(DATA, target)) as fh:
         a1 = Config.from_json(json.load(fh)["config"])
-    irrational = [
-        e for e in segment_wall_events(a0, a1)
-        if e.kind == "coll" and e.time.rational is None
-    ]
-    leading = {
-        _quad_coeff_of_orient(a0, a1, *sorted((e.i, e.j, e.k)))[0] > 0
-        for e in irrational
-    }
-    assert leading == {True, False}
+    return a0, a1
+
+
+PINNED_LEGS = [
+    ("walk_leg.json", "walk_leg_target.json"),
+    ("walk_leg8.json", "walk_leg8_target.json"),
+]
+
+
+def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
+    from infrared.geometry import _cross, _integer_leg, _leg_quadratic, segment_wall_events
+
+    for name, target in PINNED_LEGS:
+        a0, a1 = _pinned_leg(name, target)
+        leg = _integer_leg(a0, a1)
+        irrational = [
+            e for e in segment_wall_events(a0, a1)
+            if e.kind == "coll" and e.time.rational is None
+        ]
+        leading = {
+            _leg_quadratic(leg, _cross, *sorted((e.i, e.j, e.k)))[0] > 0
+            for e in irrational
+        }
+        assert leading == {True, False}, name
+
+
+def test_pinned_walks_never_refine_an_event_time(refine_calls, capsys):
+    """Ordering the events of the pinned legs, both ways, bisects nothing."""
+    from infrared.geometry import segment_wall_events
+
+    irrational = 0
+    for name, target in PINNED_LEGS:
+        a0, a1 = _pinned_leg(name, target)
+        for events in (segment_wall_events(a0, a1), segment_wall_events(a1, a0)):
+            irrational += sum(e.time.rational is None for e in events)
+        assert main(["walk", os.path.join(DATA, name), "--to", os.path.join(DATA, target)]) == 0
+    capsys.readouterr()
+    assert irrational > 0
+    assert refine_calls == []
 
 
 def test_repeated_calls_leave_no_argparse_garbage(circuit_file, capsys):

@@ -10,8 +10,10 @@ from infrared.geometry import (
     Config,
     Dir,
     Pt,
-    _interp,
-    _quad_coeff_of_orient,
+    _cross,
+    _dot,
+    _integer_leg,
+    _leg_quadratic,
     anti_stokes_sequence,
     chirotope,
     config,
@@ -164,13 +166,17 @@ def test_collinearity_sign_before_irrational_events():
     assert leading_signs == {True, False}
 
 
-def _interpolated_quad(A0, A1, i, j, k):
-    """Oracle: the orientation quadratic of (i, j, k) along the leg, through
-    its values at t = 0, 1/2 and 1."""
+def _interp(p0: Pt, p1: Pt, t) -> Pt:
+    return Pt(p0.x + t * (p1.x - p0.x), p0.y + t * (p1.y - p0.y))
+
+
+def _interpolated_quad(A0, A1, i, j, k, form=Pt.cross):
+    """Oracle: form(w_j - w_i, w_k - w_i) along the leg as a quadratic in t,
+    through its values at t = 0, 1/2 and 1."""
 
     def val(t):
         a, b, c = (_interp(A0[m], A1[m], t) for m in (i, j, k))
-        return (b - a).cross(c - a)
+        return form(b - a, c - a)
 
     v0, v1, vh = val(Q(0)), val(Q(1)), val(Q(1, 2))
     a = 2 * v1 + 2 * v0 - 4 * vh
@@ -178,6 +184,8 @@ def _interpolated_quad(A0, A1, i, j, k):
 
 
 def test_orient_quadratic_closed_form_matches_interpolation():
+    """The integer leg is the leg scaled by the lcm L of its denominators,
+    and its cross and dot quadratics are L^2 times the interpolated ones."""
     r = rng(6)
     leading = set()
 
@@ -193,10 +201,19 @@ def test_orient_quadratic_closed_form_matches_interpolation():
             A0, A1 = Config(pts0), Config(pts1)
         except InvalidInput:
             continue
+        scale = math.lcm(*[c.denominator for p in pts0 + pts1 for c in (p.x, p.y)])
+        leg = _integer_leg(A0, A1)
+        assert leg == [
+            (scale * p.x, scale * p.y, scale * (q.x - p.x), scale * (q.y - p.y))
+            for p, q in zip(pts0, pts1)
+        ]
+        assert all(type(v) is int for point in leg for v in point)
         for tri in itertools.permutations(range(4), 3):
-            coeffs = _quad_coeff_of_orient(A0, A1, *tri)
-            assert coeffs == _interpolated_quad(A0, A1, *tri)
-            leading.add((coeffs[0] > 0) - (coeffs[0] < 0))
+            for form, oracle in ((_dot, Pt.dot), (_cross, Pt.cross)):
+                coeffs = _leg_quadratic(leg, form, *tri)
+                expect = _interpolated_quad(A0, A1, *tri, form=oracle)
+                assert coeffs == tuple(scale * scale * v for v in expect)
+            leading.add((coeffs[0] > 0) - (coeffs[0] < 0))  # of the orientation
     assert leading == {-1, 0, 1}
 
 
@@ -384,19 +401,145 @@ def test_wall_events_reversed_path():
 
 
 def test_wall_events_reject_endpoint_and_tangency():
-    # endpoint horizontality: points 0, 1 aligned at t = 0
-    with pytest.raises(PathNotGeneric):
-        segment_wall_events(
-            config((0, 0), (3, 0), (1, 5)), config((0, 0), (3, 2), (1, 5))
-        )
+    """Rejected legs keep their error text."""
+    rejected = [
+        # endpoint horizontality: points 0, 1 aligned at t = 0
+        (
+            [(0, 0), (3, 0), (1, 5)], [(0, 0), (3, 2), (1, 5)],
+            "endpoints must be in general position including horizontal infinity",
+        ),
+        (
+            [(-2, 2), (-1, 0), (0, 1)], [(0, 0), (-2, 2), (0, 1)],
+            "coincident event times for D(0,1) and D(0,2)",
+        ),
+        (
+            [(1, 0), (-1, 3), (0, -3)], [(-2, 0), (-1, -1), (-2, 1)],
+            "tangential collinearity of (0,1,2)",
+        ),
+    ]
+    for a0, a1, message in rejected:
+        with pytest.raises(PathNotGeneric) as info:
+            segment_wall_events(config(*a0), config(*a1))
+        assert str(info.value) == message
 
 
 def test_algebraic_time_ordering():
-    roots = AlgebraicTime.quadratic_roots(1, 0, -2)  # +-sqrt(2)
-    assert len(roots) == 2
-    lo, hi = roots[0][0], roots[1][0]
+    def roots(a, b, c):
+        return [t for t, _ in AlgebraicTime.quadratic_roots(a, b, c)]
+
+    lo, hi = roots(1, 0, -2)  # +-sqrt(2)
     assert lo < hi and not (hi < lo)
     third = AlgebraicTime.from_rational(1)
     assert lo < third < hi
-    again = AlgebraicTime.quadratic_roots(2, 0, -4)  # same numbers
-    assert again[0][0] == lo and again[1][0] == hi
+    again = roots(2, 0, -4)  # same numbers
+    assert again[0] == lo and again[1] == hi
+    scaled = roots(Q(1, 3), 0, Q(-2, 3))
+    assert scaled == [lo, hi] and not lo < scaled[0] and not scaled[0] < lo
+    near = AlgebraicTime.from_rational(Q(14142136, 10**7))  # just above sqrt 2
+    assert hi < near and not near < hi
+    # 1 + sqrt 2 and 2 + sqrt 2: discriminant 8 both times
+    one, two = roots(1, -2, -1)[1], roots(1, -4, 2)[1]
+    assert one < two and not two < one
+    # sqrt 2 lies inside the root pair of t^2 - 3 and outside that of t^2 - 1
+    assert roots(1, 0, -3)[0] < hi < roots(1, 0, -3)[1]
+    assert roots(1, 0, -1)[1] < hi and not hi < roots(1, 0, -1)[1]
+    for s, t in itertools.permutations([lo, hi, third, near, one, two], 2):
+        assert (s < t) == _bisection_less(s, t)
+    assert hi.sign_at(1, 0, -2) == 0 and hi.sign_at(0, 1, 0) == 1
+    assert lo.sign_at(0, 1, 0) == -1 and hi.sign_at(1, 0, -3) == -1
+
+
+def test_quadratic_roots_are_exact_on_int_input():
+    [(root, mult)] = AlgebraicTime.quadratic_roots(9, 6, 1)
+    assert mult == 2 and type(root.rational) is Q and root.rational == Q(-1, 3)
+    roots = AlgebraicTime.quadratic_roots(6, -5, 1)  # 1/3 and 1/2
+    assert [(type(t.rational), t.rational, m) for t, m in roots] == [
+        (Q, Q(1, 3), 1), (Q, Q(1, 2), 1),
+    ]
+    assert AlgebraicTime.quadratic_roots(Q(1, 2), Q(-5, 12), Q(1, 12)) == roots
+
+
+# -- exact comparisons against bisection ------------------------------------
+
+
+def _bisection_less(s: AlgebraicTime, t: AlgebraicTime) -> bool:
+    """Oracle: order two times by halving their isolating intervals until
+    they separate (irrational roots never sit on rational interval ends)."""
+    if s == t:
+        return False
+    if s.rational is not None and t.rational is not None:
+        return s.rational < t.rational
+    for _ in range(100000):
+        if s.hi <= t.lo:
+            return True
+        if t.hi <= s.lo:
+            return False
+        s.refine()
+        t.refine()
+    raise AssertionError("isolating intervals failed to separate")
+
+
+def _bisection_in_open_unit_interval(s: AlgebraicTime) -> bool:
+    zero, one = AlgebraicTime.from_rational(0), AlgebraicTime.from_rational(1)
+    return _bisection_less(zero, s) and _bisection_less(s, one)
+
+
+def _bisection_sign_at(s: AlgebraicTime, p2: int, p1: int, p0: int) -> int:
+    """Oracle: the sign of p2 t^2 + p1 t + p0 at s from where s lies among
+    the polynomial's real roots."""
+    if p2 == 0 and p1 == 0:
+        return (p0 > 0) - (p0 < 0)
+    if p2 == 0:
+        roots, lead = [AlgebraicTime.from_rational(Q(-p0, p1))], p1
+    else:
+        roots, lead = [t for t, m in AlgebraicTime.quadratic_roots(p2, p1, p0) for _ in range(m)], p2
+    if any(s == t for t in roots):
+        return 0
+    above = sum(_bisection_less(s, t) for t in roots)  # each flips the sign
+    lead = (lead > 0) - (lead < 0)
+    return lead if above % 2 == 0 else -lead
+
+
+def _times(r, count):
+    """Seeded times: rationals, both roots of random quadratics, roots of
+    quadratics sharing a discriminant, and numbers given by a quadratic and
+    a scaled copy of it."""
+    out = []
+    while len(out) < count:
+        kind = r.randrange(4)
+        if kind == 0:
+            out.append(AlgebraicTime.from_rational(Q(r.randint(-30, 30), r.randint(1, 12))))
+            continue
+        if kind == 1:
+            a, b, c = r.randint(1, 6) * r.choice((-1, 1)), r.randint(-9, 9), r.randint(-9, 9)
+        else:
+            # b^2 - 4ac = d for a fixed non-square d
+            d = r.choice((5, 8, 12, 13))
+            a = r.randint(1, 4) * r.choice((-1, 1))
+            bs = [b for b in range(-12, 13) if (b * b - d) % (4 * a) == 0]
+            if not bs:
+                continue
+            b = r.choice(bs)
+            c = (b * b - d) // (4 * a)
+        if kind == 3:
+            k = Q(r.randint(1, 5), r.randint(1, 5)) * r.choice((-1, 1))
+            a, b, c = a * k, b * k, c * k
+        out.extend(t for t, _ in AlgebraicTime.quadratic_roots(a, b, c))
+    return out
+
+
+def test_exact_comparisons_match_bisection():
+    r = rng(77)
+    times = _times(r, 160)
+    kinds = set()
+    for s in times:
+        assert s.in_open_unit_interval() == _bisection_in_open_unit_interval(s)
+        for t in r.sample(times, 24):
+            assert (s < t) == _bisection_less(s, t), (s.key(), t.key())
+            kinds.add((s.rational is None, t.rational is None, s == t))
+        for _ in range(12):
+            p = (r.randint(-6, 6), r.randint(-20, 20), r.randint(-40, 40))
+            assert s.sign_at(*p) == _bisection_sign_at(s, *p), (s.key(), p)
+    # rational and irrational on either side, and equal irrationals
+    assert kinds >= {(False, True, False), (True, False, False),
+                     (True, True, False), (True, True, True)}

@@ -6,7 +6,9 @@ from infrared.errors import InvalidInput
 from infrared.geometry import (
     Dir,
     Pt,
-    _quad_coeff_of_orient,
+    _cross,
+    _integer_leg,
+    _leg_quadratic,
     config,
     segment_wall_events,
 )
@@ -181,7 +183,7 @@ def test_isomonodromy_two_movers_irrational_negative_leading():
     events = segment_wall_events(a0, a1)
     assert [e.kind for e in events] == ["coll"]
     assert events[0].time.rational is None
-    a, _, _ = _quad_coeff_of_orient(a0, a1, 0, 1, 2)
+    a, _, _ = _leg_quadratic(_integer_leg(a0, a1), _cross, 0, 1, 2)
     assert a < 0
     r = rng(61)
     for _ in range(3):
