@@ -23,11 +23,13 @@ from infrared.fourier import (
     monodromy_product,
     stokes_pair,
 )
+from infrared.paths import enumerate_zeta_convex_paths
 from infrared.randomgen import maximally_concave_config, rand_transport, rng
 from infrared.wallcross import transport_along_path
 
 zeta0 = Dir(Q(-1), Q(0))
 zeta = Dir(Q(1), Q(0))
+zplus = zeta0.conjugate().opposite()   # the convexity of C+
 
 r = rng(7)
 A = config((0, 0), (-1, 1), (0, 2))      # left-convex middle point
@@ -41,8 +43,9 @@ print(
 )
 
 pair = stokes_pair(m, A, zeta0)
+src, tgt = pair.order[0], pair.order[2]   # slots 0 and 2
 print("\npaths feeding C+ block (0,2):",
-      [list(p.vertices) for p in pair.paths_plus[(0, 2)]])
+      [list(p.vertices) for p in enumerate_zeta_convex_paths(A, src, tgt, zplus)])
 rep = factorization_check(m, A, zeta0)
 print("factorization holds:", rep.ok)
 
@@ -51,7 +54,8 @@ B = maximally_concave_config(r, 4)
 mb = rand_transport(r, 4, max_dim=2)
 pb = stokes_pair(mb, B, zeta0)
 print("\nmaximally concave: every C+ block a single transport:",
-      all(len(ps) == 1 for ps in pb.paths_plus.values()))
+      all(len(enumerate_zeta_convex_paths(B, pb.order[s], pb.order[t], zplus)) == 1
+          for s in range(4) for t in range(s + 1, 4)))
 print("factorization holds there too:", factorization_check(mb, B, zeta0).ok)
 
 # wall-crossing: move a point across a segment; the isomonodromic update

@@ -23,31 +23,37 @@ gmv_embed(m), T_{i,Phi} = Id - m_ii is the local monodromy T_i, so the
 update reads the inverse that TransportData owns and inverts nothing
 itself; a-check is built the same way.
 
-Stokes matrices are computed as sums of iterated rectilinear transports
-over convex polygonal paths: block (i, j) of C+ sums over the
-(-conj(zeta0))-convex paths from w_i to w_j, and C- mirrors this with the
-opposite convexity.  The ascending monodromy product of the dressed
-transport data factors exactly as
+Block (i, j) of the Stokes matrix C+ is the sum of the iterated
+rectilinear transports over the (-conj(zeta0))-convex paths from w_i to
+w_j, and C- mirrors this with the opposite convexity.  The sums come from a
+transfer-matrix dynamic program over convex chains, one pass per source
+and direction, at one block product per chain edge (v, w) instead of one
+product chain per path; the path enumeration of the paths module is the
+test oracle.  The ascending monodromy product of the dressed transport data
+factors exactly as
 
     T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
 
-where Delta is the block diagonal of the inverse local monodromies.  Of the
-exponents of Delta and of the twist, the side and sign of the twist and the
-slot order of T_glob, the N=2 closed form admits this one convention;
-factorization_check writes it out, and the test suite re-derives it from a
-search over all the alternatives.
+where Delta is the block diagonal of the inverse local monodromies.  C-tilde
+is block upper unitriangular, so factorization_check finds the right side
+by forward substitution instead of inverting it.  Of the exponents of Delta
+and of the twist, the side and sign of the twist and the slot order of
+T_glob, the N=2 closed form admits this one convention; factorization_check
+writes it out, and the test suite re-derives it from a search over all the
+alternatives.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegeneratePosition, InvalidInput, ShapeMismatch
 from .geometry import Config, Dir, general_position, infinity_generic
-from .linalg import MatQ, block_diagonal
-from .paths import enumerate_circum_paths, enumerate_zeta_convex_paths
+from .linalg import MatQ, block_diagonal, solve_unit_upper_right
+from .paths import enumerate_circum_paths
 from .perverse import Quiver, TransportData
 
 
@@ -99,10 +105,10 @@ def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
     """acc + u b_j: b_j of gmv_embed projects Psi onto slot j, so this adds
     u to the slot-j columns of acc."""
     lo, hi = offs[j], offs[j + 1]
-    return MatQ([
-        row[:lo] + tuple(x + y for x, y in zip(row[lo:hi], urow)) + row[hi:]
+    return MatQ._trusted(tuple([
+        row[:lo] + tuple([x + y for x, y in zip(row[lo:hi], urow)]) + row[hi:]
         for row, urow in zip(acc.entries, u.entries)
-    ])
+    ]))
 
 
 def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
@@ -169,10 +175,8 @@ class StokesPair:
     dims: tuple[int, ...]           # per slot
     c_plus: MatQ
     c_minus: MatQ
-    paths_plus: dict
-    paths_minus: dict
     # every off-diagonal path sum, keyed (source slot, target slot): the
-    # blocks of C+ for s < t and of C- for s > t (zero when no path)
+    # blocks of C+ for s < t and of C- for s > t
     blocks: dict
 
 
@@ -197,6 +201,41 @@ def _assemble_unitriangular(dims, blocks: dict[tuple[int, int], MatQ]) -> MatQ:
     ])
 
 
+def _total(mats) -> MatQ:
+    return functools.reduce(operator.add, mats)
+
+
+def _convex_chain_sums(
+    m: TransportData, A: Config, zeta: Dir
+) -> dict[tuple[int, int], MatQ]:
+    """For every pair with ell_zeta(w_i) < ell_zeta(w_j), the sum of the
+    iterated transports over the zeta-convex paths from w_i to w_j.  The
+    projections must be pairwise distinct.
+
+    A transfer-matrix DP over convex chains (Eppstein, Overmars, Rote and
+    Woeginger, DCG 1992; Mitchell, Rote, Sundaram and Woeginger, IPL 1995).
+    For a source i, S(u, v) sums the chains from i whose last edge is
+    u -> v, starting from S(i, v) = m_iv.  The points are taken in
+    increasing ell; when v comes up every edge into v is final, so block
+    (i, v) is the sum of the S(u, v), and a chain through v continues to a
+    higher w when it turns clockwise there, t[u][v][w] < 0 (the turn test of
+    enumerate_zeta_convex_paths): S(v, w) = m_vw (sum of those S(u, v))."""
+    proj = [zeta.infinity_form(p) for p in A]
+    up = sorted(range(len(A)), key=proj.__getitem__)
+    t = A.sign_table()
+    sums: dict[tuple[int, int], MatQ] = {}
+    for k, i in enumerate(up):
+        into = {v: {i: m.m[i][v]} for v in up[k + 1:]}  # into[v][u] = S(u, v)
+        for a, v in enumerate(up[k + 1:], k + 1):
+            last = into[v]
+            sums[(i, v)] = _total(last.values())
+            for w in up[a + 1:]:
+                turns = [s for u, s in last.items() if t[u][v][w] < 0]
+                if turns:
+                    into[w][v] = m.m[v][w] @ _total(turns)
+    return sums
+
+
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     """Both Stokes matrices of the transform in direction zeta0.
 
@@ -207,37 +246,23 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     rep = general_position(A)
     if not rep.strong_lin_general:
         raise DegeneratePosition("Stokes sums need strong general position")
-    zplus = zeta0.conjugate().opposite()
-    zminus = zeta0.conjugate()
     order = fourier_order(A, zeta0)
-    n = len(order)
+    slot = {i: s for s, i in enumerate(order)}
     dims = [m.dims[i] for i in order]
-    blocks: dict[tuple[int, int], MatQ] = {}
-    paths_plus: dict[tuple[int, int], list] = {}
-    paths_minus: dict[tuple[int, int], list] = {}
-
-    def path_sum(paths, src: int, tgt: int) -> MatQ:
-        acc = MatQ.zeros(m.dims[tgt], m.dims[src])
-        for p in paths:
-            acc = acc + iterated_transport(m, p.vertices)
-        return acc
-
-    for s, t in itertools.combinations(range(n), 2):
-        i, j = order[s], order[t]
-        plus = paths_plus[(s, t)] = enumerate_zeta_convex_paths(A, i, j, zplus)
-        blocks[(s, t)] = path_sum(plus, i, j)
-        minus = paths_minus[(t, s)] = enumerate_zeta_convex_paths(A, j, i, zminus)
-        blocks[(t, s)] = path_sum(minus, j, i)
-    upward = {k: b for k, b in blocks.items() if k[0] < k[1]}
-    downward = {k: b for k, b in blocks.items() if k[0] > k[1]}
+    upward = {
+        (slot[i], slot[j]): b
+        for (i, j), b in _convex_chain_sums(m, A, zeta0.conjugate().opposite()).items()
+    }
+    downward = {
+        (slot[i], slot[j]): b
+        for (i, j), b in _convex_chain_sums(m, A, zeta0.conjugate()).items()
+    }
     return StokesPair(
         tuple(order),
         tuple(dims),
         _assemble_unitriangular(dims, upward),
         _assemble_unitriangular(dims, downward),
-        paths_plus,
-        paths_minus,
-        blocks,
+        {**upward, **downward},
     )
 
 
@@ -286,12 +311,13 @@ def factorization_check(
 
     on the dressed transport data, with T_glob the ascending monodromy
     product, Delta the block diagonal of the inverse local monodromies and
-    C-tilde = Id - (C- - Id) Delta."""
+    C-tilde = Id - (C- - Id) Delta.  C-tilde is block upper unitriangular,
+    so the right side is found by forward substitution."""
     mt, pair = dressed_transport(m, A, zeta0)
     delta = block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)])
     ident = MatQ.identity(delta.rows)
     c_til = ident - (pair.c_minus - ident) @ delta
-    rhs = pair.c_plus @ delta @ c_til.inverse()
+    rhs = solve_unit_upper_right(pair.c_plus @ delta, c_til)
     lhs = monodromy_product(mt, "ascending")
     return FactorizationReport(
         lhs == rhs, lhs, rhs, pair.c_plus, pair.c_minus, c_til, delta,

@@ -102,7 +102,7 @@ def direction(dx, dy) -> Dir:
 class Config:
     """An ordered tuple of pairwise distinct marked points w_1..w_N."""
 
-    __slots__ = ("points", "_signs")
+    __slots__ = ("points", "_signs", "_hull")
 
     def __init__(self, points: Iterable[Pt]):
         pts = tuple(points)
@@ -143,6 +143,15 @@ class Config:
             t[i][k][j] = t[k][j][i] = t[j][i][k] = -s
         self._signs = t
         return t
+
+    def hull(self) -> tuple[int, ...]:
+        """convex_hull(self) as a tuple; computed on first use and kept."""
+        try:
+            return self._hull
+        except AttributeError:
+            pass
+        self._hull = tuple(convex_hull(self))
+        return self._hull
 
     # JSON schema: {"points": [["x", "y"], ...]} with canonical "num/den"
     # strings (denominator omitted when 1).

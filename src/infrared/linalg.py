@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput, NotInvertible, ShapeMismatch
 
 Q = Fraction
+_ZERO, _ONE = Q(0), Q(1)
 
 
 def _frac(x) -> Fraction:
@@ -43,15 +44,28 @@ class MatQ:
             if len(row) != self.cols:
                 raise ShapeMismatch("ragged matrix rows")
 
+    @classmethod
+    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "MatQ":
+        """Wrap a tuple of equally long tuples of Fractions as they are, with
+        neither the per-entry conversion nor the ragged-row check."""
+        out = object.__new__(cls)
+        out.entries = grid
+        out.rows = len(grid)
+        out.cols = len(grid[0]) if grid else 0
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "MatQ":
-        return MatQ([[0] * cols for _ in range(rows)])
+        row = (_ZERO,) * cols
+        return MatQ._trusted((row,) * rows)
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return MatQ._trusted(tuple(
+            (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1) for i in range(n)
+        ))
 
     @staticmethod
     def scalar(value, n: int = 1) -> "MatQ":
@@ -76,8 +90,10 @@ class MatQ:
                 if b.rows != height:
                     raise ShapeMismatch("block heights disagree")
             for r in range(height):
-                out.append([x for b in block_row for x in b.entries[r]])
-        return MatQ(out)
+                out.append(tuple([x for b in block_row for x in b.entries[r]]))
+        if len({len(row) for row in out}) > 1:
+            raise ShapeMismatch("ragged matrix rows")
+        return MatQ._trusted(tuple(out))
 
     # -- basic queries -----------------------------------------------------
 
@@ -111,43 +127,42 @@ class MatQ:
     def __add__(self, other: "MatQ") -> "MatQ":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("matrix sum shape mismatch")
-        return MatQ(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return MatQ._trusted(tuple([
+            tuple([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.entries, other.entries)
+        ]))
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         return self + (-other)
 
     def __neg__(self) -> "MatQ":
-        return MatQ([[-x for x in row] for row in self.entries])
+        return MatQ._trusted(tuple([tuple([-x for x in row]) for row in self.entries]))
 
     def scale(self, s) -> "MatQ":
         s = _frac(s)
-        return MatQ([[s * x for x in row] for row in self.entries])
+        return MatQ._trusted(
+            tuple([tuple([s * x for x in row]) for row in self.entries])
+        )
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        cols = list(zip(*other.entries)) if other.entries else []
+        if not self.cols:
+            return MatQ.zeros(self.rows, other.cols)
+        cols = list(zip(*other.entries))
         # zero terms are skipped: block-structured operands (unitriangular
         # Stokes matrices, block diagonals, slot projections) are mostly zero
-        return MatQ(
-            [
-                [sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
-                for row in self.entries
-            ]
-            if self.cols
-            else [[Q(0)] * other.cols for _ in range(self.rows)]
-        )
+        return MatQ._trusted(tuple([
+            tuple([sum([a * b for a, b in zip(row, col) if a and b], _ZERO)
+                   for col in cols])
+            for row in self.entries
+        ]))
 
     @property
     def T(self) -> "MatQ":
-        return MatQ(list(zip(*self.entries)) if self.entries else [])
+        return MatQ._trusted(tuple(zip(*self.entries)))
 
     # -- elimination -------------------------------------------------------
 
@@ -184,7 +199,7 @@ class MatQ:
         red, pivots = aug._rref()
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
-        return MatQ([row[n:] for row in red])
+        return MatQ._trusted(tuple([tuple(row[n:]) for row in red]))
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -227,9 +242,9 @@ class MatQ:
     # -- block access ------------------------------------------------------
 
     def submatrix(self, row_range, col_range) -> "MatQ":
-        return MatQ(
-            [[self.entries[r][c] for c in col_range] for r in row_range]
-        )
+        return MatQ._trusted(tuple([
+            tuple([self.entries[r][c] for c in col_range]) for r in row_range
+        ]))
 
 
 def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
@@ -237,3 +252,25 @@ def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
         [b if s == t else MatQ.zeros(b.rows, c.cols) for s, c in enumerate(blocks)]
         for t, b in enumerate(blocks)
     ])
+
+
+def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
+    """X with X @ u == b for u upper unitriangular (ones on the diagonal,
+    zeros below it), by forward substitution over the columns: column c of X
+    is b_c - sum_{k<c} X_k u[k][c].  Nothing is inverted."""
+    n = u.rows
+    if u.cols != n or b.cols != n:
+        raise ShapeMismatch(f"cannot solve X @ ({n}x{u.cols}) = ({b.rows}x{b.cols})")
+    ue = u.entries
+    if any(ue[c][c] != 1 or any(ue[c][:c]) for c in range(n)):
+        raise InvalidInput("matrix is not upper unitriangular")
+    above = [[(k, ue[k][c]) for k in range(c) if ue[k][c]] for c in range(n)]
+    out = []
+    for row in b.entries:
+        x = list(row)
+        for c, terms in enumerate(above):
+            for k, ukc in terms:
+                if x[k]:
+                    x[c] -= x[k] * ukc
+        out.append(tuple(x))
+    return MatQ._trusted(tuple(out))

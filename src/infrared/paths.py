@@ -252,7 +252,7 @@ def enumerate_circum_paths(A: Config, i: int, j: int) -> list[list[int]]:
     """Paths gamma from w_i to w_j such that gamma together with the chord
     [w_i, w_j] bounds a convex polygon; requires the chord to be an edge of
     the hull of A.  The two-vertex path [i, j] is always included."""
-    hull = convex_hull(A)
+    hull = A.hull()
     edges = {
         frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
     }

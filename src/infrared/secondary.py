@@ -105,7 +105,7 @@ class Subdivision:
         )
 
     def interior_vertices(self) -> list[int]:
-        hull = set(convex_hull(self.config))
+        hull = set(self.config.hull())
         verts = set()
         for c in self.cells:
             verts |= set(c.polygon)
@@ -160,7 +160,7 @@ def validate_subdivision(sub: Subdivision) -> None:
     A = sub.config
     if not sub.cells:
         raise InvalidInput("empty subdivision")
-    hull = convex_hull(A)
+    hull = A.hull()
     for c in sub.cells:
         if _polygon_area2(A, c.polygon) <= 0:
             raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
@@ -411,7 +411,7 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
         )
     if not general_position(A).lin_general:
         raise DegeneratePosition("triangulation enumeration needs general position")
-    hull = convex_hull(A)
+    hull = A.hull()
     interior = [w for w in range(n) if w not in hull]
     t = A.sign_table()
     out = []

@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules."""
 
 import os
+import sys
 
 import pytest
 
 import infrared
+import infrared.paths
 from infrared.geometry import AlgebraicTime
 from infrared.linalg import MatQ
 
@@ -20,6 +22,25 @@ def inverse_calls(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(MatQ, "inverse", counting)
+    return calls
+
+
+@pytest.fixture
+def path_enumerations(monkeypatch):
+    """The (A, i, j, zeta) of every enumerate_zeta_convex_paths call while
+    the test runs, wherever an infrared module bound the function."""
+    calls = []
+    enumerate_paths = infrared.paths.enumerate_zeta_convex_paths
+
+    def counting(A, i, j, zeta):
+        calls.append((A, i, j, zeta))
+        return enumerate_paths(A, i, j, zeta)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "infrared":
+            for key, val in list(vars(mod).items()):
+                if val is enumerate_paths:
+                    monkeypatch.setattr(mod, key, counting)
     return calls
 
 

@@ -9,7 +9,7 @@ from infrared.errors import (
     InvalidInput,
     ShapeMismatch,
 )
-from infrared.geometry import Dir, config
+from infrared.geometry import Dir, config, general_position
 from infrared.linalg import MatQ, block_diagonal
 from infrared.fourier import (
     alt_circum_sum,
@@ -17,11 +17,13 @@ from infrared.fourier import (
     dressed_transport,
     factorization_check,
     fourier_diagram,
+    fourier_order,
     global_monodromy,
     iterated_transport,
     monodromy_product,
     stokes_pair,
 )
+from infrared.paths import enumerate_zeta_convex_paths
 from infrared.perverse import Quiver, TransportData, gmv_embed, mu
 from infrared.randomgen import (
     maximally_concave_config,
@@ -163,6 +165,63 @@ def test_monodromy_product_against_direct_inverses():
             monodromy_product(m, kind)
 
 
+def _enumerated_stokes_blocks(m, A, zeta0):
+    """Oracle: every off-diagonal Stokes block as the sum over the enumerated
+    convex paths, keyed (source slot, target slot) like StokesPair.blocks;
+    also returns how many of the paths have an intermediate vertex."""
+    order = fourier_order(A, zeta0)
+    zplus, zminus = zeta0.conjugate().opposite(), zeta0.conjugate()
+    blocks, multi_vertex = {}, 0
+    for s, t in itertools.permutations(range(len(order)), 2):
+        i, j = order[s], order[t]
+        acc = MatQ.zeros(m.dims[j], m.dims[i])
+        for p in enumerate_zeta_convex_paths(A, i, j, zplus if s < t else zminus):
+            acc = acc + iterated_transport(m, p.vertices)
+            multi_vertex += len(p.vertices) > 2
+        blocks[(s, t)] = acc
+    return blocks, multi_vertex
+
+
+def jittered_arc(r, n):
+    """n points in convex position near the parabola x = (y - c)^2, at
+    distinct integer heights, with x-jitter randint(-199, 199)/997; redrawn
+    until in strong general position.  The jitter stays below 1/2, so the
+    arc bulges rightward and every upward chain turns clockwise."""
+    while True:
+        ys = sorted(r.sample(range(-3 * n, 3 * n + 1), n))
+        c = Q(ys[0] + ys[-1], 2)
+        A = config(*(((y - c) ** 2 + Q(r.randint(-199, 199), 997), y) for y in ys))
+        if general_position(A).strong_lin_general:
+            return A
+
+
+def test_stokes_pair_matches_path_enumeration():
+    r = rng(60)
+    instances = []
+    for n in range(2, 10):
+        for _ in range(2):
+            instances.append((rand_config(r, n, extra_dirs=(Z_RIGHT,)), Z0))
+    for n in range(3, 11):
+        instances.append((jittered_arc(r, n), Z0))
+    for n in (3, 5, 7):
+        instances.append((maximally_concave_config(r, n), Z0))
+    for zeta0 in (Dir(Q(1), Q(2)), Dir(Q(-3), Q(-1))):
+        spider = zeta0.conjugate().opposite()
+        for n in (4, 6, 8):
+            instances.append((rand_config(r, n, extra_dirs=(spider,)), zeta0))
+        instances.append((jittered_arc(r, 7), zeta0))
+    multi_vertex = 0
+    for A, zeta0 in instances:
+        m = rand_transport(r, len(A), max_dim=2)
+        pair = stokes_pair(m, A, zeta0)
+        expect, multi = _enumerated_stokes_blocks(m, A, zeta0)
+        assert pair.blocks == expect
+        n = len(A)
+        assert sorted(pair.blocks) == sorted(itertools.permutations(range(n), 2))
+        multi_vertex += multi
+    assert multi_vertex > 1000
+
+
 def test_dressed_transport_blocks_resum_the_paths():
     r = rng(59)
     multi_vertex = 0
@@ -174,12 +233,14 @@ def test_dressed_transport_blocks_resum_the_paths():
         m = rand_transport(r, len(A), max_dim=2)
         mt, pair = dressed_transport(m, A, Z0)
         mm = m.permuted(pair.order)
+        zplus, zminus = Z0.conjugate().opposite(), Z0.conjugate()
         for s in range(m.n):
             assert mt.m[s][s] == mm.m[s][s]
             for t in range(m.n):
                 if s == t:
                     continue
-                paths = (pair.paths_plus if s < t else pair.paths_minus)[(s, t)]
+                i, j = pair.order[s], pair.order[t]
+                paths = enumerate_zeta_convex_paths(A, i, j, zplus if s < t else zminus)
                 expect = MatQ.zeros(pair.dims[t], pair.dims[s])
                 for p in paths:
                     expect = expect + iterated_transport(m, p.vertices)
@@ -281,14 +342,31 @@ def test_factorization_zero_and_random():
         assert factorization_check(m, A, Z0).ok
 
 
-def test_factorization_check_inverts_only_c_tilde(inverse_calls):
+def test_factorization_check_inverts_nothing(inverse_calls):
     r = rng(56)
     A = rand_config(r, 5, extra_dirs=(Z_RIGHT,))
     m = rand_transport(r, 5, max_dim=2)
     inverse_calls.clear()
     rep = factorization_check(m, A, Z0)
     assert rep.ok
-    assert inverse_calls == [rep.c_minus_twisted]
+    assert inverse_calls == []
+
+
+def test_factorization_check_enumerates_no_paths(path_enumerations):
+    r = rng(61)
+    A = jittered_arc(r, 8)
+    m = rand_transport(r, 8, max_dim=2)
+    rep = factorization_check(m, A, Z0)
+    assert rep.ok
+    assert path_enumerations == []
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_factorization_on_a_long_arc(n):
+    r = rng(62)
+    A = jittered_arc(r, n)
+    m = rand_transport(r, n, max_dim=2)
+    assert factorization_check(m, A, Z0).ok
 
 
 def test_factorization_maximally_concave():

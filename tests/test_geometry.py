@@ -269,6 +269,14 @@ def test_convex_hull_of_a_subset_matches_the_sub_configuration():
     assert collinear > 0
 
 
+def test_config_hull_is_the_convex_hull_kept():
+    r = rng(5)
+    for n in (3, 5, 8):
+        A = rand_config(r, n, require_strong=False)
+        assert A.hull() == tuple(convex_hull(A))
+        assert A.hull() is A.hull()
+
+
 def test_dominance_orders():
     A = config((0, 0), (3, 1), (1, 2))
     assert dominance_order(A, Z_RIGHT) == [0, 2, 1]

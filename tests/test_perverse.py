@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
-from infrared.linalg import MatQ, block_diagonal
+from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
 from infrared.perverse import (
     BilinearData,
     Quiver,
@@ -25,7 +25,13 @@ from infrared.perverse import (
     spherical_report,
     straight_line_vassiliev,
 )
-from infrared.randomgen import rand_matrix, rand_quiver, rand_transport, rng
+from infrared.randomgen import (
+    rand_fraction,
+    rand_matrix,
+    rand_quiver,
+    rand_transport,
+    rng,
+)
 
 
 def scalar(x):
@@ -51,6 +57,50 @@ def test_jacobson_examples():
 def test_matrix_inverse_errors():
     with pytest.raises(NotInvertible):
         MatQ([[1, 2], [2, 4]]).inverse()
+
+
+def test_public_matrix_constructor_validates():
+    for bad in ("1.5/2", "1/0", "x", 1.5, None):
+        with pytest.raises(InvalidInput):
+            MatQ([[1, bad]])
+    with pytest.raises(ShapeMismatch):
+        MatQ([[1, 2], [3]])
+    with pytest.raises(ShapeMismatch):
+        MatQ.from_blocks([[MatQ.identity(2)], [MatQ.zeros(1, 3)]])
+    # decimal strings are exact rationals
+    assert MatQ([["1.5", "-2/4", 3]]).entries == ((Q(3, 2), Q(-1, 2), Q(3)),)
+
+
+def test_matrix_results_match_validated_construction():
+    r = rng(23)
+    u, v, w = rand_matrix(r, 3, 2), rand_matrix(r, 2, 3), rand_matrix(r, 3, 2)
+    results = [
+        u @ v, u + w, -u, u.scale(Q(-2, 3)), u.T, u.submatrix(range(1, 3), range(2)),
+        MatQ.from_blocks([[u, w]]), MatQ.identity(3), MatQ.zeros(2, 4),
+        MatQ.zeros(2, 0) @ MatQ.zeros(0, 3),
+        (MatQ.identity(3) + u @ v).inverse(),
+    ]
+    for x in results:
+        rebuilt = MatQ([list(row) for row in x.entries])
+        assert (x.rows, x.cols, x.entries) == (rebuilt.rows, rebuilt.cols, rebuilt.entries)
+        assert all(type(e) is Q for row in x.entries for e in row)
+
+
+def test_solve_unit_upper_right():
+    r = rng(24)
+    for n in (1, 3, 6):
+        u = MatQ([[1 if i == j else (rand_fraction(r) if i < j else 0)
+                   for j in range(n)] for i in range(n)])
+        b = rand_matrix(r, 4, n)
+        x = solve_unit_upper_right(b, u)
+        assert x @ u == b
+        assert x == b @ u.inverse()
+    with pytest.raises(InvalidInput):
+        solve_unit_upper_right(MatQ.identity(2), MatQ([[1, 0], [1, 1]]))
+    with pytest.raises(InvalidInput):
+        solve_unit_upper_right(MatQ.identity(2), MatQ([[2, 0], [0, 1]]))
+    with pytest.raises(ShapeMismatch):
+        solve_unit_upper_right(MatQ.identity(3), MatQ.identity(2))
 
 
 def test_replace_inverts_only_a_changed_diagonal_block(inverse_calls):

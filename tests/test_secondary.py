@@ -322,6 +322,29 @@ def test_enumeration_validates_each_subdivision_once(monkeypatch):
             validate_subdivision(bad)
 
 
+def test_hull_of_the_configuration_is_computed_once(monkeypatch):
+    from infrared import geometry
+
+    whole = []
+    hull = geometry.convex_hull
+
+    def counting(A, subset=None):
+        if subset is None:
+            whole.append(A)
+        return hull(A, subset)
+
+    monkeypatch.setattr(geometry, "convex_hull", counting)
+    monkeypatch.setattr(secondary, "convex_hull", counting)
+    A = convex_gon(5)
+    subs = enumerate_subdivisions(A)
+    for sub in subs:
+        sub._valid = False
+        validate_subdivision(sub)
+        sub.interior_vertices()
+    enumerate_triangulations(A)
+    assert whole == [A]
+
+
 def cross_point_in_polygon(A, cycle, w):
     """The cross-product containment test that the sign lookups replaced."""
     for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
