@@ -24,7 +24,6 @@ print("convex hull cycle:", convex_hull(A))
 
 chi = chirotope(A)
 print("chirotope signs:", chi.signs)
-print("exchange axiom holds:", chi.exchange_axiom_holds())
 
 zeta = direction(1, 0)
 rep = general_position(A, zeta)

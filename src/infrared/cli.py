@@ -121,7 +121,6 @@ def cmd_matroid(inst: Instance, args) -> dict:
         "lin_general": rep.lin_general,
         "strong_lin_general": rep.strong_lin_general,
         "incl_infinity": rep.incl_infinity,
-        "exchange_axiom": chi.exchange_axiom_holds() if rep.lin_general else None,
         "hull": convex_hull(A),
     }
 

@@ -108,7 +108,7 @@ def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
     return MatQ._trusted(tuple([
         row[:lo] + tuple([x + y for x, y in zip(row[lo:hi], urow)]) + row[hi:]
         for row, urow in zip(acc.entries, u.entries)
-    ]))
+    ]), acc.cols)
 
 
 def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:

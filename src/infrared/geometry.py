@@ -68,18 +68,6 @@ class Dir:
         if self.dx == 0 and self.dy == 0:
             raise InvalidInput("zero direction")
 
-    def primitive(self) -> tuple[int, int]:
-        """The unique primitive integer vector on the same ray."""
-        scale = Fraction(
-            math.lcm(self.dx.denominator, self.dy.denominator)
-        )
-        ax, ay = self.dx * scale, self.dy * scale
-        g = math.gcd(int(abs(ax)), int(abs(ay)))
-        return int(ax) // g, int(ay) // g
-
-    def same_ray(self, other: "Dir") -> bool:
-        return self.primitive() == other.primitive()
-
     def opposite(self) -> "Dir":
         return Dir(-self.dx, -self.dy)
 
@@ -198,25 +186,6 @@ class Chirotope:
     @property
     def lin_general(self) -> bool:
         return all(s != 0 for s in self.signs.values())
-
-    def exchange_axiom_holds(self) -> bool:
-        """Three-term Grassmann-Pluecker sign condition on all index tuples.
-
-        For every (i1..i4, j1, j2) the sign set
-        {(-1)^v * chi(i.. without i_v ..) * chi(j1, j2, i_v)} must either
-        contain {+1, -1} or equal {0}.
-        """
-        rng = range(self.n)
-        for quad in itertools.combinations(rng, 4):
-            for j1, j2 in itertools.permutations(rng, 2):
-                vals = set()
-                for v in range(4):
-                    rest = tuple(x for t, x in enumerate(quad) if t != v)
-                    s = (-1) ** (v + 1) * self.chi(*rest) * self.chi(j1, j2, quad[v])
-                    vals.add(s)
-                if not ({1, -1} <= vals or vals == {0}):
-                    return False
-        return True
 
 
 def chirotope(A: Config) -> Chirotope:
@@ -553,19 +522,6 @@ class WallEvent:
     motion: str = ""
     re_cmp: str = ""
     eps_before: int = 0
-
-    def reversed(self) -> "WallEvent":
-        """The same wall met from the other side (for the reversed leg)."""
-        if self.kind == "horiz":
-            motion = "below" if self.motion == "above" else "above"
-            return WallEvent(
-                "horiz", self.time, self.i, self.j, motion=motion,
-                re_cmp=self.re_cmp,
-            )
-        return WallEvent(
-            "coll", self.time, self.i, self.j, self.k,
-            eps_before=-self.eps_before,
-        )
 
 
 def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:

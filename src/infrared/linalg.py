@@ -45,13 +45,14 @@ class MatQ:
                 raise ShapeMismatch("ragged matrix rows")
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "MatQ":
-        """Wrap a tuple of equally long tuples of Fractions as they are, with
-        neither the per-entry conversion nor the ragged-row check."""
+    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...], cols: int) -> "MatQ":
+        """Wrap a tuple of rows of `cols` Fractions each as they are, with
+        neither the per-entry conversion nor the ragged-row check.  The width
+        is given, so a matrix with no rows keeps it."""
         out = object.__new__(cls)
         out.entries = grid
         out.rows = len(grid)
-        out.cols = len(grid[0]) if grid else 0
+        out.cols = cols
         return out
 
     # -- constructors ------------------------------------------------------
@@ -59,13 +60,13 @@ class MatQ:
     @staticmethod
     def zeros(rows: int, cols: int) -> "MatQ":
         row = (_ZERO,) * cols
-        return MatQ._trusted((row,) * rows)
+        return MatQ._trusted((row,) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "MatQ":
         return MatQ._trusted(tuple(
             (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1) for i in range(n)
-        ))
+        ), n)
 
     @staticmethod
     def scalar(value, n: int = 1) -> "MatQ":
@@ -84,6 +85,7 @@ class MatQ:
     def from_blocks(blocks: Sequence[Sequence["MatQ"]]) -> "MatQ":
         """Assemble a block matrix from a grid of compatible blocks."""
         out: list[list[Fraction]] = []
+        width = sum(b.cols for b in blocks[0]) if blocks else 0
         for block_row in blocks:
             height = block_row[0].rows
             for b in block_row:
@@ -91,9 +93,9 @@ class MatQ:
                     raise ShapeMismatch("block heights disagree")
             for r in range(height):
                 out.append(tuple([x for b in block_row for x in b.entries[r]]))
-        if len({len(row) for row in out}) > 1:
+        if any(sum(b.cols for b in block_row) != width for block_row in blocks):
             raise ShapeMismatch("ragged matrix rows")
-        return MatQ._trusted(tuple(out))
+        return MatQ._trusted(tuple(out), width)
 
     # -- basic queries -----------------------------------------------------
 
@@ -130,18 +132,20 @@ class MatQ:
         return MatQ._trusted(tuple([
             tuple([a + b for a, b in zip(ra, rb)])
             for ra, rb in zip(self.entries, other.entries)
-        ]))
+        ]), self.cols)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         return self + (-other)
 
     def __neg__(self) -> "MatQ":
-        return MatQ._trusted(tuple([tuple([-x for x in row]) for row in self.entries]))
+        return MatQ._trusted(
+            tuple([tuple([-x for x in row]) for row in self.entries]), self.cols
+        )
 
     def scale(self, s) -> "MatQ":
         s = _frac(s)
         return MatQ._trusted(
-            tuple([tuple([s * x for x in row]) for row in self.entries])
+            tuple([tuple([s * x for x in row]) for row in self.entries]), self.cols
         )
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
@@ -158,11 +162,12 @@ class MatQ:
             tuple([sum([a * b for a, b in zip(row, col) if a and b], _ZERO)
                    for col in cols])
             for row in self.entries
-        ]))
+        ]), other.cols)
 
     @property
     def T(self) -> "MatQ":
-        return MatQ._trusted(tuple(zip(*self.entries)))
+        grid = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return MatQ._trusted(grid, self.rows)
 
     # -- elimination -------------------------------------------------------
 
@@ -199,7 +204,7 @@ class MatQ:
         red, pivots = aug._rref()
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
-        return MatQ._trusted(tuple([tuple(row[n:]) for row in red]))
+        return MatQ._trusted(tuple([tuple(row[n:]) for row in red]), n)
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -244,7 +249,7 @@ class MatQ:
     def submatrix(self, row_range, col_range) -> "MatQ":
         return MatQ._trusted(tuple([
             tuple([self.entries[r][c] for c in col_range]) for r in row_range
-        ]))
+        ]), len(col_range))
 
 
 def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
@@ -273,4 +278,4 @@ def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
                 if x[k]:
                     x[c] -= x[k] * ukc
         out.append(tuple(x))
-    return MatQ._trusted(tuple(out))
+    return MatQ._trusted(tuple(out), n)

@@ -14,6 +14,17 @@ edges and interior vertices in degrees 0, 1, 2 with restriction
 differentials signed by co-orientations; its middle cohomology dimension is
 the exceptionality, and codim F = dim D - 3 with D the space of lifts
 (piecewise-affine values plus free values at omitted points).
+
+Two routines rest on counting facts about triangulations of a configuration
+in linear general position, no three points collinear (De Loera, Rambau and
+Santos, *Triangulations*, Springer 2010, Ch. 2-3).  `_merge_cells` coarsens a
+triangulation: a group of k of its triangles with corner set V is one convex
+cell exactly when k == 2|V| - |hull(V)| - 2, the number of triangles of every
+triangulation of V.  `refines` compares edge sets: a fine cell lies in a
+coarse cell exactly when no coarse edge crosses it, so fine <= coarse exactly
+when every coarse edge is a fine edge and every fine-marked point is marked
+in the coarse subdivision.  `enumerate_*` and `induced_subdivision` reject
+configurations that are not in linear general position.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import lp
@@ -64,7 +76,8 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 class Subdivision:
-    """A polygonal decomposition of (Conv(A), A) into marked cells."""
+    """A polygonal decomposition of (Conv(A), A) into marked cells.  Its key,
+    marked set and edge map are computed on first use and kept."""
 
     def __init__(self, A: Config, cells: Iterable[Cell]):
         self.config = A
@@ -74,14 +87,33 @@ class Subdivision:
                 key=lambda c: (c.polygon, sorted(c.marked)),
             )
         )
-        marked_total = set()
-        for c in self.cells:
-            marked_total |= c.marked
-        self.omitted = frozenset(range(len(A))) - marked_total
         self._valid = False  # set once validate_subdivision has passed
 
-    def key(self):
+    @cached_property
+    def _key(self):
         return tuple([(c.polygon, tuple(sorted(c.marked))) for c in self.cells])
+
+    def key(self):
+        return self._key
+
+    @cached_property
+    def marked(self) -> frozenset[int]:
+        """The points marked in some cell."""
+        return frozenset().union(*[c.marked for c in self.cells])
+
+    @cached_property
+    def omitted(self) -> frozenset[int]:
+        return frozenset(range(len(self.config))) - self.marked
+
+    @cached_property
+    def edge_cells(self) -> dict[frozenset[int], list[int]]:
+        """Each cell edge -> the indices of the cells that have it, in cell
+        order: two for an interior edge, one for a hull edge."""
+        owners: dict[frozenset[int], list[int]] = {}
+        for ci, c in enumerate(self.cells):
+            for e in c.edges():
+                owners.setdefault(e, []).append(ci)
+        return owners
 
     def __eq__(self, other):
         return isinstance(other, Subdivision) and self.key() == other.key()
@@ -96,12 +128,9 @@ class Subdivision:
         return f"Subdivision[{cells}; omitted {sorted(self.omitted)}]"
 
     def interior_edges(self) -> list[frozenset[int]]:
-        count: dict[frozenset[int], int] = {}
-        for c in self.cells:
-            for e in c.edges():
-                count[e] = count.get(e, 0) + 1
         return sorted(
-            (e for e, k in count.items() if k == 2), key=sorted
+            (e for e, owners in self.edge_cells.items() if len(owners) == 2),
+            key=sorted,
         )
 
     def interior_vertices(self) -> list[int]:
@@ -171,14 +200,11 @@ def validate_subdivision(sub: Subdivision) -> None:
         A, hull
     ):
         raise InvalidInput("cells do not tile the hull")
-    count: dict[frozenset[int], int] = {}
-    for c in sub.cells:
-        for e in c.edges():
-            count[e] = count.get(e, 0) + 1
     hull_edges = {
         frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
     }
-    for e, k in count.items():
+    for e, owners in sub.edge_cells.items():
+        k = len(owners)
         if e in hull_edges:
             if k != 1:
                 raise InvalidInput(f"hull edge {sorted(e)} shared {k} times")
@@ -303,11 +329,7 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
             if _point_in_polygon(A, cell.polygon, w):
                 add_le(cell_coords(ci, w) + [(w, Q(-1)), (s_idx, Q(1))])
 
-    edge_owners: dict[frozenset[int], list[int]] = {}
-    for ci, cell in enumerate(sub.cells):
-        for e in cell.edges():
-            edge_owners.setdefault(e, []).append(ci)
-    for e, owners in edge_owners.items():
+    for e, owners in sub.edge_cells.items():
         if len(owners) != 2:
             continue
         ci, cj = owners
@@ -433,10 +455,19 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
     return uniq
 
 
-def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision]:
-    """Coarsen by deleting the given interior edges; merged cells must be
-    convex, markings are unions.  Returns None when a merge is non-convex.
-    The result is not validated."""
+def _merge_cells(
+    A: Config, sub: Subdivision, drop: Iterable[frozenset[int]]
+) -> Optional[Subdivision]:
+    """Coarsen by deleting the given interior edges; markings are unions.
+    Returns None when a merged cell is not convex.  The result is not
+    validated.  `sub` must be a triangulation from `enumerate_triangulations`:
+    every cell a triangle marked at its corners only and empty of the points
+    it uses.
+
+    A group of k triangles with corner set V is one convex cell exactly when
+    k == 2|V| - |hull(V)| - 2: the triangles are empty and do not cross, so
+    they extend to a triangulation of V, and every triangulation of V has that
+    many triangles."""
     parent = list(range(len(sub.cells)))
 
     def find(x):
@@ -445,15 +476,8 @@ def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision
             x = parent[x]
         return x
 
-    edge_owners: dict[frozenset[int], list[int]] = {}
-    for ci, cell in enumerate(sub.cells):
-        for e in cell.edges():
-            edge_owners.setdefault(e, []).append(ci)
     for e in drop:
-        owners = edge_owners.get(e, [])
-        if len(owners) != 2:
-            return None
-        a, b = (find(o) for o in owners)
+        a, b = (find(o) for o in sub.edge_cells[e])
         if a != b:
             parent[a] = b
     groups: dict[int, list[int]] = {}
@@ -461,48 +485,11 @@ def _merge_cells(A: Config, sub: Subdivision, drop: set) -> Optional[Subdivision
         groups.setdefault(find(ci), []).append(ci)
     new_cells = []
     for members in groups.values():
-        marked = frozenset().union(*[sub.cells[ci].marked for ci in members])
-        # boundary edges of the union = edges not deleted and not shared
-        # between two members
-        edge_count: dict[frozenset[int], int] = {}
-        for ci in members:
-            for e in sub.cells[ci].edges():
-                edge_count[e] = edge_count.get(e, 0) + 1
-        boundary = [e for e, k in edge_count.items() if k == 1]
-        kept = [e for e in boundary if e not in drop]
-        if len(kept) != len(boundary):
-            return None  # dropped edge ended up on the union's boundary
-        # walk the boundary cycle
-        adj: dict[int, list[int]] = {}
-        for e in kept:
-            a, b = sorted(e)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if any(len(v) != 2 for v in adj.values()):
-            return None  # pinched union
-        start = min(adj)
-        cycle = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                return None
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            cycle.append(cur)
-            if len(cycle) > len(kept):
-                return None
-        if len(cycle) != len(kept):
-            return None  # disconnected boundary
-        if _polygon_area2(A, cycle) < 0:
-            cycle.reverse()
-        # convexity (allowing no straight angles: corners must be corners)
-        t = A.sign_table()
-        turns = zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
-        if any(t[a][b][c] <= 0 for a, b, c in turns):
+        corners = frozenset().union(*[sub.cells[ci].marked for ci in members])
+        hull = convex_hull(A, corners)
+        if len(members) != 2 * len(corners) - len(hull) - 2:
             return None
-        new_cells.append(Cell(_canon_cycle(cycle), marked))
+        new_cells.append(Cell(tuple(hull), corners))
     return Subdivision(A, new_cells)
 
 
@@ -517,32 +504,23 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
         interior = tri.interior_edges()
         for r in range(1, len(interior) + 1):
             for drop in itertools.combinations(interior, r):
-                merged = _merge_cells(A, tri, set(drop))
+                merged = _merge_cells(A, tri, drop)
                 if merged is None or merged in subs:
                     continue
-                try:
-                    validate_subdivision(merged)
-                except InvalidInput:
-                    continue
+                validate_subdivision(merged)
                 subs.add(merged)
     return sorted(subs, key=lambda s: s.key())
 
 
 def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """fine <= coarse: every fine cell sits in a coarse cell, markings
-    included."""
-    for c in fine.cells:
-        ok = False
-        for big in coarse.cells:
-            if all(
-                _point_in_polygon(fine.config, big.polygon, w)
-                for w in c.polygon
-            ) and c.marked <= big.marked:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    included.  Both must be valid subdivisions of one configuration in linear
+    general position; then a fine cell lies in a coarse cell exactly when no
+    coarse edge crosses it, that is when every coarse edge is a fine edge."""
+    return (
+        coarse.edge_cells.keys() <= fine.edge_cells.keys()
+        and fine.marked <= coarse.marked
+    )
 
 
 def refinement_poset(subs: Sequence[Subdivision]) -> dict:
@@ -650,13 +628,8 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
     map.  Its dimension equals the exceptionality."""
     verts = sub.interior_vertices()
     vix = {v: t for t, v in enumerate(verts)}
-    edges = [e for e in sub.interior_edges()]
-    # also edges touching interior vertices but lying on cells' boundaries
-    all_edges = set()
-    for c in sub.cells:
-        all_edges |= set(c.edges())
     relevant = sorted(
-        (e for e in all_edges if any(w in vix for w in e)), key=sorted
+        (e for e in sub.edge_cells if any(w in vix for w in e)), key=sorted
     )
     if not verts:
         return []

@@ -71,13 +71,33 @@ def test_chirotope_small():
     assert not chd.lin_general
 
 
+def exchange_axiom_holds(chi) -> bool:
+    """Three-term Grassmann-Pluecker sign condition on all index tuples.
+
+    For every (i1..i4, j1, j2) the sign set
+    {(-1)^v * chi(i.. without i_v ..) * chi(j1, j2, i_v)} must either
+    contain {+1, -1} or equal {0}.
+    """
+    rng = range(chi.n)
+    for quad in itertools.combinations(rng, 4):
+        for j1, j2 in itertools.permutations(rng, 2):
+            vals = set()
+            for v in range(4):
+                rest = tuple(x for t, x in enumerate(quad) if t != v)
+                s = (-1) ** (v + 1) * chi.chi(*rest) * chi.chi(j1, j2, quad[v])
+                vals.add(s)
+            if not ({1, -1} <= vals or vals == {0}):
+                return False
+    return True
+
+
 def test_exchange_axiom_exhaustive():
     r = rng(2)
     for n in (4, 5, 6, 7):
         A = rand_config(r, n, require_strong=False)
         chi = chirotope(A)
         assert chi.lin_general
-        assert chi.exchange_axiom_holds()
+        assert exchange_axiom_holds(chi)
 
 
 def test_general_position_flags():

@@ -86,6 +86,20 @@ def test_matrix_results_match_validated_construction():
         assert all(type(e) is Q for row in x.entries for e in row)
 
 
+def test_matrices_without_rows_or_columns_keep_their_shape():
+    empty = MatQ.zeros(0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert (empty.T.rows, empty.T.cols) == (3, 0)
+    assert (empty.T.T.rows, empty.T.T.cols) == (0, 3)
+    product = empty @ MatQ.zeros(3, 2)
+    assert (product.rows, product.cols) == (0, 2)
+    assert MatQ.zeros(2, 0) @ MatQ.zeros(0, 3) == MatQ.zeros(2, 3)
+    assert MatQ.zeros(2, 3).submatrix(range(0), range(1, 3)).cols == 2
+    assert (-empty).cols == (empty + empty).cols == empty.scale(2).cols == 3
+    stacked = MatQ.from_blocks([[MatQ.zeros(0, 1), MatQ.zeros(0, 2)]])
+    assert (stacked.rows, stacked.cols) == (0, 3)
+
+
 def test_solve_unit_upper_right():
     r = rng(24)
     for n in (1, 3, 6):

@@ -6,11 +6,13 @@ import pytest
 
 from infrared import secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from infrared.geometry import config, convex_hull, direction, orient
+from infrared.geometry import config, convex_hull, direction, general_position, orient
 from infrared.secondary import (
     Cell,
+    _canon_cycle,
     _full_triangulations,
     _point_in_polygon,
+    _polygon_area2,
     Subdivision,
     coarse_subdivisions,
     content,
@@ -421,3 +423,119 @@ def test_flip_graph_connected_cross_check():
                     seen.add(other)
                     frontier.append(other)
         assert seen == set(range(n)), f"flip graph disconnected for {A}"
+
+
+def walk_merge_cells(A, sub, drop):
+    """The boundary-walk merge that the triangle count replaced: walk each
+    group's boundary cycle, reject pinched or disconnected boundaries, orient
+    the cycle by its area and test every turn."""
+    parent = list(range(len(sub.cells)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edge_owners = {}
+    for ci, cell in enumerate(sub.cells):
+        for e in cell.edges():
+            edge_owners.setdefault(e, []).append(ci)
+    for e in drop:
+        owners = edge_owners.get(e, [])
+        if len(owners) != 2:
+            return None
+        a, b = (find(o) for o in owners)
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for ci in range(len(sub.cells)):
+        groups.setdefault(find(ci), []).append(ci)
+    new_cells = []
+    for members in groups.values():
+        marked = frozenset().union(*[sub.cells[ci].marked for ci in members])
+        edge_count = {}
+        for ci in members:
+            for e in sub.cells[ci].edges():
+                edge_count[e] = edge_count.get(e, 0) + 1
+        boundary = [e for e, k in edge_count.items() if k == 1]
+        kept = [e for e in boundary if e not in drop]
+        if len(kept) != len(boundary):
+            return None
+        adj = {}
+        for e in kept:
+            a, b = sorted(e)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        if any(len(v) != 2 for v in adj.values()):
+            return None
+        start = min(adj)
+        cycle = [start]
+        prev, cur = None, start
+        while True:
+            nxt = [v for v in adj[cur] if v != prev]
+            if not nxt:
+                return None
+            prev, cur = cur, nxt[0]
+            if cur == start:
+                break
+            cycle.append(cur)
+            if len(cycle) > len(kept):
+                return None
+        if len(cycle) != len(kept):
+            return None
+        if _polygon_area2(A, cycle) < 0:
+            cycle.reverse()
+        t = A.sign_table()
+        turns = zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
+        if any(t[a][b][c] <= 0 for a, b, c in turns):
+            return None
+        new_cells.append(Cell(_canon_cycle(cycle), marked))
+    return Subdivision(A, new_cells)
+
+
+def containment_refines(fine, coarse):
+    """The point-in-polygon refinement test that edge-set inclusion
+    replaced: every fine cell has its corners in one coarse cell whose
+    marked set contains the fine cell's."""
+    for c in fine.cells:
+        if not any(
+            all(_point_in_polygon(fine.config, big.polygon, w) for w in c.polygon)
+            and c.marked <= big.marked
+            for big in coarse.cells
+        ):
+            return False
+    return True
+
+
+def oracle_configs():
+    """61 seeded configurations of 4 to 7 points: strong draws and, every
+    third, draws from a small box that only need linear general position.
+    One has 7 points, because the boundary walk takes seconds there; the
+    pinned 7-point `secondary` output covers another."""
+    r = rng(81)
+    out = []
+    for k, n in enumerate([4, 5, 6, 5] * 15 + [7]):
+        if k % 3 == 2:
+            out.append(rand_config(r, n, require_strong=False, box=3))
+        else:
+            out.append(rand_config(r, n))
+    return out
+
+
+def test_merges_and_refinement_match_the_geometric_oracles(monkeypatch):
+    """The triangle-count merge gives the same subdivisions as the boundary
+    walk, and edge-set refinement agrees with polygon containment on every
+    ordered pair of them."""
+    strong = set()
+    for A in oracle_configs():
+        strong.add(general_position(A).strong_lin_general)
+        subs = enumerate_subdivisions(A)
+        with monkeypatch.context() as m:
+            m.setattr(secondary, "_merge_cells", walk_merge_cells)
+            walked = enumerate_subdivisions(A)
+        assert [s.key() for s in subs] == [s.key() for s in walked], A
+        for fine, coarse in itertools.product(subs, repeat=2):
+            assert refines(fine, coarse) == containment_refines(fine, coarse), (
+                A, fine, coarse)
+    assert strong == {True, False}
