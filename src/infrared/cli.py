@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -262,6 +263,8 @@ def cmd_secondary(inst: Instance, args) -> dict:
 def cmd_check(inst_or_none, args) -> dict:
     from . import checksuite
 
+    if args.dim < 1:
+        raise InvalidInput(f"--dim must be at least 1, got {args.dim}")
     return checksuite.run(seed=args.seed, n=args.n, dim=args.dim)
 
 
@@ -331,6 +334,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, code: int) -> int:
+    """Print text and return code, or 1 when the reader has closed stdout."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -340,8 +356,7 @@ def main(argv=None) -> int:
         result = args.fn(inst, args)
     except InfraredError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(payload))
-        return 2
+        return _emit(json.dumps(payload), 2)
     if isinstance(result, dict) and "__stream__" in result:
         text = result["__stream__"].rstrip("\n")
     else:
@@ -349,9 +364,8 @@ def main(argv=None) -> int:
     if args.out and args.command != "plot":
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+        return 0
+    return _emit(text, 0)
 
 
 if __name__ == "__main__":

@@ -240,10 +240,6 @@ class MatQ:
             basis.append(MatQ.column(vec))
         return basis
 
-    def solve(self, rhs: "MatQ") -> "MatQ":
-        """Solve self @ x = rhs for square invertible self."""
-        return self.inverse() @ rhs
-
     # -- block access ------------------------------------------------------
 
     def submatrix(self, row_range, col_range) -> "MatQ":

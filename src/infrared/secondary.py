@@ -15,15 +15,18 @@ differentials signed by co-orientations; its middle cohomology dimension is
 the exceptionality, and codim F = dim D - 3 with D the space of lifts
 (piecewise-affine values plus free values at omitted points).
 
-Two routines rest on counting facts about triangulations of a configuration
+Two routines rest on standard facts about subdivisions of a configuration
 in linear general position, no three points collinear (De Loera, Rambau and
-Santos, *Triangulations*, Springer 2010, Ch. 2-3).  `_merge_cells` coarsens a
-triangulation: a group of k of its triangles with corner set V is one convex
-cell exactly when k == 2|V| - |hull(V)| - 2, the number of triangles of every
-triangulation of V.  `refines` compares edge sets: a fine cell lies in a
-coarse cell exactly when no coarse edge crosses it, so fine <= coarse exactly
-when every coarse edge is a fine edge and every fine-marked point is marked
-in the coarse subdivision.  `enumerate_*` and `induced_subdivision` reject
+Santos, *Triangulations*, Springer 2010, Ch. 2-3).  A marked subdivision is
+its edge set E plus its marked set.  `enumerate_subdivisions` builds E as the
+hull ring plus a crossing-free set of other segments, and keeps it exactly
+when no vertex of E off the hull has all its E-neighbours in a closed
+half-plane through it (the corner criterion); then every face of E is a
+convex cell, and each point E does not touch lies inside exactly one cell,
+marked or not.  `refines` compares edge sets: a fine cell lies in a coarse
+cell exactly when no coarse edge crosses it, so fine <= coarse exactly when
+every coarse edge is a fine edge and every fine-marked point is marked in
+the coarse subdivision.  `enumerate_*` and `induced_subdivision` reject
 configurations that are not in linear general position.
 """
 
@@ -47,7 +50,13 @@ DEFAULT_MAX_N = 8
 
 
 def enumeration_bound() -> int:
-    return int(os.environ.get("INFRARED_MAX_N", DEFAULT_MAX_N))
+    text = os.environ.get("INFRARED_MAX_N", str(DEFAULT_MAX_N))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(
+            f"INFRARED_MAX_N must be an integer, got {text!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,39 +248,30 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
     if len(psi) != n:
         raise InvalidInput("one lift value per point")
     t = A.sign_table()
-    facets: dict[frozenset[int], tuple] = {}
+    lifted = [(p.x, p.y, z) for p, z in zip(A, psi)]
+    facets: set[frozenset[int]] = set()
     for i, j, k in itertools.combinations(range(n), 3):
-        if t[i][j][k] == 0:
-            continue
-        # plane z = ax + by + c through the three lifted points
-        mat = MatQ(
-            [
-                [A[i].x, A[i].y, 1],
-                [A[j].x, A[j].y, 1],
-                [A[k].x, A[k].y, 1],
-            ]
-        )
-        coef = mat.solve(MatQ.column([psi[i], psi[j], psi[k]]))
-        a, b, c = coef.entries[0][0], coef.entries[1][0], coef.entries[2][0]
-        below = True
+        # psi_w minus the plane through the lifted i, j, k has the sign of
+        # t[i][j][k] times det(lift_j - lift_i, lift_k - lift_i, lift_w - lift_i)
+        o = lifted[i]
+        xj, yj, zj = [c - c0 for c, c0 in zip(lifted[j], o)]
+        xk, yk, zk = [c - c0 for c, c0 in zip(lifted[k], o)]
+        normal = (yj * zk - zj * yk, zj * xk - xj * zk, xj * yk - yj * xk)
         on_plane = []
         for w in range(n):
-            val = psi[w] - (a * A[w].x + b * A[w].y + c)
-            if val < 0:
-                below = False
+            side = t[i][j][k] * sum(
+                c * (cw - c0) for c, cw, c0 in zip(normal, lifted[w], o)
+            )
+            if side < 0:
                 break
-            if val == 0:
+            if side == 0:
                 on_plane.append(w)
-        if not below:
-            continue
-        facets[frozenset(on_plane)] = (a, b, c)
-    cells = []
-    seen = set()
-    for support in facets:
-        if support in seen:
-            continue
-        seen.add(support)
-        cells.append(Cell(tuple(convex_hull(A, support)), frozenset(support)))
+        else:
+            facets.add(frozenset(on_plane))
+    cells = [
+        Cell(tuple(convex_hull(A, support)), frozenset(support))
+        for support in facets
+    ]
     sub = Subdivision(A, cells)
     validate_subdivision(sub)
     return sub
@@ -352,78 +352,37 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
 # enumeration
 
 
-def _full_triangulations(A: Config, used: Sequence[int]) -> list[frozenset]:
-    """All triangulations of the subconfiguration `used` (every point a
-    vertex), as sets of triangle index-triples, via maximal crossing-free
-    edge sets."""
-    pts = list(used)
-    segs = list(itertools.combinations(pts, 2))
+def _cell_cycles(A: Config, nbrs: dict[int, list[int]]) -> list[list[int]]:
+    """The cells of a kept edge set as ccw corner cycles, traced along the
+    ccw hull ring and both directions of every other edge: after u -> v the
+    next corner is the neighbour w of v with t[v][u][w] < 0 that no other
+    such neighbour beats clockwise."""
     t = A.sign_table()
-
-    def crosses(e1, e2) -> bool:
-        a, b = e1
-        c, d = e2
-        if {a, b} & {c, d}:
-            return False
-        return t[a][b][c] != t[a][b][d] and t[c][d][a] != t[c][d][b]
-
-    compat = {
-        frozenset((e1, e2))
-        for e1, e2 in itertools.combinations(segs, 2)
-        if not crosses(e1, e2)
-    }
-
-    def compatible(e1, e2):
-        return frozenset((e1, e2)) in compat
-
-    # depth-first over (chosen, rest): take rest[0] when it crosses nothing
-    # chosen, or leave it out, which can only lead to a maximal set if
-    # something crosses it
-    results: list[frozenset] = []
-    stack = [([], segs)]
-    while stack:
-        chosen, rest = stack.pop()
-        if not rest:
-            results.append(frozenset(chosen))
-            continue
-        e, tail = rest[0], rest[1:]
-        if any(not compatible(e, f) for f in itertools.chain(chosen, tail)):
-            stack.append((chosen, tail))
-        stack.append((chosen + [e], [f for f in tail if compatible(e, f)]))
-    maximal = [
-        s
-        for s in set(results)
-        if all(
-            e in s or any(not compatible(e, f) for f in s) for e in segs
-        )
-    ]
-
-    tris = set()
-    for edges in maximal:
-        faces = set()
-        for tri in itertools.combinations(pts, 3):
-            a, b, c = tri
-            if (a, b) in edges and (a, c) in edges and (b, c) in edges:
-                if not any(
-                    w not in tri and _strictly_inside_triangle(A, tri, w)
-                    for w in pts
-                ):
-                    faces.add(frozenset(tri))
-        tris.add(frozenset(faces))
-    return sorted(tris, key=lambda fs: sorted(sorted(f) for f in fs))
+    hull = A.hull()
+    outside = set(zip(hull[1:] + hull[:1], hull))
+    todo = {(u, v) for u, vs in nbrs.items() for v in vs} - outside
+    cycles = []
+    while todo:
+        u, v = todo.pop()
+        cycle = [u]
+        while v != cycle[0]:
+            cycle.append(v)
+            after = [w for w in nbrs[v] if t[v][u][w] < 0]
+            w = next(
+                w for w in after if all(t[v][w][x] < 0 for x in after if x != w)
+            )
+            todo.remove((v, w))
+            u, v = v, w
+        cycles.append(cycle)
+    return cycles
 
 
-def _strictly_inside_triangle(A: Config, tri, w) -> bool:
-    # w is strictly inside exactly when it is strictly on the same side of
-    # all three edges, whichever way the triangle turns
-    a, b, c = tri
-    t = A.sign_table()
-    return t[a][b][w] == t[b][c][w] == t[c][a][w] != 0
-
-
-def enumerate_triangulations(A: Config) -> list[Subdivision]:
-    """All marked triangulations: hull corners are mandatory, interior
-    points optional (omitted when unused)."""
+def enumerate_subdivisions(A: Config) -> list[Subdivision]:
+    """All marked subdivisions in key order, each built and validated once.
+    A depth-first search takes each crossing-free set of segments off the
+    hull ring; a set whose vertices all pass the corner test gives its
+    cells, and each subset of the points it leaves untouched, marked in the
+    cells around them, gives one subdivision."""
     n = len(A)
     if n < 3:
         raise InvalidInput("a marked polygon needs at least three points")
@@ -432,84 +391,67 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
             f"N={n} exceeds the enumeration bound {enumeration_bound()}"
         )
     if not general_position(A).lin_general:
-        raise DegeneratePosition("triangulation enumeration needs general position")
-    hull = A.hull()
-    interior = [w for w in range(n) if w not in hull]
+        raise DegeneratePosition("subdivision enumeration needs general position")
     t = A.sign_table()
-    out = []
-    for r in range(len(interior) + 1):
-        for extra in itertools.combinations(interior, r):
-            used = sorted(set(hull) | set(extra))
-            for faces in _full_triangulations(A, used):
-                cells = []
-                for tri in faces:
-                    a, b, c = sorted(tri)
-                    ccw = (a, b, c) if t[a][b][c] > 0 else (a, c, b)
-                    cells.append(Cell(ccw, frozenset(tri)))
-                sub = Subdivision(A, cells)
-                expected = 2 * len(used) - 2 - len(hull)
-                assert len(sub.cells) == expected, "face count off"
+    hull = A.hull()
+    ring = list(zip(hull, hull[1:] + hull[:1]))
+    segs = [
+        e for e in itertools.combinations(range(n), 2)
+        if e not in ring and e[::-1] not in ring
+    ]
+    crossing = {
+        ((a, b), (c, d))
+        for (a, b), (c, d) in itertools.permutations(segs, 2)
+        if len({a, b, c, d}) == 4
+        and t[a][b][c] != t[a][b][d]
+        and t[c][d][a] != t[c][d][b]
+    }
+    subs = []
+    stack = [(ring, segs)]  # edges taken, segments still free to take
+    while stack:
+        taken, free = stack.pop()
+        if free:
+            e, rest = free[0], free[1:]
+            stack.append((taken, rest))
+            stack.append((taken + [e], [f for f in rest if (e, f) not in crossing]))
+            continue
+        nbrs: dict[int, list[int]] = {}
+        for a, b in taken:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        # the corner test: no vertex off the hull has a neighbour u with all
+        # its other neighbours on one side of the line through it and u
+        if any(
+            len({t[v][u][w] for w in vs if w != u}) < 2
+            for v, vs in nbrs.items()
+            if v not in hull
+            for u in vs
+        ):
+            continue
+        cycles = _cell_cycles(A, nbrs)
+        loose = [w for w in range(n) if w not in nbrs]
+        home = {
+            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A, cyc, w))
+            for w in loose
+        }
+        for r in range(len(loose) + 1):
+            for extra in itertools.combinations(loose, r):
+                marked = [set(cyc) for cyc in cycles]
+                for w in extra:
+                    marked[home[w]].add(w)
+                sub = Subdivision(
+                    A,
+                    [Cell(tuple(c), frozenset(m)) for c, m in zip(cycles, marked)],
+                )
                 validate_subdivision(sub)
-                out.append(sub)
-    uniq = sorted(set(out), key=lambda s: s.key())
-    return uniq
-
-
-def _merge_cells(
-    A: Config, sub: Subdivision, drop: Iterable[frozenset[int]]
-) -> Optional[Subdivision]:
-    """Coarsen by deleting the given interior edges; markings are unions.
-    Returns None when a merged cell is not convex.  The result is not
-    validated.  `sub` must be a triangulation from `enumerate_triangulations`:
-    every cell a triangle marked at its corners only and empty of the points
-    it uses.
-
-    A group of k triangles with corner set V is one convex cell exactly when
-    k == 2|V| - |hull(V)| - 2: the triangles are empty and do not cross, so
-    they extend to a triangulation of V, and every triangulation of V has that
-    many triangles."""
-    parent = list(range(len(sub.cells)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in drop:
-        a, b = (find(o) for o in sub.edge_cells[e])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for ci in range(len(sub.cells)):
-        groups.setdefault(find(ci), []).append(ci)
-    new_cells = []
-    for members in groups.values():
-        corners = frozenset().union(*[sub.cells[ci].marked for ci in members])
-        hull = convex_hull(A, corners)
-        if len(members) != 2 * len(corners) - len(hull) - 2:
-            return None
-        new_cells.append(Cell(tuple(hull), corners))
-    return Subdivision(A, new_cells)
-
-
-def enumerate_subdivisions(A: Config) -> list[Subdivision]:
-    """All marked subdivisions arising as coarsenings of triangulations
-    (marked sets merged by union), including the triangulations.  Each
-    distinct coarsening is validated once, however many triangulations
-    it comes from."""
-    subs: set[Subdivision] = set()
-    for tri in enumerate_triangulations(A):
-        subs.add(tri)  # its coarsening that drops no edge
-        interior = tri.interior_edges()
-        for r in range(1, len(interior) + 1):
-            for drop in itertools.combinations(interior, r):
-                merged = _merge_cells(A, tri, drop)
-                if merged is None or merged in subs:
-                    continue
-                validate_subdivision(merged)
-                subs.add(merged)
+                subs.append(sub)
     return sorted(subs, key=lambda s: s.key())
+
+
+def enumerate_triangulations(A: Config) -> list[Subdivision]:
+    """All marked triangulations, in key order: hull corners are mandatory,
+    interior points optional (omitted when unused)."""
+    return [s for s in enumerate_subdivisions(A) if s.is_triangulation()]
 
 
 def refines(fine: Subdivision, coarse: Subdivision) -> bool:

@@ -347,3 +347,36 @@ def test_repeated_calls_leave_no_argparse_garbage(circuit_file, capsys):
         gc.garbage.clear()
     capsys.readouterr()
     assert leaked == []
+
+
+def test_closed_stdout_ends_without_a_traceback(circuit_file, child_env):
+    """A reader that has closed the pipe gets exit code 1 and no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "infrared.cli", "secondary", circuit_file],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+
+
+def test_check_rejects_a_dimension_below_one(capsys):
+    code, data = run_cli(["check", "--dim", "0"], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+
+
+def test_non_integer_enumeration_bound_is_invalid_input(
+    circuit_file, monkeypatch, capsys
+):
+    monkeypatch.setenv("INFRARED_MAX_N", "abc")
+    code, data = run_cli(["secondary", circuit_file], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -10,7 +12,6 @@ from infrared.geometry import config, convex_hull, direction, general_position, 
 from infrared.secondary import (
     Cell,
     _canon_cycle,
-    _full_triangulations,
     _point_in_polygon,
     _polygon_area2,
     Subdivision,
@@ -383,16 +384,33 @@ def test_point_in_polygon_matches_cross_products():
 
 
 def test_full_triangulations_leave_no_reference_cycles():
+    """The enumeration keeps its search state on an explicit stack, so it
+    leaves nothing for the cycle collector."""
     A = convex_gon(6)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        assert len(_full_triangulations(A, range(6))) == catalan(4)
+        subs = enumerate_subdivisions(A)
+        # dissections of a hexagon: 1 + 9 + 21 + 14 by number of diagonals
+        assert len(subs) == 45
+        assert sum(s.is_triangulation() for s in subs) == catalan(4)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_eight_points_are_pinned():
+    """`rand_config(rng(5), 8)` has 1,515 marked subdivisions, 195 of them
+    triangulations; the hash pins their keys in order."""
+    subs = enumerate_subdivisions(rand_config(rng(5), 8))
+    assert len(subs) == 1515
+    assert sum(s.is_triangulation() for s in subs) == 195
+    keys = json.dumps([s.key() for s in subs]).encode()
+    assert hashlib.sha256(keys).hexdigest() == (
+        "74a97ffb3611c4c44422ed42b2e91f28cfdca4dc272c88cc42fcc3a725e16162"
+    )
 
 
 def _flip_adjacent(t1, t2):
@@ -494,6 +512,103 @@ def walk_merge_cells(A, sub, drop):
     return Subdivision(A, new_cells)
 
 
+def oracle_full_triangulations(A, used):
+    """All triangulations of the points `used` (every point a vertex), as
+    sets of triangle index-triples: the empty triangles of each maximal
+    crossing-free edge set."""
+    pts = list(used)
+    segs = list(itertools.combinations(pts, 2))
+    t = A.sign_table()
+
+    def crosses(e1, e2):
+        a, b = e1
+        c, d = e2
+        if {a, b} & {c, d}:
+            return False
+        return t[a][b][c] != t[a][b][d] and t[c][d][a] != t[c][d][b]
+
+    compat = {
+        frozenset((e1, e2))
+        for e1, e2 in itertools.combinations(segs, 2)
+        if not crosses(e1, e2)
+    }
+
+    def compatible(e1, e2):
+        return frozenset((e1, e2)) in compat
+
+    # depth-first over (chosen, rest): take rest[0] when it crosses nothing
+    # chosen, or leave it out, which can only lead to a maximal set if
+    # something crosses it
+    results = []
+    stack = [([], segs)]
+    while stack:
+        chosen, rest = stack.pop()
+        if not rest:
+            results.append(frozenset(chosen))
+            continue
+        e, tail = rest[0], rest[1:]
+        if any(not compatible(e, f) for f in itertools.chain(chosen, tail)):
+            stack.append((chosen, tail))
+        stack.append((chosen + [e], [f for f in tail if compatible(e, f)]))
+    maximal = [
+        s
+        for s in set(results)
+        if all(e in s or any(not compatible(e, f) for f in s) for e in segs)
+    ]
+    tris = set()
+    for edges in maximal:
+        faces = set()
+        for a, b, c in itertools.combinations(pts, 3):
+            if (a, b) in edges and (a, c) in edges and (b, c) in edges:
+                # no point strictly inside: on the same side of all three edges
+                if not any(
+                    w not in (a, b, c) and t[a][b][w] == t[b][c][w] == t[c][a][w]
+                    for w in pts
+                ):
+                    faces.add(frozenset((a, b, c)))
+        tris.add(frozenset(faces))
+    return tris
+
+
+def oracle_triangulations(A):
+    """Marked triangulations in key order, built from the triangulations of
+    the hull corners plus each subset of the interior points."""
+    hull = A.hull()
+    interior = [w for w in range(len(A)) if w not in hull]
+    t = A.sign_table()
+    out = set()
+    for r in range(len(interior) + 1):
+        for extra in itertools.combinations(interior, r):
+            used = sorted(set(hull) | set(extra))
+            for faces in oracle_full_triangulations(A, used):
+                cells = []
+                for tri in faces:
+                    a, b, c = sorted(tri)
+                    ccw = (a, b, c) if t[a][b][c] > 0 else (a, c, b)
+                    cells.append(Cell(ccw, frozenset(tri)))
+                sub = Subdivision(A, cells)
+                assert len(sub.cells) == 2 * len(used) - 2 - len(hull)
+                validate_subdivision(sub)
+                out.add(sub)
+    return sorted(out, key=lambda s: s.key())
+
+
+def oracle_subdivisions(A, tris):
+    """Every coarsening of the given triangulations by a subset of their
+    interior edges, merged by the boundary walk, in key order."""
+    subs = set()
+    for tri in tris:
+        interior = tri.interior_edges()
+        for r in range(len(interior) + 1):
+            for drop in itertools.combinations(interior, r):
+                merged = walk_merge_cells(A, tri, drop)
+                if merged is None or merged in subs:
+                    continue
+                validate_subdivision(merged)
+                subs.add(merged)
+    return sorted(subs, key=lambda s: s.key())
+
+
 def containment_refines(fine, coarse):
     """The point-in-polygon refinement test that edge-set inclusion
     replaced: every fine cell has its corners in one coarse cell whose
@@ -523,18 +638,20 @@ def oracle_configs():
     return out
 
 
-def test_merges_and_refinement_match_the_geometric_oracles(monkeypatch):
-    """The triangle-count merge gives the same subdivisions as the boundary
-    walk, and edge-set refinement agrees with polygon containment on every
-    ordered pair of them."""
+def test_merges_and_refinement_match_the_geometric_oracles():
+    """The enumeration gives the same triangulations and subdivisions, in
+    the same order, as triangulating each set of used points and coarsening
+    every triangulation by the boundary walk; edge-set refinement agrees with
+    polygon containment on every ordered pair of subdivisions."""
     strong = set()
     for A in oracle_configs():
         strong.add(general_position(A).strong_lin_general)
+        tris = oracle_triangulations(A)
+        assert [s.key() for s in enumerate_triangulations(A)] == [
+            s.key() for s in tris], A
         subs = enumerate_subdivisions(A)
-        with monkeypatch.context() as m:
-            m.setattr(secondary, "_merge_cells", walk_merge_cells)
-            walked = enumerate_subdivisions(A)
-        assert [s.key() for s in subs] == [s.key() for s in walked], A
+        assert [s.key() for s in subs] == [
+            s.key() for s in oracle_subdivisions(A, tris)], A
         for fine, coarse in itertools.product(subs, repeat=2):
             assert refines(fine, coarse) == containment_refines(fine, coarse), (
                 A, fine, coarse)
