@@ -1,16 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
-All matrices are immutable grids of ``fractions.Fraction``.  Inverses, ranks
-and kernels are computed by exact Gaussian elimination; a singular inverse is
-an error (`NotInvertible`), never a tolerance call.
+All matrices are immutable grids of ``fractions.Fraction``.  Inverses and
+kernels are computed by exact Gaussian elimination, ranks by fraction-free
+elimination on integer rows; a singular inverse is an error
+(`NotInvertible`), never a tolerance call.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotInvertible, ShapeMismatch
+from .lp import _int_row, _reduce
 
 Q = Fraction
 _ZERO, _ONE = Q(0), Q(1)
@@ -28,6 +31,37 @@ def _frac(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise InvalidInput(f"not an exact rational: {x!r}")
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """The rank of a list of integer rows.  Each step takes a pivot row,
+    clears its column from the other rows by integer multiples of both and
+    divides each changed row by its gcd, so no Fraction is formed and
+    entries stay small."""
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        p = pivot[c]
+        rest = []
+        for row in rows:
+            if row is pivot:
+                continue
+            f = row[c]
+            if f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                if not any(row):
+                    continue
+                _reduce(row)
+            rest.append(row)
+        rows = rest
+    return rank
 
 
 class MatQ:
@@ -194,7 +228,9 @@ class MatQ:
         return m, pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        """Rank by fraction-free elimination: each row is scaled to integers
+        over its least common denominator, and elimination runs on those."""
+        return int_rank([_int_row(row)[0] for row in self.entries])
 
     def inverse(self) -> "MatQ":
         if not self.is_square():

@@ -35,8 +35,9 @@ def _int_row(vals: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in vals], den
 
 
-def _reduce(row: list[int], den: int) -> int:
-    """Divide row and den by their gcd in place of row; returns the new den."""
+def _reduce(row: list[int], den: int = 0) -> int:
+    """Divide row and den by their gcd in place of row; returns the new den.
+    With den 0 this divides the row by the gcd of its entries."""
     g = math.gcd(den, *row)
     if g > 1:
         row[:] = [v // g for v in row]

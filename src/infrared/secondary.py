@@ -5,15 +5,20 @@ A subdivision is a list of marked cells (convex polygon with vertex indices
 in the configuration, plus a marked subset containing the polygon's
 corners); points marked nowhere are `omitted`.  Regularity is exact strict
 feasibility of the lifting system, decided by a slack-maximizing rational
-simplex: the lift must be affine on each cell through the marked values,
-break convexly across every interior edge, and pass strictly below every
-unmarked point of each cell.
+simplex whose only unknowns are the heights psi and the slack: on each cell
+the lift is the affine function through psi at three of its corners, and it
+must take the value psi at every other marked point of the cell, break
+convexly across every interior edge, and pass strictly below every unmarked
+point of the cell.  Every row is integral: a barycentric row times the
+doubled area of its basis triangle.
 
 The three-term deformation complex of a subdivision has cells, interior
 edges and interior vertices in degrees 0, 1, 2 with restriction
 differentials signed by co-orientations; its middle cohomology dimension is
 the exceptionality, and codim F = dim D - 3 with D the space of lifts
-(piecewise-affine values plus free values at omitted points).
+(piecewise-affine values plus free values at omitted points).  The
+differentials are integer matrices (coordinates times a common
+denominator), and their ranks come from fraction-free elimination.
 
 Two routines rest on standard facts about subdivisions of a configuration
 in linear general position, no three points collinear (De Loera, Rambau and
@@ -42,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
 from .geometry import Config, Dir, convex_hull, general_position
-from .linalg import MatQ
+from .linalg import MatQ, int_rank
 
 Q = Fraction
 
@@ -283,69 +288,84 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
 
 @dataclass(frozen=True)
 class RegularityWitness:
+    """Heights psi whose lower hull induces the subdivision, 0 at the first
+    three hull corners, and the optimal slack, which is 1."""
+
     psi: tuple[Fraction, ...]
     slack: Fraction
+
+
+def _int_points(A: Config) -> tuple[list[tuple[int, int]], int]:
+    """The points times a common denominator `den`, as integer pairs, and
+    `den`."""
+    xy, den = lp._int_row([c for p in A for c in (p.x, p.y)])
+    return list(zip(xy[::2], xy[1::2])), den
 
 
 def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     """Strict-feasibility test; returns a witness or None (irregular).
 
-    Unknowns: one lift value per point and three affine coefficients per
-    cell, plus the slack s maximized subject to s <= 1:
-      * f_cell(w) = psi_w for marked w,
-      * f_cell(w) + s <= psi_w for unmarked w covered by the cell,
-      * f_cell(p) + s <= f_other(p) across every interior edge,
-    so the optimum is positive exactly when the subdivision is regular.
+    The unknowns are the heights psi and the slack s, maximized subject to
+    s <= 1.  A lift is defined up to an affine function, so psi is 0 at the
+    first three hull corners.  Each cell's affine function f_cell is the
+    barycentric combination of psi at three of its corners, and
+      * f_cell(w) = psi_w for every other marked point w of the cell,
+      * f_cell(w) + s <= psi_w for each unmarked point w in the cell,
+      * f_cell(p) + s <= psi_p across every interior edge, p a corner of the
+        cell on its other side,
+    so the optimum is positive exactly when the subdivision is regular.  The
+    system is homogeneous apart from s <= 1, so a regular subdivision's
+    witness has slack 1: its lift clears each unmarked point and each fold by
+    at least 1.
     """
     validate_subdivision(sub)
     n = len(A)
-    ncells = len(sub.cells)
-    nvars = n + 3 * ncells + 1
-    s_idx = nvars - 1
+    fixed = A.hull()[:3]
+    var = {w: k for k, w in enumerate(w for w in range(n) if w not in fixed)}
+    s_idx = len(var)
+    nvars = s_idx + 1
 
-    def cell_coords(ci: int, w: int):
-        base = n + 3 * ci
-        return [(base, A[w].x), (base + 1, A[w].y), (base + 2, Q(1))]
+    pts, _ = _int_points(A)
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    def area2(a: int, b: int, c: int) -> int:
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
-    def add_le(terms, bound=Q(0)):
-        row = [Q(0)] * nvars
-        for idx, coef in terms:
-            row[idx] += coef
-        rows.append(row)
-        rhs.append(bound)
+    def excess(ci: int, w: int, slack: bool) -> list[int]:
+        """The row f_ci(w) - psi_w, plus s when `slack`, times the doubled
+        area of ci's basis triangle, which is positive, so the row is
+        integral."""
+        a, b, c = sub.cells[ci].polygon[:3]
+        det, lb, lc = area2(a, b, c), area2(a, w, c), area2(a, b, w)
+        row = [0] * nvars
+        for p, coef in ((a, det - lb - lc), (b, lb), (c, lc), (w, -det)):
+            if p in var:
+                row[var[p]] += coef
+        if slack:
+            row[s_idx] = det
+        return row
 
+    rows: list[list[int]] = []
     for ci, cell in enumerate(sub.cells):
-        for w in cell.marked:
-            # f_ci(w) - psi_w = 0 as two inequalities
-            terms = cell_coords(ci, w) + [(w, Q(-1))]
-            add_le(terms)
-            add_le([(i, -c) for i, c in terms])
+        for w in sorted(cell.marked.difference(cell.polygon[:3])):
+            row = excess(ci, w, False)
+            rows += [row, [-v for v in row]]
         for w in range(n):
-            if w in cell.marked:
-                continue
-            if _point_in_polygon(A, cell.polygon, w):
-                add_le(cell_coords(ci, w) + [(w, Q(-1)), (s_idx, Q(1))])
-
+            if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
+                rows.append(excess(ci, w, True))
     for e, owners in sub.edge_cells.items():
-        if len(owners) != 2:
-            continue
-        ci, cj = owners
-        probe = next(w for w in sub.cells[cj].polygon if w not in e)
-        terms = cell_coords(ci, probe) + [
-            (i, -c) for i, c in cell_coords(cj, probe)
-        ] + [(s_idx, Q(1))]
-        add_le(terms)
-
-    add_le([(s_idx, Q(1))], Q(1))
-    objective = [Q(0)] * nvars
-    objective[s_idx] = Q(1)
+        if len(owners) == 2:
+            ci, cj = owners
+            probe = next(w for w in sub.cells[cj].polygon if w not in e)
+            rows.append(excess(ci, probe, True))
+    rows.append([0] * s_idx + [1])
+    rhs = [0] * (len(rows) - 1) + [1]
+    objective = [0] * s_idx + [1]
     value, x = lp.maximize(objective, rows, rhs)
     if value <= 0:
         return None
-    return RegularityWitness(tuple(x[:n]), value)
+    psi = tuple(x[var[w]] if w in var else Q(0) for w in range(n))
+    return RegularityWitness(psi, value)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +489,7 @@ def refinement_poset(subs: Sequence[Subdivision]) -> dict:
     """Strict refinement relation and poset height over the given family."""
     n = len(subs)
     less = [
-        [i != j and subs[i] != subs[j] and refines(subs[i], subs[j]) for j in range(n)]
+        [i != j and refines(subs[i], subs[j]) and subs[i] != subs[j] for j in range(n)]
         for i in range(n)
     ]
     heights = [0] * n
@@ -517,8 +537,10 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
     edge_ix = {e: t for t, e in enumerate(edges)}
     vert_ix = {v: t for t, v in enumerate(verts)}
 
-    # d0: cell functions {1, x, y} -> edge functions (values at endpoints)
-    d0 = [[Q(0)] * (3 * len(cells)) for _ in range(2 * len(edges))]
+    # d0: cell functions {1, x, y} -> edge functions (values at endpoints),
+    # over the integers: every coordinate times a common denominator `den`
+    pts, den = _int_points(A)
+    d0 = [[0] * (3 * len(cells)) for _ in range(2 * len(edges))]
     for ci, cell in enumerate(cells):
         poly = cell.polygon
         for a, b in zip(poly, poly[1:] + poly[:1]):
@@ -527,26 +549,25 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
                 continue
             lo, hi = sorted(e)  # edge directed lower -> higher index
             # +1 when the cell's ccw traversal agrees with the direction
-            sign = Q(1) if (a, b) == (lo, hi) else Q(-1)
+            sign = 1 if (a, b) == (lo, hi) else -1
             row0 = 2 * edge_ix[e]
             for t, w in enumerate((lo, hi)):
-                for k, coef in enumerate((Q(1), A[w].x, A[w].y)):
+                for k, coef in enumerate((den, *pts[w])):
                     d0[row0 + t][3 * ci + k] += sign * coef
     # d1: edge functions -> vertex values; +1 at the head, -1 at the tail
-    d1 = [[Q(0)] * (2 * len(edges)) for _ in range(len(verts))]
+    d1 = [[0] * (2 * len(edges)) for _ in range(len(verts))]
     for e, t in edge_ix.items():
         lo, hi = sorted(e)
         if lo in vert_ix:
-            d1[vert_ix[lo]][2 * t] += Q(-1)
+            d1[vert_ix[lo]][2 * t] -= 1
         if hi in vert_ix:
-            d1[vert_ix[hi]][2 * t + 1] += Q(1)
+            d1[vert_ix[hi]][2 * t + 1] += 1
 
-    d0m = MatQ(d0) if d0 else MatQ.zeros(0, 3 * len(cells))
-    d1m = MatQ(d1) if d1 else MatQ.zeros(0, 2 * len(edges))
-    if len(edges) and len(verts):
-        assert (d1m @ d0m).is_zero(), "co-orientation signs inconsistent"
-    r0 = d0m.rank() if edges else 0
-    r1 = d1m.rank() if verts else 0
+    cols = list(zip(*d0))
+    if any(sum(u * v for u, v in zip(row, col)) for row in d1 for col in cols):
+        raise AssertionError("co-orientation signs inconsistent")
+    r0 = int_rank(d0)
+    r1 = int_rank(d1)
     h0 = 3 * len(cells) - r0
     h1 = (2 * len(edges) - r1) - r0
     h2 = len(verts) - r1

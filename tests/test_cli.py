@@ -10,6 +10,7 @@ from infrared.cli import main
 from infrared.geometry import Config, config
 from infrared.perverse import TransportData
 from infrared.linalg import MatQ
+from infrared.secondary import Subdivision, induced_subdivision
 
 
 @pytest.fixture
@@ -258,6 +259,21 @@ def test_secondary_output_is_pinned(name, capsys):
     assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
     with open(os.path.join(DATA, name + ".secondary.json"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven"])
+def test_pinned_witnesses_induce_their_subdivisions(name):
+    """Each witness in the pinned `secondary` output lifts the configuration
+    to its subdivision, and exactly the irregular reports have none."""
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        A = Config.from_json(json.load(fh)["config"])
+    with open(os.path.join(DATA, name + ".secondary.json")) as fh:
+        reports = json.load(fh)["reports"]
+    for rep in reports:
+        assert (rep["witness"] is None) == (not rep["regular"])
+        if rep["witness"] is not None:
+            sub = Subdivision.from_json(A, rep["subdivision"])
+            assert induced_subdivision(A, rep["witness"]) == sub
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,15 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 from fractions import Fraction as Q
 
 import pytest
 
-from infrared import secondary
+from infrared import lp, secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from infrared.geometry import config, convex_hull, direction, general_position, orient
+from infrared.geometry import (
+    Config, config, convex_hull, direction, general_position, orient)
 from infrared.secondary import (
     Cell,
     _canon_cycle,
@@ -656,3 +658,76 @@ def test_merges_and_refinement_match_the_geometric_oracles():
             assert refines(fine, coarse) == containment_refines(fine, coarse), (
                 A, fine, coarse)
     assert strong == {True, False}
+
+
+def full_lift_is_regular(A, sub):
+    """The full-lift LP that the heights-only system replaced: one lift
+    value per point, three affine coefficients per cell and the slack s,
+    maximized subject to s <= 1, with
+      * f_cell(w) = psi_w for marked w, as two inequalities,
+      * f_cell(w) + s <= psi_w for unmarked w covered by the cell,
+      * f_cell(p) + s <= f_other(p) across every interior edge.
+    Returns the optimum when it is positive, else None."""
+    n = len(A)
+    nvars = n + 3 * len(sub.cells) + 1
+    s_idx = nvars - 1
+
+    def cell_coords(ci, w):
+        base = n + 3 * ci
+        return [(base, A[w].x), (base + 1, A[w].y), (base + 2, Q(1))]
+
+    rows, rhs = [], []
+
+    def add_le(terms, bound=Q(0)):
+        row = [Q(0)] * nvars
+        for idx, coef in terms:
+            row[idx] += coef
+        rows.append(row)
+        rhs.append(bound)
+
+    for ci, cell in enumerate(sub.cells):
+        for w in cell.marked:
+            terms = cell_coords(ci, w) + [(w, Q(-1))]
+            add_le(terms)
+            add_le([(i, -c) for i, c in terms])
+        for w in range(n):
+            if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
+                add_le(cell_coords(ci, w) + [(w, Q(-1)), (s_idx, Q(1))])
+    for e, owners in sub.edge_cells.items():
+        if len(owners) != 2:
+            continue
+        ci, cj = owners
+        probe = next(w for w in sub.cells[cj].polygon if w not in e)
+        add_le(cell_coords(ci, probe)
+               + [(i, -c) for i, c in cell_coords(cj, probe)]
+               + [(s_idx, Q(1))])
+    add_le([(s_idx, Q(1))], Q(1))
+    objective = [Q(0)] * nvars
+    objective[s_idx] = Q(1)
+    value, _ = lp.maximize(objective, rows, rhs)
+    return value if value > 0 else None
+
+
+def seven():
+    path = os.path.join(os.path.dirname(__file__), "data", "seven.json")
+    with open(path) as fh:
+        return Config.from_json(json.load(fh)["config"])
+
+
+def test_heights_only_lp_matches_the_full_lift_oracle():
+    """The heights-only LP decides regularity as the full-lift LP does on
+    the 61 `oracle_configs()`, the nested triangles, the pinwheel points and
+    `seven.json`; every witness has slack 1 and induces its subdivision."""
+    configs = oracle_configs() + [
+        concentric_triangles()[0], config(*PINWHEEL_POINTS), seven()]
+    irregular = 0
+    for A in configs:
+        for sub in enumerate_subdivisions(A):
+            wit = is_regular(A, sub)
+            assert (wit is None) == (full_lift_is_regular(A, sub) is None), (A, sub)
+            if wit is None:
+                irregular += 1
+                continue
+            assert wit.slack == 1, (A, sub)
+            assert induced_subdivision(A, wit.psi) == sub, (A, sub)
+    assert irregular == 28  # 14 each for the nested triangles and the pinwheel
