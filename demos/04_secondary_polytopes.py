@@ -38,9 +38,11 @@ print("lift the interior point high:", induced_subdivision(circuit, [0, 0, 0, 5]
 pent = config(*[(Q(k), Q(k) * Q(k) + Q(1, k + 2)) for k in range(5)])
 subs = enumerate_subdivisions(pent)
 regs = [s for s in subs if is_regular(pent, s) is not None]
+poset = refinement_poset(regs, [deformation_complex(pent, s).codim for s in regs])
 print("\npentagon: triangulations", len(enumerate_triangulations(pent)),
       "| faces", len(regs),
-      "| poset height", refinement_poset(regs)["height"],
+      "| poset height", poset["height"],
+      "| covers", len(poset["covers"]),
       "| coarse", len(coarse_subdivisions(pent)))
 
 # concentric triangles: a regular but exceptional subdivision

@@ -15,6 +15,11 @@ fourier    the decategorified Fourier transform, convex-path Stokes
            matrices and the monodromy factorization
 secondary  marked subdivisions, regularity by exact LP, deformation
            complexes, exceptionality, framings and content
+lp         exact simplex on fraction-free integer rows
+plotting   CSV, SVG and DOT plot data for configurations and posets
+checksuite seeded random invariant suite behind `infrared check`
+randomgen  seeded random configurations, matrices, quivers and transports
+errors     the error hierarchy and its JSON error codes
 cli        JSON-driven command line front end
 """
 

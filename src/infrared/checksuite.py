@@ -3,7 +3,7 @@
 A compact, deterministic battery over the core identities: Jacobson,
 duality round trip, braid relations and naturality, wall-crossing
 involutivity, the Fourier monodromy product and the Stokes factorization.
-Each sub-suite reports pass/fail with a counterexample seed when broken.
+`run` returns a bare pass/fail boolean per sub-suite, `all_ok` and the seed.
 """
 
 from __future__ import annotations

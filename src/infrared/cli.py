@@ -229,6 +229,7 @@ def cmd_secondary(inst: Instance, args) -> dict:
     subs = enumerate_subdivisions(A)
     reports = []
     regular_subs = []
+    regular_codims = []
     for sub in subs:
         wit = is_regular(A, sub)
         rep = deformation_complex(A, sub)
@@ -245,7 +246,8 @@ def cmd_secondary(inst: Instance, args) -> dict:
         )
         if wit is not None:
             regular_subs.append(sub)
-    poset = refinement_poset(regular_subs)
+            regular_codims.append(rep.codim)
+    poset = refinement_poset(regular_subs, regular_codims)
     n_tri = sum(1 for r in reports if r["triangulation"])
     return {
         "n": len(A),
@@ -253,9 +255,7 @@ def cmd_secondary(inst: Instance, args) -> dict:
         "subdivisions": len(subs),
         "regular": len(regular_subs),
         "poset_height": poset["height"],
-        "coarse": sum(
-            1 for sub, r in zip(subs, reports) if r["regular"] and r["codim"] == 1
-        ),
+        "coarse": regular_codims.count(1),
         "reports": reports,
     }
 
@@ -274,6 +274,8 @@ def cmd_plot(inst: Instance, args) -> dict:
 
     zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
     if args.format == "svg":
+        if args.poset:
+            raise InvalidInput("--poset needs --format csv or dot")
         text = plotting.config_svg(inst.config, zeta)
     elif args.format == "csv":
         text = (

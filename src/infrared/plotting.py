@@ -1,13 +1,14 @@
 """Write-only plot data: CSV point dumps, SVG sketches of configurations
-with their hulls and convex paths, and DOT for refinement posets."""
+with their hulls and convex paths, and the refinement poset of regular
+subdivisions as a CSV edge list or a DOT digraph.  The poset's edges are
+the covers that `secondary.refinement_poset` builds level by level."""
 
 from __future__ import annotations
 
-import itertools
-
 from .geometry import Config, Dir, convex_hull, infinity_generic
 from .paths import enumerate_zeta_convex_paths
-from .secondary import enumerate_subdivisions, is_regular, refinement_poset
+from .secondary import (
+    deformation_complex, enumerate_subdivisions, is_regular, refinement_poset)
 
 
 def config_csv(A: Config) -> str:
@@ -65,17 +66,11 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
 
 
 def _poset_covers(A: Config):
-    """Regular subdivisions of A and the covering pairs (i, j) of their
-    refinement poset."""
+    """Regular subdivisions of A and the covering pairs (fine, coarse) of
+    their refinement poset."""
     subs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
-    less = refinement_poset(subs)["less"]
-    n = len(subs)
-    covers = [
-        (i, j)
-        for i, j in itertools.product(range(n), range(n))
-        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
-    ]
-    return subs, covers
+    codims = [deformation_complex(A, s).codim for s in subs]
+    return subs, refinement_poset(subs, codims)["covers"]
 
 
 def _label(sub) -> str:

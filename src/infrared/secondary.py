@@ -41,7 +41,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import lp
@@ -79,9 +79,13 @@ class Cell:
 
     def edges(self) -> list[frozenset[int]]:
         poly = self.polygon
-        return [
-            frozenset((a, b)) for a, b in zip(poly, poly[1:] + poly[:1])
-        ]
+        return [_edge(a, b) for a, b in zip(poly, poly[1:] + poly[:1])]
+
+
+@cache
+def _edge(a: int, b: int) -> frozenset[int]:
+    """The segment ab: one set per index pair, shared by all edge maps."""
+    return frozenset((a, b))
 
 
 def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -120,14 +124,14 @@ class Subdivision:
         return frozenset(range(len(self.config))) - self.marked
 
     @cached_property
-    def edge_cells(self) -> dict[frozenset[int], list[int]]:
+    def edge_cells(self) -> dict[frozenset[int], tuple[int, ...]]:
         """Each cell edge -> the indices of the cells that have it, in cell
         order: two for an interior edge, one for a hull edge."""
         owners: dict[frozenset[int], list[int]] = {}
         for ci, c in enumerate(self.cells):
             for e in c.edges():
                 owners.setdefault(e, []).append(ci)
-        return owners
+        return {e: tuple(o) for e, o in owners.items()}
 
     def __eq__(self, other):
         return isinstance(other, Subdivision) and self.key() == other.key()
@@ -148,11 +152,8 @@ class Subdivision:
         )
 
     def interior_vertices(self) -> list[int]:
-        hull = set(self.config.hull())
-        verts = set()
-        for c in self.cells:
-            verts |= set(c.polygon)
-        return sorted(verts - hull)
+        corners = {w for c in self.cells for w in c.polygon}
+        return sorted(corners - set(self.config.hull()))
 
     def is_triangulation(self) -> bool:
         return all(
@@ -226,9 +227,7 @@ def validate_subdivision(sub: Subdivision) -> None:
             raise InvalidInput(f"edge {sorted(e)} shared {k} times")
     # no corner of one cell strictly inside another cell
     t = A.sign_table()
-    corners = set()
-    for c in sub.cells:
-        corners |= set(c.polygon)
+    corners = {w for c in sub.cells for w in c.polygon}
     for c in sub.cells:
         edges = list(zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
         for w in corners - set(c.polygon):
@@ -454,14 +453,15 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
             w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A, cyc, w))
             for w in loose
         }
+        # cells that mark no extra point share their corner set
+        corners = [frozenset(cyc) for cyc in cycles]
         for r in range(len(loose) + 1):
             for extra in itertools.combinations(loose, r):
-                marked = [set(cyc) for cyc in cycles]
+                marked = list(corners)
                 for w in extra:
-                    marked[home[w]].add(w)
+                    marked[home[w]] |= {w}
                 sub = Subdivision(
-                    A,
-                    [Cell(tuple(c), frozenset(m)) for c, m in zip(cycles, marked)],
+                    A, [Cell(tuple(c), m) for c, m in zip(cycles, marked)]
                 )
                 validate_subdivision(sub)
                 subs.append(sub)
@@ -485,21 +485,27 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     )
 
 
-def refinement_poset(subs: Sequence[Subdivision]) -> dict:
-    """Strict refinement relation and poset height over the given family."""
-    n = len(subs)
-    less = [
-        [i != j and refines(subs[i], subs[j]) and subs[i] != subs[j] for j in range(n)]
-        for i in range(n)
-    ]
-    heights = [0] * n
-    # refines is transitive, so i < j gives i strictly more successors than
-    # j: descending successor count is a topological order of the relation
-    for i in sorted(range(n), key=lambda i: -sum(less[i])):
-        for j in range(n):
-            if less[i][j]:
-                heights[j] = max(heights[j], heights[i] + 1)
-    return {"less": less, "height": max(heights) if heights else 0}
+def refinement_poset(subs: Sequence[Subdivision], codims: Sequence[int]) -> dict:
+    """Covers and height of the refinement poset of `subs`, codims[i] being
+    the codim of subs[i].  `subs` must be the complete family of regular
+    subdivisions of one configuration: their poset is then the face lattice
+    of the secondary polytope, graded by codim (Gelfand, Kapranov and
+    Zelevinsky, *Discriminants, Resultants and Multidimensional
+    Determinants*, Ch. 7), so T is covered by S exactly when T refines S and
+    codim T = codim S + 1, and only adjacent codim levels are compared.
+    `covers` lists the (fine, coarse) index pairs in increasing order; the
+    height is max codim - min codim, 0 for an empty family."""
+    levels: dict[int, list[int]] = {}
+    for i, c in enumerate(codims):
+        levels.setdefault(c, []).append(i)
+    covers = sorted(
+        (i, j)
+        for c, coarse in levels.items()
+        for i in levels.get(c + 1, ())
+        for j in coarse
+        if refines(subs[i], subs[j])
+    )
+    return {"covers": covers, "height": max(codims) - min(codims) if codims else 0}
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +656,9 @@ def framing(A: Config, polygon: Sequence[int], zeta: Dir) -> Framing:
     ai = vals.index(min(vals))
     oi = vals.index(max(vals))
     m = len(poly)
-    d_plus = []
-    t = ai
-    while True:
-        d_plus.append(poly[t])
-        if t == oi:
-            break
-        t = (t + 1) % m
-    d_minus = []
-    t = ai
-    while True:
-        d_minus.append(poly[t])
-        if t == oi:
-            break
-        t = (t - 1) % m
-    return Framing(tuple(poly), poly[ai], poly[oi], tuple(d_plus), tuple(d_minus))
+    d_plus = tuple(poly[(ai + k) % m] for k in range((oi - ai) % m + 1))
+    d_minus = tuple(poly[(ai - k) % m] for k in range((ai - oi) % m + 1))
+    return Framing(poly, poly[ai], poly[oi], d_plus, d_minus)
 
 
 def content(A: Config, fr: Framing) -> int:

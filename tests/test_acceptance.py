@@ -385,7 +385,7 @@ def test_criterion_10_secondary_polytopes():
         (_convex_gon(7), 4),
     ):
         subs = enumerate_subdivisions(A)
-        regs = []
+        regs, codims = [], []
         for sub in subs:
             rep = deformation_complex(A, sub)
             assert rep.h2 == 0
@@ -393,10 +393,11 @@ def test_criterion_10_secondary_polytopes():
             if wit is None:
                 continue
             regs.append(sub)
+            codims.append(rep.codim)
             assert induced_subdivision(A, wit.psi) == sub
             assert rep.codim == rep.h0 + rep.n_omitted - 3
             assert rep.h0 == rep.dim_def0 - rep.dim_def1 + rep.dim_def2 + rep.exc
-        assert refinement_poset(regs)["height"] == expected_height
+        assert refinement_poset(regs, codims)["height"] == expected_height
 
     A, sub = _concentric()
     rep = deformation_complex(A, sub)

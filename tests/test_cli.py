@@ -396,3 +396,10 @@ def test_non_integer_enumeration_bound_is_invalid_input(
     code, data = run_cli(["secondary", circuit_file], capsys)
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
+
+
+def test_plot_svg_rejects_poset(circuit_file, capsys):
+    # an SVG sketch draws the points only, so --poset would be dropped
+    code, data = run_cli(["plot", circuit_file, "--format", "svg", "--poset"], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"

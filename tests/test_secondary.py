@@ -121,7 +121,9 @@ def test_pentagon_catalan_and_poset():
     subs = enumerate_subdivisions(pent)
     regs = [s for s in subs if is_regular(pent, s) is not None]
     assert len(regs) == 11  # faces of the associahedron K4: 5 + 5 + 1
-    assert refinement_poset(regs)["height"] == 2
+    poset = refinement_poset(regs, [deformation_complex(pent, s).codim for s in regs])
+    assert poset["height"] == 2
+    assert len(poset["covers"]) == 15  # 2 diagonals per triangulation, 5 to the cell
     assert len(coarse_subdivisions(pent)) == 5
 
 
@@ -731,3 +733,47 @@ def test_heights_only_lp_matches_the_full_lift_oracle():
             assert wit.slack == 1, (A, sub)
             assert induced_subdivision(A, wit.psi) == sub, (A, sub)
     assert irregular == 28  # 14 each for the nested triangles and the pinwheel
+
+
+def less_poset(subs):
+    """The relation that the graded covers replaced: the n x n strict
+    refinement matrix over any family, its covers by a cubic transitive
+    reduction, and the longest chain by a topological sweep."""
+    n = len(subs)
+    less = [
+        [i != j and refines(subs[i], subs[j]) and subs[i] != subs[j] for j in range(n)]
+        for i in range(n)
+    ]
+    heights = [0] * n
+    # refines is transitive, so i < j gives i strictly more successors than
+    # j: descending successor count is a topological order of the relation
+    for i in sorted(range(n), key=lambda i: -sum(less[i])):
+        for j in range(n):
+            if less[i][j]:
+                heights[j] = max(heights[j], heights[i] + 1)
+    covers = [
+        (i, j)
+        for i, j in itertools.product(range(n), range(n))
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
+    ]
+    return {"covers": covers, "height": max(heights) if heights else 0}
+
+
+def test_graded_covers_match_the_refinement_matrix():
+    """On complete regular families, covers between adjacent codim levels
+    and the codim span equal the transitive reduction and the longest chain
+    of the full refinement matrix: the 61 `oracle_configs()`, the nested
+    triangles (with an exceptional subdivision), the pinwheel points,
+    `seven.json`, convex 4- to 7-gons and both circuits."""
+    configs = oracle_configs() + [
+        concentric_triangles()[0], config(*PINWHEEL_POINTS), seven(),
+        *(convex_gon(n) for n in range(4, 8)), CIRCUIT_A, CIRCUIT_B]
+    for A in configs:
+        regs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
+        codims = [deformation_complex(A, s).codim for s in regs]
+        assert refinement_poset(regs, codims) == less_poset(regs), A
+    triangle = config((0, 0), (1, 0), (0, 1))
+    (only,) = enumerate_subdivisions(triangle)
+    assert refinement_poset([only], [deformation_complex(triangle, only).codim]) == {
+        "covers": [], "height": 0}
+    assert refinement_poset([], []) == {"covers": [], "height": 0}
