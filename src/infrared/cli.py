@@ -269,6 +269,8 @@ def cmd_check(inst_or_none, args) -> dict:
 
 
 def cmd_plot(inst: Instance, args) -> dict:
+    if args.format not in ("svg", "csv", "dot"):
+        raise InvalidInput(f"plot needs --format svg, csv or dot, not {args.format}")
     _need(inst, "config")
     from . import plotting
 

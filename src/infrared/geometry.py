@@ -8,7 +8,9 @@ cross products, so no floating point enters any predicate.
 Conventions
 -----------
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
-  it is the sign of det [[1,1,1],[x_a,x_b,x_c],[y_a,y_b,y_c]].  Predicates
+  it is the sign of det [[1,1,1],[x_a,x_b,x_c],[y_a,y_b,y_c]], read from an
+  integer cross product of ``Config.int_points()``, the points times the
+  lcm of their coordinate denominators, kept per configuration.  Predicates
   read these signs from ``Config.sign_table()``, computed once per
   configuration.
 * The dominance value of a point w in direction zeta is
@@ -33,6 +35,7 @@ from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
 from .linalg import _frac
+from .lp import _int_row
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def direction(dx, dy) -> Dir:
 class Config:
     """An ordered tuple of pairwise distinct marked points w_1..w_N."""
 
-    __slots__ = ("points", "_signs", "_hull")
+    __slots__ = ("points", "_signs", "_hull", "_ints")
 
     def __init__(self, points: Iterable[Pt]):
         pts = tuple(points)
@@ -132,6 +135,17 @@ class Config:
         self._signs = t
         return t
 
+    def int_points(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The points times the lcm `den` of their coordinate denominators,
+        as integer pairs, and `den`; computed on first use and kept."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
+        xy, den = _int_row([c for p in self.points for c in (p.x, p.y)])
+        self._ints = (tuple(zip(xy[::2], xy[1::2])), den)
+        return self._ints
+
     def hull(self) -> tuple[int, ...]:
         """convex_hull(self) as a tuple; computed on first use and kept."""
         try:
@@ -163,8 +177,9 @@ def orient(A: Config, i: int, j: int, k: int) -> int:
     """Sign of the orientation determinant of (w_i, w_j, w_k); +1 = ccw."""
     if len({i, j, k}) != 3:
         raise InvalidInput("orient needs three distinct indices")
-    a, b, c = A[i], A[j], A[k]
-    d = (b - a).cross(c - a)
+    pts = A.int_points()[0]
+    (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (d > 0) - (d < 0)
 
 

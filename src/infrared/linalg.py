@@ -3,13 +3,18 @@
 All matrices are immutable grids of ``fractions.Fraction``.  Inverses and
 kernels are computed by exact Gaussian elimination, ranks by fraction-free
 elimination on integer rows; a singular inverse is an error
-(`NotInvertible`), never a tolerance call.
+(`NotInvertible`), never a tolerance call.  Products and the forward
+substitution of `solve_unit_upper_right` scale each row and column to
+integers over its least common denominator: an entry is one integer dot
+product over the product of a row and a column denominator, normalised once,
+with no Fraction formed per term.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotInvertible, ShapeMismatch
@@ -189,14 +194,12 @@ class MatQ:
             )
         if not self.cols:
             return MatQ.zeros(self.rows, other.cols)
-        cols = list(zip(*other.entries))
-        # zero terms are skipped: block-structured operands (unitriangular
-        # Stokes matrices, block diagonals, slot projections) are mostly zero
-        return MatQ._trusted(tuple([
-            tuple([sum([a * b for a, b in zip(row, col) if a and b], _ZERO)
-                   for col in cols])
-            for row in self.entries
-        ]), other.cols)
+        cols = [_int_row(col) for col in zip(*other.entries)]
+        out = []
+        for row in self.entries:
+            a, da = _int_row(row)
+            out.append(tuple([Q(sum(map(mul, a, b)), da * db) for b, db in cols]))
+        return MatQ._trusted(tuple(out), other.cols)
 
     @property
     def T(self) -> "MatQ":
@@ -294,20 +297,31 @@ def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
 def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
     """X with X @ u == b for u upper unitriangular (ones on the diagonal,
     zeros below it), by forward substitution over the columns: column c of X
-    is b_c - sum_{k<c} X_k u[k][c].  Nothing is inverted."""
+    is b_c - sum_{k<c} X_k u[k][c], one integer dot product per entry.
+    Nothing is inverted."""
     n = u.rows
     if u.cols != n or b.cols != n:
         raise ShapeMismatch(f"cannot solve X @ ({n}x{u.cols}) = ({b.rows}x{b.cols})")
     ue = u.entries
     if any(ue[c][c] != 1 or any(ue[c][:c]) for c in range(n)):
         raise InvalidInput("matrix is not upper unitriangular")
-    above = [[(k, ue[k][c]) for k in range(c) if ue[k][c]] for c in range(n)]
+    # column c of u above the diagonal, over its least common denominator
+    above = [_int_row([ue[k][c] for k in range(c)]) for c in range(n)]
     out = []
     for row in b.entries:
-        x = list(row)
-        for c, terms in enumerate(above):
-            for k, ukc in terms:
-                if x[k]:
-                    x[c] -= x[k] * ukc
+        # x[:c] is xs / dx, kept in integer form as the entries are found
+        x, xs, dx = [], [], 1
+        for bc, (uc, du) in zip(row, above):
+            s = sum(map(mul, xs, uc))
+            if s:
+                d = dx * du
+                bc = Q(bc.numerator * d - s * bc.denominator, bc.denominator * d)
+            x.append(bc)
+            q = bc.denominator
+            if dx % q:
+                m = q // math.gcd(dx, q)
+                xs = [v * m for v in xs]
+                dx *= m
+            xs.append(bc.numerator * (dx // q))
         out.append(tuple(x))
     return MatQ._trusted(tuple(out), n)

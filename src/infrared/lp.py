@@ -30,9 +30,12 @@ class Unbounded(Exception):
 
 def _int_row(vals: Sequence) -> tuple[list[int], int]:
     """Rationals as (ints, least positive common denominator)."""
-    vals = [v if isinstance(v, (int, Fraction)) else Q(v) for v in vals]
-    den = math.lcm(*[v.denominator for v in vals])
-    return [v.numerator * (den // v.denominator) for v in vals], den
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Q(v)).as_integer_ratio()
+        for v in vals
+    ]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _reduce(row: list[int], den: int = 0) -> int:

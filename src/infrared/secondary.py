@@ -101,7 +101,11 @@ class Subdivision:
         self.config = A
         self.cells = tuple(
             sorted(
-                (Cell(_canon_cycle(c.polygon), c.marked) for c in cells),
+                (
+                    c if c.polygon[0] == min(c.polygon)
+                    else Cell(_canon_cycle(c.polygon), c.marked)
+                    for c in cells
+                ),
                 key=lambda c: (c.polygon, sorted(c.marked)),
             )
         )
@@ -294,13 +298,6 @@ class RegularityWitness:
     slack: Fraction
 
 
-def _int_points(A: Config) -> tuple[list[tuple[int, int]], int]:
-    """The points times a common denominator `den`, as integer pairs, and
-    `den`."""
-    xy, den = lp._int_row([c for p in A for c in (p.x, p.y)])
-    return list(zip(xy[::2], xy[1::2])), den
-
-
 def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     """Strict-feasibility test; returns a witness or None (irregular).
 
@@ -324,7 +321,7 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     s_idx = len(var)
     nvars = s_idx + 1
 
-    pts, _ = _int_points(A)
+    pts = A.int_points()[0]
 
     def area2(a: int, b: int, c: int) -> int:
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
@@ -371,11 +368,11 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
 # enumeration
 
 
-def _cell_cycles(A: Config, nbrs: dict[int, list[int]]) -> list[list[int]]:
-    """The cells of a kept edge set as ccw corner cycles, traced along the
-    ccw hull ring and both directions of every other edge: after u -> v the
-    next corner is the neighbour w of v with t[v][u][w] < 0 that no other
-    such neighbour beats clockwise."""
+def _cell_cycles(A: Config, nbrs: dict[int, list[int]]) -> list[tuple[int, ...]]:
+    """The cells of a kept edge set as ccw corner cycles starting at their
+    least index, traced along the ccw hull ring and both directions of every
+    other edge: after u -> v the next corner is the neighbour w of v with
+    t[v][u][w] < 0 that no other such neighbour beats clockwise."""
     t = A.sign_table()
     hull = A.hull()
     outside = set(zip(hull[1:] + hull[:1], hull))
@@ -392,7 +389,7 @@ def _cell_cycles(A: Config, nbrs: dict[int, list[int]]) -> list[list[int]]:
             )
             todo.remove((v, w))
             u, v = v, w
-        cycles.append(cycle)
+        cycles.append(_canon_cycle(cycle))
     return cycles
 
 
@@ -461,7 +458,7 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
                 for w in extra:
                     marked[home[w]] |= {w}
                 sub = Subdivision(
-                    A, [Cell(tuple(c), m) for c, m in zip(cycles, marked)]
+                    A, [Cell(c, m) for c, m in zip(cycles, marked)]
                 )
                 validate_subdivision(sub)
                 subs.append(sub)
@@ -545,7 +542,7 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
 
     # d0: cell functions {1, x, y} -> edge functions (values at endpoints),
     # over the integers: every coordinate times a common denominator `den`
-    pts, den = _int_points(A)
+    pts, den = A.int_points()
     d0 = [[0] * (3 * len(cells)) for _ in range(2 * len(edges))]
     for ci, cell in enumerate(cells):
         poly = cell.polygon

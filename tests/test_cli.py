@@ -398,6 +398,16 @@ def test_non_integer_enumeration_bound_is_invalid_input(
     assert data["error"]["code"] == "invalid_input"
 
 
+@pytest.mark.parametrize("fmt", [None, "json", "jsonl"])
+def test_plot_rejects_a_non_plot_format(circuit_file, capsys, fmt):
+    # the default --format is json, which is no plot format
+    args = ["plot", circuit_file] + ([] if fmt is None else ["--format", fmt])
+    code, data = run_cli(args, capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "--format" in data["error"]["message"]
+
+
 def test_plot_svg_rejects_poset(circuit_file, capsys):
     # an SVG sketch draws the points only, so --poset would be dropped
     code, data = run_cli(["plot", circuit_file, "--format", "svg", "--poset"], capsys)
