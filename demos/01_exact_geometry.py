@@ -50,4 +50,4 @@ a1 = config((-4, -2), (0, -1), (4, "5/2"))
 print("\nwall events moving point 1 down across [w_0, w_2]:")
 for ev in segment_wall_events(a0, a1):
     print("  ", ev.kind, (ev.i, ev.j, ev.k), "eps before:", ev.eps_before,
-          "at t ~", round(ev.time.to_float(), 4))
+          "at t =", ev.time)

@@ -41,7 +41,6 @@ from .geometry import (
 from .linalg import MatQ, block_diagonal
 from .paths import (
     PolyPath,
-    enumerate_circum_paths,
     enumerate_zeta_convex_paths,
     height_data,
     incidence,

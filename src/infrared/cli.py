@@ -263,14 +263,14 @@ def cmd_secondary(inst: Instance, args) -> dict:
 def cmd_check(inst_or_none, args) -> dict:
     from . import checksuite
 
+    if args.n < 2:
+        raise InvalidInput(f"--n must be at least 2, got {args.n}")
     if args.dim < 1:
         raise InvalidInput(f"--dim must be at least 1, got {args.dim}")
     return checksuite.run(seed=args.seed, n=args.n, dim=args.dim)
 
 
 def cmd_plot(inst: Instance, args) -> dict:
-    if args.format not in ("svg", "csv", "dot"):
-        raise InvalidInput(f"plot needs --format svg, csv or dot, not {args.format}")
     _need(inst, "config")
     from . import plotting
 
@@ -294,36 +294,45 @@ def cmd_plot(inst: Instance, args) -> dict:
     return {"content": text}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown option, a bad
+    choice, a missing argument) are invalid input, reported as JSON like
+    every other error."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process.  Each subcommand offers
+    only the options its handler reads, and --out and --pretty."""
+    parser = _Parser(
         prog="infrared",
         description="exact workbench for planar perverse-sheaf combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_instance=True):
+    def add(name, fn, needs_instance=True, zeta=False):
         p = sub.add_parser(name)
         if needs_instance:
             p.add_argument("instance", nargs="?", help="instance JSON file")
-        p.add_argument("--zeta", help="direction dx/dy (integers)")
+        if zeta:
+            p.add_argument("--zeta", help="direction dx/dy (integers)")
         p.add_argument("--out", help="output file")
         p.add_argument("--pretty", action="store_true")
-        p.add_argument(
-            "--format", choices=("json", "jsonl", "csv", "svg", "dot"), default="json"
-        )
         p.set_defaults(fn=fn)
         return p
 
-    add("matroid", cmd_matroid)
-    p = add("antistokes", cmd_antistokes)
+    add("matroid", cmd_matroid, zeta=True)
+    p = add("antistokes", cmd_antistokes, zeta=True)
     p.add_argument("--rotation", choices=("ccw", "cw"), default="ccw")
-    p = add("paths", cmd_paths)
+    p = add("paths", cmd_paths, zeta=True)
     p.add_argument("--source", type=int)
     p.add_argument("--target", type=int)
-    add("stokes", cmd_stokes)
-    add("fourier", cmd_fourier)
+    p.add_argument("--format", choices=("json", "jsonl"), default="json")
+    add("stokes", cmd_stokes, zeta=True)
+    add("fourier", cmd_fourier, zeta=True)
     p = add("walk", cmd_walk)
     p.add_argument("--to", help="target configuration JSON")
     p.add_argument("--events", help="explicit crossing list JSON")
@@ -332,7 +341,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--dim", type=int, default=2)
-    p = add("plot", cmd_plot)
+    p = add("plot", cmd_plot, zeta=True)
+    p.add_argument("--format", choices=("svg", "csv", "dot"), required=True)
     p.add_argument("--poset", action="store_true",
                    help="emit the refinement poset instead of the points")
     return parser
@@ -352,8 +362,8 @@ def _emit(text: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         inst = None
         if getattr(args, "instance", None):
             inst = Instance.load(args.instance)

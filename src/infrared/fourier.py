@@ -29,7 +29,9 @@ w_j, and C- mirrors this with the opposite convexity.  The sums come from a
 transfer-matrix dynamic program over convex chains, one pass per source
 and direction, at one block product per chain edge (v, w) instead of one
 product chain per path; the path enumeration of the paths module is the
-test oracle.  The ascending monodromy product of the dressed transport data
+test oracle.  The circumnavigation sums, over the convex polygons on a hull
+edge [w_i, w_j], come from the same dynamic program, run in angular order
+about w_i.  The ascending monodromy product of the dressed transport data
 factors exactly as
 
     T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
@@ -50,10 +52,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegeneratePosition, InvalidInput, ShapeMismatch
+from .errors import DegeneratePosition, EdgePrecondition, InvalidInput, ShapeMismatch
 from .geometry import Config, Dir, general_position, infinity_generic
 from .linalg import MatQ, block_diagonal, solve_unit_upper_right
-from .paths import enumerate_circum_paths
 from .perverse import Quiver, TransportData
 
 
@@ -205,35 +206,51 @@ def _total(mats) -> MatQ:
     return functools.reduce(operator.add, mats)
 
 
+def _chain_sums(
+    m: TransportData, order: Sequence[int], t, turn: int, sign: int = 1
+) -> dict[int, MatQ]:
+    """For the source i = order[0] and each later v, the sum over the chains
+    from i to v that run forward in `order` and turn with t[u][x][w] == turn
+    at every intermediate vertex x, of the product of their edge blocks,
+    each times `sign`.
+
+    A transfer-matrix DP over convex chains (Eppstein, Overmars, Rote and
+    Woeginger, DCG 1992; Mitchell, Rote, Sundaram and Woeginger, IPL 1995).
+    S(u, v) sums the chains whose last edge is u -> v, starting from
+    S(i, v) = sign m_iv.  When v comes up in `order` every edge into v is
+    final, so block v is the sum of the S(u, v), and a chain through v
+    continues to a later w when it turns there:
+    S(v, w) = sign m_vw (sum of those S(u, v))."""
+    blk = m.m if sign == 1 else [[-x for x in row] for row in m.m]
+    i = order[0]
+    into = {v: {i: blk[i][v]} for v in order[1:]}  # into[v][u] = S(u, v)
+    sums: dict[int, MatQ] = {}
+    for a, v in enumerate(order[1:], 2):
+        last = into[v]
+        sums[v] = _total(last.values())
+        for w in order[a:]:
+            turns = [s for u, s in last.items() if t[u][v][w] == turn]
+            if turns:
+                into[w][v] = blk[v][w] @ _total(turns)
+    return sums
+
+
 def _convex_chain_sums(
     m: TransportData, A: Config, zeta: Dir
 ) -> dict[tuple[int, int], MatQ]:
     """For every pair with ell_zeta(w_i) < ell_zeta(w_j), the sum of the
     iterated transports over the zeta-convex paths from w_i to w_j.  The
-    projections must be pairwise distinct.
-
-    A transfer-matrix DP over convex chains (Eppstein, Overmars, Rote and
-    Woeginger, DCG 1992; Mitchell, Rote, Sundaram and Woeginger, IPL 1995).
-    For a source i, S(u, v) sums the chains from i whose last edge is
-    u -> v, starting from S(i, v) = m_iv.  The points are taken in
-    increasing ell; when v comes up every edge into v is final, so block
-    (i, v) is the sum of the S(u, v), and a chain through v continues to a
-    higher w when it turns clockwise there, t[u][v][w] < 0 (the turn test of
-    enumerate_zeta_convex_paths): S(v, w) = m_vw (sum of those S(u, v))."""
+    projections must be pairwise distinct.  One _chain_sums run per source
+    over the points above it in increasing ell, with the clockwise turn
+    t[u][v][w] == -1 of enumerate_zeta_convex_paths."""
     proj = [zeta.infinity_form(p) for p in A]
     up = sorted(range(len(A)), key=proj.__getitem__)
     t = A.sign_table()
-    sums: dict[tuple[int, int], MatQ] = {}
-    for k, i in enumerate(up):
-        into = {v: {i: m.m[i][v]} for v in up[k + 1:]}  # into[v][u] = S(u, v)
-        for a, v in enumerate(up[k + 1:], k + 1):
-            last = into[v]
-            sums[(i, v)] = _total(last.values())
-            for w in up[a + 1:]:
-                turns = [s for u, s in last.items() if t[u][v][w] < 0]
-                if turns:
-                    into[w][v] = m.m[v][w] @ _total(turns)
-    return sums
+    return {
+        (i, v): s
+        for k, i in enumerate(up)
+        for v, s in _chain_sums(m, up[k:], t, -1).items()
+    }
 
 
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
@@ -329,20 +346,34 @@ def factorization_check(
 # circumnavigation sums
 
 
+def _circum_chain_sum(m: TransportData, A: Config, i: int, j: int, sign: int) -> MatQ:
+    """Sum over the convex polygons with the hull edge [w_i, w_j] of the
+    transports along the polygon from w_i to w_j, each edge times `sign`.
+
+    The polygon lies on side = t[i][j][w] of the edge, and its corners after
+    w_i come in decreasing angle about w_i from the ray to w_j, which
+    t[i][a][b] compares; points on the line through w_i and w_j are never
+    corners.  The chains through the sorted points that turn by -side at
+    every corner are exactly these polygons, so one _chain_sums run sums
+    them."""
+    hull = A.hull()
+    if frozenset((i, j)) not in {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}:
+        raise EdgePrecondition(f"[{i},{j}] is not a hull edge")
+    t = A.sign_table()
+    others = [w for w in range(len(A)) if w not in (i, j) and t[i][j][w]]
+    side = t[i][j][others[0]] if others else 1
+    others.sort(key=functools.cmp_to_key(lambda a, b: side * t[i][a][b]))
+    return _chain_sums(m, [i, *others, j], t, -side, sign)[j]
+
+
 def circum_sum(m: TransportData, A: Config, i: int, j: int) -> MatQ:
     """Sum of iterated transports over the convex circumnavigation paths
     from w_i to w_j; requires [w_i, w_j] to be a hull edge."""
-    total = MatQ.zeros(m.dims[j], m.dims[i])
-    for path in enumerate_circum_paths(A, i, j):
-        total = total + iterated_transport(m, path)
-    return total
+    return _circum_chain_sum(m, A, i, j, 1)
 
 
 def alt_circum_sum(m: TransportData, A: Config, j: int, i: int) -> MatQ:
     """Sign-alternating sum (-1)^(intermediate vertices) over the same
-    polygons traversed from w_j to w_i."""
-    total = MatQ.zeros(m.dims[i], m.dims[j])
-    for path in enumerate_circum_paths(A, j, i):
-        sign = -1 if (len(path) - 2) % 2 else 1
-        total = total + iterated_transport(m, path).scale(sign)
-    return total
+    polygons traversed from w_j to w_i: a path with k intermediate vertices
+    has k + 1 edges, so this is minus the sum with every edge negated."""
+    return -_circum_chain_sum(m, A, j, i, -1)

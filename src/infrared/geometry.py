@@ -362,9 +362,11 @@ class AlgebraicTime:
     quadratic a t^2 + b t + c with a > 0 and d = b^2 - 4ac > 0 not a perfect
     square.  Every question about a time is the sign of an integer
     polynomial at it (`sign_at`), decided with at most one integer squaring,
-    so comparing two times takes at most two.  The isolating interval
-    [lo, hi], which holds this root and not its conjugate, is built on first
-    use and serves `to_float` alone; no comparison refines it.
+    so comparing two times takes at most two.  `str` prints the exact value:
+    p/q, or (-b + sqrt(d))/(2a) and (-b - sqrt(d))/(2a) with the numbers
+    filled in.  The isolating interval [lo, hi], which holds this root and
+    not its conjugate, and `refine`, which halves it, serve as a bisection
+    oracle outside the package; no comparison uses them.
     """
 
     __slots__ = ("rational", "a", "b", "c", "branch", "_interval")
@@ -505,12 +507,12 @@ class AlgebraicTime:
         """Exact test whether this number equals the rational t."""
         return self.rational == t
 
-    def to_float(self) -> float:
+    def __str__(self) -> str:
         if self.rational is not None:
-            return float(self.rational)
-        for _ in range(80):
-            self.refine()
-        return float((self.lo + self.hi) / 2)
+            return str(self.rational)
+        a, b, c = self.a, self.b, self.c
+        sign = "+" if self.branch > 0 else "-"
+        return f"({-b} {sign} sqrt({b * b - 4 * a * c}))/{2 * a}"
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,12 @@ class MatQ:
         ]), self.cols)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("matrix difference shape mismatch")
+        return MatQ._trusted(tuple([
+            tuple([a - b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.entries, other.entries)
+        ]), self.cols)
 
     def __neg__(self) -> "MatQ":
         return MatQ._trusted(
@@ -244,27 +249,6 @@ class MatQ:
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
         return MatQ._trusted(tuple([tuple(row[n:]) for row in red]), n)
-
-    def det(self) -> Fraction:
-        if not self.is_square():
-            raise ShapeMismatch("determinant of a non-square matrix")
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        det = Q(1)
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot is None:
-                return Q(0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
 
     def nullspace(self) -> list["MatQ"]:
         """Basis of the right kernel, as column vectors."""

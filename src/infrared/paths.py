@@ -21,20 +21,16 @@ of the infrared differential.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     DegeneratePosition,
-    EdgePrecondition,
     InvalidEndpoints,
     InvalidReduction,
 )
-from .geometry import Config, Dir, Pt, convex_hull
-
-Q = Fraction
+from .geometry import Config, Dir, Pt
 
 
 def ell(zeta: Dir, p: Pt) -> Fraction:
@@ -242,39 +238,3 @@ def incidence(
             assert height_data(gp).h == m
             out.append(IncidenceEntry(gamma, w, gp, wedge_sign(gamma, w)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# circumnavigation variant (closed convex polygon with the chord)
-
-
-def enumerate_circum_paths(A: Config, i: int, j: int) -> list[list[int]]:
-    """Paths gamma from w_i to w_j such that gamma together with the chord
-    [w_i, w_j] bounds a convex polygon; requires the chord to be an edge of
-    the hull of A.  The two-vertex path [i, j] is always included."""
-    hull = A.hull()
-    edges = {
-        frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
-    }
-    if frozenset((i, j)) not in edges:
-        raise EdgePrecondition(f"[{i},{j}] is not a hull edge")
-    results = [[i, j]]
-    others = [w for w in range(len(A)) if w not in (i, j)]
-    for r in range(1, len(others) + 1):
-        for sub in itertools.combinations(others, r):
-            cycle_pts = (i, j) + sub
-            labels = convex_hull(A, cycle_pts)
-            if len(labels) != len(cycle_pts):
-                continue  # some chosen point not a corner: not convex position
-            pos_i, pos_j = labels.index(i), labels.index(j)
-            n = len(labels)
-            if (pos_i - pos_j) % n != 1 and (pos_j - pos_i) % n != 1:
-                continue  # chord is a diagonal, not an edge
-            # walk from i to j the long way around the cycle
-            if (pos_j - pos_i) % n == 1:
-                walk = [labels[(pos_i - t) % n] for t in range(n)]
-            else:
-                walk = [labels[(pos_i + t) % n] for t in range(n)]
-            results.append(walk)
-    results.sort()
-    return results

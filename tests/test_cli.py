@@ -389,6 +389,37 @@ def test_check_rejects_a_dimension_below_one(capsys):
     assert data["error"]["code"] == "invalid_input"
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_check_rejects_fewer_than_two_points(n, capsys):
+    code, data = run_cli(["check", "--n", str(n)], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "--n" in data["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["matroid", "{circuit}", "--format", "svg"], "--format"),
+        (["walk", "{circuit}", "--zeta", "1/0"], "--zeta"),
+        (["secondary", "{circuit}", "--zeta", "1/0"], "--zeta"),
+        (["stokes", "{circuit}", "--no-such-option"], "--no-such-option"),
+        (["paths", "{circuit}", "--format", "svg"], "--format"),
+        (["antistokes", "{circuit}", "--rotation", "up"], "--rotation"),
+        (["check", "--n"], "--n"),
+        (["no-such-command"], "no-such-command"),
+    ],
+)
+def test_usage_errors_are_invalid_input(args, flag, circuit_file, capsys):
+    """An option the subcommand does not read, an unknown option, a bad
+    choice or a missing value is reported as JSON, exit code 2, naming the
+    offending argument, instead of as usage text."""
+    code, data = run_cli([a.format(circuit=circuit_file) for a in args], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert flag in data["error"]["message"]
+
+
 def test_non_integer_enumeration_bound_is_invalid_input(
     circuit_file, monkeypatch, capsys
 ):

@@ -31,6 +31,7 @@ from infrared.randomgen import (
     rand_transport,
     rng,
 )
+from test_paths import enumerate_circum_paths
 
 Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))
@@ -439,3 +440,58 @@ def test_circum_sums():
     with pytest.raises(EdgePrecondition):
         sq = config((0, 0), (2, 0), (2, 2), (0, 2))
         circum_sum(scalar_transport([[0] * 4] * 4), sq, 0, 2)
+
+
+def _enumerated_circum_sums(m, A, i, j):
+    """Oracle: circum_sum(m, A, i, j) and alt_circum_sum(m, A, i, j) as sums
+    over the enumerated circumnavigation paths from w_i to w_j, and how many
+    of those paths have an intermediate vertex."""
+    plain = alt = MatQ.zeros(m.dims[j], m.dims[i])
+    paths = enumerate_circum_paths(A, i, j)
+    for path in paths:
+        block = iterated_transport(m, path)
+        plain = plain + block
+        alt = alt - block if len(path) % 2 else alt + block
+    return plain, alt, len(paths) - 1
+
+
+def grid_config(r, n):
+    """n distinct points of the 4 x 4 integer grid, collinear triples allowed."""
+    return config(*r.sample([(x, y) for x in range(4) for y in range(4)], n))
+
+
+def test_circum_sums_match_the_path_oracle():
+    """Both circumnavigation sums equal the enumerated path sums on every
+    hull edge in both directions: 105 seeded draws with N = 2..8, every third
+    from the 4 x 4 grid, and jittered convex arcs with N = 9..12 on their
+    closing chord, where every subset of the arc is a path.  A diagonal is
+    no hull edge."""
+    r = rng(61)
+    instances = []
+    for k in range(105):
+        n = 2 + k % 7
+        A = grid_config(r, n) if k % 3 == 2 else rand_config(r, n)
+        hull = A.hull()
+        instances.append((A, list(zip(hull, hull[1:] + hull[:1]))))
+    for n in range(9, 13):
+        A = jittered_arc(r, n)
+        assert len(A.hull()) == n
+        instances.append((A, [(0, n - 1)]))
+    collinear = multi_vertex = diagonals = 0
+    for A, edges in instances:
+        n = len(A)
+        m = rand_transport(r, n, max_dim=2)
+        t = A.sign_table()
+        collinear += any(t[a][b][c] == 0 for a, b, c in itertools.combinations(range(n), 3))
+        for i, j in {e for a, b in edges for e in ((a, b), (b, a))}:
+            plain, alt, multi = _enumerated_circum_sums(m, A, i, j)
+            assert circum_sum(m, A, i, j) == plain
+            assert alt_circum_sum(m, A, i, j) == alt
+            multi_vertex += multi
+        hull = A.hull()
+        if len(hull) >= 4:
+            diagonals += 1
+            for total in (circum_sum, alt_circum_sum):
+                with pytest.raises(EdgePrecondition):
+                    total(m, A, hull[0], hull[2])
+    assert collinear >= 20 and multi_vertex > 5000 and diagonals >= 30

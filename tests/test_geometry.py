@@ -487,6 +487,24 @@ def test_quadratic_roots_are_exact_on_int_input():
     assert AlgebraicTime.quadratic_roots(Q(1, 2), Q(-5, 12), Q(1, 12)) == roots
 
 
+def test_algebraic_time_prints_its_exact_value():
+    def printed(a, b, c):
+        return [str(t) for t, _ in AlgebraicTime.quadratic_roots(a, b, c)]
+
+    # -+sqrt(2), from t^2 - 2 and from its multiple 2t^2 - 4
+    assert printed(1, 0, -2) == ["(0 - sqrt(8))/2", "(0 + sqrt(8))/2"]
+    assert printed(2, 0, -4) == printed(1, 0, -2)
+    # -t^2 + t + 1 is made primitive with a > 0: t^2 - t - 1, the golden ratio
+    assert printed(-1, 1, 1) == ["(1 - sqrt(5))/2", "(1 + sqrt(5))/2"]
+    # t^2/2 - t - 1/3 times 6 is 3t^2 - 6t - 2: t = 1 -+ sqrt(5/3)
+    assert printed(Q(1, 2), -1, Q(-1, 3)) == ["(6 - sqrt(60))/6", "(6 + sqrt(60))/6"]
+    # rational roots print as p/q, p alone when q = 1
+    assert printed(6, -5, 1) == ["1/3", "1/2"]
+    assert printed(9, 6, 1) == ["-1/3"]
+    assert printed(1, -1, -2) == ["-1", "2"]
+    assert str(AlgebraicTime.from_rational(Q(-3, 4))) == "-3/4"
+
+
 # -- exact comparisons against bisection ------------------------------------
 
 

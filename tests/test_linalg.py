@@ -1,8 +1,12 @@
 """MatQ.rank, by fraction-free integer elimination, against the rank that
-Fraction Gauss-Jordan elimination (`MatQ._rref`) gives."""
+Fraction Gauss-Jordan elimination (`MatQ._rref`) gives, and the entrywise
+difference against the sum with the negation."""
 
 from fractions import Fraction as Q
 
+import pytest
+
+from infrared.errors import ShapeMismatch
 from infrared.linalg import MatQ, int_rank
 from infrared.randomgen import rng
 
@@ -61,3 +65,20 @@ def test_rank_of_special_shapes():
     # integer rows are left as they were
     rows = [[2, 4], [1, 2]]
     assert int_rank(rows) == 1 and rows == [[2, 4], [1, 2]]
+
+
+def test_difference_is_the_sum_with_the_negation():
+    r = rng(92)
+    for _ in range(200):
+        a = random_matrix(r)
+        b = MatQ._trusted(tuple(
+            tuple(Q(r.randint(-9, 9), r.randint(1, 7)) for _ in range(a.cols))
+            for _ in range(a.rows)
+        ), a.cols)
+        diff = a - b
+        assert diff == a + (-b)
+        assert (diff.rows, diff.cols) == (a.rows, a.cols)
+        assert a - a == MatQ.zeros(a.rows, a.cols)
+    for a, b in ((MatQ.zeros(2, 3), MatQ.zeros(3, 2)), (MatQ.zeros(0, 2), MatQ.zeros(0, 3))):
+        with pytest.raises(ShapeMismatch):
+            a - b

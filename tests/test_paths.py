@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from infrared.errors import EdgePrecondition, InvalidEndpoints, InvalidReduction
-from infrared.geometry import Config, config, direction
+from infrared.geometry import Config, config, convex_hull, direction
 from infrared.paths import (
     PolyPath,
-    enumerate_circum_paths,
     enumerate_zeta_convex_paths,
     height_data,
     incidence,
@@ -238,6 +237,40 @@ def test_q_squared_sign_cancellation():
         for a, i in enumerate(order):
             for j in order[a + 1:]:
                 two_step_chain_audit(A, Z, i, j)
+
+
+def enumerate_circum_paths(A, i, j):
+    """Oracle for fourier.circum_sum and alt_circum_sum: the paths gamma
+    from w_i to w_j such that gamma together with the chord [w_i, w_j]
+    bounds a convex polygon, found by hulling every subset of the other
+    points; requires the chord to be an edge of the hull of A.  The
+    two-vertex path [i, j] is always included."""
+    hull = A.hull()
+    edges = {
+        frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
+    }
+    if frozenset((i, j)) not in edges:
+        raise EdgePrecondition(f"[{i},{j}] is not a hull edge")
+    results = [[i, j]]
+    others = [w for w in range(len(A)) if w not in (i, j)]
+    for r in range(1, len(others) + 1):
+        for sub in itertools.combinations(others, r):
+            cycle_pts = (i, j) + sub
+            labels = convex_hull(A, cycle_pts)
+            if len(labels) != len(cycle_pts):
+                continue  # some chosen point not a corner: not convex position
+            pos_i, pos_j = labels.index(i), labels.index(j)
+            n = len(labels)
+            if (pos_i - pos_j) % n != 1 and (pos_j - pos_i) % n != 1:
+                continue  # chord is a diagonal, not an edge
+            # walk from i to j the long way around the cycle
+            if (pos_j - pos_i) % n == 1:
+                walk = [labels[(pos_i - t) % n] for t in range(n)]
+            else:
+                walk = [labels[(pos_i + t) % n] for t in range(n)]
+            results.append(walk)
+    results.sort()
+    return results
 
 
 def test_circumnavigation_paths():

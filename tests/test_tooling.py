@@ -1,6 +1,5 @@
 """Checks on the benchmark tooling and on the source tree as a whole."""
 
-import ast
 import pathlib
 import re
 
@@ -41,15 +40,7 @@ def test_src_has_no_catch_all_handler():
 
 
 def test_src_has_no_float_outside_the_plotter():
-    """No `float(` in `src/infrared` except in the SVG plotter and, for now,
-    in `geometry.AlgebraicTime.to_float`, which only a demo reads (ROADMAP
-    item 5 removes it)."""
-    geometry = ROOT / "src" / "infrared" / "geometry.py"
-    to_float = next(
-        node for node in ast.walk(ast.parse(geometry.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name == "to_float"
-    )
-    allowed = {("geometry.py", n) for n in range(to_float.lineno, to_float.end_lineno + 1)}
+    """No `float(` in `src/infrared` except in the SVG plotter."""
     hits = [
         (path.name, n)
         for path in sorted((ROOT / "src" / "infrared").glob("*.py"))
@@ -57,4 +48,4 @@ def test_src_has_no_float_outside_the_plotter():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if "float(" in line
     ]
-    assert [hit for hit in hits if hit not in allowed] == []
+    assert hits == []
