@@ -143,8 +143,12 @@ def cmd_paths(inst: Instance, args) -> dict:
     zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
     A = inst.config
     out = []
-    pairs = []
-    if args.source is not None and args.target is not None:
+    if (args.source is None) != (args.target is None):
+        raise InvalidInput("--source and --target must be given together")
+    if args.source is not None:
+        for flag, v in (("--source", args.source), ("--target", args.target)):
+            if v not in range(len(A)):
+                raise InvalidInput(f"{flag} {v} is not a point index 0..{len(A) - 1}")
         pairs = [(args.source, args.target)]
     else:
         vals = sorted(range(len(A)), key=lambda i: zeta.infinity_form(A[i]))
@@ -213,6 +217,10 @@ def cmd_walk(inst: Instance, args) -> dict:
             args.events,
             lambda data: [CrossingSpec.from_json(d) for d in data["events"]],
         )
+        n = inst.transport.n
+        for s in specs:
+            if max(s.i, s.j, s.k) >= n:
+                raise InvalidInput(f"crossing {s.to_json()} names a point index above {n - 1}")
         new_m = apply_crossings(inst.transport, specs)
         log = specs
     else:
@@ -274,11 +282,13 @@ def cmd_plot(inst: Instance, args) -> dict:
     _need(inst, "config")
     from . import plotting
 
-    zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
     if args.format == "svg":
         if args.poset:
             raise InvalidInput("--poset needs --format csv or dot")
+        zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
         text = plotting.config_svg(inst.config, zeta)
+    elif args.zeta is not None:
+        raise InvalidInput("--zeta needs --format svg")
     elif args.format == "csv":
         text = (
             plotting.poset_csv(inst.config)

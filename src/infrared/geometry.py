@@ -34,8 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
-from .linalg import _frac
-from .lp import _int_row
+from .linalg import _frac, _int_row
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
-All matrices are immutable grids of ``fractions.Fraction``.  Inverses and
-kernels are computed by exact Gaussian elimination, ranks by fraction-free
-elimination on integer rows; a singular inverse is an error
-(`NotInvertible`), never a tolerance call.  Products and the forward
-substitution of `solve_unit_upper_right` scale each row and column to
-integers over its least common denominator: an entry is one integer dot
-product over the product of a row and a column denominator, normalised once,
-with no Fraction formed per term.
+All matrices are immutable grids of ``fractions.Fraction``.  Integer rows (a
+row over its least common denominator, `_int_row`) live here, and so does the
+package's one elimination step, the fraction-free `_pivot`: ranks, inverses,
+kernels and the simplex of `lp` all run on it, and Fractions are formed only
+from the final rows.  A singular inverse is an error (`NotInvertible`), never
+a tolerance call.  Products and the forward substitution of
+`solve_unit_upper_right` are integer dot products over a row and a column
+denominator, with no Fraction formed per term.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotInvertible, ShapeMismatch
-from .lp import _int_row, _reduce
 
 Q = Fraction
 _ZERO, _ONE = Q(0), Q(1)
@@ -38,35 +37,85 @@ def _frac(x) -> Fraction:
     raise InvalidInput(f"not an exact rational: {x!r}")
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """The rank of a list of integer rows.  Each step takes a pivot row,
-    clears its column from the other rows by integer multiples of both and
-    divides each changed row by its gcd, so no Fraction is formed and
-    entries stay small."""
-    rows = [row for row in rows if any(row)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((row for row in rows if row[c]), None)
-        if pivot is None:
+def _int_row(vals: Sequence) -> tuple[list[int], int]:
+    """Rationals as (ints, least positive common denominator)."""
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Q(v)).as_integer_ratio()
+        for v in vals
+    ]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _reduce(row: list[int], den: int = 0) -> int:
+    """Divide row and den by their gcd in place of row; returns the new den.
+    With den 0 this divides the row by the gcd of its entries."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        row[:] = [v // g for v in row]
+        den //= g
+    return den
+
+
+def _pivot(tab: list[list[int]], den: list[int], row: int, col: int) -> None:
+    """One fraction-free elimination step, in place: row r of tab stands for
+    tab[r] / den[r], or for tab[r] up to scale if den[r] is 0.  The pivot row
+    gets a unit pivot (its pivot entry, made positive, becomes its den), and
+    its multiples clear column col from the other rows, each changed row over
+    the nonzeros of the pivot row and then reduced once by its gcd."""
+    prow = tab[row]
+    if prow[col] < 0:
+        prow[:] = [-v for v in prow]
+    pv = den[row] = _reduce(prow, prow[col])
+    nz = None
+    for r, t in enumerate(tab):
+        f = t[col]
+        if r == row or f == 0:
             continue
-        rank += 1
-        p = pivot[c]
-        rest = []
-        for row in rows:
-            if row is pivot:
-                continue
-            f = row[c]
-            if f:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                if not any(row):
-                    continue
-                _reduce(row)
-            rest.append(row)
-        rows = rest
+        # t/den[r] - (f/den[r]) prow/pv over the denominator den[r] pv,
+        # with gcd(f, pv) cancelled
+        g = math.gcd(f, pv)
+        p, f = pv // g, f // g
+        if p != 1:
+            t = [a * p for a in t]
+        if nz is None:
+            nz = [(j, q) for j, q in enumerate(prow) if q]
+        for j, q in nz:
+            t[j] -= f * q
+        tab[r] = t
+        den[r] = _reduce(t, den[r] * p)
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """The rank of integer rows (left as they are): on a copy, the first row
+    pivots on its first nonzero entry, if any, and is set aside."""
+    tab = [t[:] for t in rows]
+    den = [0] * len(tab)
+    rank = 0
+    while tab:
+        t = tab[0]
+        v = next(filter(None, t), 0)
+        if v:
+            _pivot(tab, den, 0, t.index(v))
+            rank += 1
+        del tab[0], den[0]
     return rank
+
+
+def _gauss_jordan(tab: list[list[int]], cols: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination with row swaps over the first cols columns, in
+    place; returns (dens, pivot columns): row k over dens[k] has a unit entry
+    in the k-th pivot column and zeros in the others."""
+    den = [0] * len(tab)
+    pivots: list[int] = []
+    for c in range(cols):
+        k = len(pivots)
+        r = next((r for r in range(k, len(tab)) if tab[r][c]), None)
+        if r is not None:
+            tab[k], tab[r] = tab[r], tab[k]
+            _pivot(tab, den, k, c)
+            pivots.append(c)
+    return den, pivots
 
 
 class MatQ:
@@ -213,28 +262,6 @@ class MatQ:
 
     # -- elimination -------------------------------------------------------
 
-    def _rref(self):
-        """Reduced row echelon form; returns (rref rows, pivot column list)."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
-
     def rank(self) -> int:
         """Rank by fraction-free elimination: each row is scaled to integers
         over its least common denominator, and elimination runs on those."""
@@ -244,22 +271,26 @@ class MatQ:
         if not self.is_square():
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = MatQ.from_blocks([[self, MatQ.identity(n)]])
-        red, pivots = aug._rref()
-        if pivots != list(range(n)):
+        ident = MatQ.identity(n).entries
+        tab = [_int_row(row + e)[0] for row, e in zip(self.entries, ident)]
+        den, pivots = _gauss_jordan(tab, n)
+        if len(pivots) < n:
             raise NotInvertible("singular matrix")
-        return MatQ._trusted(tuple([tuple(row[n:]) for row in red]), n)
+        return MatQ._trusted(tuple([
+            tuple([Q(v, d) for v in t[n:]]) for t, d in zip(tab, den)
+        ]), n)
 
     def nullspace(self) -> list["MatQ"]:
         """Basis of the right kernel, as column vectors."""
-        red, pivots = self._rref()
+        tab = [_int_row(row)[0] for row in self.entries]
+        den, pivots = _gauss_jordan(tab, self.cols)
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             vec = [Q(0)] * self.cols
             vec[fc] = Q(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red[r][fc]
+            for t, d, pc in zip(tab, den, pivots):
+                vec[pc] = Q(-t[fc], d)
             basis.append(MatQ.column(vec))
         return basis
 

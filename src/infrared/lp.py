@@ -7,45 +7,25 @@ needed.  The regularity systems solved here are homogeneous except for a
 single normalization row, so this covers them.
 
 The tableau is kept fraction-free, row by row: each row is a list of ints
-with one positive denominator, and a pivot updates a row by integer
-multiplies followed by one gcd reduction.  Only signs and ratio comparisons
-of tableau entries steer the simplex, and both are read exactly from the
-integers, so the pivot path (Bland's entering and leaving rule, ratio ties
-broken by basis index) is that of the plain Fraction tableau; the value and
-the solution come back as Fractions.
+with one positive denominator, and each pivot is `linalg._pivot`.  Only signs
+and ratio comparisons of tableau entries steer the simplex, and both are read
+exactly from the integers, so the pivot path (Bland's entering and leaving
+rule, ratio ties broken by basis index) is that of the plain Fraction
+tableau; the value and the solution come back as Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
+
+from .linalg import _int_row, _pivot
 
 Q = Fraction
 
 
 class Unbounded(Exception):
     pass
-
-
-def _int_row(vals: Sequence) -> tuple[list[int], int]:
-    """Rationals as (ints, least positive common denominator)."""
-    ratios = [
-        (v if isinstance(v, (int, Fraction)) else Q(v)).as_integer_ratio()
-        for v in vals
-    ]
-    den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _reduce(row: list[int], den: int = 0) -> int:
-    """Divide row and den by their gcd in place of row; returns the new den.
-    With den 0 this divides the row by the gcd of its entries."""
-    g = math.gcd(den, *row)
-    if g > 1:
-        row[:] = [v // g for v in row]
-        den //= g
-    return den
 
 
 def maximize(
@@ -94,26 +74,7 @@ def maximize(
                     row = r
         if row is None:
             raise Unbounded()
-        # scale the pivot row to a unit pivot: its pivot entry becomes its
-        # denominator
-        prow = tab[row]
-        pv = den[row] = _reduce(prow, prow[col])
-        nz = [(j, q) for j, q in enumerate(prow) if q]
-        for r in range(nrows + 1):
-            t = tab[r]
-            f = t[col]
-            if r == row or f == 0:
-                continue
-            # t/den[r] - (f/den[r]) prow/pv over the denominator den[r] pv,
-            # with gcd(f, pv) cancelled; only the nonzeros of prow change t
-            g = math.gcd(f, pv)
-            p, f = pv // g, f // g
-            if p != 1:
-                t = [a * p for a in t]
-            for j, q in nz:
-                t[j] -= f * q
-            tab[r] = t
-            den[r] = _reduce(t, den[r] * p)
+        _pivot(tab, den, row, col)
         basis[row] = col
 
     value = Q(-tab[-1][-1], den[-1])

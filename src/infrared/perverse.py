@@ -255,12 +255,6 @@ def double_dual_check(a: MatQ, b: MatQ) -> bool:
 # bilinear forms, spherical maps, Calabi-Yau conditions
 
 
-@dataclass(frozen=True)
-class BilinearData:
-    b_phi: tuple[MatQ, ...]
-    b_psi: MatQ
-
-
 def serre_operator(B: MatQ) -> MatQ:
     """S_B = B^{-1} B^t, so that B(v, v') = B(v', S_B v)."""
     return B.inverse() @ B.T

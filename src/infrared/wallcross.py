@@ -50,10 +50,13 @@ class CrossingSpec:
         elif self.kind == "coll":
             if len({self.i, self.j, self.k}) != 3:
                 raise InvalidInput("collinearity needs three distinct indices")
-            if self.eps_before not in (-1, 1):
-                raise InvalidInput("eps_before must be +-1")
+            if type(self.eps_before) is not int or self.eps_before not in (-1, 1):
+                raise InvalidInput("eps_before must be the integer 1 or -1")
         else:
             raise InvalidInput("kind must be 'horiz' or 'coll'")
+        idx = (self.i, self.j) if self.kind == "horiz" else (self.i, self.j, self.k)
+        if any(type(v) is not int or v < 0 for v in idx):
+            raise InvalidInput("point indices must be nonnegative integers")
 
     @staticmethod
     def from_event(ev: WallEvent) -> "CrossingSpec":

@@ -444,3 +444,77 @@ def test_plot_svg_rejects_poset(circuit_file, capsys):
     code, data = run_cli(["plot", circuit_file, "--format", "svg", "--poset"], capsys)
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_plot_rejects_zeta_without_svg(fmt, capsys):
+    # only the SVG sketch is drawn along a direction; csv and dot ignore it
+    pentagon = os.path.join(DATA, "pentagon.json")
+    code, data = run_cli(["plot", pentagon, "--format", fmt, "--zeta", "5/1"], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "--zeta" in data["error"]["message"]
+    code, data = run_cli(["plot", pentagon, "--format", "svg", "--zeta", "5/1"], capsys)
+    assert code == 0 and data["content"].startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--source", "99", "--target", "0"], "--source"),
+        (["--source", "0", "--target", "5"], "--target"),
+        (["--source", "-5", "--target", "4"], "--source"),
+        (["--source", "0", "--target", "-1"], "--target"),
+        (["--source", "0"], "--target"),
+        (["--target", "4"], "--source"),
+    ],
+)
+def test_paths_endpoints_are_checked(flags, flag, capsys):
+    """Endpoints are point indices 0..N-1, given together."""
+    code, data = run_cli(["paths", os.path.join(DATA, "pentagon.json"), *flags], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert flag in data["error"]["message"]
+
+
+def test_paths_between_given_endpoints(capsys):
+    code, data = run_cli(
+        ["paths", os.path.join(DATA, "pentagon.json"), "--source", "0", "--target", "4"],
+        capsys,
+    )
+    assert code == 0 and data["paths"]
+    assert {(p["from"], p["to"]) for p in data["paths"]} == {(0, 4)}
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"kind": "coll", "i": 0, "j": 1, "k": 99, "eps_before": 1},
+        {"kind": "coll", "i": 0, "j": 1, "k": 5, "eps_before": 1},
+        {"kind": "horiz", "i": -1, "j": 0, "motion": "above", "re_cmp": "left"},
+        {"kind": "horiz", "i": 0, "j": 7, "motion": "above", "re_cmp": "left"},
+        {"kind": "horiz", "i": "0", "j": 1, "motion": "above", "re_cmp": "left"},
+        {"kind": "coll", "i": 0, "j": 1.0, "k": 2, "eps_before": 1},
+        {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": True},
+        {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 1.0},
+        {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 2},
+    ],
+)
+def test_walk_events_are_checked(event, tmp_path, capsys):
+    """Crossing indices lie in 0..N-1 and eps_before is the integer 1 or -1."""
+    ev = tmp_path / "events.json"
+    ev.write_text(json.dumps({"events": [event]}))
+    code, data = run_cli(["walk", os.path.join(DATA, "walk_leg.json"), "--events", str(ev)], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+
+
+def test_walk_events_at_the_last_index(tmp_path, capsys):
+    ev = tmp_path / "events.json"
+    ev.write_text(json.dumps({"events": [
+        {"kind": "coll", "i": 4, "j": 0, "k": 2, "eps_before": -1},
+        {"kind": "horiz", "i": 3, "j": 4, "motion": "below", "re_cmp": "right"},
+    ]}))
+    code, data = run_cli(["walk", os.path.join(DATA, "walk_leg.json"), "--events", str(ev)], capsys)
+    assert code == 0
+    assert [e["kind"] for e in data["events"]] == ["coll", "horiz"]

@@ -1,25 +1,72 @@
-"""MatQ.rank, by fraction-free integer elimination, against the rank that
-Fraction Gauss-Jordan elimination (`MatQ._rref`) gives, and the entrywise
-difference against the sum with the negation."""
+"""MatQ.rank, inverse and nullspace, by fraction-free elimination on integer
+rows, against what Fraction Gauss-Jordan elimination (`rref`, the oracle)
+gives, and the entrywise difference against the sum with the negation."""
 
 from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import ShapeMismatch
+from infrared.errors import NotInvertible, ShapeMismatch
 from infrared.linalg import MatQ, int_rank
 from infrared.randomgen import rng
 
 
+def rref(m: MatQ):
+    """Reduced row echelon form over Fractions; returns (rref rows, pivot
+    column list)."""
+    rows = [list(row) for row in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots
+
+
 def rref_rank(m: MatQ) -> int:
-    return len(m._rref()[1])
+    return len(rref(m)[1])
 
 
-def random_matrix(r):
+def rref_inverse(m: MatQ) -> MatQ | None:
+    """The inverse read off the rref of [m | Id], or None if m is singular."""
+    n = m.rows
+    red, pivots = rref(MatQ.from_blocks([[m, MatQ.identity(n)]]))
+    if pivots != list(range(n)):
+        return None
+    return MatQ([row[n:] for row in red])
+
+
+def rref_nullspace(m: MatQ) -> list[MatQ]:
+    red, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        vec = [Q(0)] * m.cols
+        vec[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(MatQ.column(vec))
+    return basis
+
+
+def random_matrix(r, square=False):
     """A rows x cols rational matrix, 0 <= rows, cols <= 6: a product of two
     random factors through an inner dimension that may be smaller than
     both, so that it is often rank-deficient, with some rows then zeroed."""
     rows, cols, inner = r.randint(0, 6), r.randint(0, 6), r.randint(0, 6)
+    if square:
+        cols = rows
 
     def frac():
         return Q(r.randint(-4, 4), r.randint(1, 5)) if r.random() < 0.7 else Q(0)
@@ -82,3 +129,55 @@ def test_difference_is_the_sum_with_the_negation():
     for a, b in ((MatQ.zeros(2, 3), MatQ.zeros(3, 2)), (MatQ.zeros(0, 2), MatQ.zeros(0, 3))):
         with pytest.raises(ShapeMismatch):
             a - b
+
+
+def assert_inverse_matches_the_oracle(m: MatQ) -> bool:
+    """Exact equality with the oracle; returns whether m is invertible."""
+    expected = rref_inverse(m)
+    if expected is None:
+        with pytest.raises(NotInvertible):
+            m.inverse()
+        return False
+    inv = m.inverse()
+    assert inv == expected and (inv.rows, inv.cols) == (m.rows, m.rows)
+    assert m @ inv == MatQ.identity(m.rows)
+    return True
+
+
+def test_inverse_and_nullspace_match_the_fraction_elimination():
+    r = rng(93)
+    invertible, shapes = set(), set()
+    for k in range(300):
+        m = random_matrix(r, square=k % 2 == 0)
+        shapes.add((m.rows, m.cols))
+        if m.is_square():
+            invertible.add(assert_inverse_matches_the_oracle(m))
+        basis = m.nullspace()
+        assert basis == rref_nullspace(m), (k, m)
+        assert len(basis) == m.cols - m.rank()
+        assert all((m @ v).is_zero() for v in basis)
+    # singular and invertible square matrices both occur, from 0x0 to 6x6
+    assert invertible == {True, False}
+    assert {(0, 0), (6, 6), (0, 6), (6, 0)} <= shapes
+
+
+def test_inverse_of_dense_matrices():
+    r = rng(94)
+    for n in (12, 12, 24):
+        m = MatQ([[Q(r.randint(-9, 9), r.randint(1, 9)) for _ in range(n)]
+                  for _ in range(n)])
+        assert assert_inverse_matches_the_oracle(m)
+        # a repeated row makes it singular
+        sing = MatQ(m.entries[:-1] + m.entries[:1])
+        assert not assert_inverse_matches_the_oracle(sing)
+        assert rref_nullspace(sing) == sing.nullspace() != []
+
+
+def test_inverse_of_a_singular_matrix_raises():
+    for m in (MatQ.zeros(3, 3), MatQ([["1/2", "1/3"], [3, 2]]),
+              MatQ([[0, 1], [0, 5]])):
+        with pytest.raises(NotInvertible):
+            m.inverse()
+    with pytest.raises(ShapeMismatch):
+        MatQ.zeros(2, 3).inverse()
+    assert MatQ([[0, 2], [-3, 0]]).inverse() == MatQ([[0, "-1/3"], ["1/2", 0]])

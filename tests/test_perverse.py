@@ -6,7 +6,6 @@ import pytest
 from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
 from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
 from infrared.perverse import (
-    BilinearData,
     Quiver,
     TransportData,
     adjoints,
@@ -236,8 +235,7 @@ def test_double_dual():
 
 
 def test_adjoints():
-    forms = BilinearData((MatQ.identity(2),), MatQ.identity(2))
-    ra, la = adjoints(MatQ.identity(2), forms.b_phi[0], forms.b_psi)
+    ra, la = adjoints(MatQ.identity(2), MatQ.identity(2), MatQ.identity(2))
     assert ra == MatQ.identity(2) and la == MatQ.identity(2)
     ra, la = adjoints(scalar(2), scalar(3), scalar(5))
     assert ra == scalar(Q(10, 3))
