@@ -5,12 +5,12 @@ Subcommands operate on a JSON instance file:
     {"config":    {"points": [["x", "y"], ...]},
      "transport": {"dims": [...], "m": [[matrix, ...], ...]},   (optional)
      "quiver":    {"dims": [...], "dPsi": n, "a": [...], "b": [...]},
-     "zeta":      "dx/dy",                                      (optional)
-     "seed":      integer}                                      (optional)
+     "zeta":      "dx/dy"}                                      (optional)
 
-with rational entries as canonical "num/den" strings.  All reports are
-machine-readable JSON (--pretty for indentation); errors surface as
-{"error": {"code", "message"}} with a nonzero exit code.
+with rational entries as canonical "num/den" strings; any other key is
+invalid input.  All reports are machine-readable JSON (--pretty for
+indentation); errors surface as {"error": {"code", "message"}} with a
+nonzero exit code.
 """
 
 from __future__ import annotations
@@ -77,8 +77,19 @@ def _mat_json(mat: MatQ):
     return [[str(x) for x in row] for row in mat.entries]
 
 
+_INSTANCE_KEYS = ("config", "transport", "quiver", "zeta")
+
+
 class Instance:
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise InvalidInput("an instance file holds a JSON object")
+        for key in data:
+            if key not in _INSTANCE_KEYS:
+                raise InvalidInput(
+                    f"unknown instance key {key!r}; expected one of "
+                    + ", ".join(_INSTANCE_KEYS)
+                )
         self.config = Config.from_json(data["config"]) if "config" in data else None
         self.transport = (
             TransportData.from_json(data["transport"])
@@ -89,7 +100,6 @@ class Instance:
         if self.transport is None and self.quiver is not None:
             self.transport = mu(self.quiver)
         self.zeta = _parse_zeta(data["zeta"]) if "zeta" in data else None
-        self.seed = data.get("seed", 0)
         if (
             self.config is not None
             and self.transport is not None

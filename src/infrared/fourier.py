@@ -27,12 +27,13 @@ Block (i, j) of the Stokes matrix C+ is the sum of the iterated
 rectilinear transports over the (-conj(zeta0))-convex paths from w_i to
 w_j, and C- mirrors this with the opposite convexity.  The sums come from a
 transfer-matrix dynamic program over convex chains, one pass per source
-and direction, at one block product per chain edge (v, w) instead of one
-product chain per path; the path enumeration of the paths module is the
-test oracle.  The circumnavigation sums, over the convex polygons on a hull
-edge [w_i, w_j], come from the same dynamic program, run in angular order
-about w_i.  The ascending monodromy product of the dressed transport data
-factors exactly as
+over the later slots of fourier_order for C+ and over the earlier slots in
+reverse for C-, so one sort serves both, at one block product per chain
+edge (v, w) instead of one product chain per path; the path enumeration of
+the paths module is the test oracle.  The circumnavigation sums, over the
+convex polygons on a hull edge [w_i, w_j], come from the same dynamic
+program, run in angular order about w_i.  The ascending monodromy product
+of the dressed transport data factors exactly as
 
     T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
 
@@ -235,24 +236,6 @@ def _chain_sums(
     return sums
 
 
-def _convex_chain_sums(
-    m: TransportData, A: Config, zeta: Dir
-) -> dict[tuple[int, int], MatQ]:
-    """For every pair with ell_zeta(w_i) < ell_zeta(w_j), the sum of the
-    iterated transports over the zeta-convex paths from w_i to w_j.  The
-    projections must be pairwise distinct.  One _chain_sums run per source
-    over the points above it in increasing ell, with the clockwise turn
-    t[u][v][w] == -1 of enumerate_zeta_convex_paths."""
-    proj = [zeta.infinity_form(p) for p in A]
-    up = sorted(range(len(A)), key=proj.__getitem__)
-    t = A.sign_table()
-    return {
-        (i, v): s
-        for k, i in enumerate(up)
-        for v, s in _chain_sums(m, up[k:], t, -1).items()
-    }
-
-
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     """Both Stokes matrices of the transform in direction zeta0.
 
@@ -266,14 +249,18 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     order = fourier_order(A, zeta0)
     slot = {i: s for s, i in enumerate(order)}
     dims = [m.dims[i] for i in order]
-    upward = {
-        (slot[i], slot[j]): b
-        for (i, j), b in _convex_chain_sums(m, A, zeta0.conjugate().opposite()).items()
-    }
-    downward = {
-        (slot[i], slot[j]): b
-        for (i, j), b in _convex_chain_sums(m, A, zeta0.conjugate()).items()
-    }
+    t = A.sign_table()
+    # ell along conj(zeta0) is minus ell along -conj(zeta0), so C- runs over
+    # the reversed order; both convexities take the clockwise turn
+    # t[u][v][w] == -1 of enumerate_zeta_convex_paths
+    upward, downward = (
+        {
+            (slot[i], slot[v]): b
+            for k, i in enumerate(seq)
+            for v, b in _chain_sums(m, seq[k:], t, -1).items()
+        }
+        for seq in (order, order[::-1])
+    )
     return StokesPair(
         tuple(order),
         tuple(dims),

@@ -23,13 +23,16 @@ Conventions
   (``AlgebraicTime``), and every question about a time (its order, whether
   it lies in (0, 1), a sign there) is the exact sign of an integer
   polynomial at it, with at most one integer squaring.
+* A wall crossing is one record, ``CrossingSpec``: ``segment_wall_events``
+  returns them with their times filled in, and ``wallcross`` folds the same
+  records, or ones given by hand without a time, into the transport data.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -519,25 +522,70 @@ class AlgebraicTime:
 
 
 @dataclass(frozen=True)
-class WallEvent:
-    """A single transversal wall crossing on the leg A0 -> A1.
+class CrossingSpec:
+    """One transversal wall crossing, as met on a leg or given by hand.
 
-    kind "horiz": point j passes the horizontal line through point i,
-    moving 'above' or 'below', with re_cmp recording whether Re(w_j) is
-    'left' (<) or 'right' (>) of Re(w_i) at the crossing time.
+    kind "horiz": w_j passes above/below the horizontal line through w_i,
+    with re_cmp recording whether Re(w_j) is left (<) or right (>) of
+    Re(w_i) at the crossing; kind "coll": w_j crosses the open segment
+    [w_i, w_k] with prior orientation eps_before of (i, j, k).
 
-    kind "coll": point j crosses the open segment [w_i, w_k];
-    eps_before is the orientation sign of (i, j, k) just before.
+    `segment_wall_events` fills in `time`, the exact crossing time on its
+    leg; crossings given by hand or read from JSON leave it None.  The time
+    is no part of the crossing's data: equality, hashing and `to_json`
+    ignore it.
     """
 
     kind: str
-    time: AlgebraicTime
     i: int
     j: int
     k: int = -1
     motion: str = ""
     re_cmp: str = ""
     eps_before: int = 0
+    time: Optional[AlgebraicTime] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "horiz":
+            if self.motion not in ("above", "below"):
+                raise InvalidInput("horizontality needs motion above|below")
+            if self.re_cmp not in ("left", "right"):
+                raise InvalidInput("horizontality needs re_cmp left|right")
+            if self.i == self.j:
+                raise InvalidInput("indices must differ")
+        elif self.kind == "coll":
+            if len({self.i, self.j, self.k}) != 3:
+                raise InvalidInput("collinearity needs three distinct indices")
+            if type(self.eps_before) is not int or self.eps_before not in (-1, 1):
+                raise InvalidInput("eps_before must be the integer 1 or -1")
+        else:
+            raise InvalidInput("kind must be 'horiz' or 'coll'")
+        idx = (self.i, self.j) if self.kind == "horiz" else (self.i, self.j, self.k)
+        if any(type(v) is not int or v < 0 for v in idx):
+            raise InvalidInput("point indices must be nonnegative integers")
+
+    def to_json(self) -> dict:
+        if self.kind == "horiz":
+            return {
+                "kind": "horiz", "i": self.i, "j": self.j,
+                "motion": self.motion, "re_cmp": self.re_cmp,
+            }
+        return {
+            "kind": "coll", "i": self.i, "j": self.j, "k": self.k,
+            "eps_before": self.eps_before,
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "CrossingSpec":
+        if data["kind"] == "horiz":
+            return CrossingSpec(
+                "horiz", data["i"], data["j"],
+                motion=data["motion"], re_cmp=data["re_cmp"],
+            )
+        return CrossingSpec(
+            "coll", data["i"], data["j"], data["k"],
+            eps_before=data["eps_before"],
+        )
 
 
 def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:
@@ -574,7 +622,7 @@ def _leg_quadratic(leg, form, i: int, j: int, k: int):
     return form(du, dv), form(u0, dv) + form(du, v0), form(u0, v0)
 
 
-def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
+def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
     """Ordered wall events met by the straight leg A(t) = (1-t)A0 + tA1.
 
     Both endpoints must be in linearly general position including the fixed
@@ -599,7 +647,7 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
             "infinity"
         )
 
-    events: list[WallEvent] = []
+    events: list[CrossingSpec] = []
 
     # horizontality: Im(w_j - w_i)(t) = d0 + t (d1 - d0) is linear in t
     for i, j in itertools.combinations(range(n), 2):
@@ -622,9 +670,9 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
         motion = "above" if d1 > d0 else "below"
         re_cmp = "left" if re_diff < 0 else "right"
         events.append(
-            WallEvent(
-                "horiz", AlgebraicTime.from_rational(Fraction(d0, d0 - d1)), i, j,
-                motion=motion, re_cmp=re_cmp,
+            CrossingSpec(
+                "horiz", i, j, motion=motion, re_cmp=re_cmp,
+                time=AlgebraicTime.from_rational(Fraction(d0, d0 - d1)),
             )
         )
 
@@ -658,13 +706,13 @@ def segment_wall_events(A0: Config, A1: Config) -> list[WallEvent]:
     return events
 
 
-def _name(e: WallEvent) -> str:
+def _name(e: CrossingSpec) -> str:
     if e.kind == "horiz":
         return f"D({e.i},{e.j})"
     return f"D({e.i},{e.j},{e.k})"
 
 
-def _collinearity_event(leg, i, j, k, a, b, root) -> WallEvent:
+def _collinearity_event(leg, i, j, k, a, b, root) -> CrossingSpec:
     """Identify which point crosses which open segment and the sign before.
 
     The orientation of (i, j, k) just before the simple root of
@@ -682,9 +730,9 @@ def _collinearity_event(leg, i, j, k, a, b, root) -> WallEvent:
     # ascending triple (i, j, k), so correct by the permutation parity
     for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1), (i, k, j, -1)):
         if acute[lo] and acute[hi]:
-            return WallEvent(
-                "coll", root, lo, mid, hi,
-                eps_before=parity * eps_ijk_before,
+            return CrossingSpec(
+                "coll", lo, mid, hi, eps_before=parity * eps_ijk_before,
+                time=root,
             )
     raise PathNotGeneric(
         f"collinearity of ({i},{j},{k}) with no point in the open segment"

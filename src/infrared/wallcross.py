@@ -11,83 +11,19 @@ where eps is the orientation of (i, j, k) just before the crossing and the
 mirrored sign is its alternating extension eps_kji = -eps_ijk.  Both
 updates are involutive: crossing back restores the data exactly.
 
-Crossing specs may come from exact geometry (`segment_wall_events`) or be
-supplied directly, so the algebra can be exercised in isolation.
+A crossing is one record, `geometry.CrossingSpec`, whether the wall-event
+engine met it on a leg (`segment_wall_events`, which also fills in its
+time) or it was given by hand or read from JSON, so the algebra can be
+exercised in isolation.  Every fold over crossings is `apply_crossings`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
-from .geometry import Config, WallEvent, segment_wall_events
+from .geometry import Config, CrossingSpec, segment_wall_events
 from .perverse import TransportData
-
-
-@dataclass(frozen=True)
-class CrossingSpec:
-    """kind "horiz": w_j passes above/below w_i with Re(w_j) left/right of
-    Re(w_i); kind "coll": w_j crosses [w_i, w_k] with prior orientation
-    eps_before."""
-
-    kind: str
-    i: int
-    j: int
-    k: int = -1
-    motion: str = ""
-    re_cmp: str = ""
-    eps_before: int = 0
-
-    def __post_init__(self):
-        if self.kind == "horiz":
-            if self.motion not in ("above", "below"):
-                raise InvalidInput("horizontality needs motion above|below")
-            if self.re_cmp not in ("left", "right"):
-                raise InvalidInput("horizontality needs re_cmp left|right")
-            if self.i == self.j:
-                raise InvalidInput("indices must differ")
-        elif self.kind == "coll":
-            if len({self.i, self.j, self.k}) != 3:
-                raise InvalidInput("collinearity needs three distinct indices")
-            if type(self.eps_before) is not int or self.eps_before not in (-1, 1):
-                raise InvalidInput("eps_before must be the integer 1 or -1")
-        else:
-            raise InvalidInput("kind must be 'horiz' or 'coll'")
-        idx = (self.i, self.j) if self.kind == "horiz" else (self.i, self.j, self.k)
-        if any(type(v) is not int or v < 0 for v in idx):
-            raise InvalidInput("point indices must be nonnegative integers")
-
-    @staticmethod
-    def from_event(ev: WallEvent) -> "CrossingSpec":
-        if ev.kind == "horiz":
-            return CrossingSpec(
-                "horiz", ev.i, ev.j, motion=ev.motion, re_cmp=ev.re_cmp
-            )
-        return CrossingSpec("coll", ev.i, ev.j, ev.k, eps_before=ev.eps_before)
-
-    def to_json(self) -> dict:
-        if self.kind == "horiz":
-            return {
-                "kind": "horiz", "i": self.i, "j": self.j,
-                "motion": self.motion, "re_cmp": self.re_cmp,
-            }
-        return {
-            "kind": "coll", "i": self.i, "j": self.j, "k": self.k,
-            "eps_before": self.eps_before,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CrossingSpec":
-        if data["kind"] == "horiz":
-            return CrossingSpec(
-                "horiz", data["i"], data["j"],
-                motion=data["motion"], re_cmp=data["re_cmp"],
-            )
-        return CrossingSpec(
-            "coll", data["i"], data["j"], data["k"],
-            eps_before=data["eps_before"],
-        )
 
 
 def cross_horizontality(m: TransportData, spec: CrossingSpec) -> TransportData:
@@ -136,10 +72,7 @@ def transport_along_path(
     """Fold the ordered wall events of the straight leg a0 -> a1 through the
     two crossing updates; returns the new data and the event log."""
     events = segment_wall_events(a0, a1)
-    specs = [CrossingSpec.from_event(ev) for ev in events]
-    for spec in specs:
-        m = apply_crossing(m, spec)
-    return m, specs
+    return apply_crossings(m, events), events
 
 
 def transport_along_waypoints(

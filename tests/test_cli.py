@@ -314,6 +314,56 @@ PINNED_LEGS = [
 ]
 
 
+WALK_LEGS = PINNED_LEGS + [("walk_leg8_back.json", "walk_leg8.json")]
+
+
+@pytest.mark.parametrize("name, target", WALK_LEGS)
+def test_walk_log_replays_through_events(name, target, tmp_path, capsys):
+    """The events log of `walk --to`, fed back through `walk --events` on
+    the same instance, gives a byte-identical transport."""
+    inst = os.path.join(DATA, name)
+    log = tmp_path / "log.json"
+    assert main(["walk", inst, "--to", os.path.join(DATA, target), "--out", str(log)]) == 0
+    code, replay = run_cli(["walk", inst, "--events", str(log)], capsys)
+    assert code == 0
+    walked = json.loads(log.read_text())
+    assert walked["events"] and replay["events"] == walked["events"]
+    assert json.dumps(replay["transport"]) == json.dumps(walked["transport"])
+
+
+@pytest.mark.parametrize("name, target", WALK_LEGS)
+def test_wall_events_are_crossing_records(name, target):
+    """The wall-event engine returns the crossing record that wallcross
+    applies, with its time filled in; the time is kept out of the JSON, of
+    equality and of the hash."""
+    import infrared
+    from infrared import wallcross
+    from infrared.geometry import AlgebraicTime, CrossingSpec, segment_wall_events
+
+    assert infrared.CrossingSpec is wallcross.CrossingSpec is CrossingSpec
+    events = segment_wall_events(*_pinned_leg(name, target))
+    assert events
+    for e in events:
+        assert isinstance(e, CrossingSpec) and isinstance(e.time, AlgebraicTime)
+        data = e.to_json()
+        assert "time" not in data
+        copy = CrossingSpec.from_json(data)
+        assert copy.time is None
+        assert copy == e and hash(copy) == hash(e)
+
+
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("zetta", "5/1")])
+def test_unknown_instance_keys_are_invalid_input(key, value, tmp_path, capsys):
+    """An instance holds only config, transport, quiver and zeta: a stray or
+    misspelt key is named in the error instead of being ignored."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"config": {"points": [["0", "0"], ["1", "2"]]}, key: value}))
+    code, data = run_cli(["matroid", str(path)], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert repr(key) in data["error"]["message"]
+
+
 def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
     from infrared.geometry import _cross, _integer_leg, _leg_quadratic, segment_wall_events
 

@@ -1,5 +1,6 @@
 """Checks on the benchmark tooling and on the source tree as a whole."""
 
+import json
 import pathlib
 import re
 
@@ -25,6 +26,29 @@ def test_tracer_resolves_every_traced_name(tracing, monkeypatch):
     monkeypatch.delattr(secondary, "refines")
     with pytest.raises(KeyError):
         tracing.Tracer()
+
+
+def test_tracer_counts_the_crossings_of_a_walk(tracing, capsys):
+    """The tracer's hook on segment_wall_events reads each crossing's kind
+    and time: over one `infrared walk`, its event counts add up to the
+    logged crossings and to the apply_crossing calls."""
+    from infrared.cli import main
+
+    data = ROOT / "tests" / "data"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["walk", str(data / "walk_leg8.json"),
+                     "--to", str(data / "walk_leg8_target.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    logged = len(json.loads(capsys.readouterr().out)["events"])
+    counts = tracer.summarize(0)
+    events = sum(counts.get(f"geometry.events.{kind}", 0)
+                 for kind in ("horiz", "coll_rational", "coll_irrational"))
+    assert logged > 0
+    assert events == logged == counts["wallcross.apply_crossing.calls"]
 
 
 def test_src_has_no_catch_all_handler():

@@ -220,9 +220,7 @@ def test_chamber_independence_of_the_fold():
     slow = config((-4, -2), ("1/3", "-1/2"), (4, "5/2"))
     ev_fast = segment_wall_events(a0, fast)
     ev_slow = segment_wall_events(a0, slow)
-    assert [CrossingSpec.from_event(e) for e in ev_fast] == [
-        CrossingSpec.from_event(e) for e in ev_slow
-    ]
+    assert ev_fast == ev_slow
     r = rng(49)
     m = rand_transport(r, 3, max_dim=2)
     out1, _ = transport_along_path(m, a0, fast)
