@@ -32,7 +32,6 @@ from .geometry import (
     dominance_order,
     general_position,
 )
-from .linalg import MatQ
 from .paths import enumerate_zeta_convex_paths, height_data
 from .perverse import Quiver, TransportData, mu
 from .fourier import factorization_check, fourier_diagram
@@ -71,10 +70,6 @@ def _load(path: str, build):
         raise InvalidInput(f"{path}: missing key {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: malformed instance data: {exc}") from None
-
-
-def _mat_json(mat: MatQ):
-    return [[str(x) for x in row] for row in mat.entries]
 
 
 _INSTANCE_KEYS = ("config", "transport", "quiver", "zeta")
@@ -194,10 +189,10 @@ def cmd_stokes(inst: Instance, args) -> dict:
     rep = factorization_check(inst.transport, inst.config, zeta0)
     return {
         "order": list(rep.order),
-        "Cplus": _mat_json(rep.c_plus),
-        "Cminus": _mat_json(rep.c_minus),
-        "Delta": _mat_json(rep.delta),
-        "T_glob": _mat_json(rep.lhs),
+        "Cplus": rep.c_plus.to_json(),
+        "Cminus": rep.c_minus.to_json(),
+        "Delta": rep.delta.to_json(),
+        "T_glob": rep.lhs.to_json(),
         "factorization_ok": rep.ok,
     }
 
@@ -210,9 +205,9 @@ def cmd_fourier(inst: Instance, args) -> dict:
     return {
         "order": list(diag.order),
         "dims": list(diag.dims),
-        "aCheck": [_mat_json(x) for x in diag.a_check],
-        "bCheck": _mat_json(diag.b_check),
-        "monodromy": _mat_json(mono),
+        "aCheck": [x.to_json() for x in diag.a_check],
+        "bCheck": diag.b_check.to_json(),
+        "monodromy": mono.to_json(),
     }
 
 

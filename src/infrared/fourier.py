@@ -49,6 +49,7 @@ alternatives.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,10 +108,13 @@ def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
     """acc + u b_j: b_j of gmv_embed projects Psi onto slot j, so this adds
     u to the slot-j columns of acc."""
     lo, hi = offs[j], offs[j + 1]
-    return MatQ._trusted(tuple([
-        row[:lo] + tuple([x + y for x, y in zip(row[lo:hi], urow)]) + row[hi:]
-        for row, urow in zip(acc.entries, u.entries)
-    ]), acc.cols)
+    den = math.lcm(acc.den, u.den)
+    sa, su = den // acc.den, den // u.den
+    rows = acc.num if sa == 1 else [tuple([x * sa for x in row]) for row in acc.num]
+    return MatQ._reduced(tuple([
+        row[:lo] + tuple([x + y * su for x, y in zip(row[lo:hi], urow)]) + row[hi:]
+        for row, urow in zip(rows, u.num)
+    ]), den, acc.cols)
 
 
 def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:

@@ -1,18 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-All matrices are immutable grids of ``fractions.Fraction``.  Integer rows (a
-row over its least common denominator, `_int_row`) live here, and so does the
-package's one elimination step, the fraction-free `_pivot`: ranks, inverses,
-kernels and the simplex of `lp` all run on it, and Fractions are formed only
-from the final rows.  A singular inverse is an error (`NotInvertible`), never
-a tolerance call.  Products and the forward substitution of
-`solve_unit_upper_right` are integer dot products over a row and a column
-denominator, with no Fraction formed per term.
+A matrix is stored as integer rows over one positive denominator, with the
+gcd of the denominator and every entry divided out, so that the form is
+canonical and equality is a tuple comparison.  Products, sums, scaling and
+the forward substitution of `solve_unit_upper_right` are integer arithmetic
+on those rows, and the package's one elimination step, the fraction-free
+`_pivot`, reads them directly: ranks, inverses, kernels and the simplex of
+`lp` all run on it.  Fractions are formed only at the edges (`__getitem__`,
+`entries`), and `to_json` writes the entries from the integers.  A singular
+inverse is an error (`NotInvertible`), never a tolerance call.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -20,27 +22,44 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput, NotInvertible, ShapeMismatch
 
 Q = Fraction
-_ZERO, _ONE = Q(0), Q(1)
+
+_PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An exact rational as (numerator, positive denominator) in lowest
+    terms, from a Fraction, an int or a string.  Strings of the form "p" or
+    "p/q" in ASCII digits are split and read with `int`; every other string
+    goes to `Fraction(str)`, so the accepted strings are exactly Fraction's."""
+    if isinstance(x, str):
+        plain = _PLAIN_RATIO.fullmatch(x)
+        if plain is None:
+            try:
+                return Fraction(x).as_integer_ratio()
+            except (ValueError, ZeroDivisionError):
+                pass
+        else:
+            n, d = plain.groups()
+            if d is None:
+                return int(n), 1
+            n, d = int(n), int(d)
+            if d:
+                g = math.gcd(n, d)
+                return n // g, d // g
+    elif isinstance(x, (Fraction, int)):
+        return x.as_integer_ratio()
+    raise InvalidInput(f"not an exact rational: {x!r}")
 
 
 def _frac(x) -> Fraction:
     """An exact rational from a Fraction, an int or a "num/den" string."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InvalidInput(f"not an exact rational: {x!r}")
+    return x if isinstance(x, Fraction) else Q(*_ratio(x))
 
 
 def _int_row(vals: Sequence) -> tuple[list[int], int]:
     """Rationals as (ints, least positive common denominator)."""
     ratios = [
-        (v if isinstance(v, (int, Fraction)) else Q(v)).as_integer_ratio()
+        v.as_integer_ratio() if isinstance(v, (int, Fraction)) else _ratio(v)
         for v in vals
     ]
     den = math.lcm(*[d for _, d in ratios])
@@ -86,10 +105,10 @@ def _pivot(tab: list[list[int]], den: list[int], row: int, col: int) -> None:
         den[r] = _reduce(t, den[r] * p)
 
 
-def int_rank(rows: list[list[int]]) -> int:
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """The rank of integer rows (left as they are): on a copy, the first row
     pivots on its first nonzero entry, if any, and is set aside."""
-    tab = [t[:] for t in rows]
+    tab = [list(t) for t in rows]
     den = [0] * len(tab)
     rank = 0
     while tab:
@@ -118,48 +137,81 @@ def _gauss_jordan(tab: list[list[int]], cols: int) -> tuple[list[int], list[int]
     return den, pivots
 
 
-class MatQ:
-    """An immutable rows x cols matrix over Q."""
+def _over(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[tuple, int]:
+    """Integer rows, row k over dens[k], as rows over the lcm of the dens."""
+    den = math.lcm(*dens)
+    return tuple([
+        tuple(row) if d == den else tuple([v * (den // d) for v in row])
+        for row, d in zip(rows, dens)
+    ]), den
 
-    __slots__ = ("rows", "cols", "entries")
+
+class MatQ:
+    """An immutable rows x cols matrix over Q: the integer rows `num` over the
+    positive denominator `den`, with gcd(den, *num) == 1."""
+
+    __slots__ = ("rows", "cols", "num", "den", "_entries")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple([tuple([_frac(x) for x in row]) for row in entries])
-        self.entries = grid
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-        for row in grid:
-            if len(row) != self.cols:
-                raise ShapeMismatch("ragged matrix rows")
+        # one pass: den is the lcm of the reduced denominators read so far,
+        # and the rows read so far are rescaled when it grows.  That lcm
+        # shares no factor with every rescaled numerator, so the form is
+        # canonical with no gcd pass.
+        num, den = [], 1
+        for row in entries:
+            out = []
+            for x in row:
+                n, d = x.as_integer_ratio() if type(x) is Fraction else _ratio(x)
+                if den % d:
+                    m = d // math.gcd(den, d)
+                    num = [[v * m for v in prev] for prev in num]
+                    out = [v * m for v in out]
+                    den *= m
+                out.append(n * (den // d))
+            num.append(out)
+        cols = len(num[0]) if num else 0
+        if any(len(row) != cols for row in num):
+            raise ShapeMismatch("ragged matrix rows")
+        self.rows, self.cols, self.num, self.den = len(num), cols, tuple(map(tuple, num)), den
+        self._entries = None
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...], cols: int) -> "MatQ":
-        """Wrap a tuple of rows of `cols` Fractions each as they are, with
-        neither the per-entry conversion nor the ragged-row check.  The width
-        is given, so a matrix with no rows keeps it."""
+    def _wrap(cls, num: tuple[tuple[int, ...], ...], den: int, cols: int) -> "MatQ":
+        """A matrix from integer rows of `cols` entries each over den > 0,
+        already in canonical form; the width is given, so a matrix with no
+        rows keeps it."""
         out = object.__new__(cls)
-        out.entries = grid
-        out.rows = len(grid)
-        out.cols = cols
+        out.rows, out.cols, out.num, out.den = len(num), cols, num, den
+        out._entries = None
         return out
+
+    @classmethod
+    def _reduced(cls, num: tuple[tuple[int, ...], ...], den: int, cols: int) -> "MatQ":
+        """`_wrap` after dividing den and the rows by their gcd."""
+        g = den
+        for row in num:
+            if g == 1:
+                return cls._wrap(num, den, cols)
+            g = math.gcd(g, *row)
+        if g > 1:
+            num = tuple([tuple([v // g for v in row]) for row in num])
+        return cls._wrap(num, den // g, cols)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "MatQ":
-        row = (_ZERO,) * cols
-        return MatQ._trusted((row,) * rows, cols)
+        return MatQ._wrap(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ._trusted(tuple(
-            (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1) for i in range(n)
-        ), n)
+        return MatQ._wrap(
+            tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), 1, n
+        )
 
     @staticmethod
     def scalar(value, n: int = 1) -> "MatQ":
-        v = _frac(value)
-        return MatQ([[v if i == j else Q(0) for j in range(n)] for i in range(n)])
+        return MatQ.identity(n).scale(value)
 
     @staticmethod
     def column(values: Sequence) -> "MatQ":
@@ -172,73 +224,114 @@ class MatQ:
     @staticmethod
     def from_blocks(blocks: Sequence[Sequence["MatQ"]]) -> "MatQ":
         """Assemble a block matrix from a grid of compatible blocks."""
-        out: list[list[Fraction]] = []
+        # each block is canonical, so its rows over the lcm of the block
+        # denominators are too
+        den = math.lcm(*[b.den for block_row in blocks for b in block_row])
+        out = []
         width = sum(b.cols for b in blocks[0]) if blocks else 0
         for block_row in blocks:
             height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ShapeMismatch("block heights disagree")
+            if any(b.rows != height for b in block_row):
+                raise ShapeMismatch("block heights disagree")
+            nums = [b.num if b.den == den
+                    else [[v * (den // b.den) for v in row] for row in b.num]
+                    for b in block_row]
             for r in range(height):
-                out.append(tuple([x for b in block_row for x in b.entries[r]]))
+                out.append(tuple([v for n in nums for v in n[r]]))
         if any(sum(b.cols for b in block_row) != width for block_row in blocks):
             raise ShapeMismatch("ragged matrix rows")
-        return MatQ._trusted(tuple(out), width)
+        return MatQ._wrap(tuple(out), den, width)
 
-    # -- basic queries -----------------------------------------------------
+    # -- the Fraction view -------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as a grid of Fractions, formed on first use."""
+        if self._entries is None:
+            d = self.den
+            self._entries = tuple([tuple([Q(v, d) for v in row]) for row in self.num])
+        return self._entries
 
     def __getitem__(self, rc) -> Fraction:
         r, c = rc
-        return self.entries[r][c]
+        return Q(self.num[r][c], self.den)
+
+    def to_json(self) -> list[list[str]]:
+        """The entries as "p" or "p/q" strings in lowest terms, as
+        `str(Fraction)` writes them."""
+        d = self.den
+        if d == 1:
+            return [[str(v) for v in row] for row in self.num]
+        out = []
+        for row in self.num:
+            strs = []
+            for v in row:
+                g = math.gcd(v, d)
+                strs.append(str(v // g) if g == d else f"{v // g}/{d // g}")
+            out.append(strs)
+        return out
+
+    # -- basic queries -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatQ)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"MatQ[{self.rows}x{self.cols}: {body}]"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "MatQ") -> "MatQ":
+    def _combine(self, other: "MatQ", sign: int, what: str) -> "MatQ":
+        """self + sign * other, both over the lcm of their denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix sum shape mismatch")
-        return MatQ._trusted(tuple([
-            tuple([a + b for a, b in zip(ra, rb)])
-            for ra, rb in zip(self.entries, other.entries)
-        ]), self.cols)
+            raise ShapeMismatch(f"matrix {what} shape mismatch")
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple([
+                tuple([x + y for x, y in zip(ra, rb)] if sign > 0
+                      else [x - y for x, y in zip(ra, rb)])
+                for ra, rb in zip(self.num, other.num)
+            ])
+            return MatQ._reduced(num, da, self.cols)
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return MatQ._reduced(tuple([
+            tuple([x * sa + y * sb for x, y in zip(ra, rb)])
+            for ra, rb in zip(self.num, other.num)
+        ]), den, self.cols)
+
+    def __add__(self, other: "MatQ") -> "MatQ":
+        return self._combine(other, 1, "sum")
 
     def __sub__(self, other: "MatQ") -> "MatQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix difference shape mismatch")
-        return MatQ._trusted(tuple([
-            tuple([a - b for a, b in zip(ra, rb)])
-            for ra, rb in zip(self.entries, other.entries)
-        ]), self.cols)
+        return self._combine(other, -1, "difference")
 
     def __neg__(self) -> "MatQ":
-        return MatQ._trusted(
-            tuple([tuple([-x for x in row]) for row in self.entries]), self.cols
+        return MatQ._wrap(
+            tuple([tuple([-x for x in row]) for row in self.num]), self.den, self.cols
         )
 
     def scale(self, s) -> "MatQ":
-        s = _frac(s)
-        return MatQ._trusted(
-            tuple([tuple([s * x for x in row]) for row in self.entries]), self.cols
+        n, d = _ratio(s)
+        return MatQ._reduced(
+            tuple([tuple([n * x for x in row]) for row in self.num]),
+            self.den * d, self.cols,
         )
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
@@ -248,58 +341,50 @@ class MatQ:
             )
         if not self.cols:
             return MatQ.zeros(self.rows, other.cols)
-        cols = [_int_row(col) for col in zip(*other.entries)]
-        out = []
-        for row in self.entries:
-            a, da = _int_row(row)
-            out.append(tuple([Q(sum(map(mul, a, b)), da * db) for b, db in cols]))
-        return MatQ._trusted(tuple(out), other.cols)
+        cols = list(zip(*other.num))
+        return MatQ._reduced(tuple([
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num
+        ]), self.den * other.den, other.cols)
 
     @property
     def T(self) -> "MatQ":
-        grid = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return MatQ._trusted(grid, self.rows)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return MatQ._wrap(num, self.den, self.rows)
 
     # -- elimination -------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank by fraction-free elimination: each row is scaled to integers
-        over its least common denominator, and elimination runs on those."""
-        return int_rank([_int_row(row)[0] for row in self.entries])
+        """Rank by fraction-free elimination on the integer rows."""
+        return int_rank(self.num)
 
     def inverse(self) -> "MatQ":
+        """Gauss-Jordan on [num | den Id], whose right half ends as the
+        inverse of num / den."""
         if not self.is_square():
             raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.rows
-        ident = MatQ.identity(n).entries
-        tab = [_int_row(row + e)[0] for row, e in zip(self.entries, ident)]
-        den, pivots = _gauss_jordan(tab, n)
+        n, d = self.rows, self.den
+        tab = [list(row) + [0] * i + [d] + [0] * (n - i - 1)
+               for i, row in enumerate(self.num)]
+        dens, pivots = _gauss_jordan(tab, n)
         if len(pivots) < n:
             raise NotInvertible("singular matrix")
-        return MatQ._trusted(tuple([
-            tuple([Q(v, d) for v in t[n:]]) for t, d in zip(tab, den)
-        ]), n)
+        return MatQ._reduced(*_over([t[n:] for t in tab], dens), n)
 
     def nullspace(self) -> list["MatQ"]:
         """Basis of the right kernel, as column vectors."""
-        tab = [_int_row(row)[0] for row in self.entries]
-        den, pivots = _gauss_jordan(tab, self.cols)
-        free = [c for c in range(self.cols) if c not in pivots]
+        tab = [list(row) for row in self.num]
+        dens, pivots = _gauss_jordan(tab, self.cols)
+        den = math.lcm(*dens[:len(pivots)])
         basis = []
-        for fc in free:
-            vec = [Q(0)] * self.cols
-            vec[fc] = Q(1)
-            for t, d, pc in zip(tab, den, pivots):
-                vec[pc] = Q(-t[fc], d)
-            basis.append(MatQ.column(vec))
+        for fc in range(self.cols):
+            if fc in pivots:
+                continue
+            vec = [0] * self.cols
+            vec[fc] = den
+            for t, d, pc in zip(tab, dens, pivots):
+                vec[pc] = -t[fc] * (den // d)
+            basis.append(MatQ._reduced(tuple((v,) for v in vec), den, 1))
         return basis
-
-    # -- block access ------------------------------------------------------
-
-    def submatrix(self, row_range, col_range) -> "MatQ":
-        return MatQ._trusted(tuple([
-            tuple([self.entries[r][c] for c in col_range]) for r in row_range
-        ]), len(col_range))
 
 
 def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
@@ -317,26 +402,25 @@ def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
     n = u.rows
     if u.cols != n or b.cols != n:
         raise ShapeMismatch(f"cannot solve X @ ({n}x{u.cols}) = ({b.rows}x{b.cols})")
-    ue = u.entries
-    if any(ue[c][c] != 1 or any(ue[c][:c]) for c in range(n)):
+    un, du, db = u.num, u.den, b.den
+    if any(un[c][c] != du or any(un[c][:c]) for c in range(n)):
         raise InvalidInput("matrix is not upper unitriangular")
-    # column c of u above the diagonal, over its least common denominator
-    above = [_int_row([ue[k][c] for k in range(c)]) for c in range(n)]
-    out = []
-    for row in b.entries:
-        # x[:c] is xs / dx, kept in integer form as the entries are found
-        x, xs, dx = [], [], 1
-        for bc, (uc, du) in zip(row, above):
+    # column c of u above the diagonal, over du
+    above = [col[:c] for c, col in enumerate(zip(*un))]
+    rows, dens = [], []
+    for row in b.num:
+        # x[:c] is xs / dx, each entry in lowest terms as it is found
+        xs, dx = [], 1
+        for bc, uc in zip(row, above):
             s = sum(map(mul, xs, uc))
-            if s:
-                d = dx * du
-                bc = Q(bc.numerator * d - s * bc.denominator, bc.denominator * d)
-            x.append(bc)
-            q = bc.denominator
+            p, q = (bc * dx * du - s * db, db * dx * du) if s else (bc, db)
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
             if dx % q:
                 m = q // math.gcd(dx, q)
                 xs = [v * m for v in xs]
                 dx *= m
-            xs.append(bc.numerator * (dx // q))
-        out.append(tuple(x))
-    return MatQ._trusted(tuple(out), n)
+            xs.append(p * (dx // q))
+        rows.append(xs)
+        dens.append(dx)
+    return MatQ._reduced(*_over(rows, dens), n)

@@ -124,10 +124,7 @@ class TransportData:
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),
-            "m": [
-                [[[str(x) for x in row] for row in blk.entries] for blk in mrow]
-                for mrow in self.m
-            ],
+            "m": [[blk.to_json() for blk in mrow] for mrow in self.m],
         }
 
     @staticmethod
@@ -183,12 +180,11 @@ class Quiver:
         )
 
     def to_json(self) -> dict:
-        mat = lambda blk: [[str(x) for x in row] for row in blk.entries]
         return {
             "dims": list(self.dims),
             "dPsi": self.d_psi,
-            "a": [mat(x) for x in self.a],
-            "b": [mat(x) for x in self.b],
+            "a": [x.to_json() for x in self.a],
+            "b": [x.to_json() for x in self.b],
         }
 
     @staticmethod

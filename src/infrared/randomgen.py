@@ -27,7 +27,12 @@ def rand_fraction(r: random.Random) -> Fraction:
 
 
 def rand_matrix(r: random.Random, rows: int, cols: int) -> MatQ:
-    return MatQ([[rand_fraction(r) for _ in range(cols)] for _ in range(rows)])
+    """Entries drawn as `rand_fraction` draws them, in the same order, and
+    kept as integers over 6, the lcm of the denominators 1..3."""
+    return MatQ._reduced(tuple([
+        tuple([r.randint(-2, 2) * (6 // r.randint(1, 3)) for _ in range(cols)])
+        for _ in range(rows)
+    ]), 6, cols)
 
 
 def rand_invertible(r: random.Random, n: int, tries: int = 200) -> MatQ:

@@ -612,7 +612,7 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
         rows.append(row)
     mat = MatQ(rows)
     basis = mat.nullspace()
-    return [tuple(vec.entries[t][0] for t in range(vec.rows)) for vec in basis]
+    return [tuple(vec[t, 0] for t in range(vec.rows)) for vec in basis]
 
 
 def coarse_subdivisions(A: Config) -> list[Subdivision]:

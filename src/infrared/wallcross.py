@@ -19,7 +19,7 @@ exercised in isolation.  Every fold over crossings is `apply_crossings`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInput
 from .geometry import Config, CrossingSpec, segment_wall_events
@@ -73,17 +73,6 @@ def transport_along_path(
     two crossing updates; returns the new data and the event log."""
     events = segment_wall_events(a0, a1)
     return apply_crossings(m, events), events
-
-
-def transport_along_waypoints(
-    m: TransportData, configs: Sequence[Config]
-) -> tuple[TransportData, list[CrossingSpec]]:
-    """Multi-leg version: consecutive configurations are straight legs."""
-    log: list[CrossingSpec] = []
-    for a0, a1 in zip(configs, configs[1:]):
-        m, specs = transport_along_path(m, a0, a1)
-        log.extend(specs)
-    return m, log
 
 
 def apply_crossings(

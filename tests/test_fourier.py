@@ -37,6 +37,14 @@ Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))
 
 
+def submatrix(m: MatQ, row_range, col_range) -> MatQ:
+    """The block of m on the given rows and columns; with no rows it keeps
+    the width of col_range."""
+    if not row_range:
+        return MatQ.zeros(0, len(col_range))
+    return MatQ([[m[r, c] for c in col_range] for r in row_range])
+
+
 def scalar(x):
     return MatQ([[x]])
 
@@ -321,12 +329,12 @@ def test_stokes_maximally_concave_single_transports():
             offs.append(offs[-1] + d)
         for s in range(n):
             for t in range(s + 1, n):
-                up = pair.c_plus.submatrix(
-                    range(offs[t], offs[t + 1]), range(offs[s], offs[s + 1])
+                up = submatrix(
+                    pair.c_plus, range(offs[t], offs[t + 1]), range(offs[s], offs[s + 1])
                 )
                 assert up == mm.m[s][t]
-                down = pair_m.c_minus.submatrix(
-                    range(offs[s], offs[s + 1]), range(offs[t], offs[t + 1])
+                down = submatrix(
+                    pair_m.c_minus, range(offs[s], offs[s + 1]), range(offs[t], offs[t + 1])
                 )
                 assert down == mm.m[t][s]
 

@@ -31,6 +31,7 @@ from infrared.randomgen import (
     rand_transport,
     rng,
 )
+from test_fourier import submatrix
 
 
 def scalar(x):
@@ -74,7 +75,7 @@ def test_matrix_results_match_validated_construction():
     r = rng(23)
     u, v, w = rand_matrix(r, 3, 2), rand_matrix(r, 2, 3), rand_matrix(r, 3, 2)
     results = [
-        u @ v, u + w, -u, u.scale(Q(-2, 3)), u.T, u.submatrix(range(1, 3), range(2)),
+        u @ v, u + w, -u, u.scale(Q(-2, 3)), u.T, submatrix(u, range(1, 3), range(2)),
         MatQ.from_blocks([[u, w]]), MatQ.identity(3), MatQ.zeros(2, 4),
         MatQ.zeros(2, 0) @ MatQ.zeros(0, 3),
         (MatQ.identity(3) + u @ v).inverse(),
@@ -93,7 +94,7 @@ def test_matrices_without_rows_or_columns_keep_their_shape():
     product = empty @ MatQ.zeros(3, 2)
     assert (product.rows, product.cols) == (0, 2)
     assert MatQ.zeros(2, 0) @ MatQ.zeros(0, 3) == MatQ.zeros(2, 3)
-    assert MatQ.zeros(2, 3).submatrix(range(0), range(1, 3)).cols == 2
+    assert submatrix(MatQ.zeros(2, 3), range(0), range(1, 3)).cols == 2
     assert (-empty).cols == (empty + empty).cols == empty.scale(2).cols == 3
     stacked = MatQ.from_blocks([[MatQ.zeros(0, 1), MatQ.zeros(0, 2)]])
     assert (stacked.rows, stacked.cols) == (0, 3)

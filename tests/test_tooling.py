@@ -73,3 +73,17 @@ def test_src_has_no_float_outside_the_plotter():
         if "float(" in line
     ]
     assert hits == []
+
+
+def test_only_linalg_reads_the_fraction_grid_of_a_matrix():
+    """`MatQ.entries` is a boundary view for tests and `repr`: no module of
+    `src/infrared` but `linalg.py` reads it, so integer rows stay the one
+    storage path."""
+    hits = [
+        (path.name, n)
+        for path in sorted((ROOT / "src" / "infrared").glob("*.py"))
+        if path.name != "linalg.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\.entries\b", line)
+    ]
+    assert hits == []

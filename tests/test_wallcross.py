@@ -32,6 +32,16 @@ def scalar(x):
     return MatQ([[x]])
 
 
+def transport_along_waypoints(m, configs):
+    """Multi-leg transport: consecutive configurations are straight legs;
+    returns the new data and the concatenated event log."""
+    log = []
+    for a0, a1 in zip(configs, configs[1:]):
+        m, specs = transport_along_path(m, a0, a1)
+        log.extend(specs)
+    return m, log
+
+
 def scalar_transport(entries):
     n = len(entries)
     return TransportData([1] * n, [[scalar(entries[i][j]) for j in range(n)] for i in range(n)])
@@ -241,7 +251,6 @@ def test_pure_braid_two_strands():
         config((0, 0), (3, 1)),
     ]
     ccw_loop = list(reversed(cw_loop))
-    from infrared.wallcross import transport_along_waypoints
 
     for _ in range(6):
         m = rand_transport(r, 2, max_dim=2)
@@ -263,7 +272,6 @@ def test_three_point_loop_braid_square():
     """
     from infrared.fourier import dressed_transport
     from infrared.perverse import braid_act_word
-    from infrared.wallcross import transport_along_waypoints
 
     spect = (8, 5)
     A0 = config((0, 0), (3, 1), spect)
