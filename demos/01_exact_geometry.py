@@ -7,8 +7,9 @@ half a turn sorts the marked points into the reversed dominance order, and
 the recorded switches spell a reduced word for the longest permutation.
 """
 
+import itertools
+
 from infrared import (
-    chirotope,
     config,
     convex_hull,
     direction,
@@ -22,8 +23,9 @@ A = config((0, 0), (3, 1), (1, 2), (2, "7/2"))
 print("configuration:", A)
 print("convex hull cycle:", convex_hull(A))
 
-chi = chirotope(A)
-print("chirotope signs:", chi.signs)
+t = A.sign_table()
+signs = {(i, j, k): t[i][j][k] for i, j, k in itertools.combinations(range(len(A)), 3)}
+print("chirotope signs:", signs)
 
 zeta = direction(1, 0)
 rep = general_position(A, zeta)

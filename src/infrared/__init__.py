@@ -28,7 +28,7 @@ from .geometry import (
     Dir,
     Pt,
     anti_stokes_sequence,
-    chirotope,
+    area2,
     config,
     convex_hull,
     direction,

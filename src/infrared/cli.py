@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from .geometry import (
     Config,
     Dir,
     anti_stokes_sequence,
-    chirotope,
     convex_hull,
     dominance_order,
     general_position,
@@ -116,13 +116,14 @@ def _need(instance: Instance, *fields):
 def cmd_matroid(inst: Instance, args) -> dict:
     _need(inst, "config")
     A = inst.config
-    chi = chirotope(A)
+    t = A.sign_table()
     zeta = inst.zeta or (args.zeta and _parse_zeta(args.zeta))
     rep = general_position(A, zeta)
     return {
         "n": len(A),
         "chirotope": {
-            "/".join(map(str, k)): v for k, v in sorted(chi.signs.items())
+            f"{i}/{j}/{k}": t[i][j][k]
+            for i, j, k in itertools.combinations(range(len(A)), 3)
         },
         "lin_general": rep.lin_general,
         "strong_lin_general": rep.strong_lin_general,

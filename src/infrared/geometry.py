@@ -7,12 +7,15 @@ cross products, so no floating point enters any predicate.
 
 Conventions
 -----------
+* ``Config.int_points()`` is the integer frame of a configuration: its
+  points times the lcm ``den`` of their coordinate denominators, kept per
+  configuration.  ``area2(A, cycle)``, the shoelace sum over that frame, is
+  den^2 times the doubled signed area of a polygon of A's points, so its
+  sign, and every comparison between areas of one configuration, is exact;
+  it is the package's one area routine.
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
-  it is the sign of det [[1,1,1],[x_a,x_b,x_c],[y_a,y_b,y_c]], read from an
-  integer cross product of ``Config.int_points()``, the points times the
-  lcm of their coordinate denominators, kept per configuration.  Predicates
-  read these signs from ``Config.sign_table()``, computed once per
-  configuration.
+  it is the sign of ``area2(A, (a, b, c))``.  Predicates read these signs
+  from ``Config.sign_table()``, computed once per configuration.
 * The dominance value of a point w in direction zeta is
   ``Re(zeta * w) = dx*x - dy*y`` (complex product).
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
@@ -34,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
 from .linalg import _frac, _int_row
@@ -175,38 +178,24 @@ def config(*coords) -> Config:
 # predicates
 
 
+def area2(A: Config, cycle: Sequence[int]) -> int:
+    """The shoelace sum of the polygon `cycle` over `A.int_points()`: den^2
+    times its doubled signed area, positive when the cycle runs
+    counterclockwise."""
+    pts = A.int_points()[0]
+    total = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        total += ax * by - bx * ay
+    return total
+
+
 def orient(A: Config, i: int, j: int, k: int) -> int:
     """Sign of the orientation determinant of (w_i, w_j, w_k); +1 = ccw."""
     if len({i, j, k}) != 3:
         raise InvalidInput("orient needs three distinct indices")
-    pts = A.int_points()[0]
-    (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
-    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    d = area2(A, (i, j, k))
     return (d > 0) - (d < 0)
-
-
-class Chirotope:
-    """All orientation signs e_ijk of a configuration, extended alternating."""
-
-    def __init__(self, A: Config):
-        self.n = len(A)
-        self._table = A.sign_table()
-        self.signs = {
-            (i, j, k): self._table[i][j][k]
-            for i, j, k in itertools.combinations(range(self.n), 3)
-        }
-
-    def chi(self, i: int, j: int, k: int) -> int:
-        """Alternating extension to arbitrary triples (0 on repeats)."""
-        return self._table[i][j][k]
-
-    @property
-    def lin_general(self) -> bool:
-        return all(s != 0 for s in self.signs.values())
-
-
-def chirotope(A: Config) -> Chirotope:
-    return Chirotope(A)
 
 
 @dataclass(frozen=True)
@@ -589,16 +578,17 @@ class CrossingSpec:
 
 
 def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:
-    """(x, y, dx, dy) of each point on the leg A0 -> A1, both endpoints scaled
-    by the lcm of their coordinate denominators.  A positive factor changes
-    no event time, no sign and no primitive quadratic, so the wall events
-    are computed on Python ints."""
-    scale = math.lcm(*[c.denominator for A in (A0, A1) for p in A for c in (p.x, p.y)])
-    leg = []
-    for p, q in zip(A0, A1):
-        x0, y0, x1, y1 = [c.numerator * (scale // c.denominator) for c in (p.x, p.y, q.x, q.y)]
-        leg.append((x0, y0, x1 - x0, y1 - y0))
-    return leg
+    """(x, y, dx, dy) of each point on the leg A0 -> A1, the integer frames
+    of both endpoints rescaled to the lcm of their two denominators.  A
+    positive factor changes no event time, no sign and no primitive
+    quadratic, so the wall events are computed on Python ints."""
+    (p0, d0), (p1, d1) = A0.int_points(), A1.int_points()
+    scale = math.lcm(d0, d1)
+    s0, s1 = scale // d0, scale // d1
+    return [
+        (x0 * s0, y0 * s0, x1 * s1 - x0 * s0, y1 * s1 - y0 * s0)
+        for (x0, y0), (x1, y1) in zip(p0, p1)
+    ]
 
 
 def _cross(u, v):

@@ -28,9 +28,10 @@ _PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def _ratio(x) -> tuple[int, int]:
     """An exact rational as (numerator, positive denominator) in lowest
-    terms, from a Fraction, an int or a string.  Strings of the form "p" or
-    "p/q" in ASCII digits are split and read with `int`; every other string
-    goes to `Fraction(str)`, so the accepted strings are exactly Fraction's."""
+    terms, from a Fraction, an int (not a bool) or a string.  Strings of the
+    form "p" or "p/q" in ASCII digits are split and read with `int`; every
+    other string goes to `Fraction(str)`, so the accepted strings are exactly
+    Fraction's."""
     if isinstance(x, str):
         plain = _PLAIN_RATIO.fullmatch(x)
         if plain is None:
@@ -46,7 +47,7 @@ def _ratio(x) -> tuple[int, int]:
             if d:
                 g = math.gcd(n, d)
                 return n // g, d // g
-    elif isinstance(x, (Fraction, int)):
+    elif isinstance(x, (Fraction, int)) and not isinstance(x, bool):
         return x.as_integer_ratio()
     raise InvalidInput(f"not an exact rational: {x!r}")
 
@@ -59,7 +60,7 @@ def _frac(x) -> Fraction:
 def _int_row(vals: Sequence) -> tuple[list[int], int]:
     """Rationals as (ints, least positive common denominator)."""
     ratios = [
-        v.as_integer_ratio() if isinstance(v, (int, Fraction)) else _ratio(v)
+        v.as_integer_ratio() if type(v) in (int, Fraction) else _ratio(v)
         for v in vals
     ]
     den = math.lcm(*[d for _, d in ratios])

@@ -43,6 +43,13 @@ def jacobson(u: MatQ, v: MatQ) -> tuple[MatQ, MatQ]:
     return lhs, rhs
 
 
+def _dim(d, name: str) -> int:
+    """A space dimension: a nonnegative int, bool excluded."""
+    if type(d) is not int or d < 0:
+        raise InvalidInput(f"{name} must be a nonnegative integer, got {d!r}")
+    return d
+
+
 def _check_block(dims, i: int, j: int, blk: MatQ) -> None:
     if (blk.rows, blk.cols) != (dims[j], dims[i]):
         raise ShapeMismatch(f"m[{i}][{j}] must map dim {dims[i]} to dim {dims[j]}")
@@ -64,7 +71,7 @@ class TransportData:
     __slots__ = ("dims", "m", "_t_inv")
 
     def __init__(self, dims: Sequence[int], m: Sequence[Sequence[MatQ]]):
-        self.dims = tuple(dims)
+        self.dims = tuple(_dim(d, "dims entry") for d in dims)
         self.m = tuple(tuple(row) for row in m)
         n = len(self.dims)
         if len(self.m) != n or any(len(row) != n for row in self.m):
@@ -140,8 +147,8 @@ class Quiver:
     __slots__ = ("dims", "d_psi", "a", "b")
 
     def __init__(self, dims, d_psi: int, a: Sequence[MatQ], b: Sequence[MatQ]):
-        self.dims = tuple(dims)
-        self.d_psi = d_psi
+        self.dims = tuple(_dim(d, "dims entry") for d in dims)
+        self.d_psi = _dim(d_psi, "dPsi")
         self.a = tuple(a)
         self.b = tuple(b)
         n = len(self.dims)

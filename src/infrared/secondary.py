@@ -17,8 +17,14 @@ edges and interior vertices in degrees 0, 1, 2 with restriction
 differentials signed by co-orientations; its middle cohomology dimension is
 the exceptionality, and codim F = dim D - 3 with D the space of lifts
 (piecewise-affine values plus free values at omitted points).  The
-differentials are integer matrices (coordinates times a common
-denominator), and their ranks come from fraction-free elimination.
+differentials are integer matrices, and their ranks come from fraction-free
+elimination.
+
+Only signs and equalities of determinants matter here, so the module does
+no coordinate arithmetic: signs come from `Config.sign_table()`, areas from
+`geometry.area2`, lifts and edge directions from `Config.int_points()`
+(each the true value times a positive factor of the configuration), and
+the framing projection from `Dir.infinity_form`.
 
 Two routines rest on standard facts about subdivisions of a configuration
 in linear general position, no three points collinear (De Loera, Rambau and
@@ -46,8 +52,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from .geometry import Config, Dir, convex_hull, general_position
-from .linalg import MatQ, int_rank
+from .geometry import Config, Dir, area2, convex_hull, general_position
+from .linalg import MatQ, _int_row, int_rank
 
 Q = Fraction
 
@@ -184,13 +190,6 @@ class Subdivision:
         )
 
 
-def _polygon_area2(A: Config, cycle: Sequence[int]) -> Fraction:
-    total = Q(0)
-    for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-        total += A[a].x * A[b].y - A[b].x * A[a].y
-    return total
-
-
 def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
     """Weak containment of point w in the closed convex ccw polygon."""
     t = A.sign_table()
@@ -209,15 +208,14 @@ def validate_subdivision(sub: Subdivision) -> None:
     if not sub.cells:
         raise InvalidInput("empty subdivision")
     hull = A.hull()
-    for c in sub.cells:
-        if _polygon_area2(A, c.polygon) <= 0:
+    areas = [area2(A, c.polygon) for c in sub.cells]
+    for c, area in zip(sub.cells, areas):
+        if area <= 0:
             raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
         for w in c.marked:
             if not _point_in_polygon(A, c.polygon, w):
                 raise InvalidInput(f"marked point {w} outside cell {c.polygon}")
-    if sum(_polygon_area2(A, c.polygon) for c in sub.cells) != _polygon_area2(
-        A, hull
-    ):
+    if sum(areas) != area2(A, hull):
         raise InvalidInput("cells do not tile the hull")
     hull_edges = {
         frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
@@ -248,15 +246,17 @@ def validate_subdivision(sub: Subdivision) -> None:
 
 
 def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
-    """Lower-hull subdivision of the lift w_i -> (w_i, psi_i)."""
+    """Lower-hull subdivision of the lift w_i -> (w_i, psi_i), psi given as
+    ints, Fractions or strings.  Each axis of the lift is scaled to integers
+    by its own positive factor, which changes no side sign."""
     if not general_position(A).lin_general:
         raise DegeneratePosition("lifting needs linearly general position")
     n = len(A)
-    psi = [Q(p) if not isinstance(p, Fraction) else p for p in psi]
-    if len(psi) != n:
+    heights = _int_row(psi)[0]
+    if len(heights) != n:
         raise InvalidInput("one lift value per point")
     t = A.sign_table()
-    lifted = [(p.x, p.y, z) for p, z in zip(A, psi)]
+    lifted = [(x, y, z) for (x, y), z in zip(A.int_points()[0], heights)]
     facets: set[frozenset[int]] = set()
     for i, j, k in itertools.combinations(range(n), 3):
         # psi_w minus the plane through the lifted i, j, k has the sign of
@@ -321,18 +321,12 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     s_idx = len(var)
     nvars = s_idx + 1
 
-    pts = A.int_points()[0]
-
-    def area2(a: int, b: int, c: int) -> int:
-        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
     def excess(ci: int, w: int, slack: bool) -> list[int]:
         """The row f_ci(w) - psi_w, plus s when `slack`, times the doubled
         area of ci's basis triangle, which is positive, so the row is
         integral."""
         a, b, c = sub.cells[ci].polygon[:3]
-        det, lb, lc = area2(a, b, c), area2(a, w, c), area2(a, b, w)
+        det, lb, lc = area2(A, (a, b, c)), area2(A, (a, w, c)), area2(A, (a, b, w))
         row = [0] * nvars
         for p, coef in ((a, det - lb - lc), (b, lb), (c, lc), (w, -det)):
             if p in var:
@@ -591,7 +585,8 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
 def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
     """Basis of restricted deformations moving only interior vertices so
     that every edge stays parallel; the kernel of the normal-difference
-    map.  Its dimension equals the exceptionality."""
+    map, whose integer rows are one positive multiple of the true ones.  Its
+    dimension equals the exceptionality."""
     verts = sub.interior_vertices()
     vix = {v: t for t, v in enumerate(verts)}
     relevant = sorted(
@@ -599,19 +594,19 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
     )
     if not verts:
         return []
+    pts = A.int_points()[0]
     rows = []
     for e in relevant:
         lo, hi = sorted(e)
-        d = A[hi] - A[lo]
-        row = [Q(0)] * (2 * len(verts))
-        for w, sgn in ((lo, Q(1)), (hi, Q(-1))):
+        dx, dy = pts[hi][0] - pts[lo][0], pts[hi][1] - pts[lo][1]
+        row = [0] * (2 * len(verts))
+        for w, sgn in ((lo, 1), (hi, -1)):
             if w in vix:
                 # normal projection: cross(direction, velocity)
-                row[2 * vix[w]] += sgn * (-d.y)
-                row[2 * vix[w] + 1] += sgn * d.x
+                row[2 * vix[w]] -= sgn * dy
+                row[2 * vix[w] + 1] += sgn * dx
         rows.append(row)
-    mat = MatQ(rows)
-    basis = mat.nullspace()
+    basis = MatQ(rows).nullspace()
     return [tuple(vec[t, 0] for t in range(vec.rows)) for vec in basis]
 
 
@@ -645,7 +640,7 @@ def framing(A: Config, polygon: Sequence[int], zeta: Dir) -> Framing:
     to zeta; d_plus is the counterclockwise boundary arc from alpha to
     omega."""
     poly = _canon_cycle(list(polygon))
-    if _polygon_area2(A, poly) < 0:
+    if area2(A, poly) < 0:
         poly = _canon_cycle(list(reversed(poly)))
     vals = [zeta.infinity_form(A[w]) for w in poly]
     if len(set(vals)) != len(vals):

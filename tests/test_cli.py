@@ -186,6 +186,7 @@ def test_error_reporting(tmp_path, capsys):
     # malformed input of every kind is reported, never a traceback
     points = [["0", "0"], ["1", "2"]]
     transport = {"dims": [1, 1], "m": [[[["0"]], [["5"]]], [[["7"]], [["0"]]]]}
+    quiver = {"dims": [1, 1], "dPsi": 1, "a": [[["1"]], [["2"]]], "b": [[["0"]], [["3"]]]}
     cases = {
         "malformed_json": ("stokes", '{"config": {"points": [["0", "0"]'),
         "not_an_object": ("matroid", json.dumps([points])),
@@ -203,7 +204,21 @@ def test_error_reporting(tmp_path, capsys):
                           "m": [[[["0"]], [["1/0"]]], [[["7"]], [["0"]]]]}})),
         "bad_zeta_in_file": ("matroid", json.dumps(
             {"config": {"points": points}, "zeta": "1/x"})),
+        # JSON booleans are no numbers, and a dim is a nonnegative integer
+        "bool_coordinate": ("matroid", json.dumps(
+            {"config": {"points": [[False, "0"], ["1", "2"]]}})),
+        "bool_matrix_entry": ("stokes", json.dumps({
+            "config": {"points": points},
+            "transport": {"dims": [1, 1],
+                          "m": [[[["0"]], [[False]]], [[["7"]], [["0"]]]]}})),
     }
+    edits = [("dims", [True, 1]), ("dims", [1.0, 1]), ("dims", ["1", 1]),
+             ("dims", [-1, 1]), ("dPsi", True), ("dPsi", 1.0), ("dPsi", -1)]
+    for model, base in (("transport", transport), ("quiver", quiver)):
+        for key, bad in edits:
+            if key in base:
+                cases[f"{model}_{key}_{bad!r}"] = ("stokes", json.dumps(
+                    {"config": {"points": points}, model: {**base, key: bad}}))
     for name, (command, text) in cases.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -212,7 +227,12 @@ def test_error_reporting(tmp_path, capsys):
         assert code == 2, name
         assert out["error"]["code"] == "invalid_input", name
     good = tmp_path / "good.json"
+    good.write_text(json.dumps({"config": {"points": points}, "quiver": quiver}))
+    assert main(["stokes", str(good)]) == 0
+    capsys.readouterr()
     good.write_text(json.dumps({"config": {"points": points}, "transport": transport}))
+    assert main(["stokes", str(good)]) == 0
+    capsys.readouterr()
     for zeta in ("1/x", "1", "x/1", "1.5/2"):
         code = main(["stokes", str(good), "--zeta", zeta])
         out = json.loads(capsys.readouterr().out)

@@ -15,7 +15,6 @@ from infrared.geometry import (
     _integer_leg,
     _leg_quadratic,
     anti_stokes_sequence,
-    chirotope,
     config,
     convex_hull,
     direction,
@@ -58,33 +57,37 @@ def test_orient_alternating_random():
         assert orient(A, i, j, k) == -orient(A, i, k, j)
 
 
+def chirotope_signs(A):
+    """The orientation signs of the increasing triples, read from the table."""
+    t = A.sign_table()
+    return {(i, j, k): t[i][j][k] for i, j, k in itertools.combinations(range(len(A)), 3)}
+
+
 def test_chirotope_small():
     tri = config((0, 0), (1, 0), (0, 1))
-    chi = chirotope(tri)
-    assert chi.signs == {(0, 1, 2): 1}
+    assert chirotope_signs(tri) == {(0, 1, 2): 1}
     quad = config((0, 0), (2, 0), (3, 2), (1, 3))  # convex ccw
-    chi4 = chirotope(quad)
-    assert all(v == 1 for v in chi4.signs.values())
+    assert all(v == 1 for v in chirotope_signs(quad).values())
     degen = config((0, 0), (1, 1), (2, 2), (0, 5))
-    chd = chirotope(degen)
-    assert chd.signs[(0, 1, 2)] == 0
-    assert not chd.lin_general
+    assert chirotope_signs(degen)[(0, 1, 2)] == 0
+    assert not general_position(degen).lin_general
 
 
-def exchange_axiom_holds(chi) -> bool:
+def exchange_axiom_holds(A) -> bool:
     """Three-term Grassmann-Pluecker sign condition on all index tuples.
 
     For every (i1..i4, j1, j2) the sign set
     {(-1)^v * chi(i.. without i_v ..) * chi(j1, j2, i_v)} must either
-    contain {+1, -1} or equal {0}.
+    contain {+1, -1} or equal {0}, chi being the alternating sign table.
     """
-    rng = range(chi.n)
+    t = A.sign_table()
+    rng = range(len(A))
     for quad in itertools.combinations(rng, 4):
         for j1, j2 in itertools.permutations(rng, 2):
             vals = set()
             for v in range(4):
-                rest = tuple(x for t, x in enumerate(quad) if t != v)
-                s = (-1) ** (v + 1) * chi.chi(*rest) * chi.chi(j1, j2, quad[v])
+                a, b, c = (x for u, x in enumerate(quad) if u != v)
+                s = (-1) ** (v + 1) * t[a][b][c] * t[j1][j2][quad[v]]
                 vals.add(s)
             if not ({1, -1} <= vals or vals == {0}):
                 return False
@@ -95,9 +98,8 @@ def test_exchange_axiom_exhaustive():
     r = rng(2)
     for n in (4, 5, 6, 7):
         A = rand_config(r, n, require_strong=False)
-        chi = chirotope(A)
-        assert chi.lin_general
-        assert exchange_axiom_holds(chi)
+        assert general_position(A).lin_general
+        assert exchange_axiom_holds(A)
 
 
 def test_general_position_flags():

@@ -10,12 +10,12 @@ import pytest
 from infrared import lp, secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
 from infrared.geometry import (
-    Config, config, convex_hull, direction, general_position, orient)
+    Config, area2, config, convex_hull, direction, general_position, orient, pt)
+from infrared.linalg import MatQ
 from infrared.secondary import (
     Cell,
     _canon_cycle,
     _point_in_polygon,
-    _polygon_area2,
     Subdivision,
     coarse_subdivisions,
     content,
@@ -31,6 +31,7 @@ from infrared.secondary import (
     validate_subdivision,
 )
 from infrared.randomgen import rand_config, rng
+from test_kernels import BIG, PRIMES
 
 CIRCUIT_A = config((0, 0), (3, 0), (4, 3), (-1, 2))
 CIRCUIT_B = config((0, 0), (4, 0), (1, 3), ("3/2", 1))
@@ -309,19 +310,34 @@ def test_enumeration_validates_each_subdivision_once(monkeypatch):
     A = convex_gon(5)
     subs = enumerate_subdivisions(A)
     assert sorted(calls) == sorted(s.key() for s in subs)
-    # a subdivision that passed is not checked again downstream
-    areas = []
-    area = secondary._polygon_area2
+    # a subdivision that passed is not checked again downstream: no area2
+    # call is made while validate_subdivision runs (is_regular's LP rows
+    # call area2 outside it)
+    validating = []
+    areas = {True: 0, False: 0}
+    area = secondary.area2
+
+    def flagged(sub):
+        validating.append(sub)
+        try:
+            validate(sub)
+        finally:
+            validating.pop()
 
     def counting_area(*args):
-        areas.append(args)
+        areas[bool(validating)] += 1
         return area(*args)
 
-    monkeypatch.setattr(secondary, "_polygon_area2", counting_area)
+    monkeypatch.setattr(secondary, "validate_subdivision", flagged)
+    monkeypatch.setattr(secondary, "area2", counting_area)
     for sub in subs:
         is_regular(A, sub)
         deformation_complex(A, sub)
-    assert areas == []
+    assert areas[True] == 0 and areas[False] > 0
+    # the probe sees a validation that does run
+    subs[0]._valid = False
+    is_regular(A, subs[0])
+    assert areas[True] == len(subs[0].cells) + 1
     # a failed check is not remembered
     bad = Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])
     for _ in range(2):
@@ -506,7 +522,7 @@ def walk_merge_cells(A, sub, drop):
                 return None
         if len(cycle) != len(kept):
             return None
-        if _polygon_area2(A, cycle) < 0:
+        if fraction_area2(A, cycle) < 0:
             cycle.reverse()
         t = A.sign_table()
         turns = zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
@@ -777,3 +793,167 @@ def test_graded_covers_match_the_refinement_matrix():
     assert refinement_poset([only], [deformation_complex(triangle, only).codim]) == {
         "covers": [], "height": 0}
     assert refinement_poset([], []) == {"covers": [], "height": 0}
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-coordinate routines that the integer frame replaced
+
+
+def fraction_area2(A, cycle):
+    """The doubled signed area of a polygon by the shoelace sum over the
+    Fraction coordinates."""
+    total = Q(0)
+    for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+        total += A[a].x * A[b].y - A[b].x * A[a].y
+    return total
+
+
+def fraction_induced_subdivision(A, psi):
+    """The lower hull of the lift w_i -> (x_i, y_i, psi_i) in Fractions."""
+    n = len(A)
+    psi = [Q(p) for p in psi]
+    t = A.sign_table()
+    lifted = [(p.x, p.y, z) for p, z in zip(A, psi)]
+    facets = set()
+    for i, j, k in itertools.combinations(range(n), 3):
+        o = lifted[i]
+        xj, yj, zj = [c - c0 for c, c0 in zip(lifted[j], o)]
+        xk, yk, zk = [c - c0 for c, c0 in zip(lifted[k], o)]
+        normal = (yj * zk - zj * yk, zj * xk - xj * zk, xj * yk - yj * xk)
+        on_plane = []
+        for w in range(n):
+            side = t[i][j][k] * sum(
+                c * (cw - c0) for c, cw, c0 in zip(normal, lifted[w], o)
+            )
+            if side < 0:
+                break
+            if side == 0:
+                on_plane.append(w)
+        else:
+            facets.add(frozenset(on_plane))
+    cells = [Cell(tuple(convex_hull(A, s)), frozenset(s)) for s in facets]
+    sub = Subdivision(A, cells)
+    validate_subdivision(sub)
+    return sub
+
+
+def fraction_parallel_deformations(A, sub):
+    """The kernel of the normal-difference map with Fraction rows built from
+    the coordinate differences of the edges."""
+    verts = sub.interior_vertices()
+    vix = {v: t for t, v in enumerate(verts)}
+    relevant = sorted(
+        (e for e in sub.edge_cells if any(w in vix for w in e)), key=sorted
+    )
+    if not verts:
+        return []
+    rows = []
+    for e in relevant:
+        lo, hi = sorted(e)
+        d = A[hi] - A[lo]
+        row = [Q(0)] * (2 * len(verts))
+        for w, sgn in ((lo, Q(1)), (hi, Q(-1))):
+            if w in vix:
+                row[2 * vix[w]] += sgn * (-d.y)
+                row[2 * vix[w] + 1] += sgn * d.x
+        rows.append(row)
+    basis = MatQ(rows).nullspace()
+    return [tuple(vec[t, 0] for t in range(vec.rows)) for vec in basis]
+
+
+def big_point(r):
+    """A point whose coordinates have large prime denominators."""
+    return pt(Q(r.randint(-BIG, BIG), r.choice(PRIMES)),
+              Q(r.randint(-BIG, BIG), r.choice(PRIMES)))
+
+
+def big_denominator_triangles(r):
+    """Concentric triangles whose coordinates have large, pairwise coprime
+    denominators: the inner triangle is a shrunken, shifted copy of the
+    outer one, so its edges stay parallel and one subdivision is
+    exceptional."""
+    outer = [big_point(r) for _ in range(3)]
+    cx = sum(p.x for p in outer) / 3
+    cy = sum(p.y for p in outer) / 3
+    lam = Q(r.randint(2, 5), 11)
+    dx, dy = Q(1, r.choice(PRIMES)), Q(-1, r.choice(PRIMES))
+    inner = [pt(cx + lam * (p.x - cx) + dx, cy + lam * (p.y - cy) + dy) for p in outer]
+    return Config(outer + inner)
+
+
+def frame_configs():
+    """Seeded draws of 4 to 8 points, every third from a small box that only
+    needs linear general position; draws over large coprime denominators;
+    and nested triangles over both small and large denominators."""
+    r = rng(93)
+    out = []
+    for k, n in enumerate([4, 5, 6, 7, 8, 4, 5, 6, 7, 5, 6, 4]):
+        if k % 3 == 2:
+            out.append(rand_config(r, n, require_strong=False, box=3))
+        else:
+            out.append(rand_config(r, n))
+    out += [Config(big_point(r) for _ in range(n)) for n in (4, 5, 6)]
+    out += [concentric_triangles()[0], big_denominator_triangles(r)]
+    return out
+
+
+def test_area2_is_den_squared_times_the_fraction_shoelace():
+    r = rng(94)
+    signs = set()
+    for A in frame_configs():
+        den = A.int_points()[1]
+        n = len(A)
+        cycles = [A.hull()] + list(itertools.permutations(range(n), 3))
+        for _ in range(20):
+            cycles.append(tuple(r.sample(range(n), r.randint(3, n))))
+        for cyc in cycles:
+            got = area2(A, cyc)
+            assert type(got) is int
+            assert got == den * den * fraction_area2(A, cyc), (A, cyc)
+            assert area2(A, list(cyc)) == got
+            signs.add((got > 0) - (got < 0))
+    assert {-1, 1} <= signs  # a self-crossing cycle may have area 0
+    collinear = config((0, 0), ("1/3", "1/3"), ("2/7", "2/7"))
+    assert area2(collinear, (0, 1, 2)) == 0
+
+
+def test_integer_lift_matches_the_fraction_lift():
+    """induced_subdivision equals the Fraction-lift lower hull for heights
+    given as ints, Fractions and strings, and for every regularity witness."""
+    r = rng(95)
+    cells = set()
+    for A in frame_configs():
+        n = len(A)
+        lifts = [[r.randint(-3, 3) for _ in range(n)] for _ in range(4)]
+        lifts += [[Q(r.randint(-BIG, BIG), r.choice(PRIMES)) for _ in range(n)]
+                  for _ in range(3)]
+        lifts += [[str(Q(r.randint(-9, 9), r.randint(1, 7))) for _ in range(n)]
+                  for _ in range(3)]
+        lifts += [[Q(0)] * n, [0] * n, ["0"] * n]
+        if n <= 5:
+            lifts += [list(w.psi) for w in (is_regular(A, s) for s in
+                      enumerate_subdivisions(A)) if w is not None]
+        for psi in lifts:
+            got = induced_subdivision(A, psi)
+            assert got == fraction_induced_subdivision(A, psi), (A, psi)
+            cells.add(len(got.cells))
+    assert 1 in cells and max(cells) >= 6
+
+
+def test_integer_deformation_rows_match_the_fraction_rows():
+    """parallel_deformations returns exactly the Fraction-row basis, and an
+    exceptional subdivision has a nonzero one."""
+    exceptional = 0
+    for A in frame_configs():
+        for sub in enumerate_subdivisions(A):
+            got = parallel_deformations(A, sub)
+            assert got == fraction_parallel_deformations(A, sub), (A, sub)
+            exceptional += bool(got)
+    assert exceptional >= 2
+
+
+@pytest.mark.parametrize(
+    "psi", [[0.0, 0, 0, 1], [0, 0, 0, 0.5], [True, 0, 0, 0], [0, 0, 0, False]])
+def test_induced_subdivision_rejects_floats_and_booleans(psi):
+    with pytest.raises(InvalidInput):
+        induced_subdivision(CIRCUIT_B, psi)

@@ -1,5 +1,6 @@
 """Checks on the benchmark tooling and on the source tree as a whole."""
 
+import ast
 import json
 import pathlib
 import re
@@ -85,5 +86,19 @@ def test_only_linalg_reads_the_fraction_grid_of_a_matrix():
         if path.name != "linalg.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"\.entries\b", line)
+    ]
+    assert hits == []
+
+
+def test_secondary_reads_no_point_coordinate():
+    """`secondary.py` reads no `.x` or `.y`: its geometry comes from the
+    integer frame that `geometry` keeps (`Config.sign_table()`,
+    `geometry.area2` and `Config.int_points()`), so that frame stays the one
+    path."""
+    tree = ast.parse((ROOT / "src" / "infrared" / "secondary.py").read_text())
+    hits = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("x", "y")
     ]
     assert hits == []
