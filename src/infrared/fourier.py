@@ -38,11 +38,15 @@ of the dressed transport data factors exactly as
     T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
 
 where Delta is the block diagonal of the inverse local monodromies.  C-tilde
-is block upper unitriangular, so factorization_check finds the right side
-by forward substitution instead of inverting it.  Of the exponents of Delta
-and of the twist, the side and sign of the twist and the slot order of
-T_glob, the N=2 closed form admits this one convention; factorization_check
-writes it out, and the test suite re-derives it from a search over all the
+is block upper unitriangular, hence invertible, so factorization_check tests
+T_glob . C-tilde == C+ . Delta and neither inverts nor solves; the right
+side itself is found by forward substitution only when it is read.  The
+block matrices are written as integer rows straight from their blocks, the
+chain sums add each set of chains in one pass (MatQ.total), and products
+with Delta go one column block at a time.  Of the exponents of Delta and of
+the twist, the side and sign of the twist and the slot order of T_glob, the
+N=2 closed form admits this one convention; factorization_check writes it
+out, and the test suite re-derives it from a search over all the
 alternatives.
 """
 
@@ -50,13 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import DegeneratePosition, EdgePrecondition, InvalidInput, ShapeMismatch
 from .geometry import Config, Dir, general_position, infinity_generic
-from .linalg import MatQ, block_diagonal, solve_unit_upper_right
+from .linalg import MatQ, solve_unit_upper_right
 from .perverse import Quiver, TransportData
 
 
@@ -99,9 +103,56 @@ class FourierDiagram:
         return Quiver([self.d_psi], sum(self.dims), [a], [self.b_check])
 
 
-def _arm(m: TransportData, i: int) -> MatQ:
-    """a_i of gmv_embed(m): the blocks m_ij stacked over the slots j."""
-    return MatQ.from_blocks([[m.m[i][j]] for j in range(m.n)])
+def _block_offsets(dims: Sequence[int]) -> list[int]:
+    offs = [0]
+    for d in dims:
+        offs.append(offs[-1] + d)
+    return offs
+
+
+def _assemble(offs: Sequence[int], blocks: dict, unit: bool = False) -> MatQ:
+    """The matrix with block (s, t), a map slot_s -> slot_t, at block row t
+    and column s, and zero blocks elsewhere, plus the identity if `unit`:
+    integer rows over the lcm of the block denominators.  Each block is
+    canonical, so these rows are too."""
+    size = offs[-1]
+    den = math.lcm(*[b.den for b in blocks.values()])
+    num = [[0] * size for _ in range(size)]
+    if unit:
+        for r in range(size):
+            num[r][r] = den
+    for (s, t), b in blocks.items():
+        lo, hi, f = offs[s], offs[s + 1], den // b.den
+        for r, row in enumerate(b.num, offs[t]):
+            num[r][lo:hi] = row if f == 1 else [v * f for v in row]
+    return MatQ._wrap(tuple(map(tuple, num)), den, size)
+
+
+def _column_block(x: MatQ, offs: Sequence[int], i: int) -> MatQ:
+    lo, hi = offs[i], offs[i + 1]
+    return MatQ._reduced(tuple([row[lo:hi] for row in x.num]), x.den, hi - lo)
+
+
+def _times_block_diagonal(x: MatQ, offs: Sequence[int], diag: Sequence[MatQ]) -> MatQ:
+    """x times the block diagonal matrix of the blocks diag, one column block
+    at a time: column block s of the product is column block s of x times
+    diag[s], O(D^2 d) work in place of a dense O(D^3) product."""
+    den = math.lcm(*[b.den for b in diag])
+    cols = [(lo, hi, [[v * (den // b.den) for v in c] for c in zip(*b.num)])
+            for lo, hi, b in zip(offs, offs[1:], diag)]
+    return MatQ._reduced(tuple([
+        tuple([sum(map(mul, row[lo:hi], c)) for lo, hi, bcols in cols for c in bcols])
+        for row in x.num
+    ]), x.den * den, x.cols)
+
+
+def _jacobson_arms(m: TransportData, offs: Sequence[int]) -> MatQ:
+    """The matrix whose column block i is e_i = a_i T_{i,Phi}^{-1} for the
+    spider representative gmv_embed(m), so that T_{i,Psi}^{-1} = Id + e_i b_i
+    (Jacobson): a_i stacks the blocks m_ij over the slots j, and
+    T_{i,Phi}^{-1} is the inverse local monodromy that m owns."""
+    arms = _assemble(offs, {(i, j): b for i, row in enumerate(m.m) for j, b in enumerate(row)})
+    return _times_block_diagonal(arms, offs, [m.local_monodromy_inverse(i) for i in range(m.n)])
 
 
 def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
@@ -123,18 +174,15 @@ def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
     order = fourier_order(A, zeta)
     mm = m.permuted(order)
     offs = _block_offsets(mm.dims)
-    # e_i = a_i T_{i,Phi}^{-1}, so that T_{i,Psi}^{-1} = Id + e_i b_i
-    e = [_arm(mm, i) @ mm.local_monodromy_inverse(i) for i in range(mm.n)]
+    e = _jacobson_arms(mm, offs)
+    e_blocks = [_column_block(e, offs, i) for i in range(mm.n)]
     a_check = []
     for i, d in enumerate(mm.dims):
         acc = _add_to_columns(MatQ.zeros(d, offs[-1]), offs, i, MatQ.identity(d))
         for j in range(i - 1, -1, -1):
-            acc = _add_to_columns(acc, offs, j, acc @ e[j])
+            acc = _add_to_columns(acc, offs, j, acc @ e_blocks[j])
         a_check.append(acc)
-    b_check = MatQ.from_blocks([[-x for x in e]])
-    return FourierDiagram(
-        tuple(order), tuple(mm.dims), offs[-1], tuple(a_check), b_check
-    )
+    return FourierDiagram(tuple(order), tuple(mm.dims), offs[-1], tuple(a_check), -e)
 
 
 def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
@@ -146,7 +194,8 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
 
     Each factor right-multiplies the running product as a rank-d_i update,
     T_{i,Psi}^{-1} = Id + a_i T_{i,Phi}^{-1} b_i (Jacobson), at O(D^2 d_i)
-    per slot, with T_{i,Phi} = Id - m_ii and its inverse read from m."""
+    per slot, with T_{i,Phi} = Id - m_ii and its inverse read from m; the
+    e_i = a_i T_{i,Phi}^{-1} are the column blocks of one matrix."""
     if kind == "ascending":
         slots = range(m.n)
     elif kind == "descending":
@@ -154,10 +203,10 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
     else:
         raise InvalidInput(f"unknown monodromy product {kind!r}")
     offs = _block_offsets(m.dims)
+    e = _jacobson_arms(m, offs)
     acc = MatQ.identity(offs[-1])
     for i in slots:
-        u = acc @ _arm(m, i) @ m.local_monodromy_inverse(i)
-        acc = _add_to_columns(acc, offs, i, u)
+        acc = _add_to_columns(acc, offs, i, acc @ _column_block(e, offs, i))
     return acc
 
 
@@ -186,31 +235,6 @@ class StokesPair:
     blocks: dict
 
 
-def _block_offsets(dims: Sequence[int]) -> list[int]:
-    offs = [0]
-    for d in dims:
-        offs.append(offs[-1] + d)
-    return offs
-
-
-def _assemble_unitriangular(dims, blocks: dict[tuple[int, int], MatQ]) -> MatQ:
-    """Identity diagonal blocks plus the given off-diagonal blocks; entry
-    (s, t) is a map slot_s -> slot_t placed at block row t, column s."""
-    n = len(dims)
-    return MatQ.from_blocks([
-        [
-            MatQ.identity(dims[t]) if s == t
-            else blocks.get((s, t), MatQ.zeros(dims[t], dims[s]))
-            for s in range(n)
-        ]
-        for t in range(n)
-    ])
-
-
-def _total(mats) -> MatQ:
-    return functools.reduce(operator.add, mats)
-
-
 def _chain_sums(
     m: TransportData, order: Sequence[int], t, turn: int, sign: int = 1
 ) -> dict[int, MatQ]:
@@ -232,11 +256,11 @@ def _chain_sums(
     sums: dict[int, MatQ] = {}
     for a, v in enumerate(order[1:], 2):
         last = into[v]
-        sums[v] = _total(last.values())
+        sums[v] = MatQ.total(list(last.values()))
         for w in order[a:]:
             turns = [s for u, s in last.items() if t[u][v][w] == turn]
             if turns:
-                into[w][v] = blk[v][w] @ _total(turns)
+                into[w][v] = blk[v][w] @ MatQ.total(turns)
     return sums
 
 
@@ -253,6 +277,7 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     order = fourier_order(A, zeta0)
     slot = {i: s for s, i in enumerate(order)}
     dims = [m.dims[i] for i in order]
+    offs = _block_offsets(dims)
     t = A.sign_table()
     # ell along conj(zeta0) is minus ell along -conj(zeta0), so C- runs over
     # the reversed order; both convexities take the clockwise turn
@@ -268,8 +293,8 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     return StokesPair(
         tuple(order),
         tuple(dims),
-        _assemble_unitriangular(dims, upward),
-        _assemble_unitriangular(dims, downward),
+        _assemble(offs, upward, unit=True),
+        _assemble(offs, downward, unit=True),
         {**upward, **downward},
     )
 
@@ -300,14 +325,22 @@ def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
 
 @dataclass(frozen=True)
 class FactorizationReport:
+    """The factors of T_glob = C+ . Delta . (C-tilde)^{-1} and the verdict:
+    `ok` is T_glob . C-tilde == C+ . Delta, equivalent because C-tilde is
+    block upper unitriangular, hence invertible.  `rhs`, the right side
+    itself, is found by forward substitution when it is first read."""
+
     ok: bool
     lhs: MatQ
-    rhs: MatQ
     c_plus: MatQ
     c_minus: MatQ
     c_minus_twisted: MatQ
     delta: MatQ
     order: tuple[int, ...]
+
+    @functools.cached_property
+    def rhs(self) -> MatQ:
+        return solve_unit_upper_right(self.c_plus @ self.delta, self.c_minus_twisted)
 
 
 def factorization_check(
@@ -320,16 +353,19 @@ def factorization_check(
     on the dressed transport data, with T_glob the ascending monodromy
     product, Delta the block diagonal of the inverse local monodromies and
     C-tilde = Id - (C- - Id) Delta.  C-tilde is block upper unitriangular,
-    so the right side is found by forward substitution."""
+    so the identity holds exactly when T_glob . C-tilde == C+ . Delta, and
+    nothing is inverted or solved.  Products with Delta go one column block
+    at a time."""
     mt, pair = dressed_transport(m, A, zeta0)
-    delta = block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)])
-    ident = MatQ.identity(delta.rows)
-    c_til = ident - (pair.c_minus - ident) @ delta
-    rhs = solve_unit_upper_right(pair.c_plus @ delta, c_til)
+    offs = _block_offsets(mt.dims)
+    inv = [mt.local_monodromy_inverse(s) for s in range(mt.n)]
     lhs = monodromy_product(mt, "ascending")
+    ident = MatQ.identity(offs[-1])
+    c_til = ident - _times_block_diagonal(pair.c_minus - ident, offs, inv)
+    c_plus_delta = _times_block_diagonal(pair.c_plus, offs, inv)
     return FactorizationReport(
-        lhs == rhs, lhs, rhs, pair.c_plus, pair.c_minus, c_til, delta,
-        pair.order,
+        lhs @ c_til == c_plus_delta, lhs, pair.c_plus, pair.c_minus, c_til,
+        _assemble(offs, {(s, s): b for s, b in enumerate(inv)}), pair.order,
     )
 
 

@@ -12,7 +12,8 @@ Conventions
   configuration.  ``area2(A, cycle)``, the shoelace sum over that frame, is
   den^2 times the doubled signed area of a polygon of A's points, so its
   sign, and every comparison between areas of one configuration, is exact;
-  it is the package's one area routine.
+  it is the package's one area routine.  Strong general position compares
+  the directions of segments in that frame, reduced by their gcd.
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
   it is the sign of ``area2(A, (a, b, c))``.  Predicates read these signs
   from ``Config.sign_table()``, computed once per configuration.
@@ -211,23 +212,30 @@ def infinity_generic(A: Config, zeta: Dir) -> bool:
     return len(set(vals)) == len(vals)
 
 
-def _slope(u: Pt):
-    """Parallel class of a nonzero vector: its slope, None when vertical."""
-    return u.y / u.x if u.x else None
+def _direction(dx: int, dy: int) -> tuple[int, int]:
+    """Parallel class of a nonzero integer vector: the vector over the gcd
+    of its entries, signed to point right or, when vertical, up."""
+    g = math.gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return dx // g, dy // g
 
 
 def general_position(A: Config, zeta: Optional[Dir] = None) -> GPReport:
     """Check linear / strong linear general position, and distinctness of
     the zeta-infinity form when a direction is given.
 
-    Two segments are parallel exactly when their slopes agree, so strong
-    position holds when the C(N, 2) segments have pairwise distinct slopes.
+    Two segments are parallel exactly when their directions in the integer
+    frame, reduced by _direction, agree, so strong position holds when the
+    C(N, 2) segments have pairwise distinct reduced directions.
     """
     n = len(A)
     t = A.sign_table()
     lin = all(t[i][j][k] for i, j, k in itertools.combinations(range(n), 3))
-    slopes = {_slope(A[j] - A[i]) for i, j in itertools.combinations(range(n), 2)}
-    strong = lin and len(slopes) == n * (n - 1) // 2
+    pairs = itertools.combinations(A.int_points()[0], 2)
+    strong = lin and len(
+        {_direction(bx - ax, by - ay) for (ax, ay), (bx, by) in pairs}
+    ) == n * (n - 1) // 2
     infinity = None if zeta is None else infinity_generic(A, zeta)
     return GPReport(lin, strong, infinity)
 

@@ -2,11 +2,12 @@
 
 A matrix is stored as integer rows over one positive denominator, with the
 gcd of the denominator and every entry divided out, so that the form is
-canonical and equality is a tuple comparison.  Products, sums, scaling and
-the forward substitution of `solve_unit_upper_right` are integer arithmetic
-on those rows, and the package's one elimination step, the fraction-free
-`_pivot`, reads them directly: ranks, inverses, kernels and the simplex of
-`lp` all run on it.  Fractions are formed only at the edges (`__getitem__`,
+canonical and equality is a tuple comparison.  Products, sums (of many
+matrices in one pass with `MatQ.total`), scaling and the forward
+substitution of `solve_unit_upper_right` are integer arithmetic on those
+rows, and the package's one elimination step, the fraction-free `_pivot`,
+reads them directly: ranks, inverses, kernels and the simplex of `lp` all
+run on it.  Fractions are formed only at the edges (`__getitem__`,
 `entries`), and `to_json` writes the entries from the integers.  A singular
 inverse is an error (`NotInvertible`), never a tolerance call.
 """
@@ -319,6 +320,22 @@ class MatQ:
 
     def __add__(self, other: "MatQ") -> "MatQ":
         return self._combine(other, 1, "sum")
+
+    @staticmethod
+    def total(mats: Sequence["MatQ"]) -> "MatQ":
+        """The sum of one or more matrices of one shape in one pass: every
+        matrix over the lcm of the denominators, then one gcd reduction."""
+        first = mats[0]
+        if len(mats) == 1:
+            return first
+        if any((m.rows, m.cols) != (first.rows, first.cols) for m in mats):
+            raise ShapeMismatch("matrix sum shape mismatch")
+        den = math.lcm(*[m.den for m in mats])
+        nums = [m.num if m.den == den else [[v * (den // m.den) for v in row] for row in m.num]
+                for m in mats]
+        return MatQ._reduced(
+            tuple([tuple(map(sum, zip(*rows))) for rows in zip(*nums)]), den, first.cols
+        )
 
     def __sub__(self, other: "MatQ") -> "MatQ":
         return self._combine(other, -1, "difference")

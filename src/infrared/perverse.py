@@ -50,6 +50,12 @@ def _dim(d, name: str) -> int:
     return d
 
 
+def _shaped(blk: MatQ, cols: int) -> MatQ:
+    """A matrix read from JSON, `cols` wide: `MatQ.to_json` writes a matrix
+    with no rows as [] whatever its width."""
+    return blk if blk.rows else MatQ.zeros(0, cols)
+
+
 def _check_block(dims, i: int, j: int, blk: MatQ) -> None:
     if (blk.rows, blk.cols) != (dims[j], dims[i]):
         raise ShapeMismatch(f"m[{i}][{j}] must map dim {dims[i]} to dim {dims[j]}")
@@ -136,9 +142,13 @@ class TransportData:
 
     @staticmethod
     def from_json(data: dict) -> "TransportData":
-        return TransportData(
-            data["dims"], [[MatQ(blk) for blk in row] for row in data["m"]]
-        )
+        dims = [_dim(d, "dims entry") for d in data["dims"]]
+        grid = [[MatQ(blk) for blk in row] for row in data["m"]]
+        # the blocks out of slot i are dims[i] wide; rows past the last slot
+        # are left for the constructor to reject
+        for row, d in zip(grid, dims):
+            row[:] = [_shaped(blk, d) for blk in row]
+        return TransportData(dims, grid)
 
 
 class Quiver:
@@ -196,12 +206,13 @@ class Quiver:
 
     @staticmethod
     def from_json(data: dict) -> "Quiver":
-        return Quiver(
-            data["dims"],
-            data["dPsi"],
-            [MatQ(x) for x in data["a"]],
-            [MatQ(x) for x in data["b"]],
-        )
+        dims = [_dim(d, "dims entry") for d in data["dims"]]
+        d_psi = _dim(data["dPsi"], "dPsi")
+        a = [MatQ(x) for x in data["a"]]
+        # a_i is dims[i] wide; arms past the last slot are left for the
+        # constructor to reject
+        a[:len(dims)] = [_shaped(x, d) for x, d in zip(a, dims)]
+        return Quiver(dims, d_psi, a, [_shaped(MatQ(x), d_psi) for x in data["b"]])
 
 
 def mu(q: Quiver) -> TransportData:

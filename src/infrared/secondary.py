@@ -215,6 +215,9 @@ def validate_subdivision(sub: Subdivision) -> None:
         for w in c.marked:
             if not _point_in_polygon(A, c.polygon, w):
                 raise InvalidInput(f"marked point {w} outside cell {c.polygon}")
+    # the edge counts below do not see on which side of an edge its two
+    # cells lie, nor the corner check cells that overlap with every corner
+    # on the hull; only the areas catch such a cover
     if sum(areas) != area2(A, hull):
         raise InvalidInput("cells do not tile the hull")
     hull_edges = {

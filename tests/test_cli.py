@@ -8,7 +8,8 @@ import pytest
 
 from infrared.cli import main
 from infrared.geometry import Config, config
-from infrared.perverse import TransportData
+from infrared.errors import ShapeMismatch
+from infrared.perverse import Quiver, TransportData
 from infrared.linalg import MatQ
 from infrared.secondary import Subdivision, induced_subdivision
 
@@ -254,6 +255,64 @@ def test_json_round_trips():
         ],
     )
     assert TransportData.from_json(m.to_json()) == m
+
+
+def _empty_middle_slot(entries):
+    """Transport data on slots of dims 1, 0, 1: the 1 x 1 blocks between the
+    outer slots from `entries`, every block at the middle slot empty."""
+    dims = [1, 0, 1]
+    return TransportData(dims, [
+        [MatQ([[entries[i][j]]]) if dims[i] and dims[j] else MatQ.zeros(dims[j], dims[i])
+         for j in range(3)]
+        for i in range(3)
+    ])
+
+
+def test_json_round_trips_keep_empty_slots():
+    """`MatQ.to_json` writes a block with no rows as [] whatever its width;
+    reading transport data and quivers back gives every such block the width
+    its slot, or dPsi, prescribes."""
+    for entries in ([[0] * 3] * 3, [["1/2", 0, 3], [0, 0, 0], [-2, 0, "5/3"]]):
+        m = _empty_middle_slot(entries)
+        assert m.to_json()["m"][0][1] == []
+        assert TransportData.from_json(m.to_json()) == m
+    quivers = [
+        Quiver([1, 0], 2, [MatQ([[1], [2]]), MatQ.zeros(2, 0)],
+               [MatQ([["1/3", 0]]), MatQ.zeros(0, 2)]),
+        Quiver([1, 2], 0, [MatQ.zeros(0, 1), MatQ.zeros(0, 2)],
+               [MatQ.zeros(1, 0), MatQ.zeros(2, 0)]),
+    ]
+    for q in quivers:
+        assert Quiver.from_json(q.to_json()) == q
+    # a grid with more rows than slots is still a shape error
+    data = _empty_middle_slot([[0] * 3] * 3).to_json()
+    data["m"].append(data["m"][0])
+    with pytest.raises(ShapeMismatch):
+        TransportData.from_json(data)
+
+
+def test_stokes_and_walk_on_an_empty_slot(tmp_path, capsys):
+    """`stokes` and `walk --events` run on transport data with a slot of
+    dimension 0, through blocks with no rows or no columns."""
+    m = _empty_middle_slot([[0, 0, 3], [0, 0, 0], ["-1/2", 0, 2]])
+    inst = tmp_path / "empty_slot.json"
+    inst.write_text(json.dumps({
+        "config": {"points": [["0", "0"], ["3", "1"], ["1", "2"]]},
+        "transport": m.to_json(),
+    }))
+    code, data = run_cli(["stokes", str(inst)], capsys)
+    assert code == 0 and data["factorization_ok"] is True
+    assert data["order"] == [0, 1, 2]
+    assert data["Cplus"] == [["1", "0"], ["3", "1"]]
+    assert data["Cminus"] == [["1", "-1/2"], ["0", "1"]]
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps({"events": [
+        {"kind": "horiz", "i": 0, "j": 1, "motion": "above", "re_cmp": "right"},
+        {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 1},
+    ]}))
+    code, data = run_cli(["walk", str(inst), "--events", str(events)], capsys)
+    assert code == 0 and len(data["events"]) == 2
+    assert TransportData.from_json(data["transport"]).dims == (1, 0, 1)
 
 
 def test_console_entry_point(child_env):

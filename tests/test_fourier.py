@@ -7,10 +7,11 @@ from infrared.errors import (
     DegeneratePosition,
     EdgePrecondition,
     InvalidInput,
+    NotInvertible,
     ShapeMismatch,
 )
 from infrared.geometry import Dir, config, general_position
-from infrared.linalg import MatQ, block_diagonal
+from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
 from infrared.fourier import (
     alt_circum_sum,
     circum_sum,
@@ -28,6 +29,7 @@ from infrared.perverse import Quiver, TransportData, gmv_embed, mu
 from infrared.randomgen import (
     maximally_concave_config,
     rand_config,
+    rand_matrix,
     rand_transport,
     rng,
 )
@@ -349,6 +351,124 @@ def test_factorization_zero_and_random():
         A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
         m = rand_transport(r, n, max_dim=2)
         assert factorization_check(m, A, Z0).ok
+
+
+def dense_unitriangular(dims, blocks):
+    """Oracle assembly: the grid of identity diagonal blocks, the given
+    blocks and zero blocks through MatQ.from_blocks; block (s, t), a map
+    slot_s -> slot_t, goes to block row t, column s."""
+    n = len(dims)
+    return MatQ.from_blocks([
+        [
+            MatQ.identity(dims[t]) if s == t
+            else blocks.get((s, t), MatQ.zeros(dims[t], dims[s]))
+            for s in range(n)
+        ]
+        for t in range(n)
+    ])
+
+
+def dense_ascending_product(m):
+    """Oracle: T_1^{-1} ... T_N^{-1} as rank-d_i updates, each arm a_i
+    assembled on its own by from_blocks and b_i the projection of
+    gmv_embed."""
+    b = gmv_embed(m).b
+    acc = MatQ.identity(sum(m.dims))
+    for i in range(m.n):
+        arm = MatQ.from_blocks([[m.m[i][j]] for j in range(m.n)])
+        acc = acc + acc @ arm @ m.local_monodromy_inverse(i) @ b[i]
+    return acc
+
+
+def dense_factorization(m, pair, down=None):
+    """Oracle: the factorization computed densely from a Stokes pair, with
+    C+ and C- (from `down` in place of the C- blocks of the pair, if given)
+    assembled by dense_unitriangular, dense products with Delta, T_glob by
+    dense_ascending_product on the dressed data and the right side by
+    forward substitution."""
+    up = {k: b for k, b in pair.blocks.items() if k[0] < k[1]}
+    if down is None:
+        down = {k: b for k, b in pair.blocks.items() if k[0] > k[1]}
+    c_plus, c_minus = dense_unitriangular(pair.dims, up), dense_unitriangular(pair.dims, down)
+    mt = m.permuted(pair.order).replace(pair.blocks)
+    delta = block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)])
+    ident = MatQ.identity(delta.rows)
+    c_til = ident - (c_minus - ident) @ delta
+    lhs = dense_ascending_product(mt)
+    rhs = solve_unit_upper_right(c_plus @ delta, c_til)
+    return {
+        "c_plus": c_plus, "c_minus": c_minus, "delta": delta,
+        "c_minus_twisted": c_til, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs,
+    }
+
+
+def report_parts(rep):
+    return {key: getattr(rep, key) for key in (
+        "c_plus", "c_minus", "delta", "c_minus_twisted", "lhs", "rhs", "ok")}
+
+
+def transport_with_empty_slots(r, n):
+    """Random transport data with slot dims drawn from 0..3."""
+    while True:
+        dims = [r.randint(0, 3) for _ in range(n)]
+        grid = [[rand_matrix(r, dims[j], dims[i]) for j in range(n)] for i in range(n)]
+        try:
+            return TransportData(dims, grid)
+        except NotInvertible:
+            continue
+
+
+def test_factorization_matches_the_dense_oracle():
+    """factorization_check, with its blockwise products and its product
+    check, gives exactly the C+, C-, Delta, C-tilde, T_glob, right side and
+    verdict of the dense computation, on 64 seeded draws with N = 1..8 and
+    slot dims 0..3: random configurations and jittered arcs, for three
+    Stokes directions."""
+    r = rng(63)
+    shapes = set()
+    for k in range(64):
+        n = 1 + k % 8
+        zeta0 = (Z0, Z0, Dir(Q(1), Q(2)), Dir(Q(-3), Q(-1)))[k // 8 % 4]
+        spider = zeta0.conjugate().opposite()
+        if k % 2 and zeta0 == Z0:
+            A = jittered_arc(r, n)
+        else:
+            A = rand_config(r, n, extra_dirs=(spider,))
+        m = transport_with_empty_slots(r, n)
+        rep = factorization_check(m, A, zeta0)
+        expect = dense_factorization(m, stokes_pair(m, A, zeta0))
+        assert rep.ok is True
+        assert report_parts(rep) == expect, k
+        shapes.update(m.dims)
+        shapes.add(("D", sum(m.dims) == 0))
+    assert shapes == {0, 1, 2, 3, ("D", True), ("D", False)}
+
+
+def test_a_perturbed_c_minus_fails_both_factorizations(monkeypatch):
+    """One C- block off by one entry: factorization_check and the dense
+    oracle both return ok False, with the same factors."""
+    import dataclasses
+
+    import infrared.fourier
+
+    r = rng(64)
+    A = jittered_arc(r, 6)
+    m = rand_transport(r, 6, max_dim=3)
+    pair = stokes_pair(m, A, Z0)
+    down = {k: b for k, b in pair.blocks.items() if k[0] > k[1]}
+    key = (4, 1)
+    b = down[key]
+    down[key] = b + MatQ([[int(i == j == 0) for j in range(b.cols)] for i in range(b.rows)])
+    bad = dense_unitriangular(pair.dims, down)
+    assert bad != pair.c_minus
+    monkeypatch.setattr(
+        infrared.fourier, "stokes_pair",
+        lambda *args: dataclasses.replace(pair, c_minus=bad),
+    )
+    rep = factorization_check(m, A, Z0)
+    expect = dense_factorization(m, pair, down)
+    assert rep.ok is False and expect["ok"] is False
+    assert report_parts(rep) == expect
 
 
 def test_factorization_check_inverts_nothing(inverse_calls):

@@ -9,6 +9,7 @@ from infrared.geometry import (
     AlgebraicTime,
     Config,
     Dir,
+    GPReport,
     Pt,
     _cross,
     _dot,
@@ -20,6 +21,7 @@ from infrared.geometry import (
     direction,
     dominance_order,
     general_position,
+    infinity_generic,
     orient,
     segment_wall_events,
 )
@@ -152,6 +154,91 @@ def test_strong_position_against_cross_product_oracle():
         outcomes.add((general_position(A).lin_general, expect))
     # the draws reach all three cases: collinear, parallel only, strong
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def fraction_general_position(A, zeta=None):
+    """Oracle: general_position with the slope of each segment as a
+    Fraction, None when vertical."""
+    n = len(A)
+    lin = all(orient(A, *t) for t in itertools.combinations(range(n), 3))
+    slopes = {
+        (q.y - p.y) / (q.x - p.x) if q.x != p.x else None
+        for p, q in itertools.combinations(A, 2)
+    }
+    strong = lin and len(slopes) == n * (n - 1) // 2
+    return GPReport(lin, strong, None if zeta is None else infinity_generic(A, zeta))
+
+
+def test_general_position_matches_the_fraction_slopes():
+    """The reduced integer directions decide general position exactly as
+    Fraction slopes do: 210 draws with N = 2..8, from rand_config (every
+    third with box=3 and require_strong=False) and free draws on a small
+    grid over denominators 1..3, left in draw order, which reach vertical,
+    horizontal and parallel segments, pointing either way, and collinear
+    triples."""
+    r = rng(33)
+    seen = {"vertical": 0, "horizontal": 0, "parallel": 0, "collinear": 0}
+    for k in range(210):
+        n = 2 + k % 7
+        if k % 3 == 0:
+            A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
+        elif k % 3 == 1:
+            A = rand_config(r, n, require_strong=False, box=3)
+        else:
+            pts = []
+            while len(pts) < n:
+                p = tuple(Q(r.randint(-3, 3), r.randint(1, 3)) for _ in range(2))
+                if p not in pts:
+                    pts.append(p)
+            A = config(*pts)
+        for zeta in (None, Z_RIGHT):
+            rep = general_position(A, zeta)
+            assert rep == fraction_general_position(A, zeta), (k, A)
+        segs = [q - p for p, q in itertools.combinations(A, 2)]
+        seen["vertical"] += any(u.x == 0 for u in segs)
+        seen["horizontal"] += any(u.y == 0 for u in segs)
+        seen["parallel"] += rep.lin_general and not rep.strong_lin_general
+        seen["collinear"] += not rep.lin_general
+    assert min(seen.values()) >= 20, seen
+    # parallel pairs in every index order, so that their directions point
+    # either way: vertical, horizontal, oblique; and a strong quadrilateral
+    named = [
+        ((0, 0), (0, 1), (2, 3), (2, 1)),
+        ((0, 0), (1, 0), (3, 2), (2, 2)),
+        ((0, 0), (2, 1), (1, 3), (5, 5)),
+        ((0, 0), (0, 1), (3, 5), (5, 2)),
+    ]
+    for k, pts in enumerate(named):
+        for perm in itertools.permutations(pts):
+            rep = general_position(config(*perm))
+            assert rep == fraction_general_position(config(*perm)), perm
+            assert rep.lin_general and rep.strong_lin_general == (k == 3)
+
+
+def test_rand_config_draws_are_unchanged(monkeypatch):
+    """rand_config returns the same configurations after the same number of
+    draws with the Fraction-slope oracle in place of general_position."""
+    import infrared.randomgen as randomgen
+
+    def drawn_with(check):
+        calls = []
+
+        def counting(A, zeta=None):
+            calls.append(A)
+            return check(A, zeta)
+
+        monkeypatch.setattr(randomgen, "general_position", counting)
+        out = []
+        for seed in range(8):
+            r = rng(seed)
+            for n in (3, 5, 8):
+                out.append(rand_config(r, n, extra_dirs=(Z_RIGHT,)))
+                out.append(rand_config(r, n, require_strong=False, box=3))
+        return out, len(calls)
+
+    configs, draws = drawn_with(general_position)
+    assert drawn_with(fraction_general_position) == (configs, draws)
+    assert draws - len(configs) >= 20  # redraws happen
 
 
 def test_collinearity_sign_before_irrational_events():

@@ -2,6 +2,8 @@
 rows, against what Fraction Gauss-Jordan elimination (`rref`, the oracle)
 gives, and the entrywise difference against the sum with the negation."""
 
+import functools
+import operator
 from fractions import Fraction as Q
 
 import pytest
@@ -129,6 +131,28 @@ def test_difference_is_the_sum_with_the_negation():
     for a, b in ((MatQ.zeros(2, 3), MatQ.zeros(3, 2)), (MatQ.zeros(0, 2), MatQ.zeros(0, 3))):
         with pytest.raises(ShapeMismatch):
             a - b
+
+
+def test_total_is_the_pairwise_sum():
+    """MatQ.total, the one-pass sum of one or more matrices, equals their sum
+    taken pairwise, on shapes with no rows or no columns too; mixed shapes
+    are rejected."""
+    r = rng(93)
+    for _ in range(200):
+        a = random_matrix(r)
+        mats = [a]
+        for _ in range(r.randint(0, 5)):
+            b = random_matrix(r)
+            if (b.rows, b.cols) != (a.rows, a.cols):
+                b = a.scale(Q(r.randint(-3, 3), r.randint(1, 4)))
+            mats.append(b)
+        total = MatQ.total(mats)
+        assert total == functools.reduce(operator.add, mats)
+        assert (total.rows, total.cols) == (a.rows, a.cols)
+    assert MatQ.total([MatQ([["1/2", "1/3"]])] * 6) == MatQ([[3, 2]])
+    for mats in ([MatQ.zeros(2, 3), MatQ.zeros(3, 2)], [MatQ.zeros(0, 2), MatQ.zeros(0, 3)]):
+        with pytest.raises(ShapeMismatch):
+            MatQ.total(mats)
 
 
 def assert_inverse_matches_the_oracle(m: MatQ) -> bool:

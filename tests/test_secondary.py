@@ -298,6 +298,27 @@ def test_validate_rejects_bad_subdivisions():
         Cell((0, 1, 2), frozenset((0, 1)))  # corners not marked
 
 
+def test_only_the_area_sum_rejects_an_overlapping_cover():
+    """The five triangles that join each edge of a convex pentagon to the
+    opposite corner are counterclockwise, hold each hull edge once and each
+    diagonal twice, and no corner lies inside another cell (every corner is
+    on the hull); yet each diagonal has both its cells on one side, so the
+    cells overlap: their doubled areas sum to 11 against 5 for the hull.
+    Only the tiling check of validate_subdivision sees it."""
+    A = config((0, 1), (0, 2), (1, 2), (2, 0), (2, 1))
+    cells = [(0, 4, 1), (0, 3, 2), (0, 4, 2), (1, 3, 2), (1, 3, 4)]
+    sub = Subdivision(A, [Cell(c, frozenset(c)) for c in cells])
+    hull = A.hull()
+    assert len(hull) == 5 and len(sub.edge_cells) == 10
+    hull_edges = {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}
+    for e, owners in sub.edge_cells.items():
+        assert len(owners) == (1 if e in hull_edges else 2)
+    assert [area2(A, c) for c in cells] == [2, 3, 2, 2, 2]
+    assert area2(A, hull) == 5
+    with pytest.raises(InvalidInput, match="do not tile the hull"):
+        validate_subdivision(sub)
+
+
 def test_enumeration_validates_each_subdivision_once(monkeypatch):
     calls = []
     validate = secondary.validate_subdivision

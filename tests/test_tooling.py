@@ -52,6 +52,28 @@ def test_tracer_counts_the_crossings_of_a_walk(tracing, capsys):
     assert events == logged == counts["wallcross.apply_crossing.calls"]
 
 
+def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
+    """Over one traced `infrared stokes` on the 8-point arc, the tracer
+    records one `stokes_pair` and one `factorization_check` span, and the
+    only inversions are the 8 local monodromies of the transport data."""
+    from infrared.cli import main
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["stokes", str(ROOT / "tests" / "data" / "stokes_arc.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["factorization_ok"] is True
+    counts = tracer.summarize(0)
+    assert counts["fourier.stokes_pair.calls"] == 1
+    assert counts["fourier.factorization_check.calls"] == 1
+    assert counts["linalg.MatQ.inverse.calls"] == 8
+    assert counts["fourier.stokes_pair.s"] > 0
+    assert counts["fourier.factorization_check.s"] > 0
+
+
 def test_src_has_no_catch_all_handler():
     """No `except Exception` (or bare `except:`) can hide a failure."""
     pattern = re.compile(r"except\s*(:|\(?\s*(Base)?Exception\b)")
