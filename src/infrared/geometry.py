@@ -24,9 +24,11 @@ Conventions
   values are pairwise distinct.
 * Wall events along a straight leg are computed on the leg scaled to integer
   coordinates.  Their times are roots of integer polynomials of degree <= 2
-  (``AlgebraicTime``), and every question about a time (its order, whether
-  it lies in (0, 1), a sign there) is the exact sign of an integer
-  polynomial at it, with at most one integer squaring.
+  (``AlgebraicTime``).  Whether a time lies in (0, 1), and its order among
+  others, is read from the integer key floor(t * 2^64); only two times with
+  equal keys are compared exactly.  Every other question about a time (a
+  sign there) is the exact sign of an integer polynomial at it, with at
+  most one integer squaring.
 * A wall crossing is one record, ``CrossingSpec``: ``segment_wall_events``
   returns them with their times filled in, and ``wallcross`` folds the same
   records, or ones given by hand without a time, into the transport data.
@@ -359,19 +361,23 @@ class AlgebraicTime:
     Rational values are stored as a Fraction; irrational ones as the branch
     s = +-1 of t = (-b + s*sqrt(d)) / (2a), a root of a primitive integer
     quadratic a t^2 + b t + c with a > 0 and d = b^2 - 4ac > 0 not a perfect
-    square.  Every question about a time is the sign of an integer
-    polynomial at it (`sign_at`), decided with at most one integer squaring,
-    so comparing two times takes at most two.  `str` prints the exact value:
+    square.  `floor64` is the integer key floor(t * 2^64), monotone in t and
+    computed with one integer square root; the wall-event engine tests the
+    range and sorts on it.  Every other question about a time is the sign of
+    an integer polynomial at it (`sign_at`), decided with at most one
+    integer squaring, so the exact comparison `<`, which breaks ties of the
+    key, takes at most two.  `str` prints the exact value:
     p/q, or (-b + sqrt(d))/(2a) and (-b - sqrt(d))/(2a) with the numbers
     filled in.  The isolating interval [lo, hi], which holds this root and
     not its conjugate, and `refine`, which halves it, serve as a bisection
     oracle outside the package; no comparison uses them.
     """
 
-    __slots__ = ("rational", "a", "b", "c", "branch", "_interval")
+    __slots__ = ("rational", "a", "b", "c", "branch", "_interval", "_floor64")
 
     def __init__(self, rational=None, quad=None, branch=0):
         self.rational = rational
+        self._floor64 = None
         if rational is None:
             self.a, self.b, self.c = quad
             self.branch = branch
@@ -412,6 +418,22 @@ class AlgebraicTime:
             (AlgebraicTime(quad=(a, b, c), branch=-1), 1),
             (AlgebraicTime(quad=(a, b, c), branch=1), 1),
         ]
+
+    def floor64(self) -> int:
+        """floor(t * 2^64), computed on first use and kept.  For a root,
+        s = isqrt(d * 2^128) lies strictly below sqrt(d) * 2^64 and s + 1
+        strictly above, d being no square, so each branch floors an integer
+        numerator over 2a."""
+        if self._floor64 is None:
+            if self.rational is not None:
+                n, m = self.rational.numerator, self.rational.denominator
+                self._floor64 = (n << 64) // m
+            else:
+                a, b, c = self.a, self.b, self.c
+                s = math.isqrt((b * b - 4 * a * c) << 128)
+                top = -b << 64
+                self._floor64 = ((top + s) if self.branch > 0 else (top - s - 1)) // (2 * a)
+        return self._floor64
 
     def sign_at(self, p2: int, p1: int, p0: int) -> int:
         """Exact sign of the integer polynomial p2 t^2 + p1 t + p0 at t = self."""
@@ -498,13 +520,6 @@ class AlgebraicTime:
         if self.sign_at(a, b, c) < 0:
             return other.branch > 0
         return self.sign_at(0, 2 * a, b) < 0
-
-    def in_open_unit_interval(self) -> bool:
-        return self.sign_at(0, 1, 0) > 0 and self.sign_at(0, 1, -1) < 0
-
-    def hits(self, t) -> bool:
-        """Exact test whether this number equals the rational t."""
-        return self.rational == t
 
     def __str__(self) -> str:
         if self.rational is not None:
@@ -624,8 +639,16 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
     """Ordered wall events met by the straight leg A(t) = (1-t)A0 + tA1.
 
     Both endpoints must be in linearly general position including the fixed
-    horizontal infinity.  Any endpoint event, tangential contact, coincident
-    times or degenerate crossing raises PathNotGeneric.
+    horizontal infinity.  A collision of two points, a tangential contact
+    or coincident times raises PathNotGeneric.
+
+    Roots are counted before they are isolated: the orientation quadratic P
+    of a triple is nonzero at both ends, so a sign change from P(0) to P(1)
+    is one simple root in (0, 1), and equal signs leave two roots there
+    (or a double one) only when the vertex lies inside and P(0) has the
+    sign of the leading coefficient.  Every other triple is skipped before
+    a root is formed.  Roots are kept when their key `floor64` lies in
+    [0, 2^64), and events are sorted by key, the exact order breaking ties.
     """
     if len(A0) != len(A1):
         raise InvalidInput("configuration sizes differ")
@@ -647,18 +670,15 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
 
     events: list[CrossingSpec] = []
 
-    # horizontality: Im(w_j - w_i)(t) = d0 + t (d1 - d0) is linear in t
+    # horizontality: Im(w_j - w_i)(t) = d0 + t (d1 - d0) is linear in t, and
+    # d0, d1 are nonzero by the distinct heights at both ends
     for i, j in itertools.combinations(range(n), 2):
         xi, yi, dxi, dyi = leg[i]
         xj, yj, dxj, dyj = leg[j]
         d0 = yj - yi
         d1 = d0 + dyj - dyi
-        if d0 == d1:
-            continue  # constant difference: nonzero by endpoint genericity
-        if d0 == 0 or d1 == 0:
-            raise PathNotGeneric(f"horizontality of ({i},{j}) at an endpoint")
         if (d0 > 0) == (d1 > 0):
-            continue  # t = d0 / (d0 - d1) lies outside (0, 1)
+            continue  # t = d0 / (d0 - d1) lies outside (0, 1), if it exists
         # at that t, (d0 - d1) Re(w_j - w_i) = d0 e1 - d1 e0
         e0 = xj - xi
         e1 = e0 + dxj - dxi
@@ -674,20 +694,17 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
             )
         )
 
-    # collinearity: p_ijk(A(t)) is quadratic in t
+    # collinearity: p_ijk(A(t)) = a t^2 + b t + c
     for (i, j, k), (a, b, c) in zip(triples, quads):
-        if a == 0 and b == 0:
-            continue  # identically nonzero by endpoint genericity
-        if a == 0:
-            roots = [(AlgebraicTime.from_rational(Fraction(-c, b)), 1)]
-        else:
-            roots = AlgebraicTime.quadratic_roots(a, b, c)
-        for root, mult in roots:
-            if root.hits(0) or root.hits(1):
-                raise PathNotGeneric(
-                    f"collinearity of ({i},{j},{k}) at an endpoint"
-                )
-            if not root.in_open_unit_interval():
+        if (c > 0) == (a + b + c > 0):
+            if not a or (c > 0) != (a > 0) or not 0 < -a * b < 2 * a * a:
+                continue
+        elif not a:
+            root = AlgebraicTime.from_rational(Fraction(-c, b))
+            events.append(_collinearity_event(leg, i, j, k, a, b, root))
+            continue
+        for root, mult in AlgebraicTime.quadratic_roots(a, b, c):
+            if not 0 <= root.floor64() < 1 << 64:
                 continue
             if mult == 2:
                 raise PathNotGeneric(
@@ -695,9 +712,9 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
                 )
             events.append(_collinearity_event(leg, i, j, k, a, b, root))
 
-    events.sort(key=lambda e: e.time)
+    events.sort(key=lambda e: (e.time.floor64(), e.time))
     for e, f in zip(events, events[1:]):
-        if not (e.time < f.time):
+        if e.time.floor64() == f.time.floor64() and not e.time < f.time:
             raise PathNotGeneric(
                 f"coincident event times for {_name(e)} and {_name(f)}"
             )
@@ -717,21 +734,18 @@ def _collinearity_event(leg, i, j, k, a, b, root) -> CrossingSpec:
     a t^2 + b t + c is minus the sign of its derivative 2at + b there.
     """
     eps_ijk_before = -root.sign_at(0, 2 * a, b)
-    # the three points are collinear at the root; an apex m has a positive
-    # dot product of its vectors to the other two exactly when m is an end
-    # of the open segment that the third point lies in
-    acute = {
-        m: root.sign_at(*_leg_quadratic(leg, _dot, m, p, q)) > 0
-        for m, p, q in ((i, j, k), (j, i, k), (k, i, j))
-    }
+    # the three points are collinear at the root, and pairwise distinct: a
+    # collision on the leg is a horizontality event with equal real parts,
+    # rejected before any collinearity.  The point in the open segment
+    # between the other two is the apex whose vectors to them have a
+    # negative dot product; if neither j nor i is that point, k is.
     # (lo, mid, hi) in the order tried; the sign was computed for the
     # ascending triple (i, j, k), so correct by the permutation parity
-    for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1), (i, k, j, -1)):
-        if acute[lo] and acute[hi]:
-            return CrossingSpec(
-                "coll", lo, mid, hi, eps_before=parity * eps_ijk_before,
-                time=root,
-            )
-    raise PathNotGeneric(
-        f"collinearity of ({i},{j},{k}) with no point in the open segment"
+    for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1)):
+        if root.sign_at(*_leg_quadratic(leg, _dot, mid, lo, hi)) < 0:
+            break
+    else:
+        lo, mid, hi, parity = i, k, j, -1
+    return CrossingSpec(
+        "coll", lo, mid, hi, eps_before=parity * eps_ijk_before, time=root,
     )

@@ -3,7 +3,8 @@
 A matrix is stored as integer rows over one positive denominator, with the
 gcd of the denominator and every entry divided out, so that the form is
 canonical and equality is a tuple comparison.  Products, sums (of many
-matrices in one pass with `MatQ.total`), scaling and the forward
+matrices in one pass with `MatQ.total`), rank updates (self + sign a b in
+one pass with `MatQ.plus_product`), scaling and the forward
 substitution of `solve_unit_upper_right` are integer arithmetic on those
 rows, and the package's one elimination step, the fraction-free `_pivot`,
 reads them directly: ranks, inverses, kernels and the simplex of `lp` all
@@ -363,6 +364,26 @@ class MatQ:
         return MatQ._reduced(tuple([
             tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num
         ]), self.den * other.den, other.cols)
+
+    def plus_product(self, a: "MatQ", b: "MatQ", sign: int = 1) -> "MatQ":
+        """self + sign * (a @ b) for sign +-1, in one integer pass over the
+        lcm of the two denominators and one gcd reduction; the product is
+        never formed as a matrix."""
+        if a.cols != b.rows or (a.rows, b.cols) != (self.rows, self.cols):
+            raise ShapeMismatch(
+                f"cannot add ({a.rows}x{a.cols})({b.rows}x{b.cols}) to "
+                f"{self.rows}x{self.cols}"
+            )
+        if not a.cols:
+            return self
+        dp = a.den * b.den
+        den = math.lcm(self.den, dp)
+        ss, sp = den // self.den, sign * (den // dp)
+        cols = list(zip(*b.num))
+        return MatQ._reduced(tuple([
+            tuple([x * ss + sp * sum(map(mul, row, col)) for x, col in zip(srow, cols)])
+            for srow, row in zip(self.num, a.num)
+        ]), den, self.cols)
 
     @property
     def T(self) -> "MatQ":

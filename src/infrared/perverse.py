@@ -106,16 +106,17 @@ class TransportData:
         return self._t_inv[i]
 
     def replace(self, updates: dict[tuple[int, int], MatQ]) -> "TransportData":
-        """Copy with the given blocks swapped in; only those blocks are
-        checked, and only a changed diagonal block is inverted again."""
-        grid = [list(row) for row in self.m]
-        t_inv = list(self._t_inv)
+        """Copy with the given blocks swapped in; only the rows holding them
+        are copied, only those blocks are checked, and only a changed
+        diagonal block is inverted again."""
+        grid = list(self.m)
+        t_inv = self._t_inv
         for (i, j), blk in updates.items():
             _check_block(self.dims, i, j, blk)
-            grid[i][j] = blk
+            grid[i] = grid[i][:j] + (blk,) + grid[i][j + 1:]
             if i == j:
-                t_inv[i] = _monodromy_inverse(i, blk)
-        return TransportData._checked(self.dims, tuple(map(tuple, grid)), tuple(t_inv))
+                t_inv = t_inv[:i] + (_monodromy_inverse(i, blk),) + t_inv[i + 1:]
+        return TransportData._checked(self.dims, tuple(grid), t_inv)
 
     def permuted(self, perm: Sequence[int]) -> "TransportData":
         """Relabel slots so that new slot s is old slot perm[s]."""
@@ -429,32 +430,33 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
     dims[i], dims[i + 1] = dims[i + 1], dims[i]
     grid = [[None] * n for _ in range(n)]
     others = [v for v in range(n) if v not in (i, i + 1)]
+    # T = Id - m_kk enters only through rank updates, T x = x - m_kk x and
+    # x T = x - x m_kk, and m_{i,i+1} T_i^{-1} (forward) or T_{i+1}^{-1}
+    # m_{i,i+1} (inverse) is formed once
     if not inverse:
-        t, t_inv = m.local_monodromy(i), m.local_monodromy_inverse(i)
+        u = old[i][i + 1] @ m.local_monodromy_inverse(i)
         for v in others:
             for j in others:
                 grid[v][j] = old[v][j]
             grid[v][i + 1] = old[v][i]
             grid[i + 1][v] = old[i][v]
-            grid[v][i] = old[v][i + 1] + old[i][i + 1] @ t_inv @ old[v][i]
-            grid[i][v] = old[i + 1][v] - old[i][v] @ old[i + 1][i]
-        grid[i][i + 1] = t @ old[i + 1][i]
-        grid[i + 1][i] = old[i][i + 1] @ t_inv
-        grid[i][i] = old[i + 1][i + 1]
-        grid[i + 1][i + 1] = old[i][i]
+            grid[v][i] = old[v][i + 1].plus_product(u, old[v][i])
+            grid[i][v] = old[i + 1][v].plus_product(old[i][v], old[i + 1][i], -1)
+        grid[i][i + 1] = old[i + 1][i].plus_product(old[i][i], old[i + 1][i], -1)
+        grid[i + 1][i] = u
     else:
-        t, t_inv = m.local_monodromy(i + 1), m.local_monodromy_inverse(i + 1)
+        u = m.local_monodromy_inverse(i + 1) @ old[i][i + 1]
         for v in others:
             for j in others:
                 grid[v][j] = old[v][j]
             grid[v][i] = old[v][i + 1]
             grid[i][v] = old[i + 1][v]
-            grid[v][i + 1] = old[v][i] - old[i + 1][i] @ old[v][i + 1]
-            grid[i + 1][v] = old[i][v] + old[i + 1][v] @ t_inv @ old[i][i + 1]
-        grid[i][i + 1] = old[i + 1][i] @ t
-        grid[i + 1][i] = t_inv @ old[i][i + 1]
-        grid[i][i] = old[i + 1][i + 1]
-        grid[i + 1][i + 1] = old[i][i]
+            grid[v][i + 1] = old[v][i].plus_product(old[i + 1][i], old[v][i + 1], -1)
+            grid[i + 1][v] = old[i][v].plus_product(old[i + 1][v], u)
+        grid[i][i + 1] = old[i + 1][i].plus_product(old[i + 1][i], old[i + 1][i + 1], -1)
+        grid[i + 1][i] = u
+    grid[i][i] = old[i + 1][i + 1]
+    grid[i + 1][i + 1] = old[i][i]
     # every block is built from blocks of the right shapes, and the new
     # diagonal is the old one with slots i and i+1 swapped
     inverses = list(m._t_inv)

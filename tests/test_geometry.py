@@ -8,6 +8,7 @@ from infrared.errors import DegeneratePosition, InvalidInput, PathNotGeneric
 from infrared.geometry import (
     AlgebraicTime,
     Config,
+    CrossingSpec,
     Dir,
     GPReport,
     Pt,
@@ -15,6 +16,7 @@ from infrared.geometry import (
     _dot,
     _integer_leg,
     _leg_quadratic,
+    _name,
     anti_stokes_sequence,
     config,
     convex_hull,
@@ -23,6 +25,7 @@ from infrared.geometry import (
     general_position,
     infinity_generic,
     orient,
+    pt,
     segment_wall_events,
 )
 from infrared.randomgen import rand_config, rng
@@ -533,6 +536,21 @@ def test_wall_events_reject_endpoint_and_tangency():
             [(1, 0), (-1, 3), (0, -3)], [(-2, 0), (-1, -1), (-2, 1)],
             "tangential collinearity of (0,1,2)",
         ),
+        # point 1 passes through point 0 at t = 1/2
+        (
+            [(0, 0), (2, 2), (5, -3)], [(0, 0), (-2, -2), (5, -3)],
+            "points 0 and 1 collide on the leg",
+        ),
+        # collinear at t = 0: point 1 on the segment [w_0, w_2]
+        (
+            [(0, 0), (1, 2), (2, 4)], [(0, 0), (3, 1), (2, 4)],
+            "endpoints must be in general position including horizontal infinity",
+        ),
+        # horizontal at t = 1: points 0, 2 at one height
+        (
+            [(0, 0), (3, 1), (1, 5)], [(0, 0), (3, 1), (1, 0)],
+            "endpoints must be in general position including horizontal infinity",
+        ),
     ]
     for a0, a1, message in rejected:
         with pytest.raises(PathNotGeneric) as info:
@@ -614,6 +632,11 @@ def _bisection_less(s: AlgebraicTime, t: AlgebraicTime) -> bool:
     raise AssertionError("isolating intervals failed to separate")
 
 
+def in_open_unit_interval(s: AlgebraicTime) -> bool:
+    """Oracle of the key range test: 0 < s < 1 as two exact signs."""
+    return s.sign_at(0, 1, 0) > 0 and s.sign_at(0, 1, -1) < 0
+
+
 def _bisection_in_open_unit_interval(s: AlgebraicTime) -> bool:
     zero, one = AlgebraicTime.from_rational(0), AlgebraicTime.from_rational(1)
     return _bisection_less(zero, s) and _bisection_less(s, one)
@@ -668,7 +691,10 @@ def test_exact_comparisons_match_bisection():
     times = _times(r, 160)
     kinds = set()
     for s in times:
-        assert s.in_open_unit_interval() == _bisection_in_open_unit_interval(s)
+        inside = in_open_unit_interval(s)
+        assert inside == _bisection_in_open_unit_interval(s)
+        # the key range [0, 2^64) is [0, 1): the open interval and 0 itself
+        assert (0 <= s.floor64() < 1 << 64) == (inside or s.rational == 0)
         for t in r.sample(times, 24):
             assert (s < t) == _bisection_less(s, t), (s.key(), t.key())
             kinds.add((s.rational is None, t.rational is None, s == t))
@@ -678,3 +704,186 @@ def test_exact_comparisons_match_bisection():
     # rational and irrational on either side, and equal irrationals
     assert kinds >= {(False, True, False), (True, False, False),
                      (True, True, False), (True, True, True)}
+
+
+# -- the integer key and the root-counting engine -----------------------------
+
+
+def test_floor64_is_a_monotone_integer_key():
+    """floor64 brackets each time between two multiples of 2^-64, checked by
+    exact comparisons with rational times, and never inverts the exact
+    order.  Two convergents of sqrt 2 with denominators above 2^33 share
+    its key, one on each side, and the exact order still separates them."""
+    r = rng(19)
+    times = _times(r, 160)
+    for t in times:
+        key = t.floor64()
+        lo = AlgebraicTime.from_rational(Q(key, 1 << 64))
+        hi = AlgebraicTime.from_rational(Q(key + 1, 1 << 64))
+        assert not t < lo and t < hi, t.key()
+        for s in r.sample(times, 24):
+            if s < t:
+                assert s.floor64() <= t.floor64(), (s.key(), t.key())
+    root = AlgebraicTime.quadratic_roots(1, 0, -2)[1][0]
+    below = AlgebraicTime.from_rational(Q(63018038201, 44560482149))
+    above = AlgebraicTime.from_rational(Q(26102926097, 18457556052))
+    assert below.rational.denominator > 1 << 33 < above.rational.denominator
+    assert below.floor64() == root.floor64() == above.floor64()
+    ordered = sorted([above, root, below], key=lambda t: (t.floor64(), t))
+    assert ordered == [below, root, above]
+
+
+def test_wall_event_keys_at_the_ends_and_on_a_tie():
+    """Legs built around the key's resolution of 2^-64.  The orientation
+    quadratic 2^140 (t - 1)^2 - 2 has roots 1 -+ sqrt(2) 2^-70, keys 2^64 - 1
+    and 2^64: only the lower one is an event.  2^140 t^2 - 2 has roots
+    -+sqrt(2) 2^-70, keys -1 and 0: only the upper one is.  On the third
+    leg a horizontality at a convergent of sqrt(2) - 1 with a denominator
+    above 2^33 shares its key with the collinearity at sqrt(2) - 1 and is
+    appended first, yet comes second in the exact order."""
+    big = 1 << 140
+    near_one = segment_wall_events(
+        config((0, 0), (-2, -5), (2 - big, 6 - 3 * big)),
+        config((0, 0), (-1, -2), (2 - big, 6 - 2 * big)),
+    )
+    near_zero = segment_wall_events(
+        config((0, 0), (0, 1), (2, 6)), config((0, 0), (1, 4), (2, big + 6)),
+    )
+    assert [e.time.floor64() for e in near_one] == [(1 << 64) - 1]
+    assert [e.time.floor64() for e in near_zero] == [0]
+    p, q = 7645370045, 18457556052
+    assert q > 1 << 33
+    events = segment_wall_events(
+        config((0, 0), (1, 5), (1, 4), (-50, -10), (-60, p - 10)),
+        config((0, 0), (2, 8), (1, 5), (-50, -10), (-60, p - q - 10)),
+    )
+    names = [_name(e) for e in events]
+    at = names.index("D(0,2,1)")
+    assert names[at + 1] == "D(3,4)" and events[at + 1].time.rational == Q(p, q)
+    assert events[at].time.floor64() == events[at + 1].time.floor64()
+    assert str(events[at].time) == "(-2 + sqrt(8))/2"
+    assert all(e.time < f.time for e, f in zip(events, events[1:]))
+
+
+def _per_root_wall_events(A0: Config, A1: Config):
+    """Oracle: the engine that isolated every real root of every triple,
+    kept those in (0, 1) by two exact signs, tested all three apexes of a
+    collinearity and sorted the events with the exact comparison alone."""
+    n = len(A0)
+    leg = _integer_leg(A0, A1)
+    triples = list(itertools.combinations(range(n), 3))
+    quads = [_leg_quadratic(leg, _cross, i, j, k) for i, j, k in triples]
+    if not (
+        all(c and a + b + c for a, b, c in quads)
+        and len({y for _, y, _, _ in leg}) == n
+        and len({y + dy for _, y, _, dy in leg}) == n
+    ):
+        raise PathNotGeneric(
+            "endpoints must be in general position including horizontal infinity"
+        )
+    events = []
+    for i, j in itertools.combinations(range(n), 2):
+        (xi, yi, dxi, dyi), (xj, yj, dxj, dyj) = leg[i], leg[j]
+        d0 = yj - yi
+        d1 = d0 + dyj - dyi
+        if (d0 > 0) == (d1 > 0):
+            continue
+        e0 = xj - xi
+        re_diff = (d0 * (e0 + dxj - dxi) - d1 * e0) * (d0 - d1)
+        if re_diff == 0:
+            raise PathNotGeneric(f"points {i} and {j} collide on the leg")
+        events.append(CrossingSpec(
+            "horiz", i, j, motion="above" if d1 > d0 else "below",
+            re_cmp="left" if re_diff < 0 else "right",
+            time=AlgebraicTime.from_rational(Q(d0, d0 - d1)),
+        ))
+    for (i, j, k), (a, b, c) in zip(triples, quads):
+        if a == 0 and b == 0:
+            continue
+        if a == 0:
+            roots = [(AlgebraicTime.from_rational(Q(-c, b)), 1)]
+        else:
+            roots = AlgebraicTime.quadratic_roots(a, b, c)
+        for root, mult in roots:
+            if not in_open_unit_interval(root):
+                continue
+            if mult == 2:
+                raise PathNotGeneric(f"tangential collinearity of ({i},{j},{k})")
+            events.append(_three_apex_event(leg, i, j, k, a, b, root))
+    events.sort(key=lambda e: e.time)
+    for e, f in zip(events, events[1:]):
+        if not e.time < f.time:
+            raise PathNotGeneric(
+                f"coincident event times for {_name(e)} and {_name(f)}"
+            )
+    return events
+
+
+def _three_apex_event(leg, i, j, k, a, b, root):
+    """Oracle: the collinearity crossing at root, its middle point found
+    from the signs of the dot products at all three apexes."""
+    eps = -root.sign_at(0, 2 * a, b)
+    acute = {
+        m: root.sign_at(*_leg_quadratic(leg, _dot, m, p, q)) > 0
+        for m, p, q in ((i, j, k), (j, i, k), (k, i, j))
+    }
+    for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1), (i, k, j, -1)):
+        if acute[lo] and acute[hi]:
+            return CrossingSpec("coll", lo, mid, hi, eps_before=parity * eps, time=root)
+    raise PathNotGeneric(f"collinearity of ({i},{j},{k}) with no point in the open segment")
+
+
+def _outcome(engine, A0, A1):
+    """The events with their times, or the error text."""
+    try:
+        return [(e, e.time) for e in engine(A0, A1)]
+    except PathNotGeneric as err:
+        return str(err)
+
+
+def _oracle_leg(r):
+    """Two random configurations with distinct heights; one leg in eight
+    has the tangency triple of the rejected legs above, translated, in
+    place of its first three points."""
+    n = r.randint(3, 6)
+    A0, A1 = (rand_config(r, n, require_strong=False, box=4, extra_dirs=(Z_RIGHT,))
+              for _ in range(2))
+    if r.randrange(8):
+        return A0, A1
+    dx, dy = r.randint(-4, 4), r.randint(-4, 4)
+    tangent = ([(1, 0), (-1, 3), (0, -3)], [(-2, 0), (-1, -1), (-2, 1)])
+    try:
+        return tuple(
+            Config([pt(x + dx, y + dy) for x, y in tri] + list(A)[3:])
+            for A, tri in zip((A0, A1), tangent)
+        )
+    except InvalidInput:  # a translated point met a drawn one
+        return A0, A1
+
+
+def test_root_counting_engine_matches_the_per_root_oracle():
+    """On 200 seeded legs between configurations of small rationals, the engine
+    returns the oracle's events in the oracle's order, with equal times, or
+    raises its error.  The legs meet rational and irrational times, both
+    signs of the leading coefficient, tangency, coincident times, colliding
+    points and endpoints out of general position."""
+    r = rng(1906)
+    seen = set()
+    for _ in range(200):
+        A0, A1 = _oracle_leg(r)
+        got = _outcome(segment_wall_events, A0, A1)
+        assert got == _outcome(_per_root_wall_events, A0, A1), (A0, A1)
+        if isinstance(got, str):
+            seen.add(got.split(" ")[0])
+            continue
+        leg = _integer_leg(A0, A1)
+        for e, t in got:
+            if e.kind == "coll":
+                a = _leg_quadratic(leg, _cross, *sorted((e.i, e.j, e.k)))[0]
+                seen.add(("rational" if t.rational is not None else "irrational",
+                          (a > 0) - (a < 0)))
+    assert seen >= {
+        ("rational", 0), ("rational", 1), ("rational", -1),
+        ("irrational", 1), ("irrational", -1),
+        "tangential", "coincident", "points", "endpoints",
+    }, seen

@@ -216,6 +216,39 @@ def test_matmul_matches_the_fraction_product():
     assert (x @ y)[0, 0] == Q(-21 + 55, p * q)
 
 
+def test_plus_product_matches_the_fraction_grid():
+    """self + sign (a @ b) against the Fraction grid, for both signs, on the
+    product shapes (empty rows, columns and inner dimension included), with
+    the addend over small, big and coprime-prime denominators; a wrong
+    shape raises ShapeMismatch."""
+    r = rng(123)
+    for rows, inner, cols in shapes():
+        for sparse, entry in ((False, rand_entry), (True, rand_entry), (False, big_entry)):
+            x = rand_matrix(r, rows, inner, sparse)
+            y = rand_matrix(r, inner, cols, sparse)
+            base = rand_matrix(r, rows, cols, entry=entry)
+            want = FracMat.of(x) @ FracMat.of(y)
+            for sign in (1, -1):
+                got = base.plus_product(x, y, sign)
+                assert (got.rows, got.cols) == (rows, cols)
+                same(got, FracMat.of(base) + want.scale(sign))
+            # adding minus the product to itself leaves zero
+            same((x @ y).plus_product(x, y, -1), want - want)
+    # unequal denominators: 1/p + (1/q)(1/q) over p q^2
+    p, q = 999983, 1000003
+    got = MatQ([[Q(1, p)]]).plus_product(MatQ([[Q(1, q)]]), MatQ([[Q(-1, q)]]), -1)
+    assert got[0, 0] == Q(1, p) + Q(1, q * q)
+    assert MatQ.zeros(2, 3).plus_product(MatQ.zeros(2, 0), MatQ.zeros(0, 3)) == MatQ.zeros(2, 3)
+    for base, x, y in (
+        (MatQ.zeros(2, 2), MatQ.zeros(2, 3), MatQ.zeros(2, 2)),  # inner 3 vs 2
+        (MatQ.zeros(2, 3), MatQ.zeros(2, 2), MatQ.zeros(2, 2)),  # 2x2 into 2x3
+        (MatQ.zeros(3, 2), MatQ.zeros(2, 2), MatQ.zeros(2, 2)),  # 2x2 into 3x2
+        (MatQ.zeros(2, 2), MatQ.zeros(2, 0), MatQ.zeros(1, 2)),  # inner 0 vs 1
+    ):
+        with pytest.raises(ShapeMismatch):
+            base.plus_product(x, y, 1)
+
+
 def test_forward_substitution_matches_the_fraction_oracle():
     r = rng(122)
     for n in range(1, 25):

@@ -124,3 +124,26 @@ def test_secondary_reads_no_point_coordinate():
         if isinstance(node, ast.Attribute) and node.attr in ("x", "y")
     ]
     assert hits == []
+
+
+def test_committed_bench_files_cover_every_workload():
+    """Every committed `BENCH_<n>.json` names its command and its parent
+    commit, and holds, for the parent and for the change, every workload of
+    `BENCHMARK.json`, each correct, with no failed instance and with every
+    end-to-end metric."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        assert re.fullmatch(r"BENCH_[0-9]+\.json", path.name), path.name
+        bench = json.loads(path.read_text())
+        assert bench["command"], path.name
+        assert re.fullmatch(r"[0-9a-f]{40}", bench["parent_commit"]), path.name
+        for side in ("parent", "change"):
+            for name in workloads:
+                run = bench[side][name]
+                where = (path.name, side, name)
+                assert run["correct"] is True and run["failed"] == 0, where
+                assert metrics <= set(run["metrics"]), where
