@@ -31,6 +31,7 @@ from .geometry import (
     convex_hull,
     dominance_order,
     general_position,
+    infinity_order,
 )
 from .paths import enumerate_zeta_convex_paths, height_data
 from .perverse import Quiver, TransportData, mu
@@ -157,7 +158,7 @@ def cmd_paths(inst: Instance, args) -> dict:
                 raise InvalidInput(f"{flag} {v} is not a point index 0..{len(A) - 1}")
         pairs = [(args.source, args.target)]
     else:
-        vals = sorted(range(len(A)), key=lambda i: zeta.infinity_form(A[i]))
+        vals = infinity_order(A, zeta)[0]
         pairs = [
             (i, j)
             for a, i in enumerate(vals)

@@ -21,7 +21,10 @@ Conventions
   ``Re(zeta * w) = dx*x - dy*y`` (complex product).
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
   a configuration is in general position including zeta-infinity when these
-  values are pairwise distinct.
+  values are pairwise distinct.  ``infinity_order`` sorts by it on integer
+  keys (the form on ``int_points()`` with zeta scaled to integers), for the
+  spider order, the genericity test and the pair orders of ``paths`` and
+  ``plot``.
 * Wall events along a straight leg are computed on the leg scaled to integer
   coordinates.  Their times are roots of integer polynomials of degree <= 2
   (``AlgebraicTime``).  Whether a time lies in (0, 1), and its order among
@@ -208,10 +211,21 @@ class GPReport:
     incl_infinity: Optional[bool]
 
 
+def infinity_order(A: Config, zeta: Dir) -> tuple[list[int], bool]:
+    """The indices of A sorted by the zeta-infinity form, ties in index
+    order, and whether the form takes pairwise distinct values on A.  The
+    keys are the form on `A.int_points()` with zeta scaled to integers, a
+    positive multiple of `zeta.infinity_form`, so the order and the ties
+    are the same."""
+    (dx, dy), _ = _int_row((zeta.dx, zeta.dy))
+    keys = [dx * y - dy * x for x, y in A.int_points()[0]]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return order, all(keys[a] != keys[b] for a, b in zip(order, order[1:]))
+
+
 def infinity_generic(A: Config, zeta: Dir) -> bool:
     """Whether the zeta-infinity form takes pairwise distinct values on A."""
-    vals = [zeta.infinity_form(p) for p in A]
-    return len(set(vals)) == len(vals)
+    return infinity_order(A, zeta)[1]
 
 
 def _direction(dx: int, dy: int) -> tuple[int, int]:

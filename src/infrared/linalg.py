@@ -26,17 +26,25 @@ from .errors import InvalidInput, NotInvertible, ShapeMismatch
 Q = Fraction
 
 _PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_MAX_EXPONENT = 1000
 
 
 def _ratio(x) -> tuple[int, int]:
     """An exact rational as (numerator, positive denominator) in lowest
     terms, from a Fraction, an int (not a bool) or a string.  Strings of the
     form "p" or "p/q" in ASCII digits are split and read with `int`; every
-    other string goes to `Fraction(str)`, so the accepted strings are exactly
-    Fraction's."""
+    other string goes to `Fraction(str)`, so the accepted strings are
+    Fraction's, less those with a decimal exponent beyond +-_MAX_EXPONENT:
+    Fraction would form that power of 10 before anything could refuse it."""
     if isinstance(x, str):
         plain = _PLAIN_RATIO.fullmatch(x)
         if plain is None:
+            exp = _EXPONENT.search(x)
+            digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+            if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+                raise InvalidInput(
+                    f"decimal exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}: {x!r}")
             try:
                 return Fraction(x).as_integer_ratio()
             except (ValueError, ZeroDivisionError):

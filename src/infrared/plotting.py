@@ -5,7 +5,7 @@ the covers that `secondary.refinement_poset` builds level by level."""
 
 from __future__ import annotations
 
-from .geometry import Config, Dir, convex_hull, infinity_generic
+from .geometry import Config, Dir, convex_hull, infinity_order
 from .paths import enumerate_zeta_convex_paths
 from .secondary import (
     deformation_complex, enumerate_subdivisions, is_regular, refinement_poset)
@@ -43,8 +43,8 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
         f'<polygon points="{pts}" fill="#eef" stroke="#88a" stroke-width="1"/>'
     )
     # convex paths exist only for a direction that separates the points
-    if zeta is not None and infinity_generic(A, zeta):
-        vals = sorted(range(len(A)), key=lambda i: zeta.infinity_form(A[i]))
+    vals, generic = infinity_order(A, zeta) if zeta is not None else ([], False)
+    if generic:
         for a, i in enumerate(vals):
             for j in vals[a + 1:]:
                 for path in enumerate_zeta_convex_paths(A, i, j, zeta):

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -441,6 +443,32 @@ def test_unknown_instance_keys_are_invalid_input(key, value, tmp_path, capsys):
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
     assert repr(key) in data["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["1e999999", "1e-999999", "1E+1_001", "-5e99999999999999"])
+@pytest.mark.parametrize("where", ["transport", "config"])
+def test_huge_decimal_exponents_are_invalid_input(where, value, tmp_path, capsys):
+    """A decimal exponent beyond +-1000, in a transport entry or in a point
+    coordinate, is refused before 10**e is formed: invalid_input and exit 2,
+    within a second, where it used to crash the JSON writer or hang."""
+    point, entry = ([value, "0"], "2") if where == "config" else (["0", "0"], value)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "config": {"points": [point]},
+        "transport": {"dims": [1], "m": [[[[entry]]]]},
+    }))
+    start = time.perf_counter()
+    code, data = run_cli(["stokes", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "decimal exponent" in data["error"]["message"]
+
+
+def test_decimal_exponents_up_to_the_bound_are_read():
+    """The bound is inclusive, and exponents in range still read exactly."""
+    assert MatQ([["1e1000", "1e-1000", "-1.5e3", " 2E+1_0 "]]) == MatQ(
+        [[10 ** 1000, Fraction(1, 10 ** 1000), -1500, 2 * 10 ** 10]])
 
 
 def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():

@@ -10,9 +10,14 @@ from infrared.errors import (
     NotInvertible,
     ShapeMismatch,
 )
-from infrared.geometry import Dir, config, general_position
+from infrared.geometry import Dir, config, general_position, infinity_generic, infinity_order
 from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
 from infrared.fourier import (
+    _add_to_columns,
+    _block_offsets,
+    _column_block,
+    _jacobson_arms,
+    _times_block_upper,
     alt_circum_sum,
     circum_sum,
     dressed_transport,
@@ -288,6 +293,48 @@ def test_stokes_numbering_rejects_a_height_tie():
         factorization_check(m, A, Z0)
 
 
+def fraction_fourier_order(A, zeta):
+    """Oracle: the spider order as a sort by the Fraction infinity form, and
+    whether that form separates the points."""
+    spider = zeta.conjugate().opposite()
+    vals = [spider.infinity_form(p) for p in A]
+    return sorted(range(len(A)), key=vals.__getitem__), len(set(vals)) == len(vals)
+
+
+def test_integer_spider_order_matches_the_fraction_sort():
+    """fourier_order and infinity_generic read integer keys; they agree with
+    the Fraction sort on random points and directions, and a tie, made by a
+    direction along the segment between two points, raises the same
+    DegeneratePosition message while infinity_order keeps the stable
+    Fraction order."""
+    r = rng(68)
+    ties = 0
+    for k in range(120):
+        n = 1 + k % 7
+        A = rand_config(r, n, require_strong=False)
+        if k % 3 == 2 and n > 1:
+            # the spider direction -conj(zeta) along w_j - w_i, rescaled
+            i, j = r.sample(range(n), 2)
+            d, c = A[j] - A[i], Q(r.randint(1, 5), r.randint(1, 5))
+            zeta = Dir(-d.x * c, d.y * c)
+        else:
+            dx, dy = (Q(r.randint(-9, 9), r.randint(1, 4)) for _ in range(2))
+            zeta = Dir(dx, dy) if dx or dy else Z0
+        expect, generic = fraction_fourier_order(A, zeta)
+        spider = zeta.conjugate().opposite()
+        assert infinity_order(A, spider) == (expect, generic)
+        assert infinity_generic(A, spider) is generic
+        if generic:
+            assert fourier_order(A, zeta) == expect
+        else:
+            ties += 1
+            with pytest.raises(DegeneratePosition) as err:
+                fourier_order(A, zeta)
+            assert str(err.value) == (
+                "configuration not in general position including the spider infinity")
+    assert ties >= 30
+
+
 def test_stokes_three_point_two_term_block():
     # left-convex [0,1,2]: C+ block (0,2) = m_02 + m_12 m_01
     A = config((0, 0), (-1, 1), (0, 2))
@@ -418,15 +465,11 @@ def transport_with_empty_slots(r, n):
             continue
 
 
-def test_factorization_matches_the_dense_oracle():
-    """factorization_check, with its blockwise products and its product
-    check, gives exactly the C+, C-, Delta, C-tilde, T_glob, right side and
-    verdict of the dense computation, on 64 seeded draws with N = 1..8 and
-    slot dims 0..3: random configurations and jittered arcs, for three
-    Stokes directions."""
-    r = rng(63)
-    shapes = set()
-    for k in range(64):
+def stokes_draws(seed, count=64):
+    """Seeded (A, zeta0, m) draws with N = 1..8 and slot dims 0..3: random
+    configurations and jittered arcs, for three Stokes directions."""
+    r = rng(seed)
+    for k in range(count):
         n = 1 + k % 8
         zeta0 = (Z0, Z0, Dir(Q(1), Q(2)), Dir(Q(-3), Q(-1)))[k // 8 % 4]
         spider = zeta0.conjugate().opposite()
@@ -434,7 +477,17 @@ def test_factorization_matches_the_dense_oracle():
             A = jittered_arc(r, n)
         else:
             A = rand_config(r, n, extra_dirs=(spider,))
-        m = transport_with_empty_slots(r, n)
+        yield A, zeta0, transport_with_empty_slots(r, n)
+
+
+def test_factorization_matches_the_dense_oracle():
+    """factorization_check, with its blockwise products and its product
+    check, gives exactly the C+, C-, Delta, C-tilde, T_glob, right side and
+    verdict of the dense computation, on 64 seeded draws with N = 1..8 and
+    slot dims 0..3: random configurations and jittered arcs, for three
+    Stokes directions."""
+    shapes = set()
+    for k, (A, zeta0, m) in enumerate(stokes_draws(63)):
         rep = factorization_check(m, A, zeta0)
         expect = dense_factorization(m, stokes_pair(m, A, zeta0))
         assert rep.ok is True
@@ -442,6 +495,126 @@ def test_factorization_matches_the_dense_oracle():
         shapes.update(m.dims)
         shapes.add(("D", sum(m.dims) == 0))
     assert shapes == {0, 1, 2, 3, ("D", True), ("D", False)}
+
+
+def rank_update_product(m, kind):
+    """Oracle: the ordered product as one rank-d_i update of the whole
+    running product per slot, acc + (acc e_i) b_i, each a matrix product and
+    a column-block update."""
+    offs = _block_offsets(m.dims)
+    e = _jacobson_arms(m, offs)
+    acc = MatQ.identity(offs[-1])
+    for i in range(m.n) if kind == "ascending" else range(m.n - 1, -1, -1):
+        acc = _add_to_columns(acc, offs, i, acc @ _column_block(e, offs, i))
+    return acc
+
+
+def test_monodromy_product_matches_the_rank_update_oracle():
+    """Both orders of the product, one final column block at a time, equal
+    the rank-update products exactly, on the raw and on the dressed data of
+    64 seeded draws with N = 1..8 and slot dims 0..3 (empty slots
+    included)."""
+    dims = set()
+    for A, zeta0, m in stokes_draws(65):
+        mt, _ = dressed_transport(m, A, zeta0)
+        for data in (m, mt):
+            for kind in ("ascending", "descending"):
+                assert monodromy_product(data, kind) == rank_update_product(data, kind)
+        dims.update(m.dims)
+    assert dims == {0, 1, 2, 3}
+
+
+def turn_set_counts(A, zeta0):
+    """Over the chain-sum runs of stokes_pair: the number of (source, v)
+    states, the distinct nonempty turn sets at them that are not the full
+    predecessor set, and the (v, w) steps whose turn set repeats an earlier
+    one at the same v (the full set counts as already summed)."""
+    order = fourier_order(A, zeta0)
+    t = A.sign_table()
+    states = partial = repeats = 0
+    for seq in (order, order[::-1]):
+        for k in range(len(seq)):
+            run = seq[k:]
+            into = {v: [run[0]] for v in run[1:]}
+            for a, v in enumerate(run[1:], 2):
+                states += 1
+                seen = {tuple(into[v])}
+                for w in run[a:]:
+                    turns = tuple(u for u in into[v] if t[u][v][w] == -1)
+                    if turns:
+                        into[w].append(v)
+                        repeats += turns in seen
+                        partial += turns not in seen
+                        seen.add(turns)
+    return states, partial, repeats
+
+
+def test_chain_sums_add_once_per_distinct_turn_set(monkeypatch):
+    """The chain sums, with one sum per distinct set of turning predecessors
+    at each vertex, equal the enumerated path sums; MatQ.total runs once per
+    (source, v) state and once per distinct partial turn set, on draws where
+    turn sets both repeat and differ."""
+    calls = []
+    total = MatQ.total
+
+    def counting(mats):
+        calls.append(len(mats))
+        return total(mats)
+
+    monkeypatch.setattr(MatQ, "total", staticmethod(counting))
+    r = rng(66)
+    partial = repeats = 0
+    for k in range(24):
+        n = 3 + k % 6
+        A = jittered_arc(r, n) if k % 4 == 3 else rand_config(r, n, extra_dirs=(Z_RIGHT,))
+        m = rand_transport(r, n, max_dim=2)
+        calls.clear()
+        pair = stokes_pair(m, A, Z0)
+        states, part, rep = turn_set_counts(A, Z0)
+        assert len(calls) == states + part
+        assert pair.blocks == _enumerated_stokes_blocks(m, A, Z0)[0]
+        partial += part
+        repeats += rep
+    assert partial > 20 and repeats > 20
+
+
+def test_block_upper_product_refuses_a_planted_entry(monkeypatch):
+    """The product that reads only the block-upper part of its right factor
+    equals the dense product on block upper matrices; an entry planted
+    below the block diagonal raises, in the helper and through
+    factorization_check, instead of giving a verdict the dense product could
+    contradict."""
+    import dataclasses
+
+    import infrared.fourier
+
+    r = rng(67)
+    for dims in ([1, 2, 3], [2, 0, 2, 1], [3]):
+        offs = _block_offsets(dims)
+        size = offs[-1]
+        upper = {(s, t): rand_matrix(r, dims[t], dims[s])
+                 for s in range(len(dims)) for t in range(s)}
+        u = dense_unitriangular(dims, upper)
+        x = rand_matrix(r, size, size)
+        assert _times_block_upper(x, offs, u) == x @ u
+        below = [(row, col) for lo, hi in zip(offs, offs[1:])
+                 for row in range(lo, hi) for col in range(lo)]
+        assert len(below) == (size * size - sum(d * d for d in dims)) // 2
+        for row, col in below:
+            planted = u + MatQ([[int((a, b) == (row, col)) for b in range(size)]
+                                for a in range(size)])
+            with pytest.raises(InvalidInput):
+                _times_block_upper(x, offs, planted)
+    A = jittered_arc(r, 4)
+    m = rand_transport(r, 4, max_dim=2)
+    pair = stokes_pair(m, A, Z0)
+    size = sum(pair.dims)
+    bad = pair.c_minus + MatQ([[int((a, b) == (size - 1, 0)) for b in range(size)]
+                               for a in range(size)])
+    monkeypatch.setattr(infrared.fourier, "stokes_pair",
+                        lambda *args: dataclasses.replace(pair, c_minus=bad))
+    with pytest.raises(InvalidInput):
+        factorization_check(m, A, Z0)
 
 
 def test_a_perturbed_c_minus_fails_both_factorizations(monkeypatch):
