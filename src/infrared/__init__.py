@@ -38,7 +38,7 @@ from .geometry import (
     pt,
     segment_wall_events,
 )
-from .linalg import MatQ, block_diagonal
+from .linalg import MatQ
 from .paths import (
     PolyPath,
     enumerate_zeta_convex_paths,

@@ -22,7 +22,9 @@ a rank-d_i update that changes only column block i of the running product,
 so the product is built one final column block at a time, in integers.
 For the spider representative gmv_embed(m), T_{i,Phi} = Id - m_ii is the
 local monodromy T_i, so the update reads the inverse that TransportData
-owns and inverts nothing itself; a-check is built the same way.
+owns and inverts nothing itself.  With these arms e_i, the stacked a-check
+is (Id - L)^{-1}, L the strictly block-lower part of the matrix of arms,
+inverted by MatQ.inverse.
 
 Block (i, j) of the Stokes matrix C+ is the sum of the iterated
 rectilinear transports over the (-conj(zeta0))-convex paths from w_i to
@@ -42,8 +44,7 @@ data factors exactly as
 
 where Delta is the block diagonal of the inverse local monodromies.  C-tilde
 is block upper unitriangular, hence invertible, so factorization_check tests
-T_glob . C-tilde == C+ . Delta and neither inverts nor solves; the right
-side itself is found by forward substitution only when it is read.  The
+T_glob . C-tilde == C+ . Delta and neither inverts nor solves.  The
 product with C-tilde reads only its block upper part, once the entries
 below its block diagonal are checked to be zero.  The block matrices are
 written as integer rows straight from their blocks, the chain sums add each
@@ -64,8 +65,8 @@ from typing import Sequence
 
 from .errors import DegeneratePosition, EdgePrecondition, InvalidInput, ShapeMismatch
 from .geometry import Config, Dir, general_position, infinity_order
-from .linalg import MatQ, solve_unit_upper_right
-from .perverse import Quiver, TransportData
+from .linalg import MatQ
+from .perverse import TransportData
 
 
 def fourier_order(A: Config, zeta: Dir) -> list[int]:
@@ -100,11 +101,6 @@ class FourierDiagram:
         a = MatQ.from_blocks([[blk] for blk in self.a_check])
         return MatQ.identity(self.d_psi) - self.b_check @ a
 
-    def as_quiver(self) -> Quiver:
-        """The transform as a one-singularity diagram (N = 1 quiver)."""
-        a = MatQ.from_blocks([[blk] for blk in self.a_check])
-        return Quiver([self.d_psi], sum(self.dims), [a], [self.b_check])
-
 
 def _block_offsets(dims: Sequence[int]) -> list[int]:
     offs = [0]
@@ -129,11 +125,6 @@ def _assemble(offs: Sequence[int], blocks: dict, unit: bool = False) -> MatQ:
         for r, row in enumerate(b.num, offs[t]):
             num[r][lo:hi] = row if f == 1 else [v * f for v in row]
     return MatQ._wrap(tuple(map(tuple, num)), den, size)
-
-
-def _column_block(x: MatQ, offs: Sequence[int], i: int) -> MatQ:
-    lo, hi = offs[i], offs[i + 1]
-    return MatQ._reduced(tuple([row[lo:hi] for row in x.num]), x.den, hi - lo)
 
 
 def _times_block_diagonal(x: MatQ, offs: Sequence[int], diag: Sequence[MatQ]) -> MatQ:
@@ -173,34 +164,28 @@ def _jacobson_arms(m: TransportData, offs: Sequence[int]) -> MatQ:
     return _times_block_diagonal(arms, offs, [m.local_monodromy_inverse(i) for i in range(m.n)])
 
 
-def _add_to_columns(acc: MatQ, offs: Sequence[int], j: int, u: MatQ) -> MatQ:
-    """acc + u b_j: b_j of gmv_embed projects Psi onto slot j, so this adds
-    u to the slot-j columns of acc."""
-    lo, hi = offs[j], offs[j + 1]
-    den = math.lcm(acc.den, u.den)
-    sa, su = den // acc.den, den // u.den
-    rows = acc.num if sa == 1 else [tuple([x * sa for x in row]) for row in acc.num]
-    return MatQ._reduced(tuple([
-        row[:lo] + tuple([x + y * su for x, y in zip(row[lo:hi], urow)]) + row[hi:]
-        for row, urow in zip(rows, u.num)
-    ]), den, acc.cols)
-
-
 def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
     """Build the transform diagram from the straight spider toward
-    -conj(zeta) infinity."""
+    -conj(zeta) infinity.
+
+    With T_{j,Psi}^{-1} = Id + e_j b_j, row block i of the stacked a-check
+    is b_i + sum_{j<i} (b_i e_j) a-check_j, so the stack is (Id - L)^{-1}
+    for L the strictly block-lower part of the Jacobson arms e."""
     order = fourier_order(A, zeta)
     mm = m.permuted(order)
     offs = _block_offsets(mm.dims)
+    size = offs[-1]
     e = _jacobson_arms(mm, offs)
-    e_blocks = [_column_block(e, offs, i) for i in range(mm.n)]
-    a_check = []
-    for i, d in enumerate(mm.dims):
-        acc = _add_to_columns(MatQ.zeros(d, offs[-1]), offs, i, MatQ.identity(d))
-        for j in range(i - 1, -1, -1):
-            acc = _add_to_columns(acc, offs, j, acc @ e_blocks[j])
-        a_check.append(acc)
-    return FourierDiagram(tuple(order), tuple(mm.dims), offs[-1], tuple(a_check), -e)
+    # row r of Id - L, r in block [lo, hi): minus row r of e left of lo,
+    # then the unit entry, over the denominator of e
+    id_minus_l = MatQ._reduced(tuple([
+        tuple([-v for v in row[:lo]]) + (0,) * (r - lo) + (e.den,) + (0,) * (size - 1 - r)
+        for lo, hi in zip(offs, offs[1:]) for r, row in enumerate(e.num[lo:hi], lo)
+    ]), e.den, size)
+    stack = id_minus_l.inverse()
+    a_check = tuple([MatQ._reduced(stack.num[lo:hi], stack.den, size)
+                     for lo, hi in zip(offs, offs[1:])])
+    return FourierDiagram(tuple(order), tuple(mm.dims), size, a_check, -e)
 
 
 def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
@@ -387,8 +372,7 @@ def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
 class FactorizationReport:
     """The factors of T_glob = C+ . Delta . (C-tilde)^{-1} and the verdict:
     `ok` is T_glob . C-tilde == C+ . Delta, equivalent because C-tilde is
-    block upper unitriangular, hence invertible.  `rhs`, the right side
-    itself, is found by forward substitution when it is first read."""
+    block upper unitriangular, hence invertible."""
 
     ok: bool
     lhs: MatQ
@@ -397,10 +381,6 @@ class FactorizationReport:
     c_minus_twisted: MatQ
     delta: MatQ
     order: tuple[int, ...]
-
-    @functools.cached_property
-    def rhs(self) -> MatQ:
-        return solve_unit_upper_right(self.c_plus @ self.delta, self.c_minus_twisted)
 
 
 def factorization_check(

@@ -4,11 +4,10 @@ A matrix is stored as integer rows over one positive denominator, with the
 gcd of the denominator and every entry divided out, so that the form is
 canonical and equality is a tuple comparison.  Products, sums (of many
 matrices in one pass with `MatQ.total`), rank updates (self + sign a b in
-one pass with `MatQ.plus_product`), scaling and the forward
-substitution of `solve_unit_upper_right` are integer arithmetic on those
-rows, and the package's one elimination step, the fraction-free `_pivot`,
-reads them directly: ranks, inverses, kernels and the simplex of `lp` all
-run on it.  Fractions are formed only at the edges (`__getitem__`,
+one pass with `MatQ.plus_product`) and scaling are integer arithmetic on
+those rows, and the package's one elimination step, the fraction-free
+`_pivot`, reads them directly: ranks, inverses, kernels and the simplex of
+`lp` all run on it.  Fractions are formed only at the edges (`__getitem__`,
 `entries`), and `to_json` writes the entries from the integers.  A singular
 inverse is an error (`NotInvertible`), never a tolerance call.
 """
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -269,18 +269,24 @@ class MatQ:
 
     def to_json(self) -> list[list[str]]:
         """The entries as "p" or "p/q" strings in lowest terms, as
-        `str(Fraction)` writes them."""
+        `str(Fraction)` writes them.  An integer past Python's int-to-str
+        digit limit is refused (InvalidInput), as the reader refuses it."""
         d = self.den
-        if d == 1:
-            return [[str(v) for v in row] for row in self.num]
-        out = []
-        for row in self.num:
-            strs = []
-            for v in row:
-                g = math.gcd(v, d)
-                strs.append(str(v // g) if g == d else f"{v // g}/{d // g}")
-            out.append(strs)
-        return out
+        try:
+            if d == 1:
+                return [[str(v) for v in row] for row in self.num]
+            out = []
+            for row in self.num:
+                strs = []
+                for v in row:
+                    g = math.gcd(v, d)
+                    strs.append(str(v // g) if g == d else f"{v // g}/{d // g}")
+                out.append(strs)
+            return out
+        except ValueError:
+            raise InvalidInput(
+                "a result entry has more digits than the int-to-str limit of "
+                f"{sys.get_int_max_str_digits()}") from None
 
     # -- basic queries -----------------------------------------------------
 
@@ -432,42 +438,3 @@ class MatQ:
                 vec[pc] = -t[fc] * (den // d)
             basis.append(MatQ._reduced(tuple((v,) for v in vec), den, 1))
         return basis
-
-
-def block_diagonal(blocks: Sequence[MatQ]) -> MatQ:
-    return MatQ.from_blocks([
-        [b if s == t else MatQ.zeros(b.rows, c.cols) for s, c in enumerate(blocks)]
-        for t, b in enumerate(blocks)
-    ])
-
-
-def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
-    """X with X @ u == b for u upper unitriangular (ones on the diagonal,
-    zeros below it), by forward substitution over the columns: column c of X
-    is b_c - sum_{k<c} X_k u[k][c], one integer dot product per entry.
-    Nothing is inverted."""
-    n = u.rows
-    if u.cols != n or b.cols != n:
-        raise ShapeMismatch(f"cannot solve X @ ({n}x{u.cols}) = ({b.rows}x{b.cols})")
-    un, du, db = u.num, u.den, b.den
-    if any(un[c][c] != du or any(un[c][:c]) for c in range(n)):
-        raise InvalidInput("matrix is not upper unitriangular")
-    # column c of u above the diagonal, over du
-    above = [col[:c] for c, col in enumerate(zip(*un))]
-    rows, dens = [], []
-    for row in b.num:
-        # x[:c] is xs / dx, each entry in lowest terms as it is found
-        xs, dx = [], 1
-        for bc, uc in zip(row, above):
-            s = sum(map(mul, xs, uc))
-            p, q = (bc * dx * du - s * db, db * dx * du) if s else (bc, db)
-            g = math.gcd(p, q)
-            p, q = p // g, q // g
-            if dx % q:
-                m = q // math.gcd(dx, q)
-                xs = [v * m for v in xs]
-                dx *= m
-            xs.append(p * (dx // q))
-        rows.append(xs)
-        dens.append(dx)
-    return MatQ._reduced(*_over(rows, dens), n)

@@ -97,10 +97,6 @@ class TransportData:
     def n(self) -> int:
         return len(self.dims)
 
-    def local_monodromy(self, i: int) -> MatQ:
-        """T_i = Id - m_ii."""
-        return MatQ.identity(self.dims[i]) - self.m[i][i]
-
     def local_monodromy_inverse(self, i: int) -> MatQ:
         """T_i^{-1} = (Id - m_ii)^{-1}, computed when m_ii was set."""
         return self._t_inv[i]

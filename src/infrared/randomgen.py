@@ -35,17 +35,6 @@ def rand_matrix(r: random.Random, rows: int, cols: int) -> MatQ:
     ]), 6, cols)
 
 
-def rand_invertible(r: random.Random, n: int, tries: int = 200) -> MatQ:
-    for _ in range(tries):
-        mat = rand_matrix(r, n, n)
-        try:
-            mat.inverse()
-            return mat
-        except NotInvertible:
-            continue
-    raise AssertionError("failed to draw an invertible matrix")
-
-
 def rand_transport(
     r: random.Random, n: int, max_dim: int = 2, tries: int = 400
 ) -> TransportData:

@@ -25,7 +25,7 @@ from infrared.geometry import (
     orient,
     segment_wall_events,
 )
-from infrared.linalg import MatQ, block_diagonal
+from infrared.linalg import MatQ
 from infrared.fourier import (
     factorization_check,
     fourier_diagram,
@@ -77,6 +77,8 @@ from infrared.secondary import (
 )
 from infrared.wallcross import CrossingSpec, apply_crossing, transport_along_path
 from test_fourier import FACTORIZATION_CONVENTION, solve_factorization_convention
+from test_linalg import block_diagonal
+from test_perverse import rand_invertible
 
 Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))
@@ -124,8 +126,6 @@ def _spherical_scalar(r):
 
 
 def _spherical_block(r, blocks):
-    from infrared.randomgen import rand_invertible
-
     mats = [_spherical_scalar(r) for _ in range(blocks)]
     a = block_diagonal([mm[0] for mm in mats])
     b_phi = block_diagonal([mm[1] for mm in mats])

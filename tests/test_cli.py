@@ -368,13 +368,18 @@ def test_pinned_witnesses_induce_their_subdivisions(name):
         (["walk", "walk_leg8.json", "--to", "walk_leg8_target.json"], "walk_leg8.walk.json"),
         (["walk", "walk_leg8_back.json", "--to", "walk_leg8.json"], "walk_leg8_back.walk.json"),
         (["plot", "seven.json", "--format", "csv", "--poset"], "seven.poset_csv.json"),
+        (["fourier", "stokes_random.json"], "stokes_random.fourier.json"),
+        (["fourier", "stokes_random.json", "--zeta", "1/1"], "stokes_random.fourier_1_1.json"),
+        (["fourier", "stokes_arc.json"], "stokes_arc.fourier.json"),
+        (["fourier", "stokes_arc.json", "--zeta", "1/1"], "stokes_arc.fourier_1_1.json"),
     ],
 )
 def test_cli_output_is_pinned(argv, expected, capsys):
     """`stokes` on a random and a convex-arc 8-point instance, `walk --to`
     on a 5-point leg and on an 8-point leg there and back, the poset plots
-    of the pentagon and the poset CSV of the 7-point `seven` print exactly
-    the committed output."""
+    of the pentagon, the poset CSV of the 7-point `seven` and `fourier` on
+    both 8-point instances at the default zeta and at 1/1 print exactly the
+    committed output."""
     argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     with open(os.path.join(DATA, expected), "rb") as fh:
@@ -463,6 +468,23 @@ def test_huge_decimal_exponents_are_invalid_input(where, value, tmp_path, capsys
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
     assert "decimal exponent" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["stokes", "fourier"])
+def test_result_entries_past_the_digit_limit_are_invalid_input(command, tmp_path, capsys):
+    """A result entry whose integers pass Python's int-to-str digit limit is
+    refused by the writer with invalid_input and exit 2, not a traceback:
+    here m01 = m10 = 1/77...7 (2,500 sevens) squares past 4,300 digits."""
+    entry = "1/" + "7" * 2500
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "config": {"points": [["0", "0"], ["1", "2"]]},
+        "transport": {"dims": [1, 1], "m": [[[["2"]], [[entry]]], [[[entry]], [["2"]]]]},
+    }))
+    code, data = run_cli([command, str(path)], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "digit" in data["error"]["message"]
 
 
 def test_decimal_exponents_up_to_the_bound_are_read():

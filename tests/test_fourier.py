@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -11,11 +13,10 @@ from infrared.errors import (
     ShapeMismatch,
 )
 from infrared.geometry import Dir, config, general_position, infinity_generic, infinity_order
-from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
+from infrared.linalg import MatQ, _over
 from infrared.fourier import (
-    _add_to_columns,
+    FourierDiagram,
     _block_offsets,
-    _column_block,
     _jacobson_arms,
     _times_block_upper,
     alt_circum_sum,
@@ -38,6 +39,7 @@ from infrared.randomgen import (
     rand_transport,
     rng,
 )
+from test_linalg import block_diagonal
 from test_paths import enumerate_circum_paths
 
 Z0 = Dir(Q(-1), Q(0))
@@ -92,8 +94,9 @@ def test_fourier_monodromy_product():
         diag = fourier_diagram(m, Z_RIGHT, A)
         mm = m.permuted(diag.order)
         assert diag.monodromy() == monodromy_product(mm, "descending")
-        # the transform is a valid one-singularity diagram
-        diag.as_quiver()
+        # the transform is a valid one-singularity diagram (N = 1 quiver)
+        a = MatQ.from_blocks([[blk] for blk in diag.a_check])
+        Quiver([diag.d_psi], sum(diag.dims), [a], [diag.b_check])
 
 
 # The factorization identity carries a finite convention freedom: the
@@ -128,7 +131,7 @@ def _convention_inputs(m, A, zeta0):
     mt, pair = dressed_transport(m, A, zeta0)
     diagonal = {
         -1: block_diagonal([mt.local_monodromy_inverse(s) for s in range(mt.n)]),
-        1: block_diagonal([mt.local_monodromy(s) for s in range(mt.n)]),
+        1: block_diagonal([MatQ.identity(d) - mt.m[s][s] for s, d in enumerate(mt.dims)]),
     }
     lhs = {kind: _direct_monodromy_product(mt, kind) for kind in LHS_CHOICES}
     return pair, diagonal, lhs
@@ -392,12 +395,45 @@ def test_factorization_zero_and_random():
     A = config((0, 0), (1, 2))
     zero = scalar_transport([[0, 0], [0, 0]])
     rep = factorization_check(zero, A, Z0)
-    assert rep.ok and rep.lhs == MatQ.identity(2) == rep.rhs
+    rhs = solve_unit_upper_right(rep.c_plus @ rep.delta, rep.c_minus_twisted)
+    assert rep.ok and rep.lhs == MatQ.identity(2) == rhs
     r = rng(53)
     for n in (2, 3, 4):
         A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
         m = rand_transport(r, n, max_dim=2)
         assert factorization_check(m, A, Z0).ok
+
+
+def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:
+    """X with X @ u == b for u upper unitriangular (ones on the diagonal,
+    zeros below it), by forward substitution over the columns: column c of X
+    is b_c - sum_{k<c} X_k u[k][c], one integer dot product per entry.
+    Nothing is inverted."""
+    n = u.rows
+    if u.cols != n or b.cols != n:
+        raise ShapeMismatch(f"cannot solve X @ ({n}x{u.cols}) = ({b.rows}x{b.cols})")
+    un, du, db = u.num, u.den, b.den
+    if any(un[c][c] != du or any(un[c][:c]) for c in range(n)):
+        raise InvalidInput("matrix is not upper unitriangular")
+    # column c of u above the diagonal, over du
+    above = [col[:c] for c, col in enumerate(zip(*un))]
+    rows, dens = [], []
+    for row in b.num:
+        # x[:c] is xs / dx, each entry in lowest terms as it is found
+        xs, dx = [], 1
+        for bc, uc in zip(row, above):
+            s = sum(map(mul, xs, uc))
+            p, q = (bc * dx * du - s * db, db * dx * du) if s else (bc, db)
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            if dx % q:
+                m = q // math.gcd(dx, q)
+                xs = [v * m for v in xs]
+                dx *= m
+            xs.append(p * (dx // q))
+        rows.append(xs)
+        dens.append(dx)
+    return MatQ._reduced(*_over(rows, dens), n)
 
 
 def dense_unitriangular(dims, blocks):
@@ -450,8 +486,12 @@ def dense_factorization(m, pair, down=None):
 
 
 def report_parts(rep):
-    return {key: getattr(rep, key) for key in (
-        "c_plus", "c_minus", "delta", "c_minus_twisted", "lhs", "rhs", "ok")}
+    """The factors and verdict of a FactorizationReport, with the right side
+    solved from them as dense_factorization solves it."""
+    parts = {key: getattr(rep, key) for key in (
+        "c_plus", "c_minus", "delta", "c_minus_twisted", "lhs", "ok")}
+    parts["rhs"] = solve_unit_upper_right(rep.c_plus @ rep.delta, rep.c_minus_twisted)
+    return parts
 
 
 def transport_with_empty_slots(r, n):
@@ -497,6 +537,24 @@ def test_factorization_matches_the_dense_oracle():
     assert shapes == {0, 1, 2, 3, ("D", True), ("D", False)}
 
 
+def _column_block(x: MatQ, offs, i: int) -> MatQ:
+    lo, hi = offs[i], offs[i + 1]
+    return MatQ._reduced(tuple([row[lo:hi] for row in x.num]), x.den, hi - lo)
+
+
+def _add_to_columns(acc: MatQ, offs, j: int, u: MatQ) -> MatQ:
+    """acc + u b_j: b_j of gmv_embed projects Psi onto slot j, so this adds
+    u to the slot-j columns of acc."""
+    lo, hi = offs[j], offs[j + 1]
+    den = math.lcm(acc.den, u.den)
+    sa, su = den // acc.den, den // u.den
+    rows = acc.num if sa == 1 else [tuple([x * sa for x in row]) for row in acc.num]
+    return MatQ._reduced(tuple([
+        row[:lo] + tuple([x + y * su for x, y in zip(row[lo:hi], urow)]) + row[hi:]
+        for row, urow in zip(rows, u.num)
+    ]), den, acc.cols)
+
+
 def rank_update_product(m, kind):
     """Oracle: the ordered product as one rank-d_i update of the whole
     running product per slot, acc + (acc e_i) b_i, each a matrix product and
@@ -520,6 +578,40 @@ def test_monodromy_product_matches_the_rank_update_oracle():
         for data in (m, mt):
             for kind in ("ascending", "descending"):
                 assert monodromy_product(data, kind) == rank_update_product(data, kind)
+        dims.update(m.dims)
+    assert dims == {0, 1, 2, 3}
+
+
+def rank_update_fourier_diagram(m, zeta, A):
+    """Oracle: a-check_i = b_i (Id + e_{i-1} b_{i-1}) ... (Id + e_0 b_0),
+    one rank update of the running row block per earlier slot, and
+    b-check = -e."""
+    order = fourier_order(A, zeta)
+    mm = m.permuted(order)
+    offs = _block_offsets(mm.dims)
+    e = _jacobson_arms(mm, offs)
+    a_check = []
+    for i, d in enumerate(mm.dims):
+        acc = _add_to_columns(MatQ.zeros(d, offs[-1]), offs, i, MatQ.identity(d))
+        for j in range(i - 1, -1, -1):
+            acc = _add_to_columns(acc, offs, j, acc @ _column_block(e, offs, j))
+        a_check.append(acc)
+    return FourierDiagram(tuple(order), tuple(mm.dims), offs[-1], tuple(a_check), -e)
+
+
+def test_fourier_diagram_matches_the_rank_update_oracle(inverse_calls):
+    """a-check as one inverse (Id - L)^{-1}, b-check and the monodromy equal
+    those of the rank-update products exactly, on 64 seeded draws with
+    N = 1..8 and slot dims 0..3 (empty slots included); fourier_diagram
+    calls MatQ.inverse once."""
+    dims = set()
+    for A, zeta0, m in stokes_draws(68):
+        inverse_calls.clear()
+        diag = fourier_diagram(m, zeta0, A)
+        assert len(inverse_calls) == 1
+        expect = rank_update_fourier_diagram(m, zeta0, A)
+        assert diag == expect
+        assert diag.monodromy() == expect.monodromy()
         dims.update(m.dims)
     assert dims == {0, 1, 2, 3}
 
@@ -696,7 +788,8 @@ def test_factorization_convention_unique():
     # factorization_check computes exactly the surviving candidate
     for m, A, z in instances:
         rep = factorization_check(m, A, z)
-        assert (rep.delta, rep.c_minus_twisted, rep.lhs, rep.rhs) == (
+        rhs = solve_unit_upper_right(rep.c_plus @ rep.delta, rep.c_minus_twisted)
+        assert (rep.delta, rep.c_minus_twisted, rep.lhs, rhs) == (
             _factorization_sides(_convention_inputs(m, A, z), FACTORIZATION_CONVENTION)
         )
 

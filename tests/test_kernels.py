@@ -12,8 +12,9 @@ import pytest
 
 from infrared.errors import InvalidInput, NotInvertible, ShapeMismatch
 from infrared.geometry import Config, config, orient, pt
-from infrared.linalg import MatQ, _ratio, solve_unit_upper_right
+from infrared.linalg import MatQ, _ratio
 from infrared.randomgen import rand_config, rng
+from test_fourier import solve_unit_upper_right
 from test_linalg import rref
 
 BIG = 10**6

@@ -13,6 +13,14 @@ from infrared.linalg import MatQ, int_rank
 from infrared.randomgen import rng
 
 
+def block_diagonal(blocks):
+    """The block diagonal matrix of the given blocks, zero blocks elsewhere."""
+    return MatQ.from_blocks([
+        [b if s == t else MatQ.zeros(b.rows, c.cols) for s, c in enumerate(blocks)]
+        for t, b in enumerate(blocks)
+    ])
+
+
 def rref(m: MatQ):
     """Reduced row echelon form over Fractions; returns (rref rows, pivot
     column list)."""

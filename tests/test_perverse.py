@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
-from infrared.linalg import MatQ, block_diagonal, solve_unit_upper_right
+from infrared.linalg import MatQ
 from infrared.perverse import (
     Quiver,
     TransportData,
@@ -31,7 +31,25 @@ from infrared.randomgen import (
     rand_transport,
     rng,
 )
-from test_fourier import submatrix
+from test_fourier import solve_unit_upper_right, submatrix
+from test_linalg import block_diagonal
+
+
+def local_monodromy(data: TransportData, i: int) -> MatQ:
+    """T_i = Id - m_ii."""
+    return MatQ.identity(data.dims[i]) - data.m[i][i]
+
+
+def rand_invertible(r, n: int) -> MatQ:
+    """A rand_matrix draw that is invertible, within 200 tries."""
+    for _ in range(200):
+        mat = rand_matrix(r, n, n)
+        try:
+            mat.inverse()
+            return mat
+        except NotInvertible:
+            continue
+    raise AssertionError("failed to draw an invertible matrix")
 
 
 def scalar(x):
@@ -159,7 +177,7 @@ def test_mu_and_embed():
     q1 = Quiver([1], 1, [scalar(2)], [scalar(3)])
     m1 = mu(q1)
     assert m1.m[0][0] == scalar(6)
-    assert m1.local_monodromy(0) == scalar(-5)
+    assert local_monodromy(m1, 0) == scalar(-5)
 
 
 def test_gmv_embed_layout():
@@ -276,8 +294,6 @@ def block_spherical_instance(r, blocks):
     b_phi = block_diagonal([m[1] for m in mats])
     b_psi = block_diagonal([m[2] for m in mats])
     # congruent change of basis on both sides keeps sphericality
-    from infrared.randomgen import rand_invertible
-
     u = rand_invertible(r, blocks)
     v = rand_invertible(r, blocks)
     return (
@@ -376,7 +392,7 @@ def test_braid_moves_carry_the_stored_inverses(inverse_calls):
         assert back == m
         for data in (out, back):
             for k in range(data.n):
-                want = data.local_monodromy(k).inverse()
+                want = local_monodromy(data, k).inverse()
                 assert data.local_monodromy_inverse(k) == want
 
 def test_braid_relations():

@@ -129,6 +129,29 @@ def test_secondary_reads_no_point_coordinate():
     assert hits == []
 
 
+def test_every_private_function_is_used_in_src():
+    """Each top-level `_private` function of `src/infrared` is read somewhere
+    in `src/` outside its own body, so that a helper only the tests use
+    lives in the tests."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "infrared").glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            own = set(map(id, ast.walk(fn)))
+            if not any(
+                id(node) not in own
+                and fn.name == (node.id if isinstance(node, ast.Name)
+                                else getattr(node, "attr", None))
+                for other in trees.values() for node in ast.walk(other)
+            ):
+                unused.append(f"{name}:{fn.name}")
+    assert unused == []
+
+
 def test_committed_bench_files_cover_every_workload():
     """Every committed `BENCH_<n>.json` names its command and its parent
     commit, and holds, for the parent and for the change, every workload of

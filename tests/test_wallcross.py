@@ -23,6 +23,7 @@ from infrared.wallcross import (
     cross_horizontality,
     transport_along_path,
 )
+from test_perverse import local_monodromy
 
 Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))
@@ -128,7 +129,7 @@ def test_walk_leg_reads_the_stored_inverses(inverse_calls):
         out.permuted([2, 0, 1]),
     ):
         for i in range(data.n):
-            assert data.local_monodromy_inverse(i) == data.local_monodromy(i).inverse()
+            assert data.local_monodromy_inverse(i) == local_monodromy(data, i).inverse()
 
 
 def test_out_and_back_restores():
