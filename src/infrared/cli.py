@@ -36,12 +36,7 @@ from .geometry import (
 from .paths import enumerate_zeta_convex_paths, height_data
 from .perverse import Quiver, TransportData, mu
 from .fourier import factorization_check, fourier_diagram
-from .secondary import (
-    deformation_complex,
-    enumerate_subdivisions,
-    is_regular,
-    refinement_poset,
-)
+from .secondary import deformation_complex, enumerate_subdivisions, secondary_fan
 from .wallcross import CrossingSpec, apply_crossings, transport_along_path
 
 
@@ -242,35 +237,28 @@ def cmd_secondary(inst: Instance, args) -> dict:
     _need(inst, "config")
     A = inst.config
     subs = enumerate_subdivisions(A)
-    reports = []
-    regular_subs = []
-    regular_codims = []
-    for sub in subs:
-        wit = is_regular(A, sub)
-        rep = deformation_complex(A, sub)
-        reports.append(
-            {
-                "subdivision": sub.to_json(),
-                "triangulation": sub.is_triangulation(),
-                "regular": wit is not None,
-                "witness": [str(x) for x in wit.psi] if wit else None,
-                "codim": rep.codim,
-                "exc": rep.exc,
-                "h2": rep.h2,
-            }
-        )
-        if wit is not None:
-            regular_subs.append(sub)
-            regular_codims.append(rep.codim)
-    poset = refinement_poset(regular_subs, regular_codims)
-    n_tri = sum(1 for r in reports if r["triangulation"])
+    reps = [deformation_complex(A, sub) for sub in subs]
+    fan = secondary_fan(A, subs, [rep.codim for rep in reps])
+    reports = [
+        {
+            "subdivision": sub.to_json(),
+            "triangulation": sub.is_triangulation(),
+            "regular": wit is not None,
+            "witness": [str(x) for x in wit.psi] if wit else None,
+            "codim": rep.codim,
+            "exc": rep.exc,
+            "h2": rep.h2,
+        }
+        for sub, rep, wit in zip(subs, reps, fan.witnesses)
+    ]
+    regular = [rep.codim for rep, wit in zip(reps, fan.witnesses) if wit is not None]
     return {
         "n": len(A),
-        "triangulations": n_tri,
+        "triangulations": sum(1 for r in reports if r["triangulation"]),
         "subdivisions": len(subs),
-        "regular": len(regular_subs),
-        "poset_height": poset["height"],
-        "coarse": regular_codims.count(1),
+        "regular": len(regular),
+        "poset_height": fan.height,
+        "coarse": regular.count(1),
         "reports": reports,
     }
 
@@ -378,9 +366,22 @@ def _emit(text: str, code: int) -> int:
     return code
 
 
+def _join_zeta(argv) -> list[str]:
+    """argv with `--zeta D` written `--zeta=D` when D starts with one `-`,
+    so that argparse reads a negative direction such as -1/0 as the value
+    and not as an option; one pass over argv."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--zeta" and word[:1] == "-" and word[:2] != "--":
+            out[-1] = "--zeta=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_zeta(sys.argv[1:] if argv is None else argv))
         inst = None
         if getattr(args, "instance", None):
             inst = Instance.load(args.instance)

@@ -148,6 +148,27 @@ def _gauss_jordan(tab: list[list[int]], cols: int) -> tuple[list[int], list[int]
     return den, pivots
 
 
+def int_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """A basis of the right kernel of integer rows of `cols` entries (left as
+    they are), one primitive integer vector per free column of their reduced
+    echelon form: positive in that column, which is its last nonzero entry,
+    and 0 in every other free column."""
+    tab = [list(t) for t in rows]
+    dens, pivots = _gauss_jordan(tab, cols)
+    den = math.lcm(*dens[:len(pivots)])
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [0] * cols
+        vec[fc] = den
+        for t, d, pc in zip(tab, dens, pivots):
+            vec[pc] = -t[fc] * (den // d)
+        _reduce(vec)
+        basis.append(vec)
+    return basis
+
+
 def _over(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[tuple, int]:
     """Integer rows, row k over dens[k], as rows over the lcm of the dens."""
     den = math.lcm(*dens)
@@ -424,17 +445,9 @@ class MatQ:
         return MatQ._reduced(*_over([t[n:] for t in tab], dens), n)
 
     def nullspace(self) -> list["MatQ"]:
-        """Basis of the right kernel, as column vectors."""
-        tab = [list(row) for row in self.num]
-        dens, pivots = _gauss_jordan(tab, self.cols)
-        den = math.lcm(*dens[:len(pivots)])
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivots:
-                continue
-            vec = [0] * self.cols
-            vec[fc] = den
-            for t, d, pc in zip(tab, dens, pivots):
-                vec[pc] = -t[fc] * (den // d)
-            basis.append(MatQ._reduced(tuple((v,) for v in vec), den, 1))
-        return basis
+        """Basis of the right kernel, as column vectors, each 1 in its free
+        column: the vectors of `int_kernel` over their last nonzero entry."""
+        return [
+            MatQ._wrap(tuple((v,) for v in vec), next(filter(None, reversed(vec))), 1)
+            for vec in int_kernel(self.num, self.cols)
+        ]

@@ -1,14 +1,13 @@
 """Write-only plot data: CSV point dumps, SVG sketches of configurations
 with their hulls and convex paths, and the refinement poset of regular
 subdivisions as a CSV edge list or a DOT digraph.  The poset's edges are
-the covers that `secondary.refinement_poset` builds level by level."""
+the covers that `secondary.SecondaryFan.covers` reads off the ray masks."""
 
 from __future__ import annotations
 
 from .geometry import Config, Dir, convex_hull, infinity_order
 from .paths import enumerate_zeta_convex_paths
-from .secondary import (
-    deformation_complex, enumerate_subdivisions, is_regular, refinement_poset)
+from .secondary import deformation_complex, enumerate_subdivisions, secondary_fan
 
 
 def config_csv(A: Config) -> str:
@@ -68,9 +67,9 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
 def _poset_covers(A: Config):
     """Regular subdivisions of A and the covering pairs (fine, coarse) of
     their refinement poset."""
-    subs = [s for s in enumerate_subdivisions(A) if is_regular(A, s) is not None]
-    codims = [deformation_complex(A, s).codim for s in subs]
-    return subs, refinement_poset(subs, codims)["covers"]
+    subs = enumerate_subdivisions(A)
+    fan = secondary_fan(A, subs, [deformation_complex(A, s).codim for s in subs])
+    return [s for s, w in zip(subs, fan.witnesses) if w is not None], fan.covers()
 
 
 def _label(sub) -> str:

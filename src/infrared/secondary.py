@@ -4,13 +4,23 @@ polytope combinatorics.
 A subdivision is a list of marked cells (convex polygon with vertex indices
 in the configuration, plus a marked subset containing the polygon's
 corners); points marked nowhere are `omitted`.  Regularity is exact strict
-feasibility of the lifting system, decided by a slack-maximizing rational
-simplex whose only unknowns are the heights psi and the slack: on each cell
-the lift is the affine function through psi at three of its corners, and it
-must take the value psi at every other marked point of the cell, break
-convexly across every interior edge, and pass strictly below every unmarked
-point of the cell.  Every row is integral: a barycentric row times the
-doubled area of its basis triangle.
+feasibility of the lifting system in the heights psi: on each cell the lift
+is the affine function through psi at three of its corners, and it must
+take the value psi at every other marked point of the cell (equality rows),
+break convexly across every interior edge and pass strictly below every
+unmarked point of the cell (strict rows).  Every row is integral: a
+barycentric row times the doubled area of its basis triangle.
+
+`secondary_fan` decides it for a whole family on the secondary fan (Gelfand,
+Kapranov and Zelevinsky, *Discriminants, Resultants and Multidimensional
+Determinants*, 1994, Ch. 7; De Loera, Rambau and Santos, *Triangulations*,
+2010, Ch. 5), level by codim: the lifts of S modulo affine functions are the
+kernel of its equality rows, of dimension codim S; at codim 1 the sign of
+the strict rows at the one kernel vector decides S and gives its ray, and
+above, the sum of the rays S refines certifies S.  An exact LP in the
+heights and a slack (`is_regular`) decides what no certificate settles, and
+is the oracle of the route; so is `refinement_poset` of the covers, which
+the fan reads off the ray masks.
 
 The three-term deformation complex of a subdivision has cells, interior
 edges and interior vertices in degrees 0, 1, 2 with restriction
@@ -48,14 +58,16 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
 from .geometry import Config, Dir, area2, convex_hull, general_position
-from .linalg import MatQ, _int_row, int_rank
+from .linalg import MatQ, _int_row, int_kernel, int_rank
 
 Q = Fraction
+_ZERO = Q(0)  # one object for the many 0 heights a family's witnesses hold
 
 DEFAULT_MAX_N = 8
 
@@ -123,6 +135,16 @@ class Subdivision:
 
     def key(self):
         return self._key
+
+    @cached_property
+    def bits(self) -> int:
+        """The edges and the omitted points as one int: bit a n + b for the
+        edge ab (a < b) and bit n n + w for an omitted point w.  So fine
+        refines coarse (`refines`) exactly when coarse's bits are among
+        fine's."""
+        n = len(self.config)
+        return sum(1 << (min(e) * n + max(e)) for e in self.edge_cells) + sum(
+            1 << (n * n + w) for w in self.omitted)
 
     @cached_property
     def marked(self) -> frozenset[int]:
@@ -289,35 +311,31 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
 
 
 # ---------------------------------------------------------------------------
-# regularity by exact LP
+# regularity: the lifting system, the exact LP and the secondary fan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularityWitness:
     """Heights psi whose lower hull induces the subdivision, 0 at the first
-    three hull corners, and the optimal slack, which is 1."""
+    three hull corners, and the slack, which is 1: the lift clears each
+    unmarked point and each fold by at least 1, and a witness of
+    `secondary_fan` clears the nearest by exactly 1."""
 
     psi: tuple[Fraction, ...]
     slack: Fraction
 
 
-def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
-    """Strict-feasibility test; returns a witness or None (irregular).
-
-    The unknowns are the heights psi and the slack s, maximized subject to
-    s <= 1.  A lift is defined up to an affine function, so psi is 0 at the
-    first three hull corners.  Each cell's affine function f_cell is the
-    barycentric combination of psi at three of its corners, and
-      * f_cell(w) = psi_w for every other marked point w of the cell,
-      * f_cell(w) + s <= psi_w for each unmarked point w in the cell,
-      * f_cell(p) + s <= psi_p across every interior edge, p a corner of the
-        cell on its other side,
-    so the optimum is positive exactly when the subdivision is regular.  The
-    system is homogeneous apart from s <= 1, so a regular subdivision's
-    witness has slack 1: its lift clears each unmarked point and each fold by
-    at least 1.
-    """
-    validate_subdivision(sub)
+def _lift_rows(A: Config, sub: Subdivision) -> tuple[dict[int, int], list[list[int]]]:
+    """The lifting system of `sub` over the heights psi, 0 at the first three
+    hull corners: (the column of each other point, the rows).  Each row holds
+    f_cell(w) - psi_w, times the doubled area of the cell's basis triangle
+    (positive, so the row is integral), over the free heights, and then one
+    slack coefficient: 0 on an equality row (a marked point of the cell off
+    its basis triangle), the doubled area on a strict row (an unmarked point
+    in the cell, or the fold across an interior edge).  A lift psi induces
+    `sub` exactly when every equality row is 0 at psi and every strict row
+    is negative there.  Rows come cell by cell, each cell's equality rows
+    first, and then the folds."""
     n = len(A)
     fixed = A.hull()[:3]
     var = {w: k for k, w in enumerate(w for w in range(n) if w not in fixed)}
@@ -325,9 +343,6 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     nvars = s_idx + 1
 
     def excess(ci: int, w: int, slack: bool) -> list[int]:
-        """The row f_ci(w) - psi_w, plus s when `slack`, times the doubled
-        area of ci's basis triangle, which is positive, so the row is
-        integral."""
         a, b, c = sub.cells[ci].polygon[:3]
         det, lb, lc = area2(A, (a, b, c)), area2(A, (a, w, c)), area2(A, (a, b, w))
         row = [0] * nvars
@@ -341,8 +356,7 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     rows: list[list[int]] = []
     for ci, cell in enumerate(sub.cells):
         for w in sorted(cell.marked.difference(cell.polygon[:3])):
-            row = excess(ci, w, False)
-            rows += [row, [-v for v in row]]
+            rows.append(excess(ci, w, False))
         for w in range(n):
             if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
                 rows.append(excess(ci, w, True))
@@ -351,14 +365,156 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
             ci, cj = owners
             probe = next(w for w in sub.cells[cj].polygon if w not in e)
             rows.append(excess(ci, probe, True))
+    return var, rows
+
+
+def _witness(var: dict[int, int], psi: Sequence[Fraction], slack=Q(1)) -> RegularityWitness:
+    """The witness with free heights psi, 0 at the three fixed corners."""
+    return RegularityWitness(
+        tuple(psi[var[w]] if w in var else _ZERO for w in range(len(var) + 3)), slack
+    )
+
+
+def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
+    """Strict-feasibility test by exact LP; returns a witness or None
+    (irregular).  `secondary_fan` decides most subdivisions without it; this
+    is its fallback and the oracle it is tested against.
+
+    The unknowns are the free heights of `_lift_rows` and the slack s,
+    maximized subject to s <= 1: each equality row is two inequalities,
+    each strict row reads f_cell(w) + s <= psi_w (times its doubled area),
+    so the optimum is positive exactly when the subdivision is regular.  The
+    system is homogeneous apart from s <= 1, so a regular subdivision's
+    witness has slack 1: its lift clears each unmarked point and each fold by
+    at least 1.
+    """
+    validate_subdivision(sub)
+    var, lift = _lift_rows(A, sub)
+    s_idx = len(var)
+    rows: list[list[int]] = []
+    for row in lift:
+        rows += [row] if row[s_idx] else [row, [-v for v in row]]
     rows.append([0] * s_idx + [1])
     rhs = [0] * (len(rows) - 1) + [1]
     objective = [0] * s_idx + [1]
     value, x = lp.maximize(objective, rows, rhs)
     if value <= 0:
         return None
-    psi = tuple(x[var[w]] if w in var else Q(0) for w in range(n))
-    return RegularityWitness(psi, value)
+    return _witness(var, x, value)
+
+
+@dataclass(frozen=True)
+class SecondaryFan:
+    """Regularity of a family of subdivisions of one configuration, read off
+    the secondary fan: per subdivision its witness (None when irregular),
+    its codim and its ray mask (bit k for the k-th regular subdivision of
+    codim 1 that it refines), and the number of LP fallbacks."""
+
+    witnesses: tuple[Optional[RegularityWitness], ...]
+    codims: tuple[int, ...]
+    rays: tuple[int, ...]
+    fallbacks: int
+
+    @property
+    def height(self) -> int:
+        """max codim - min codim over the regular subdivisions, 0 for none:
+        the height of their refinement poset, graded by codim."""
+        regular = [c for c, w in zip(self.codims, self.witnesses) if w is not None]
+        return max(regular) - min(regular) if regular else 0
+
+    def covers(self) -> list[tuple[int, int]]:
+        """The covers (fine, coarse) of the refinement poset of the regular
+        subdivisions, indexed among them, in increasing order; the family
+        must be complete.  A regular cone is generated by its rays, so
+        T <= S exactly when the rays of S are among those of T, and only
+        adjacent codim levels are compared, as in `refinement_poset`."""
+        masks = [r for r, w in zip(self.rays, self.witnesses) if w is not None]
+        levels: dict[int, list[int]] = {}
+        for k, c in enumerate(c for c, w in zip(self.codims, self.witnesses) if w is not None):
+            levels.setdefault(c, []).append(k)
+        return sorted(
+            (i, j)
+            for c, coarse in levels.items()
+            for i in levels.get(c + 1, ())
+            for j in coarse
+            if not masks[j] & ~masks[i]
+        )
+
+
+def secondary_fan(
+    A: Config, subs: Sequence[Subdivision], codims: Sequence[int]
+) -> SecondaryFan:
+    """Regularity, witnesses and ray masks of `subs`, codims[i] being the
+    codim of subs[i] (`deformation_complex`), decided level by level on the
+    secondary fan.  The lifts of S modulo affine functions are the kernel
+    of its equality rows (`_lift_rows`), of dimension codim S.
+      * codim 0: psi = 0 is the only lift, so S is regular exactly when it
+        has no strict row;
+      * codim 1: every lift is t v for the one kernel vector v, so S is
+        regular exactly when every strict row has one strict sign at v; the
+        ray is the primitive integer vector +-v making them negative;
+      * codim >= 2: psi_S is the sum of the rays of the regular codim-1 S'
+        that S refines.  When every equality row is 0 and every strict row
+        negative at psi_S, it induces S; otherwise `is_regular` decides.
+    For regular S the last step never falls back: its cone is generated by
+    its rays, so psi_S is interior to it.  Each witness is scaled so that
+    its least strict margin -row.psi / area is exactly 1."""
+    witnesses: list[Optional[RegularityWitness]] = [None] * len(subs)
+    rays = [0] * len(subs)
+    ray_vecs: list[list[int]] = []
+    ray_keys: list[int] = []
+    fallbacks = 0
+    for i in sorted(range(len(subs)), key=codims.__getitem__):
+        sub, codim = subs[i], codims[i]
+        validate_subdivision(sub)
+        var, rows = _lift_rows(A, sub)
+        s_idx = len(var)
+        mask, psi = 0, [0] * s_idx
+        if codim == 1:
+            (v,) = int_kernel([row for row in rows if not row[s_idx]], s_idx)
+            psi = v if _induces(rows, s_idx, v) else [-x for x in v]
+            mask = 1 << len(ray_vecs)
+        elif codim >= 2:
+            nfine = ~sub.bits
+            for k, key in enumerate(ray_keys):
+                if not key & nfine:  # sub refines ray k
+                    mask |= 1 << k
+                    psi = list(map(add, psi, ray_vecs[k]))
+        if _induces(rows, s_idx, psi):
+            witnesses[i], rays[i] = _scaled(var, rows, psi), mask
+            if codim == 1:
+                ray_vecs.append(psi)
+                ray_keys.append(sub.bits)
+        elif codim >= 2:
+            fallbacks += 1
+            witnesses[i] = is_regular(A, sub)
+            rays[i] = mask if witnesses[i] else 0
+    return SecondaryFan(tuple(witnesses), tuple(codims), tuple(rays), fallbacks)
+
+
+def _induces(rows: list[list[int]], s_idx: int, psi: list[int]) -> bool:
+    """Every equality row is 0 and every strict row negative at the free
+    heights psi.  The dot products stop at the slack column, psi being one
+    entry shorter than a row."""
+    for row in rows:
+        dot = sum(map(mul, row, psi))
+        if (dot >= 0 if row[s_idx] else dot != 0):
+            return False
+    return True
+
+
+def _scaled(var: dict[int, int], rows: list[list[int]], psi: list[int]) -> RegularityWitness:
+    """The witness lambda psi, lambda = max(area / -row.psi) over the strict
+    rows (all negative at psi), so that its least margin is exactly 1; psi
+    itself (0) when there is no strict row."""
+    s_idx = len(var)
+    num, den = 0, 1  # lambda = num / den
+    for row in rows:
+        if row[s_idx]:
+            margin = -sum(map(mul, row, psi))
+            if row[s_idx] * den > num * margin:
+                num, den = row[s_idx], margin
+    return _witness(var, [Q(x * num, den) if x else _ZERO for x in psi])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +644,9 @@ def refinement_poset(subs: Sequence[Subdivision], codims: Sequence[int]) -> dict
     Determinants*, Ch. 7), so T is covered by S exactly when T refines S and
     codim T = codim S + 1, and only adjacent codim levels are compared.
     `covers` lists the (fine, coarse) index pairs in increasing order; the
-    height is max codim - min codim, 0 for an empty family."""
+    height is max codim - min codim, 0 for an empty family.  The library
+    reads the covers off the ray masks (`SecondaryFan.covers`); this is
+    their oracle."""
     levels: dict[int, list[int]] = {}
     for i, c in enumerate(codims):
         levels.setdefault(c, []).append(i)
@@ -506,7 +664,7 @@ def refinement_poset(subs: Sequence[Subdivision], codims: Sequence[int]) -> dict
 # deformation complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefComplexReport:
     n_cells: int
     n_interior_edges: int
@@ -615,14 +773,12 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
 
 def coarse_subdivisions(A: Config) -> list[Subdivision]:
     """Regular subdivisions indexing codimension-1 faces of the secondary
-    polytope."""
-    out = []
-    for sub in enumerate_subdivisions(A):
-        if is_regular(A, sub) is None:
-            continue
-        if deformation_complex(A, sub).codim == 1:
-            out.append(sub)
-    return out
+    polytope: the rays of the secondary fan."""
+    subs = enumerate_subdivisions(A)
+    fan = secondary_fan(A, subs, [deformation_complex(A, s).codim for s in subs])
+    return [
+        s for s, c, w in zip(subs, fan.codims, fan.witnesses) if c == 1 and w is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -333,8 +334,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 @pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven"])
 def test_secondary_output_is_pinned(name, capsys):
-    """`infrared secondary` prints exactly the committed output, witnesses
-    included, for a convex pentagon, four hull corners plus one point and
+    """`infrared secondary` prints exactly the committed output, secondary
+    fan witnesses included, for a convex pentagon, four hull corners plus one point and
     `rand_config(rng(5), 7)` (five hull corners, two interior points, 221
     subdivisions)."""
     assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
@@ -355,6 +356,54 @@ def test_pinned_witnesses_induce_their_subdivisions(name):
         if rep["witness"] is not None:
             sub = Subdivision.from_json(A, rep["subdivision"])
             assert induced_subdivision(A, rep["witness"]) == sub
+
+
+# sha256 of json.dumps(output, sort_keys=True) with every non-null witness
+# replaced by "W", as the one-LP-per-subdivision route printed it
+WITNESS_FREE_DIGESTS = {
+    "pentagon": "a85e2ba9cccd43fc853762d5c9773e8015643c0f535fec77d5b74d14820de35a",
+    "four_plus_one": "da9f0fc8df8753526724725b4e0c84daf476a8d3b12f817d6a6c75d832bc1d81",
+    "seven": "1f1f510c09d80e3539a334127a05fa6aa315892da7daad1b1183b6389c214b49",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_FREE_DIGESTS))
+def test_secondary_output_is_unchanged_but_for_the_witnesses(name, capsys):
+    """The secondary fan route changed only the witness heights: with each
+    witness masked, the output hashes as the LP route's did."""
+    assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for rep in out["reports"]:
+        if rep["witness"] is not None:
+            rep["witness"] = "W"
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == WITNESS_FREE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "argv, zeta",
+    [
+        (["matroid", "stokes_arc.json"], "-1/3"),
+        (["antistokes", "stokes_arc.json"], "-1/3"),
+        (["paths", "stokes_arc.json"], "-1/3"),
+        (["stokes", "stokes_arc.json"], "-1/0"),  # the default of stokes
+        (["stokes", "stokes_arc.json"], "-1/3"),
+        (["fourier", "stokes_arc.json"], "-1/3"),
+        (["plot", "pentagon.json", "--format", "svg"], "-1/3"),
+    ],
+)
+def test_a_negative_zeta_may_follow_as_its_own_word(argv, zeta, capsys):
+    """`--zeta -1/3` reads as `--zeta=-1/3` on every subcommand with
+    `--zeta`, byte for byte; a malformed `--zeta -x` is invalid input."""
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    outputs = []
+    for tail in (["--zeta", zeta], ["--zeta=" + zeta]):
+        assert main(argv + tail) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    code, data = run_cli(argv + ["--zeta", "-x"], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
 
 
 @pytest.mark.parametrize(

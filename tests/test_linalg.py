@@ -3,13 +3,14 @@ rows, against what Fraction Gauss-Jordan elimination (`rref`, the oracle)
 gives, and the entrywise difference against the sum with the negation."""
 
 import functools
+import math
 import operator
 from fractions import Fraction as Q
 
 import pytest
 
 from infrared.errors import NotInvertible, ShapeMismatch
-from infrared.linalg import MatQ, int_rank
+from infrared.linalg import MatQ, int_kernel, int_rank
 from infrared.randomgen import rng
 
 
@@ -191,6 +192,21 @@ def test_inverse_and_nullspace_match_the_fraction_elimination():
     # singular and invertible square matrices both occur, from 0x0 to 6x6
     assert invertible == {True, False}
     assert {(0, 0), (6, 6), (0, 6), (6, 0)} <= shapes
+
+
+def test_int_kernel_gives_the_nullspace_as_primitive_integer_vectors():
+    """Each vector of `int_kernel` is primitive, positive in its last
+    nonzero entry, and that entry times the `nullspace` vector of its free
+    column."""
+    r = rng(95)
+    for k in range(200):
+        m = random_matrix(r, square=k % 2 == 0)
+        kernel = int_kernel(m.num, m.cols)
+        assert len(kernel) == len(m.nullspace())
+        for vec, col in zip(kernel, m.nullspace()):
+            last = next(filter(None, reversed(vec)))
+            assert last > 0 and math.gcd(*vec) == 1, (k, m)
+            assert MatQ.column(vec) == col.scale(last), (k, m)
 
 
 def test_inverse_of_dense_matrices():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import operator
 import os
 from fractions import Fraction as Q
 
@@ -11,10 +12,11 @@ from infrared import lp, secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
 from infrared.geometry import (
     Config, area2, config, convex_hull, direction, general_position, orient, pt)
-from infrared.linalg import MatQ
+from infrared.linalg import MatQ, int_kernel, int_rank
 from infrared.secondary import (
     Cell,
     _canon_cycle,
+    _lift_rows,
     _point_in_polygon,
     Subdivision,
     coarse_subdivisions,
@@ -28,6 +30,7 @@ from infrared.secondary import (
     parallel_deformations,
     refinement_poset,
     refines,
+    secondary_fan,
     validate_subdivision,
 )
 from infrared.randomgen import rand_config, rng
@@ -814,6 +817,75 @@ def test_graded_covers_match_the_refinement_matrix():
     assert refinement_poset([only], [deformation_complex(triangle, only).codim]) == {
         "covers": [], "height": 0}
     assert refinement_poset([], []) == {"covers": [], "height": 0}
+
+
+# ---------------------------------------------------------------------------
+# the secondary fan route against the LP and the refinement poset
+
+
+@pytest.fixture(scope="module")
+def fan_families():
+    """(name, A, subdivisions, codims, fan) for the 61 `oracle_configs()`,
+    the nested triangles, the pinwheel points, `seven.json` and
+    `rand_config(rng(5), 8)`."""
+    named = [("oracle", A) for A in oracle_configs()] + [
+        ("nested", concentric_triangles()[0]),
+        ("pinwheel", config(*PINWHEEL_POINTS)),
+        ("seven", seven()),
+        ("rand8", rand_config(rng(5), 8)),
+    ]
+    out = []
+    for name, A in named:
+        subs = enumerate_subdivisions(A)
+        codims = [deformation_complex(A, s).codim for s in subs]
+        out.append((name, A, subs, codims, secondary_fan(A, subs, codims)))
+    return out
+
+
+def test_codim_is_the_nullity_of_the_equality_lift_rows(fan_families):
+    """For every subdivision, regular or not, the lifts modulo affine
+    functions, the kernel of the equality rows over the free heights, have
+    dimension `deformation_complex(A, S).codim`."""
+    for name, A, subs, codims, _ in fan_families:
+        for sub, codim in zip(subs, codims):
+            var, rows = _lift_rows(A, sub)
+            eq = [row[:-1] for row in rows if not row[-1]]
+            nullity = len(var) - int_rank(eq)
+            assert len(int_kernel(eq, len(var))) == nullity == codim, (name, sub)
+
+
+def test_the_fan_route_matches_the_lp_and_the_refinement_poset(fan_families):
+    """On the same families, `secondary_fan` decides regularity as
+    `is_regular` does; each of its witnesses induces its subdivision, with
+    slack 1 and least strict margin exactly 1; `Subdivision.bits` tests
+    refinement of a ray as `refines` does; its ray-mask covers and height
+    are `refinement_poset`'s; and only the irregular subdivisions of
+    codim >= 2 fall back to the LP (8 each on the nested triangles and the
+    pinwheel points, none elsewhere)."""
+    fallbacks = {}
+    for name, A, subs, codims, fan in fan_families:
+        for sub, wit in zip(subs, fan.witnesses):
+            assert (wit is None) == (is_regular(A, sub) is None), (name, sub)
+            if wit is None:
+                continue
+            assert wit.slack == 1 and induced_subdivision(A, wit.psi) == sub
+            var, rows = _lift_rows(A, sub)
+            free = [wit.psi[w] for w in sorted(var, key=var.get)]
+            margins = [-sum(map(operator.mul, row, free)) / row[-1]
+                       for row in rows if row[-1]]
+            assert not margins or min(margins) == 1, (name, sub)
+        rays = [s for s, c, w in zip(subs, codims, fan.witnesses) if c == 1 and w]
+        for sub in subs:
+            for ray in rays:
+                assert refines(sub, ray) == (not ray.bits & ~sub.bits), (name, sub, ray)
+        regs = [s for s, w in zip(subs, fan.witnesses) if w is not None]
+        reg_codims = [c for c, w in zip(codims, fan.witnesses) if w is not None]
+        assert refinement_poset(regs, reg_codims) == {
+            "covers": fan.covers(), "height": fan.height}, name
+        assert fan.fallbacks == sum(
+            w is None and c >= 2 for w, c in zip(fan.witnesses, codims)), name
+        fallbacks[name] = fallbacks.get(name, 0) + fan.fallbacks
+    assert fallbacks == {"oracle": 0, "nested": 8, "pinwheel": 8, "seven": 0, "rand8": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,44 @@ def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
     assert counts["fourier.factorization_check.s"] > 0
 
 
+def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
+    """Over a traced `infrared secondary`, `is_regular` and its LP run once
+    per fallback of the secondary fan route, on irregular subdivisions only,
+    and the poset oracles do not run: no LP on the pentagon, four plus one
+    and `seven.json`, and 8 on the pinwheel points."""
+    from infrared.cli import main
+    from infrared.geometry import Config
+
+    data = ROOT / "tests" / "data"
+    pinwheel = tmp_path / "pinwheel.json"
+    pinwheel.write_text(json.dumps({"config": {"points": [
+        [str(x), str(y)] for x, y in ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))]}}))
+    paths = {name: data / (name + ".json") for name in ("pentagon", "four_plus_one", "seven")}
+    paths["pinwheel"] = pinwheel
+    lps = {}
+    for name, path in paths.items():
+        A = Config.from_json(json.loads(path.read_text())["config"])
+        subs = secondary.enumerate_subdivisions(A)
+        fan = secondary.secondary_fan(
+            A, subs, [secondary.deformation_complex(A, s).codim for s in subs])
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = main(["secondary", str(path)])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        capsys.readouterr()
+        counts = tracer.summarize(0)
+        lps[name] = counts.get("lp.maximize.calls", 0)
+        assert lps[name] == fan.fallbacks == counts.get("secondary.is_regular.calls", 0)
+        assert counts.get("secondary.irregular", 0) == fan.fallbacks, name
+        assert counts.get("secondary.regular", 0) == 0, name
+        assert counts.get("secondary.refines.calls", 0) == 0, name
+        assert counts.get("secondary.refinement_poset.calls", 0) == 0, name
+    assert lps == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "pinwheel": 8}
+
+
 def test_src_has_no_catch_all_handler():
     """No `except Exception` (or bare `except:`) can hide a failure."""
     pattern = re.compile(r"except\s*(:|\(?\s*(Base)?Exception\b)")
