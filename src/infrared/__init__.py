@@ -92,7 +92,6 @@ from .secondary import (
     is_regular,
     parallel_deformations,
     refinement_poset,
-    secondary_fan,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -238,7 +238,7 @@ def cmd_secondary(inst: Instance, args) -> dict:
     A = inst.config
     subs = enumerate_subdivisions(A)
     reps = [deformation_complex(A, sub) for sub in subs]
-    fan = secondary_fan(A, subs, [rep.codim for rep in reps])
+    witnesses = secondary_fan(A, subs, [rep.codim for rep in reps])
     reports = [
         {
             "subdivision": sub.to_json(),
@@ -249,15 +249,15 @@ def cmd_secondary(inst: Instance, args) -> dict:
             "exc": rep.exc,
             "h2": rep.h2,
         }
-        for sub, rep, wit in zip(subs, reps, fan.witnesses)
+        for sub, rep, wit in zip(subs, reps, witnesses)
     ]
-    regular = [rep.codim for rep, wit in zip(reps, fan.witnesses) if wit is not None]
+    regular = [rep.codim for rep, wit in zip(reps, witnesses) if wit is not None]
     return {
         "n": len(A),
         "triangulations": sum(1 for r in reports if r["triangulation"]),
         "subdivisions": len(subs),
         "regular": len(regular),
-        "poset_height": fan.height,
+        "poset_height": max(regular) - min(regular) if regular else 0,
         "coarse": regular.count(1),
         "reports": reports,
     }

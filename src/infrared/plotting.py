@@ -1,13 +1,16 @@
 """Write-only plot data: CSV point dumps, SVG sketches of configurations
 with their hulls and convex paths, and the refinement poset of regular
 subdivisions as a CSV edge list or a DOT digraph.  The poset's edges are
-the covers that `secondary.SecondaryFan.covers` reads off the ray masks."""
+the covers that `secondary.refinement_poset` builds level by level."""
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .geometry import Config, Dir, convex_hull, infinity_order
 from .paths import enumerate_zeta_convex_paths
-from .secondary import deformation_complex, enumerate_subdivisions, secondary_fan
+from .secondary import (
+    deformation_complex, enumerate_subdivisions, refinement_poset, secondary_fan)
 
 
 def config_csv(A: Config) -> str:
@@ -68,8 +71,10 @@ def _poset_covers(A: Config):
     """Regular subdivisions of A and the covering pairs (fine, coarse) of
     their refinement poset."""
     subs = enumerate_subdivisions(A)
-    fan = secondary_fan(A, subs, [deformation_complex(A, s).codim for s in subs])
-    return [s for s, w in zip(subs, fan.witnesses) if w is not None], fan.covers()
+    codims = [deformation_complex(A, s).codim for s in subs]
+    keep = [w is not None for w in secondary_fan(A, subs, codims)]
+    regs = list(compress(subs, keep))
+    return regs, refinement_poset(regs, list(compress(codims, keep)))["covers"]
 
 
 def _label(sub) -> str:

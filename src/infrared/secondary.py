@@ -19,8 +19,7 @@ kernel of its equality rows, of dimension codim S; at codim 1 the sign of
 the strict rows at the one kernel vector decides S and gives its ray, and
 above, the sum of the rays S refines certifies S.  An exact LP in the
 heights and a slack (`is_regular`) decides what no certificate settles, and
-is the oracle of the route; so is `refinement_poset` of the covers, which
-the fan reads off the ray masks.
+is the oracle of the route.
 
 The three-term deformation complex of a subdivision has cells, interior
 edges and interior vertices in degrees 0, 1, 2 with restriction
@@ -139,9 +138,8 @@ class Subdivision:
     @cached_property
     def bits(self) -> int:
         """The edges and the omitted points as one int: bit a n + b for the
-        edge ab (a < b) and bit n n + w for an omitted point w.  So fine
-        refines coarse (`refines`) exactly when coarse's bits are among
-        fine's."""
+        edge ab (a < b) and bit n n + w for an omitted point w.  `refines`
+        is a test on these bits."""
         n = len(self.config)
         return sum(1 << (min(e) * n + max(e)) for e in self.edge_cells) + sum(
             1 << (n * n + w) for w in self.omitted)
@@ -403,51 +401,13 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     return _witness(var, x, value)
 
 
-@dataclass(frozen=True)
-class SecondaryFan:
-    """Regularity of a family of subdivisions of one configuration, read off
-    the secondary fan: per subdivision its witness (None when irregular),
-    its codim and its ray mask (bit k for the k-th regular subdivision of
-    codim 1 that it refines), and the number of LP fallbacks."""
-
-    witnesses: tuple[Optional[RegularityWitness], ...]
-    codims: tuple[int, ...]
-    rays: tuple[int, ...]
-    fallbacks: int
-
-    @property
-    def height(self) -> int:
-        """max codim - min codim over the regular subdivisions, 0 for none:
-        the height of their refinement poset, graded by codim."""
-        regular = [c for c, w in zip(self.codims, self.witnesses) if w is not None]
-        return max(regular) - min(regular) if regular else 0
-
-    def covers(self) -> list[tuple[int, int]]:
-        """The covers (fine, coarse) of the refinement poset of the regular
-        subdivisions, indexed among them, in increasing order; the family
-        must be complete.  A regular cone is generated by its rays, so
-        T <= S exactly when the rays of S are among those of T, and only
-        adjacent codim levels are compared, as in `refinement_poset`."""
-        masks = [r for r, w in zip(self.rays, self.witnesses) if w is not None]
-        levels: dict[int, list[int]] = {}
-        for k, c in enumerate(c for c, w in zip(self.codims, self.witnesses) if w is not None):
-            levels.setdefault(c, []).append(k)
-        return sorted(
-            (i, j)
-            for c, coarse in levels.items()
-            for i in levels.get(c + 1, ())
-            for j in coarse
-            if not masks[j] & ~masks[i]
-        )
-
-
 def secondary_fan(
     A: Config, subs: Sequence[Subdivision], codims: Sequence[int]
-) -> SecondaryFan:
-    """Regularity, witnesses and ray masks of `subs`, codims[i] being the
-    codim of subs[i] (`deformation_complex`), decided level by level on the
-    secondary fan.  The lifts of S modulo affine functions are the kernel
-    of its equality rows (`_lift_rows`), of dimension codim S.
+) -> list[Optional[RegularityWitness]]:
+    """The witness of each of `subs` (None when irregular), codims[i] being
+    the codim of subs[i] (`deformation_complex`), decided level by level on
+    the secondary fan.  The lifts of S modulo affine functions are the
+    kernel of its equality rows (`_lift_rows`), of dimension codim S.
       * codim 0: psi = 0 is the only lift, so S is regular exactly when it
         has no strict row;
       * codim 1: every lift is t v for the one kernel vector v, so S is
@@ -460,36 +420,27 @@ def secondary_fan(
     its rays, so psi_S is interior to it.  Each witness is scaled so that
     its least strict margin -row.psi / area is exactly 1."""
     witnesses: list[Optional[RegularityWitness]] = [None] * len(subs)
-    rays = [0] * len(subs)
-    ray_vecs: list[list[int]] = []
-    ray_keys: list[int] = []
-    fallbacks = 0
+    rays: list[tuple[Subdivision, list[int]]] = []
     for i in sorted(range(len(subs)), key=codims.__getitem__):
         sub, codim = subs[i], codims[i]
         validate_subdivision(sub)
         var, rows = _lift_rows(A, sub)
         s_idx = len(var)
-        mask, psi = 0, [0] * s_idx
+        psi = [0] * s_idx
         if codim == 1:
             (v,) = int_kernel([row for row in rows if not row[s_idx]], s_idx)
             psi = v if _induces(rows, s_idx, v) else [-x for x in v]
-            mask = 1 << len(ray_vecs)
         elif codim >= 2:
-            nfine = ~sub.bits
-            for k, key in enumerate(ray_keys):
-                if not key & nfine:  # sub refines ray k
-                    mask |= 1 << k
-                    psi = list(map(add, psi, ray_vecs[k]))
+            for ray, vec in rays:
+                if refines(sub, ray):
+                    psi = list(map(add, psi, vec))
         if _induces(rows, s_idx, psi):
-            witnesses[i], rays[i] = _scaled(var, rows, psi), mask
+            witnesses[i] = _scaled(var, rows, psi)
             if codim == 1:
-                ray_vecs.append(psi)
-                ray_keys.append(sub.bits)
+                rays.append((sub, psi))
         elif codim >= 2:
-            fallbacks += 1
             witnesses[i] = is_regular(A, sub)
-            rays[i] = mask if witnesses[i] else 0
-    return SecondaryFan(tuple(witnesses), tuple(codims), tuple(rays), fallbacks)
+    return witnesses
 
 
 def _induces(rows: list[list[int]], s_idx: int, psi: list[int]) -> bool:
@@ -628,11 +579,10 @@ def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """fine <= coarse: every fine cell sits in a coarse cell, markings
     included.  Both must be valid subdivisions of one configuration in linear
     general position; then a fine cell lies in a coarse cell exactly when no
-    coarse edge crosses it, that is when every coarse edge is a fine edge."""
-    return (
-        coarse.edge_cells.keys() <= fine.edge_cells.keys()
-        and fine.marked <= coarse.marked
-    )
+    coarse edge crosses it, that is when every coarse edge is a fine edge,
+    and the markings nest when every point omitted by coarse is omitted by
+    fine: coarse's `bits` are among fine's."""
+    return not coarse.bits & ~fine.bits
 
 
 def refinement_poset(subs: Sequence[Subdivision], codims: Sequence[int]) -> dict:
@@ -644,9 +594,7 @@ def refinement_poset(subs: Sequence[Subdivision], codims: Sequence[int]) -> dict
     Determinants*, Ch. 7), so T is covered by S exactly when T refines S and
     codim T = codim S + 1, and only adjacent codim levels are compared.
     `covers` lists the (fine, coarse) index pairs in increasing order; the
-    height is max codim - min codim, 0 for an empty family.  The library
-    reads the covers off the ray masks (`SecondaryFan.covers`); this is
-    their oracle."""
+    height is max codim - min codim, 0 for an empty family."""
     levels: dict[int, list[int]] = {}
     for i, c in enumerate(codims):
         levels.setdefault(c, []).append(i)
@@ -775,9 +723,10 @@ def coarse_subdivisions(A: Config) -> list[Subdivision]:
     """Regular subdivisions indexing codimension-1 faces of the secondary
     polytope: the rays of the secondary fan."""
     subs = enumerate_subdivisions(A)
-    fan = secondary_fan(A, subs, [deformation_complex(A, s).codim for s in subs])
+    codims = [deformation_complex(A, s).codim for s in subs]
     return [
-        s for s, c, w in zip(subs, fan.codims, fan.witnesses) if c == 1 and w is not None
+        s for s, c, w in zip(subs, codims, secondary_fan(A, subs, codims))
+        if c == 1 and w is not None
     ]
 
 

@@ -79,9 +79,10 @@ def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
 
 def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
     """Over a traced `infrared secondary`, `is_regular` and its LP run once
-    per fallback of the secondary fan route, on irregular subdivisions only,
-    and the poset oracles do not run: no LP on the pentagon, four plus one
-    and `seven.json`, and 8 on the pinwheel points."""
+    per fallback of the secondary fan route, that is per irregular
+    subdivision of codim >= 2, and the refinement poset is not built: no LP
+    on the pentagon, four plus one and `seven.json`, and 8 on the pinwheel
+    points."""
     from infrared.cli import main
     from infrared.geometry import Config
 
@@ -95,8 +96,9 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
     for name, path in paths.items():
         A = Config.from_json(json.loads(path.read_text())["config"])
         subs = secondary.enumerate_subdivisions(A)
-        fan = secondary.secondary_fan(
-            A, subs, [secondary.deformation_complex(A, s).codim for s in subs])
+        fallbacks = sum(
+            secondary.deformation_complex(A, s).codim >= 2
+            and secondary.is_regular(A, s) is None for s in subs)
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -107,10 +109,9 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
         capsys.readouterr()
         counts = tracer.summarize(0)
         lps[name] = counts.get("lp.maximize.calls", 0)
-        assert lps[name] == fan.fallbacks == counts.get("secondary.is_regular.calls", 0)
-        assert counts.get("secondary.irregular", 0) == fan.fallbacks, name
+        assert lps[name] == fallbacks == counts.get("secondary.is_regular.calls", 0)
+        assert counts.get("secondary.irregular", 0) == fallbacks, name
         assert counts.get("secondary.regular", 0) == 0, name
-        assert counts.get("secondary.refines.calls", 0) == 0, name
         assert counts.get("secondary.refinement_poset.calls", 0) == 0, name
     assert lps == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "pinwheel": 8}
 
