@@ -24,10 +24,11 @@ is the oracle of the route.
 The three-term deformation complex of a subdivision has cells, interior
 edges and interior vertices in degrees 0, 1, 2 with restriction
 differentials signed by co-orientations; its middle cohomology dimension is
-the exceptionality, and codim F = dim D - 3 with D the space of lifts
-(piecewise-affine values plus free values at omitted points).  The
-differentials are integer matrices, and their ranks come from fraction-free
-elimination.
+the exceptionality.  Its H^0, the piecewise-affine functions, plus free
+values at omitted points, is the space D of lifts, and codim S = dim D - 3
+is the nullity of the equality rows.  `deformation_complex` takes that one
+rank and builds no differential: H^2 is 0, and the Euler relation gives the
+exceptionality.
 
 Only signs and equalities of determinants matter here, so the module does
 no coordinate arithmetic: signs come from `Config.sign_table()`, areas from
@@ -112,7 +113,7 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 class Subdivision:
     """A polygonal decomposition of (Conv(A), A) into marked cells.  Its key,
-    marked set and edge map are computed on first use and kept."""
+    omitted set and edge map are computed on first use and kept."""
 
     def __init__(self, A: Config, cells: Iterable[Cell]):
         self.config = A
@@ -145,13 +146,10 @@ class Subdivision:
             1 << (n * n + w) for w in self.omitted)
 
     @cached_property
-    def marked(self) -> frozenset[int]:
-        """The points marked in some cell."""
-        return frozenset().union(*[c.marked for c in self.cells])
-
-    @cached_property
     def omitted(self) -> frozenset[int]:
-        return frozenset(range(len(self.config))) - self.marked
+        """The points marked in no cell."""
+        return frozenset(range(len(self.config))).difference(
+            *[c.marked for c in self.cells])
 
     @cached_property
     def edge_cells(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -340,9 +338,11 @@ def _lift_rows(A: Config, sub: Subdivision) -> tuple[dict[int, int], list[list[i
     s_idx = len(var)
     nvars = s_idx + 1
 
+    bases = [(c.polygon[:3], area2(A, c.polygon[:3])) for c in sub.cells]
+
     def excess(ci: int, w: int, slack: bool) -> list[int]:
-        a, b, c = sub.cells[ci].polygon[:3]
-        det, lb, lc = area2(A, (a, b, c)), area2(A, (a, w, c)), area2(A, (a, b, w))
+        (a, b, c), det = bases[ci]
+        lb, lc = area2(A, (a, w, c)), area2(A, (a, b, w))
         row = [0] * nvars
         for p, coef in ((a, det - lb - lc), (b, lb), (c, lc), (w, -det)):
             if p in var:
@@ -636,58 +636,26 @@ class DefComplexReport:
 
 
 def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
+    """The deformation complex of `sub`, read off its equality lift rows.
+    The lifts modulo the 3 affine functions are their kernel, of dimension
+    codim, and a lift is a piecewise-affine function plus free omitted
+    values, so h0 = codim + 3 - |omitted|.  h2 = 0: each column of d1 (an
+    edge function at one endpoint) has one entry when that endpoint is an
+    interior vertex, and every interior vertex ends an interior edge, so d1
+    is onto.  The Euler relation h0 - exc + h2 = 3 C - 2 E + V, over the C
+    cells, E interior edges and V interior vertices, then gives exc."""
     validate_subdivision(sub)
-    cells = sub.cells
-    edges = sub.interior_edges()
-    verts = sub.interior_vertices()
-    edge_ix = {e: t for t, e in enumerate(edges)}
-    vert_ix = {v: t for t, v in enumerate(verts)}
-
-    # d0: cell functions {1, x, y} -> edge functions (values at endpoints),
-    # over the integers: every coordinate times a common denominator `den`
-    pts, den = A.int_points()
-    d0 = [[0] * (3 * len(cells)) for _ in range(2 * len(edges))]
-    for ci, cell in enumerate(cells):
-        poly = cell.polygon
-        for a, b in zip(poly, poly[1:] + poly[:1]):
-            e = frozenset((a, b))
-            if e not in edge_ix:
-                continue
-            lo, hi = sorted(e)  # edge directed lower -> higher index
-            # +1 when the cell's ccw traversal agrees with the direction
-            sign = 1 if (a, b) == (lo, hi) else -1
-            row0 = 2 * edge_ix[e]
-            for t, w in enumerate((lo, hi)):
-                for k, coef in enumerate((den, *pts[w])):
-                    d0[row0 + t][3 * ci + k] += sign * coef
-    # d1: edge functions -> vertex values; +1 at the head, -1 at the tail
-    d1 = [[0] * (2 * len(edges)) for _ in range(len(verts))]
-    for e, t in edge_ix.items():
-        lo, hi = sorted(e)
-        if lo in vert_ix:
-            d1[vert_ix[lo]][2 * t] -= 1
-        if hi in vert_ix:
-            d1[vert_ix[hi]][2 * t + 1] += 1
-
-    cols = list(zip(*d0))
-    if any(sum(u * v for u, v in zip(row, col)) for row in d1 for col in cols):
-        raise AssertionError("co-orientation signs inconsistent")
-    r0 = int_rank(d0)
-    r1 = int_rank(d1)
-    h0 = 3 * len(cells) - r0
-    h1 = (2 * len(edges) - r1) - r0
-    h2 = len(verts) - r1
+    var, rows = _lift_rows(A, sub)
+    s_idx = len(var)
+    codim = s_idx - int_rank([row for row in rows if not row[s_idx]])
+    omitted = len(sub.omitted)
+    h0 = codim + 3 - omitted
+    cells = len(sub.cells)
+    edges = len(sub.interior_edges())
+    verts = len(sub.interior_vertices())
     return DefComplexReport(
-        len(cells),
-        len(edges),
-        len(verts),
-        3 * len(cells),
-        2 * len(edges),
-        len(verts),
-        h0,
-        h1,
-        h2,
-        len(sub.omitted),
+        cells, edges, verts, 3 * cells, 2 * edges, verts,
+        h0, h0 - 3 * cells + 2 * edges - verts, 0, omitted,
     )
 
 

@@ -332,18 +332,19 @@ def test_console_entry_point(child_env):
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven"])
+@pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven", "concentric"])
 def test_secondary_output_is_pinned(name, capsys):
     """`infrared secondary` prints exactly the committed output, secondary
-    fan witnesses included, for a convex pentagon, four hull corners plus one point and
+    fan witnesses included, for a convex pentagon, four hull corners plus one point,
     `rand_config(rng(5), 7)` (five hull corners, two interior points, 221
-    subdivisions)."""
+    subdivisions) and two concentric triangles (65 subdivisions, one of
+    them exceptional: exc 1)."""
     assert main(["secondary", os.path.join(DATA, name + ".json")]) == 0
     with open(os.path.join(DATA, name + ".secondary.json"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
 
 
-@pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven"])
+@pytest.mark.parametrize("name", ["pentagon", "four_plus_one", "seven", "concentric"])
 def test_pinned_witnesses_induce_their_subdivisions(name):
     """Each witness in the pinned `secondary` output lifts the configuration
     to its subdivision, and exactly the irregular reports have none."""

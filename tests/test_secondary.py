@@ -191,13 +191,63 @@ def test_exc_equals_parallel_dim_everywhere():
         assert len(parallel_deformations(A, sub)) == rep.exc
 
 
+def cooriented_complex(A, sub):
+    """The deformation complex from its differentials, as `deformation_complex`
+    built it before it read the equality lift rows: d0 takes the affine
+    functions {1, x, y} on the cells to their values at the endpoints of
+    each interior edge, signed by whether the cell's ccw boundary runs along
+    the edge from its lower to its higher index; d1 takes the edge functions
+    to the interior vertices, +1 at the head and -1 at the tail.  Checks
+    d1 d0 = 0 and returns the report with h0, exc and h2 from the integer
+    ranks of d0 and d1."""
+    validate_subdivision(sub)
+    cells = sub.cells
+    edges = sub.interior_edges()
+    verts = sub.interior_vertices()
+    edge_ix = {e: t for t, e in enumerate(edges)}
+    vert_ix = {v: t for t, v in enumerate(verts)}
+    # every coordinate times a common denominator `den`
+    pts, den = A.int_points()
+    d0 = [[0] * (3 * len(cells)) for _ in range(2 * len(edges))]
+    for ci, cell in enumerate(cells):
+        poly = cell.polygon
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            e = frozenset((a, b))
+            if e not in edge_ix:
+                continue
+            lo, hi = sorted(e)
+            sign = 1 if (a, b) == (lo, hi) else -1
+            row0 = 2 * edge_ix[e]
+            for t, w in enumerate((lo, hi)):
+                for k, coef in enumerate((den, *pts[w])):
+                    d0[row0 + t][3 * ci + k] += sign * coef
+    d1 = [[0] * (2 * len(edges)) for _ in range(len(verts))]
+    for e, t in edge_ix.items():
+        lo, hi = sorted(e)
+        if lo in vert_ix:
+            d1[vert_ix[lo]][2 * t] -= 1
+        if hi in vert_ix:
+            d1[vert_ix[hi]][2 * t + 1] += 1
+    cols = list(zip(*d0))
+    assert not any(
+        sum(map(operator.mul, row, col)) for row in d1 for col in cols
+    ), "co-orientation signs inconsistent"
+    r0, r1 = int_rank(d0), int_rank(d1)
+    return secondary.DefComplexReport(
+        len(cells), len(edges), len(verts), 3 * len(cells), 2 * len(edges), len(verts),
+        3 * len(cells) - r0, 2 * len(edges) - r1 - r0, len(verts) - r1, len(sub.omitted),
+    )
+
+
 def test_codim_matches_lift_space():
+    """The Euler relation on the co-oriented complex, whose cohomology
+    comes from the ranks of d0 and d1."""
     for A in (CIRCUIT_A, CIRCUIT_B, convex_gon(5)):
         for sub in enumerate_subdivisions(A):
             wit = is_regular(A, sub)
             if wit is None:
                 continue
-            rep = deformation_complex(A, sub)
+            rep = cooriented_complex(A, sub)
             # Euler: h0 = 3|P2| - 2|P1| + |P0| + exc, and
             # codim = dim D - 3 = h0 + omitted - 3
             assert rep.h0 == rep.dim_def0 - rep.dim_def1 + rep.dim_def2 + rep.exc
@@ -847,16 +897,40 @@ def fan_families():
     return out
 
 
-def test_codim_is_the_nullity_of_the_equality_lift_rows(fan_families):
+@pytest.fixture(scope="module")
+def cooriented_reports(fan_families):
+    """The `cooriented_complex` report of every subdivision of
+    `fan_families`, one list per family."""
+    return [[cooriented_complex(A, s) for s in subs] for _, A, subs, *_ in fan_families]
+
+
+def test_codim_is_the_nullity_of_the_equality_lift_rows(fan_families, cooriented_reports):
     """For every subdivision, regular or not, the lifts modulo affine
     functions, the kernel of the equality rows over the free heights, have
-    dimension `deformation_complex(A, S).codim`."""
-    for name, A, subs, codims, _, _ in fan_families:
-        for sub, codim in zip(subs, codims):
+    dimension the codim of the co-oriented complex, dim H^0 + |omitted| - 3
+    from the rank of d0."""
+    for (name, A, subs, _, _, _), reps in zip(fan_families, cooriented_reports):
+        for sub, rep in zip(subs, reps):
             var, rows = _lift_rows(A, sub)
             eq = [row[:-1] for row in rows if not row[-1]]
             nullity = len(var) - int_rank(eq)
-            assert len(int_kernel(eq, len(var))) == nullity == codim, (name, sub)
+            assert len(int_kernel(eq, len(var))) == nullity == rep.codim, (name, sub)
+
+
+def test_deformation_complex_matches_the_cooriented_oracle(
+        fan_families, cooriented_reports):
+    """On every subdivision of the same families, `deformation_complex`
+    equals the co-oriented complex in all ten fields, and its exc is the
+    number of parallel deformations.  One subdivision each of the nested
+    triangles and the pinwheel points is exceptional."""
+    exceptional = {}
+    for (name, A, subs, _, _, _), reps in zip(fan_families, cooriented_reports):
+        for sub, oracle in zip(subs, reps):
+            rep = deformation_complex(A, sub)
+            assert rep == oracle, (name, sub)
+            assert rep.exc == len(parallel_deformations(A, sub)), (name, sub)
+            exceptional[name] = exceptional.get(name, 0) + (rep.exc > 0)
+    assert exceptional == {"oracle": 0, "nested": 1, "pinwheel": 1, "seven": 0, "rand8": 0}
 
 
 def test_the_fan_route_matches_the_lp(fan_families):

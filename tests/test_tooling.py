@@ -80,9 +80,10 @@ def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
 def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
     """Over a traced `infrared secondary`, `is_regular` and its LP run once
     per fallback of the secondary fan route, that is per irregular
-    subdivision of codim >= 2, and the refinement poset is not built: no LP
-    on the pentagon, four plus one and `seven.json`, and 8 on the pinwheel
-    points."""
+    subdivision of codim >= 2, `deformation_complex` once per subdivision,
+    and the refinement poset is not built: no LP on the pentagon, four plus
+    one and `seven.json`, and 8 each on the pinwheel points and the
+    concentric triangles."""
     from infrared.cli import main
     from infrared.geometry import Config
 
@@ -90,7 +91,8 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
     pinwheel = tmp_path / "pinwheel.json"
     pinwheel.write_text(json.dumps({"config": {"points": [
         [str(x), str(y)] for x, y in ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))]}}))
-    paths = {name: data / (name + ".json") for name in ("pentagon", "four_plus_one", "seven")}
+    paths = {name: data / (name + ".json")
+             for name in ("pentagon", "four_plus_one", "seven", "concentric")}
     paths["pinwheel"] = pinwheel
     lps = {}
     for name, path in paths.items():
@@ -113,7 +115,10 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
         assert counts.get("secondary.irregular", 0) == fallbacks, name
         assert counts.get("secondary.regular", 0) == 0, name
         assert counts.get("secondary.refinement_poset.calls", 0) == 0, name
-    assert lps == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "pinwheel": 8}
+        assert counts["secondary.deformation_complex.calls"] == counts[
+            "secondary.subdivisions"] == len(subs), name
+    assert lps == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "concentric": 8,
+                   "pinwheel": 8}
 
 
 def test_src_has_no_catch_all_handler():
