@@ -15,8 +15,10 @@ Conventions
   it is the package's one area routine.  Strong general position compares
   the directions of segments in that frame, reduced by their gcd.
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
-  it is the sign of ``area2(A, (a, b, c))``.  Predicates read these signs
-  from ``Config.sign_table()``, computed once per configuration.
+  it is the sign of ``area2(A, (a, b, c))``.  ``Config.area_table()`` holds
+  ``area2`` of every triangle of points and ``Config.sign_table()`` its
+  signs, both filled in one pass per configuration; predicates read the
+  signs, and the secondary layer reads triangle areas, from them.
 * The dominance value of a point w in direction zeta is
   ``Re(zeta * w) = dx*x - dy*y`` (complex product).
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
@@ -104,7 +106,7 @@ def direction(dx, dy) -> Dir:
 class Config:
     """An ordered tuple of pairwise distinct marked points w_1..w_N."""
 
-    __slots__ = ("points", "_signs", "_hull", "_ints")
+    __slots__ = ("points", "_areas", "_signs", "_hull", "_ints")
 
     def __init__(self, points: Iterable[Pt]):
         pts = tuple(points)
@@ -130,21 +132,38 @@ class Config:
         coords = ", ".join(f"({p.x},{p.y})" for p in self.points)
         return f"Config[{coords}]"
 
-    def sign_table(self) -> list[list[list[int]]]:
-        """t[i][j][k] = orient(self, i, j, k) for every ordered triple, 0 where
-        an index repeats; computed on first use and kept."""
+    def area_table(self) -> list[list[list[int]]]:
+        """a[i][j][k] = area2(self, (i, j, k)) for every ordered triple, 0
+        where an index repeats; filled in one pass over the triples of
+        `int_points()` together with `sign_table()`, and kept."""
         try:
-            return self._signs
+            return self._areas
         except AttributeError:
             pass
         n = len(self.points)
+        pts = self.int_points()[0]
+        a = [[[0] * n for _ in range(n)] for _ in range(n)]
         t = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i, j, k in itertools.combinations(range(n), 3):
-            s = orient(self, i, j, k)
+            (xi, yi), (xj, yj), (xk, yk) = pts[i], pts[j], pts[k]
+            # the shoelace sum of (i, j, k), taken about w_i
+            d = (xj - xi) * (yk - yi) - (xk - xi) * (yj - yi)
+            a[i][j][k] = a[j][k][i] = a[k][i][j] = d
+            a[i][k][j] = a[k][j][i] = a[j][i][k] = -d
+            s = (d > 0) - (d < 0)
             t[i][j][k] = t[j][k][i] = t[k][i][j] = s
             t[i][k][j] = t[k][j][i] = t[j][i][k] = -s
-        self._signs = t
-        return t
+        self._areas, self._signs = a, t
+        return a
+
+    def sign_table(self) -> list[list[list[int]]]:
+        """t[i][j][k] = orient(self, i, j, k), the sign of
+        `area_table()[i][j][k]`, 0 where an index repeats; kept with it."""
+        try:
+            return self._signs
+        except AttributeError:
+            self.area_table()
+            return self._signs
 
     def int_points(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """The points times the lcm `den` of their coordinate denominators,

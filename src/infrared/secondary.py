@@ -31,8 +31,9 @@ rank and builds no differential: H^2 is 0, and the Euler relation gives the
 exceptionality.
 
 Only signs and equalities of determinants matter here, so the module does
-no coordinate arithmetic: signs come from `Config.sign_table()`, areas from
-`geometry.area2`, lifts and edge directions from `Config.int_points()`
+no coordinate arithmetic: signs come from `Config.sign_table()`, triangle
+areas (`geometry.area2`) from `Config.area_table()`, a polygon's as a sum
+of them, lifts and edge directions from `Config.int_points()`
 (each the true value times a positive factor of the configuration), and
 the framing projection from `Dir.infinity_form`.
 
@@ -63,7 +64,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from .geometry import Config, Dir, area2, convex_hull, general_position
+from .geometry import Config, Dir, convex_hull, general_position
 from .linalg import MatQ, _int_row, int_kernel, int_rank
 
 Q = Fraction
@@ -217,6 +218,13 @@ def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
     return True
 
 
+def _area(A: Config, cycle: Sequence[int]) -> int:
+    """area2(A, cycle) as the sum of `A.area_table()` over the fan of
+    triangles from its first corner (the shoelace sum taken about it)."""
+    a = A.area_table()
+    return sum(a[cycle[0]][u][v] for u, v in zip(cycle[1:], cycle[2:]))
+
+
 def validate_subdivision(sub: Subdivision) -> None:
     """Cover, common-face and marking checks; raises InvalidInput.  A
     subdivision that passed once is not checked again."""
@@ -226,7 +234,7 @@ def validate_subdivision(sub: Subdivision) -> None:
     if not sub.cells:
         raise InvalidInput("empty subdivision")
     hull = A.hull()
-    areas = [area2(A, c.polygon) for c in sub.cells]
+    areas = [_area(A, c.polygon) for c in sub.cells]
     for c, area in zip(sub.cells, areas):
         if area <= 0:
             raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
@@ -236,7 +244,7 @@ def validate_subdivision(sub: Subdivision) -> None:
     # the edge counts below do not see on which side of an edge its two
     # cells lie, nor the corner check cells that overlap with every corner
     # on the hull; only the areas catch such a cover
-    if sum(areas) != area2(A, hull):
+    if sum(areas) != _area(A, hull):
         raise InvalidInput("cells do not tile the hull")
     hull_edges = {
         frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
@@ -321,7 +329,9 @@ class RegularityWitness:
     slack: Fraction
 
 
-def _lift_rows(A: Config, sub: Subdivision) -> tuple[dict[int, int], list[list[int]]]:
+def _lift_rows(
+    A: Config, sub: Subdivision, strict: bool = True
+) -> tuple[dict[int, int], list[list[int]]]:
     """The lifting system of `sub` over the heights psi, 0 at the first three
     hull corners: (the column of each other point, the rows).  Each row holds
     f_cell(w) - psi_w, times the doubled area of the cell's basis triangle
@@ -331,18 +341,19 @@ def _lift_rows(A: Config, sub: Subdivision) -> tuple[dict[int, int], list[list[i
     in the cell, or the fold across an interior edge).  A lift psi induces
     `sub` exactly when every equality row is 0 at psi and every strict row
     is negative there.  Rows come cell by cell, each cell's equality rows
-    first, and then the folds."""
+    first, and then the folds; with `strict` false, only the equality rows.
+    Areas are read from `A.area_table()`."""
     n = len(A)
     fixed = A.hull()[:3]
     var = {w: k for k, w in enumerate(w for w in range(n) if w not in fixed)}
     s_idx = len(var)
     nvars = s_idx + 1
 
-    bases = [(c.polygon[:3], area2(A, c.polygon[:3])) for c in sub.cells]
+    area = A.area_table()
 
-    def excess(ci: int, w: int, slack: bool) -> list[int]:
-        (a, b, c), det = bases[ci]
-        lb, lc = area2(A, (a, w, c)), area2(A, (a, b, w))
+    def excess(cell: Cell, w: int, slack: bool) -> list[int]:
+        a, b, c = cell.polygon[:3]
+        det, lb, lc = area[a][b][c], area[a][w][c], area[a][b][w]
         row = [0] * nvars
         for p, coef in ((a, det - lb - lc), (b, lb), (c, lc), (w, -det)):
             if p in var:
@@ -352,17 +363,19 @@ def _lift_rows(A: Config, sub: Subdivision) -> tuple[dict[int, int], list[list[i
         return row
 
     rows: list[list[int]] = []
-    for ci, cell in enumerate(sub.cells):
+    for cell in sub.cells:
         for w in sorted(cell.marked.difference(cell.polygon[:3])):
-            rows.append(excess(ci, w, False))
-        for w in range(n):
-            if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
-                rows.append(excess(ci, w, True))
-    for e, owners in sub.edge_cells.items():
-        if len(owners) == 2:
-            ci, cj = owners
-            probe = next(w for w in sub.cells[cj].polygon if w not in e)
-            rows.append(excess(ci, probe, True))
+            rows.append(excess(cell, w, False))
+        if strict:
+            for w in range(n):
+                if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
+                    rows.append(excess(cell, w, True))
+    if strict:
+        for e, owners in sub.edge_cells.items():
+            if len(owners) == 2:
+                ci, cj = owners
+                probe = next(w for w in sub.cells[cj].polygon if w not in e)
+                rows.append(excess(sub.cells[ci], probe, True))
     return var, rows
 
 
@@ -497,12 +510,23 @@ def _cell_cycles(A: Config, nbrs: dict[int, list[int]]) -> list[tuple[int, ...]]
     return cycles
 
 
+def _corner_ok(t, v: int, taken: list[tuple[int, int]]) -> bool:
+    """The corner test at vertex v of the edge set `taken`: no neighbour u
+    of v has all the other neighbours on one side of the line through v and
+    u (vacuous when v has no neighbour)."""
+    vs = [b if a == v else a for a, b in taken if v == a or v == b]
+    return all(len({t[v][u][w] for w in vs if w != u}) == 2 for u in vs)
+
+
 def enumerate_subdivisions(A: Config) -> list[Subdivision]:
     """All marked subdivisions in key order, each built and validated once.
-    A depth-first search takes each crossing-free set of segments off the
-    hull ring; a set whose vertices all pass the corner test gives its
-    cells, and each subset of the points it leaves untouched, marked in the
-    cells around them, gives one subdivision."""
+    A depth-first search decides the segments off the hull ring one by one
+    in index order, taking a segment only when it crosses none taken.  A
+    point off the hull has its edges final once its last segment is decided,
+    so the corner test runs on it then, and a branch where it fails is
+    dropped.  Each crossing-free set the search completes gives its cells,
+    and each subset of the points it leaves untouched, marked in the cells
+    around them, gives one subdivision."""
     n = len(A)
     if n < 3:
         raise InvalidInput("a marked polygon needs at least three points")
@@ -526,28 +550,37 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
         and t[a][b][c] != t[a][b][d]
         and t[c][d][a] != t[c][d][b]
     }
+    # closing[k]: the points off the hull whose last segment is segs[k]
+    pos = {e: k for k, e in enumerate(segs)}
+    closing: list[list[int]] = [[] for _ in segs]
+    for v in range(n):
+        if v not in hull:
+            closing[max(k for k, e in enumerate(segs) if v in e)].append(v)
     subs = []
     stack = [(ring, segs)]  # edges taken, segments still free to take
     while stack:
         taken, free = stack.pop()
         if free:
             e, rest = free[0], free[1:]
-            stack.append((taken, rest))
-            stack.append((taken + [e], [f for f in rest if (e, f) not in crossing]))
+            k = pos[e]
+            for edges, left in (
+                (taken, rest),
+                (taken + [e], [f for f in rest if (e, f) not in crossing]),
+            ):
+                # the segments before left[0] are decided: test the points
+                # whose last one lies from e up to there
+                stop = pos[left[0]] if left else len(segs)
+                if all(
+                    _corner_ok(t, v, edges)
+                    for closed in closing[k:stop]
+                    for v in closed
+                ):
+                    stack.append((edges, left))
             continue
         nbrs: dict[int, list[int]] = {}
         for a, b in taken:
             nbrs.setdefault(a, []).append(b)
             nbrs.setdefault(b, []).append(a)
-        # the corner test: no vertex off the hull has a neighbour u with all
-        # its other neighbours on one side of the line through it and u
-        if any(
-            len({t[v][u][w] for w in vs if w != u}) < 2
-            for v, vs in nbrs.items()
-            if v not in hull
-            for u in vs
-        ):
-            continue
         cycles = _cell_cycles(A, nbrs)
         loose = [w for w in range(n) if w not in nbrs]
         home = {
@@ -645,9 +678,8 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
     is onto.  The Euler relation h0 - exc + h2 = 3 C - 2 E + V, over the C
     cells, E interior edges and V interior vertices, then gives exc."""
     validate_subdivision(sub)
-    var, rows = _lift_rows(A, sub)
-    s_idx = len(var)
-    codim = s_idx - int_rank([row for row in rows if not row[s_idx]])
+    var, rows = _lift_rows(A, sub, strict=False)
+    codim = len(var) - int_rank(rows)
     omitted = len(sub.omitted)
     h0 = codim + 3 - omitted
     cells = len(sub.cells)
@@ -716,7 +748,7 @@ def framing(A: Config, polygon: Sequence[int], zeta: Dir) -> Framing:
     to zeta; d_plus is the counterclockwise boundary arc from alpha to
     omega."""
     poly = _canon_cycle(list(polygon))
-    if area2(A, poly) < 0:
+    if _area(A, poly) < 0:
         poly = _canon_cycle(list(reversed(poly)))
     vals = [zeta.infinity_form(A[w]) for w in poly]
     if len(set(vals)) != len(vals):

@@ -389,6 +389,9 @@ def test_criterion_10_secondary_polytopes():
         for sub in subs:
             rep = deformation_complex(A, sub)
             assert rep.h2 == 0
+            # h2 and the Euler line below hold by construction; the
+            # parallel deformations count exc by another route
+            assert rep.exc == len(parallel_deformations(A, sub))
             wit = is_regular(A, sub)
             if wit is None:
                 continue

@@ -13,6 +13,7 @@ from infrared.cli import main
 from infrared.geometry import Config, config
 from infrared.errors import ShapeMismatch
 from infrared.perverse import Quiver, TransportData
+from infrared.randomgen import rand_config, rng
 from infrared.linalg import MatQ
 from infrared.secondary import Subdivision, induced_subdivision
 
@@ -379,6 +380,19 @@ def test_secondary_output_is_unchanged_but_for_the_witnesses(name, capsys):
             rep["witness"] = "W"
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == WITNESS_FREE_DIGESTS[name]
+
+
+def test_secondary_at_nine_points_is_pinned(tmp_path, monkeypatch):
+    """With INFRARED_MAX_N=9, `infrared secondary --out` on
+    `rand_config(rng(5), 9)` (6,903 subdivisions, 48 coarse) writes exactly
+    the bytes it wrote before the corner test moved into the search."""
+    monkeypatch.setenv("INFRARED_MAX_N", "9")
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"config": rand_config(rng(5), 9).to_json()}))
+    out = tmp_path / "nine.secondary.json"
+    assert main(["secondary", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1c5c1ae69f81885da491d2ec6f364d68f1cb7d5a3e288c40472756d15eada40c")
 
 
 @pytest.mark.parametrize(

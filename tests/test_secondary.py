@@ -384,39 +384,45 @@ def test_enumeration_validates_each_subdivision_once(monkeypatch):
     A = convex_gon(5)
     subs = enumerate_subdivisions(A)
     assert sorted(calls) == sorted(s.key() for s in subs)
-    # a subdivision that passed is not checked again downstream: no area2
-    # call is made while validate_subdivision runs (is_regular's LP rows
-    # call area2 outside it)
-    validating = []
-    areas = {True: 0, False: 0}
-    area = secondary.area2
+    # count the validations whose body runs: the body reads the area table
+    # for the cell areas, and the early return of a passed subdivision reads
+    # nothing (the lift rows read the table outside any validation)
+    running = []  # per validation in progress: has it read the area table
+    bodies = []  # per finished validation: did its body run
+    reads = {True: 0, False: 0}
+    table = Config.area_table
 
     def flagged(sub):
-        validating.append(sub)
+        running.append(False)
         try:
             validate(sub)
         finally:
-            validating.pop()
+            bodies.append(running.pop())
 
-    def counting_area(*args):
-        areas[bool(validating)] += 1
-        return area(*args)
+    def reading(self):
+        if running:
+            running[-1] = True
+        reads[bool(running)] += 1
+        return table(self)
 
     monkeypatch.setattr(secondary, "validate_subdivision", flagged)
-    monkeypatch.setattr(secondary, "area2", counting_area)
+    monkeypatch.setattr(Config, "area_table", reading)
+    # a subdivision that passed is not checked again downstream
     for sub in subs:
         is_regular(A, sub)
         deformation_complex(A, sub)
-    assert areas[True] == 0 and areas[False] > 0
+    assert len(bodies) == 2 * len(subs) and not any(bodies)
+    assert reads == {True: 0, False: 2 * len(subs)}
     # the probe sees a validation that does run
     subs[0]._valid = False
     is_regular(A, subs[0])
-    assert areas[True] == len(subs[0].cells) + 1
+    assert bodies[-1] and sum(bodies) == 1
     # a failed check is not remembered
     bad = Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])
     for _ in range(2):
         with pytest.raises(InvalidInput):
-            validate_subdivision(bad)
+            secondary.validate_subdivision(bad)
+    assert bodies[-2:] == [True, True] and sum(bodies) == 3
 
 
 def test_hull_of_the_configuration_is_computed_once(monkeypatch):
@@ -906,15 +912,19 @@ def cooriented_reports(fan_families):
 
 def test_codim_is_the_nullity_of_the_equality_lift_rows(fan_families, cooriented_reports):
     """For every subdivision, regular or not, the lifts modulo affine
-    functions, the kernel of the equality rows over the free heights, have
-    dimension the codim of the co-oriented complex, dim H^0 + |omitted| - 3
-    from the rank of d0."""
-    for (name, A, subs, _, _, _), reps in zip(fan_families, cooriented_reports):
-        for sub, rep in zip(subs, reps):
+    functions, the kernel of the equality rows of the full lift system over
+    the free heights, have dimension the codim of the co-oriented complex,
+    dim H^0 + |omitted| - 3 from the rank of d0, and the codim that
+    `deformation_complex` reads off the equality rows alone."""
+    for (name, A, subs, codims, _, _), reps in zip(fan_families, cooriented_reports):
+        for sub, codim, rep in zip(subs, codims, reps):
             var, rows = _lift_rows(A, sub)
             eq = [row[:-1] for row in rows if not row[-1]]
             nullity = len(var) - int_rank(eq)
             assert len(int_kernel(eq, len(var))) == nullity == rep.codim, (name, sub)
+            assert codim == nullity, (name, sub)
+            only_eq = _lift_rows(A, sub, strict=False)
+            assert only_eq == (var, [row for row in rows if not row[-1]]), (name, sub)
 
 
 def test_deformation_complex_matches_the_cooriented_oracle(
@@ -955,6 +965,76 @@ def test_the_fan_route_matches_the_lp(fan_families):
             s for s, c, w in zip(subs, codims, witnesses) if w is None and c >= 2], name
         counts[name] = counts.get(name, 0) + len(fallbacks)
     assert counts == {"oracle": 0, "nested": 8, "pinwheel": 8, "seven": 0, "rand8": 0}
+
+
+def unpruned_subdivisions(A):
+    """The enumeration before the corner test moved into the search: the
+    depth-first search completes every crossing-free set of segments off
+    the hull ring, and the corner test runs on each completed set."""
+    n = len(A)
+    t = A.sign_table()
+    hull = A.hull()
+    ring = list(zip(hull, hull[1:] + hull[:1]))
+    segs = [
+        e for e in itertools.combinations(range(n), 2)
+        if e not in ring and e[::-1] not in ring
+    ]
+    crossing = {
+        ((a, b), (c, d))
+        for (a, b), (c, d) in itertools.permutations(segs, 2)
+        if len({a, b, c, d}) == 4
+        and t[a][b][c] != t[a][b][d]
+        and t[c][d][a] != t[c][d][b]
+    }
+    subs = []
+    stack = [(ring, segs)]  # edges taken, segments still free to take
+    while stack:
+        taken, free = stack.pop()
+        if free:
+            e, rest = free[0], free[1:]
+            stack.append((taken, rest))
+            stack.append((taken + [e], [f for f in rest if (e, f) not in crossing]))
+            continue
+        nbrs = {}
+        for a, b in taken:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        # the corner test: no vertex off the hull has a neighbour u with all
+        # its other neighbours on one side of the line through it and u
+        if any(
+            len({t[v][u][w] for w in vs if w != u}) < 2
+            for v, vs in nbrs.items()
+            if v not in hull
+            for u in vs
+        ):
+            continue
+        cycles = secondary._cell_cycles(A, nbrs)
+        loose = [w for w in range(n) if w not in nbrs]
+        home = {
+            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A, cyc, w))
+            for w in loose
+        }
+        corners = [frozenset(cyc) for cyc in cycles]
+        for r in range(len(loose) + 1):
+            for extra in itertools.combinations(loose, r):
+                marked = list(corners)
+                for w in extra:
+                    marked[home[w]] |= {w}
+                sub = Subdivision(A, [Cell(c, m) for c, m in zip(cycles, marked)])
+                validate_subdivision(sub)
+                subs.append(sub)
+    return sorted(subs, key=lambda s: s.key())
+
+
+def test_pruned_search_matches_the_unpruned_oracle(fan_families):
+    """The search that drops a branch as soon as a finished vertex fails the
+    corner test gives the same subdivisions, in the same order, as the
+    search that tests only completed edge sets, on the 61
+    `oracle_configs()`, the nested triangles, the pinwheel points,
+    `seven.json` and `rand_config(rng(5), 8)`."""
+    for name, A, subs, *_ in fan_families:
+        assert [s.key() for s in subs] == [
+            s.key() for s in unpruned_subdivisions(A)], (name, A)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,10 +1153,29 @@ def test_area2_is_den_squared_times_the_fraction_shoelace():
             assert type(got) is int
             assert got == den * den * fraction_area2(A, cyc), (A, cyc)
             assert area2(A, list(cyc)) == got
+            assert secondary._area(A, cyc) == got  # the fan of table areas
             signs.add((got > 0) - (got < 0))
     assert {-1, 1} <= signs  # a self-crossing cycle may have area 0
     collinear = config((0, 0), ("1/3", "1/3"), ("2/7", "2/7"))
     assert area2(collinear, (0, 1, 2)) == 0
+    assert collinear.area_table()[0][1][2] == 0
+
+
+def test_area_and_sign_tables_match_area2_and_orient():
+    """On the 61 `oracle_configs()` and 20 seeded draws of 4 to 8 points,
+    every ordered triple of the area table is its `area2` and of the sign
+    table its `orient`; an entry with a repeated index is 0 in both."""
+    r = rng(96)
+    configs = oracle_configs() + [rand_config(r, 4 + k % 5) for k in range(20)]
+    for A in configs:
+        area, sign = A.area_table(), A.sign_table()
+        for i, j, k in itertools.product(range(len(A)), repeat=3):
+            assert area[i][j][k] == area2(A, (i, j, k)), (A, i, j, k)
+            if len({i, j, k}) < 3:
+                assert area[i][j][k] == sign[i][j][k] == 0, (A, i, j, k)
+            else:
+                assert sign[i][j][k] == orient(A, i, j, k), (A, i, j, k)
+        assert A.area_table() is area and A.sign_table() is sign
 
 
 def test_integer_lift_matches_the_fraction_lift():
