@@ -68,6 +68,15 @@ def _load(path: str, build):
         raise InvalidInput(f"{path}: malformed instance data: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; an unwritable path is invalid input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
+
+
 _INSTANCE_KEYS = ("config", "transport", "quiver", "zeta")
 
 
@@ -293,8 +302,7 @@ def cmd_plot(inst: Instance, args) -> dict:
     else:  # dot: refinement poset
         text = plotting.poset_dot(inst.config)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         return {"written": args.out, "bytes": len(text)}
     return {"content": text}
 
@@ -386,17 +394,16 @@ def main(argv=None) -> int:
         if getattr(args, "instance", None):
             inst = Instance.load(args.instance)
         result = args.fn(inst, args)
+        if isinstance(result, dict) and "__stream__" in result:
+            text = result["__stream__"].rstrip("\n")
+        else:
+            text = json.dumps(result, indent=2 if args.pretty else None, default=str)
+        if args.out and args.command != "plot":
+            _write(args.out, text + "\n")
+            return 0
     except InfraredError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc)}}
         return _emit(json.dumps(payload), 2)
-    if isinstance(result, dict) and "__stream__" in result:
-        text = result["__stream__"].rstrip("\n")
-    else:
-        text = json.dumps(result, indent=2 if args.pretty else None, default=str)
-    if args.out and args.command != "plot":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        return 0
     return _emit(text, 0)
 
 

@@ -78,7 +78,10 @@ def _poset_covers(A: Config):
 
 
 def _label(sub) -> str:
-    return "|".join("".join(str(v) for v in c.polygon) for c in sub.cells)
+    """The cell polygons, then the omitted points after a `-`: `012-3`."""
+    label = "|".join("".join(str(v) for v in c.polygon) for c in sub.cells)
+    omitted = "".join(str(w) for w in sorted(sub.omitted))
+    return f"{label}-{omitted}" if omitted else label
 
 
 def poset_csv(A: Config) -> str:

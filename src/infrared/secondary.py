@@ -3,7 +3,8 @@ polytope combinatorics.
 
 A subdivision is a list of marked cells (convex polygon with vertex indices
 in the configuration, plus a marked subset containing the polygon's
-corners); points marked nowhere are `omitted`.  Regularity is exact strict
+corners); points marked nowhere are `omitted`.  A `Subdivision` is checked
+when it is built, so no routine here checks one.  Regularity is exact strict
 feasibility of the lifting system in the heights psi: on each cell the lift
 is the affine function through psi at three of its corners, and it must
 take the value psi at every other marked point of the cell (equality rows),
@@ -113,10 +114,20 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 class Subdivision:
-    """A polygonal decomposition of (Conv(A), A) into marked cells.  Its key,
-    omitted set and edge map are computed on first use and kept."""
+    """A polygonal decomposition of (Conv(A), A) into marked cells.  The
+    constructor checks it and raises InvalidInput on a bad one, so every
+    Subdivision is valid.  Its key, omitted set and edge map are computed
+    on first use and kept."""
 
     def __init__(self, A: Config, cells: Iterable[Cell]):
+        cells, n = list(cells), len(A)
+        for c in cells:  # the sort below reads every index: check them first
+            for w in itertools.chain(c.polygon, c.marked):
+                if type(w) is not int or not 0 <= w < n:
+                    raise InvalidInput(f"cell {c.polygon} holds {w!r}, which is "
+                                       f"not a point index 0..{n - 1}")
+            if len(c.polygon) < 3:
+                raise InvalidInput(f"cell {c.polygon} has fewer than three corners")
         self.config = A
         self.cells = tuple(
             sorted(
@@ -128,7 +139,38 @@ class Subdivision:
                 key=lambda c: (c.polygon, sorted(c.marked)),
             )
         )
-        self._valid = False  # set once validate_subdivision has passed
+        if not self.cells:
+            raise InvalidInput("empty subdivision")
+        hull = A.hull()
+        areas = [_area(A, c.polygon) for c in self.cells]
+        for c, area in zip(self.cells, areas):
+            if area <= 0:
+                raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
+            for w in c.marked:
+                if not _point_in_polygon(A, c.polygon, w):
+                    raise InvalidInput(f"marked point {w} outside cell {c.polygon}")
+        # the edge counts below do not see on which side of an edge its two
+        # cells lie, nor the corner check cells that overlap with every corner
+        # on the hull; only the areas catch such a cover
+        if sum(areas) != _area(A, hull):
+            raise InvalidInput("cells do not tile the hull")
+        hull_edges = {_edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+        for e, owners in self.edge_cells.items():
+            k = len(owners)
+            if e in hull_edges:
+                if k != 1:
+                    raise InvalidInput(f"hull edge {sorted(e)} shared {k} times")
+            elif k != 2:
+                raise InvalidInput(f"edge {sorted(e)} shared {k} times")
+        # no corner of one cell strictly inside another cell
+        t = A.sign_table()
+        corners = {w for c in self.cells for w in c.polygon}
+        for c in self.cells:
+            edges = list(zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
+            for w in corners - set(c.polygon):
+                if all(t[a][b][w] > 0 for a, b in edges):
+                    raise InvalidInput(f"corner {w} inside cell {c.polygon}: "
+                                       "not a common-face decomposition")
 
     @cached_property
     def _key(self):
@@ -225,51 +267,6 @@ def _area(A: Config, cycle: Sequence[int]) -> int:
     return sum(a[cycle[0]][u][v] for u, v in zip(cycle[1:], cycle[2:]))
 
 
-def validate_subdivision(sub: Subdivision) -> None:
-    """Cover, common-face and marking checks; raises InvalidInput.  A
-    subdivision that passed once is not checked again."""
-    if sub._valid:
-        return
-    A = sub.config
-    if not sub.cells:
-        raise InvalidInput("empty subdivision")
-    hull = A.hull()
-    areas = [_area(A, c.polygon) for c in sub.cells]
-    for c, area in zip(sub.cells, areas):
-        if area <= 0:
-            raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
-        for w in c.marked:
-            if not _point_in_polygon(A, c.polygon, w):
-                raise InvalidInput(f"marked point {w} outside cell {c.polygon}")
-    # the edge counts below do not see on which side of an edge its two
-    # cells lie, nor the corner check cells that overlap with every corner
-    # on the hull; only the areas catch such a cover
-    if sum(areas) != _area(A, hull):
-        raise InvalidInput("cells do not tile the hull")
-    hull_edges = {
-        frozenset((a, b)) for a, b in zip(hull, hull[1:] + hull[:1])
-    }
-    for e, owners in sub.edge_cells.items():
-        k = len(owners)
-        if e in hull_edges:
-            if k != 1:
-                raise InvalidInput(f"hull edge {sorted(e)} shared {k} times")
-        elif k != 2:
-            raise InvalidInput(f"edge {sorted(e)} shared {k} times")
-    # no corner of one cell strictly inside another cell
-    t = A.sign_table()
-    corners = {w for c in sub.cells for w in c.polygon}
-    for c in sub.cells:
-        edges = list(zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
-        for w in corners - set(c.polygon):
-            if all(t[a][b][w] > 0 for a, b in edges):
-                raise InvalidInput(
-                    f"corner {w} inside cell {c.polygon}: not a common-face "
-                    "decomposition"
-                )
-    sub._valid = True
-
-
 # ---------------------------------------------------------------------------
 # induced subdivisions from liftings
 
@@ -309,9 +306,7 @@ def induced_subdivision(A: Config, psi: Sequence) -> Subdivision:
         Cell(tuple(convex_hull(A, support)), frozenset(support))
         for support in facets
     ]
-    sub = Subdivision(A, cells)
-    validate_subdivision(sub)
-    return sub
+    return Subdivision(A, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +394,6 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     witness has slack 1: its lift clears each unmarked point and each fold by
     at least 1.
     """
-    validate_subdivision(sub)
     var, lift = _lift_rows(A, sub)
     s_idx = len(var)
     rows: list[list[int]] = []
@@ -436,7 +430,6 @@ def secondary_fan(
     rays: list[tuple[Subdivision, list[int]]] = []
     for i in sorted(range(len(subs)), key=codims.__getitem__):
         sub, codim = subs[i], codims[i]
-        validate_subdivision(sub)
         var, rows = _lift_rows(A, sub)
         s_idx = len(var)
         psi = [0] * s_idx
@@ -519,7 +512,7 @@ def _corner_ok(t, v: int, taken: list[tuple[int, int]]) -> bool:
 
 
 def enumerate_subdivisions(A: Config) -> list[Subdivision]:
-    """All marked subdivisions in key order, each built and validated once.
+    """All marked subdivisions in key order, each built (and checked) once.
     A depth-first search decides the segments off the hull ring one by one
     in index order, taking a segment only when it crosses none taken.  A
     point off the hull has its edges final once its last segment is decided,
@@ -594,11 +587,8 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
                 marked = list(corners)
                 for w in extra:
                     marked[home[w]] |= {w}
-                sub = Subdivision(
-                    A, [Cell(c, m) for c, m in zip(cycles, marked)]
-                )
-                validate_subdivision(sub)
-                subs.append(sub)
+                subs.append(Subdivision(
+                    A, [Cell(c, m) for c, m in zip(cycles, marked)]))
     return sorted(subs, key=lambda s: s.key())
 
 
@@ -610,8 +600,8 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
 
 def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """fine <= coarse: every fine cell sits in a coarse cell, markings
-    included.  Both must be valid subdivisions of one configuration in linear
-    general position; then a fine cell lies in a coarse cell exactly when no
+    included.  Both must subdivide one configuration in linear general
+    position; then a fine cell lies in a coarse cell exactly when no
     coarse edge crosses it, that is when every coarse edge is a fine edge,
     and the markings nest when every point omitted by coarse is omitted by
     fine: coarse's `bits` are among fine's."""
@@ -677,7 +667,6 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
     interior vertex, and every interior vertex ends an interior edge, so d1
     is onto.  The Euler relation h0 - exc + h2 = 3 C - 2 E + V, over the C
     cells, E interior edges and V interior vertices, then gives exc."""
-    validate_subdivision(sub)
     var, rows = _lift_rows(A, sub, strict=False)
     codim = len(var) - int_rank(rows)
     omitted = len(sub.omitted)

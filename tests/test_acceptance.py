@@ -73,7 +73,6 @@ from infrared.secondary import (
     is_regular,
     parallel_deformations,
     refinement_poset,
-    validate_subdivision,
 )
 from infrared.wallcross import CrossingSpec, apply_crossing, transport_along_path
 from test_fourier import FACTORIZATION_CONVENTION, solve_factorization_convention

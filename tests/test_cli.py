@@ -178,6 +178,51 @@ def test_plot_dot(circuit_file, capsys):
     assert data["content"].startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ["matroid", "--out", "{missing}/x.json"],
+    ["matroid", "--out", "{tmp}"],
+    ["plot", "--format", "csv", "--out", "{missing}/x.csv"],
+], ids=["matroid-missing-dir", "matroid-directory", "plot-missing-dir"])
+def test_an_unwritable_out_path_is_invalid_input(argv, circuit_file, tmp_path, capsys):
+    """--out to a path that cannot be written reports invalid input as JSON
+    with exit code 2, from `main` and from `plot` alike; a writable path
+    gets the bytes that stdout would."""
+    args = [argv[0], circuit_file] + [
+        a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv[1:]]
+    code, data = run_cli(args, capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert data["error"]["message"].startswith(f"cannot write {args[-1]}: ")
+    out = tmp_path / "out.txt"
+    assert main(args[:-1] + [str(out)]) == 0
+    written = capsys.readouterr().out
+    assert main(args[:-2]) == 0
+    printed = capsys.readouterr().out
+    if argv[0] == "plot":
+        assert json.loads(written)["bytes"] == len(out.read_text())
+        printed = json.loads(printed)["content"]
+    assert out.read_text() == printed
+
+
+def test_poset_labels_name_the_omitted_points(capsys):
+    """A poset node's label lists its cell polygons and then its omitted
+    points, so that no two subdivisions of a configuration in tests/data
+    share one; on the circuit the whole triangle with 3 omitted is
+    `012-3`, with 3 marked `012`."""
+    from infrared.plotting import _label
+    from infrared.secondary import enumerate_subdivisions
+
+    for name in sorted(os.listdir(DATA)):
+        with open(os.path.join(DATA, name)) as fh:
+            doc = json.load(fh)
+        if "config" in doc:
+            subs = enumerate_subdivisions(Config.from_json(doc["config"]))
+            labels = [_label(s) for s in subs]
+            assert len(set(labels)) == len(labels), name
+    circuit = config((0, 0), (4, 0), (1, 3), ("3/2", 1))
+    assert {_label(s) for s in enumerate_subdivisions(circuit)} >= {"012", "012-3"}
+
+
 def test_error_reporting(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(

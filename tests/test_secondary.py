@@ -31,7 +31,6 @@ from infrared.secondary import (
     refinement_poset,
     refines,
     secondary_fan,
-    validate_subdivision,
 )
 from infrared.randomgen import rand_config, rng
 from test_kernels import BIG, PRIMES
@@ -160,7 +159,6 @@ def concentric_triangles():
 
 def test_concentric_triangles_exceptional():
     A, sub = concentric_triangles()
-    validate_subdivision(sub)
     rep = deformation_complex(A, sub)
     assert rep.exc == 1 and rep.h2 == 0
     assert is_regular(A, sub) is not None
@@ -200,7 +198,6 @@ def cooriented_complex(A, sub):
     to the interior vertices, +1 at the head and -1 at the tail.  Checks
     d1 d0 = 0 and returns the report with h0, exc and h2 from the integer
     ranks of d0 and d1."""
-    validate_subdivision(sub)
     cells = sub.cells
     edges = sub.interior_edges()
     verts = sub.interior_vertices()
@@ -273,7 +270,6 @@ def pinwheel():
 
 def test_pinwheel_not_regular():
     A, sub = pinwheel()
-    validate_subdivision(sub)
     assert sub.is_triangulation()
     assert is_regular(A, sub) is None
     assert sub in enumerate_triangulations(A)
@@ -344,9 +340,7 @@ def test_content_additivity():
 def test_validate_rejects_bad_subdivisions():
     A = CIRCUIT_A
     with pytest.raises(InvalidInput):
-        validate_subdivision(
-            Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])
-        )  # does not tile the hull
+        Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])  # does not tile the hull
     with pytest.raises(InvalidInput):
         Cell((0, 1, 2), frozenset((0, 1)))  # corners not marked
 
@@ -357,72 +351,83 @@ def test_only_the_area_sum_rejects_an_overlapping_cover():
     diagonal twice, and no corner lies inside another cell (every corner is
     on the hull); yet each diagonal has both its cells on one side, so the
     cells overlap: their doubled areas sum to 11 against 5 for the hull.
-    Only the tiling check of validate_subdivision sees it."""
+    Only the tiling check of the constructor sees it."""
     A = config((0, 1), (0, 2), (1, 2), (2, 0), (2, 1))
     cells = [(0, 4, 1), (0, 3, 2), (0, 4, 2), (1, 3, 2), (1, 3, 4)]
-    sub = Subdivision(A, [Cell(c, frozenset(c)) for c in cells])
     hull = A.hull()
-    assert len(hull) == 5 and len(sub.edge_cells) == 10
+    owners = {}
+    for c in cells:
+        for e in zip(c, c[1:] + c[:1]):
+            owners[frozenset(e)] = owners.get(frozenset(e), 0) + 1
+    assert len(hull) == 5 and len(owners) == 10
     hull_edges = {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}
-    for e, owners in sub.edge_cells.items():
-        assert len(owners) == (1 if e in hull_edges else 2)
+    for e, k in owners.items():
+        assert k == (1 if e in hull_edges else 2)
     assert [area2(A, c) for c in cells] == [2, 3, 2, 2, 2]
     assert area2(A, hull) == 5
     with pytest.raises(InvalidInput, match="do not tile the hull"):
-        validate_subdivision(sub)
+        Subdivision(A, [Cell(c, frozenset(c)) for c in cells])
 
 
-def test_enumeration_validates_each_subdivision_once(monkeypatch):
-    calls = []
-    validate = secondary.validate_subdivision
+# the hull triangle, an inner triangle 3 4 5 of half its area and a point 6
+# inside that: the inner triangle plus its fan about 6 cover it twice, so
+# their areas sum to the hull's, every edge has two cells and no hull edge
+# appears; only the corner check sees 6 inside the cell 3 4 5
+DOUBLE_COVER = config((0, 0), (12, 0), (0, 12), (1, 1), (10, 1), (1, 9), (2, 3))
+SQUARE = config((0, 0), (1, 0), (1, 1), (0, 1))
 
-    def counting(sub):
-        calls.append(sub.key())
-        validate(sub)
 
-    monkeypatch.setattr(secondary, "validate_subdivision", counting)
-    A = convex_gon(5)
-    subs = enumerate_subdivisions(A)
-    assert sorted(calls) == sorted(s.key() for s in subs)
-    # count the validations whose body runs: the body reads the area table
-    # for the cell areas, and the early return of a passed subdivision reads
-    # nothing (the lift rows read the table outside any validation)
-    running = []  # per validation in progress: has it read the area table
-    bodies = []  # per finished validation: did its body run
-    reads = {True: 0, False: 0}
-    table = Config.area_table
+def corner_cells(*polygons):
+    return [Cell(p, frozenset(p)) for p in polygons]
 
-    def flagged(sub):
-        running.append(False)
-        try:
-            validate(sub)
-        finally:
-            bodies.append(running.pop())
 
-    def reading(self):
-        if running:
-            running[-1] = True
-        reads[bool(running)] += 1
-        return table(self)
+@pytest.mark.parametrize("A, cells, message", [
+    (CIRCUIT_B, [], "empty subdivision"),
+    (CIRCUIT_B, corner_cells((0, 2, 1)), "not counterclockwise"),
+    (CIRCUIT_B, corner_cells(()), "fewer than three corners"),
+    (CIRCUIT_B, [Cell((0, 1, 3), frozenset((0, 1, 2, 3)))],
+     "marked point 2 outside cell"),
+    (CIRCUIT_B, corner_cells((0, 1, 3), (1, 2, 3)), "do not tile the hull"),
+    (SQUARE, corner_cells((0, 1, 2), (1, 2, 3)), r"hull edge \[1, 2\] shared 2 times"),
+    (SQUARE, corner_cells((0, 1, 3), (0, 2, 3)), r"^edge \[1, 3\] shared 1 times"),
+    (DOUBLE_COVER, corner_cells((3, 4, 5), (3, 4, 6), (4, 5, 6), (5, 3, 6)),
+     "corner 6 inside cell"),
+    (CIRCUIT_B, corner_cells((0, 1, 3), (1, 2, 3), (2, 0, 4)), "holds 4, which is not a point index"),
+], ids=["empty", "clockwise", "no-polygon", "marked-outside", "no-tiling",
+        "hull-edge", "interior-edge", "corner-inside", "bad-index"])
+def test_every_invalid_subdivision_is_rejected_when_built(A, cells, message):
+    """Each check of the `Subdivision` constructor rejects a subdivision
+    that passes the checks before it."""
+    with pytest.raises(InvalidInput, match=message):
+        Subdivision(A, cells)
 
-    monkeypatch.setattr(secondary, "validate_subdivision", flagged)
-    monkeypatch.setattr(Config, "area_table", reading)
-    # a subdivision that passed is not checked again downstream
-    for sub in subs:
-        is_regular(A, sub)
-        deformation_complex(A, sub)
-    assert len(bodies) == 2 * len(subs) and not any(bodies)
-    assert reads == {True: 0, False: 2 * len(subs)}
-    # the probe sees a validation that does run
-    subs[0]._valid = False
-    is_regular(A, subs[0])
-    assert bodies[-1] and sum(bodies) == 1
-    # a failed check is not remembered
-    bad = Subdivision(A, [Cell((0, 1, 2), frozenset((0, 1, 2)))])
-    for _ in range(2):
-        with pytest.raises(InvalidInput):
-            secondary.validate_subdivision(bad)
-    assert bodies[-2:] == [True, True] and sum(bodies) == 3
+
+@pytest.mark.parametrize("old, new", [(4, -1), (4, 5), (4, "4"), (1, True)],
+                         ids=["negative", "past-the-end", "str", "bool"])
+def test_a_cell_index_must_be_a_point_of_the_configuration(old, new):
+    """An index outside range(len(A)), a str or a bool in a cell is invalid
+    input.  Unchecked, a -1 for point 4 reads point 4 (the last) through
+    the negative index, so the subdivision looked valid while
+    `deformation_complex` reported exc = -1 and `is_regular` gave None."""
+    A = config((0, 0), (8, 0), (0, 8), (1, 2), (3, 2))
+    tri = next(s for s in enumerate_triangulations(A) if 4 not in s.omitted)
+    swap = {old: new}
+    cells = [
+        Cell(tuple(swap.get(w, w) for w in c.polygon),
+             frozenset(swap.get(w, w) for w in c.marked))
+        for c in tri.cells
+    ]
+    with pytest.raises(InvalidInput, match="is not a point index 0..4"):
+        Subdivision(A, cells)
+
+
+def test_a_subdivision_read_from_json_is_checked():
+    A = CIRCUIT_B
+    good = enumerate_subdivisions(A)[0]
+    assert Subdivision.from_json(A, good.to_json()) == good
+    bad = {"cells": [{"polygon": [0, 1, 3], "marked": [0, 1, 3]}]}
+    with pytest.raises(InvalidInput, match="do not tile the hull"):
+        Subdivision.from_json(A, bad)
 
 
 def test_hull_of_the_configuration_is_computed_once(monkeypatch):
@@ -441,9 +446,7 @@ def test_hull_of_the_configuration_is_computed_once(monkeypatch):
     A = convex_gon(5)
     subs = enumerate_subdivisions(A)
     for sub in subs:
-        sub._valid = False
-        validate_subdivision(sub)
-        sub.interior_vertices()
+        Subdivision(A, sub.cells).interior_vertices()
     enumerate_triangulations(A)
     assert whole == [A]
 
@@ -688,7 +691,6 @@ def oracle_triangulations(A):
                     cells.append(Cell(ccw, frozenset(tri)))
                 sub = Subdivision(A, cells)
                 assert len(sub.cells) == 2 * len(used) - 2 - len(hull)
-                validate_subdivision(sub)
                 out.add(sub)
     return sorted(out, key=lambda s: s.key())
 
@@ -702,10 +704,8 @@ def oracle_subdivisions(A, tris):
         for r in range(len(interior) + 1):
             for drop in itertools.combinations(interior, r):
                 merged = walk_merge_cells(A, tri, drop)
-                if merged is None or merged in subs:
-                    continue
-                validate_subdivision(merged)
-                subs.add(merged)
+                if merged is not None:
+                    subs.add(merged)
     return sorted(subs, key=lambda s: s.key())
 
 
@@ -1020,9 +1020,7 @@ def unpruned_subdivisions(A):
                 marked = list(corners)
                 for w in extra:
                     marked[home[w]] |= {w}
-                sub = Subdivision(A, [Cell(c, m) for c, m in zip(cycles, marked)])
-                validate_subdivision(sub)
-                subs.append(sub)
+                subs.append(Subdivision(A, [Cell(c, m) for c, m in zip(cycles, marked)]))
     return sorted(subs, key=lambda s: s.key())
 
 
@@ -1074,9 +1072,7 @@ def fraction_induced_subdivision(A, psi):
         else:
             facets.add(frozenset(on_plane))
     cells = [Cell(tuple(convex_hull(A, s)), frozenset(s)) for s in facets]
-    sub = Subdivision(A, cells)
-    validate_subdivision(sub)
-    return sub
+    return Subdivision(A, cells)
 
 
 def fraction_parallel_deformations(A, sub):

@@ -173,6 +173,55 @@ def test_secondary_reads_no_point_coordinate():
     assert hits == []
 
 
+# a fragment of the message of each check of `Subdivision.__init__`
+SUBDIVISION_CHECKS = (
+    "which is not a point index", "fewer than three corners", "empty subdivision",
+    "not counterclockwise", "outside cell", "do not tile the hull", "shared",
+    "not a common-face decomposition",
+)
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_only_the_subdivision_constructor_checks_a_subdivision():
+    """The subdivision checks raise in `Subdivision.__init__` and in no
+    other function of `src/infrared`, so a subdivision is checked once,
+    when it is built, and nothing downstream checks it again; and no flag
+    remembers a check: `_valid` appears nowhere in `src/`."""
+    raising, seen = set(), set()
+    for path in sorted((ROOT / "src" / "infrared").glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            found = {
+                check
+                for node in ast.walk(fn) if isinstance(node, ast.Raise)
+                for text in ast.walk(node)
+                if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                for check in SUBDIVISION_CHECKS if check in text.value
+            }
+            if found:
+                raising.add((path.name, name))
+                seen |= found
+    assert raising == {("secondary.py", "Subdivision.__init__")}
+    assert seen == set(SUBDIVISION_CHECKS)
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b_valid\b", line)
+    ]
+    assert hits == []
+
+
 def test_every_private_function_is_used_in_src():
     """Each top-level `_private` function of `src/infrared` is read somewhere
     in `src/` outside its own body, so that a helper only the tests use
