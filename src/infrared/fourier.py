@@ -28,36 +28,40 @@ inverted by MatQ.inverse.
 
 Block (i, j) of the Stokes matrix C+ is the sum of the iterated
 rectilinear transports over the (-conj(zeta0))-convex paths from w_i to
-w_j, and C- mirrors this with the opposite convexity.  The sums come from a
-transfer-matrix dynamic program over convex chains, one pass per source
-over the later slots of fourier_order for C+ and over the earlier slots in
-reverse for C-, so one sort serves both, at one block product per chain
-edge (v, w) instead of one product chain per path; the path enumeration of
-the paths module is the test oracle.  The circumnavigation sums, over the
-convex polygons on a hull edge [w_i, w_j], come from the same dynamic
-program, run in angular order about w_i.  At each vertex the program adds
-the incoming sums once per distinct set of predecessors that turn toward a
-later vertex.  The ascending monodromy product of the dressed transport
-data factors exactly as
+w_j, and C- mirrors this with the opposite convexity.  Each matrix comes
+from one transfer-matrix dynamic program over convex chains
+(_chain_matrix), run once per direction: over the slots of fourier_order
+for C+ and over them in reverse for C-, so one sort serves both.  Every
+source is a column block of the program's state, so a pair of slots costs
+one block product however many sources reach it, and the whole matrix is
+written as integer rows; the path enumeration of the paths module is the
+test oracle.  The circumnavigation sums, over the convex polygons on a hull
+edge [w_i, w_j], are one block of the same program, run in angular order
+about w_i.  At each vertex the program adds the incoming sums once per
+distinct set of predecessors that turn toward a later vertex.  The
+ascending monodromy product of the dressed transport data factors exactly
+as
 
     T_glob = C+ . Delta . (C-tilde)^{-1},   C-tilde = Id - (C- - Id) Delta,
 
 where Delta is the block diagonal of the inverse local monodromies.  C-tilde
 is block upper unitriangular, hence invertible, so factorization_check tests
-T_glob . C-tilde == C+ . Delta and neither inverts nor solves.  The
-product with C-tilde reads only its block upper part, once the entries
-below its block diagonal are checked to be zero.  The block matrices are
-written as integer rows straight from their blocks, the chain sums add each
-set of chains in one pass (MatQ.total), and products with Delta go one
-column block at a time.  Of the exponents of Delta and of the twist, the
-side and sign of the twist and the slot order of T_glob, the N=2 closed
-form admits this one convention; factorization_check writes it out, and the
-test suite re-derives it from a search over all the alternatives.
+T_glob . C-tilde == C+ . Delta and neither inverts nor solves.  It reads the
+arms of T_glob from C+ Delta and (C- - Id) Delta, which the two sides need
+anyway, and the diagonal blocks (m_ss - Id) Delta_s, so no dressed
+transport data is built.  The product with C-tilde reads only its block
+upper part, once the entries below its block diagonal are checked to be
+zero, and products with Delta go one column block at a time.  Of the
+exponents of Delta and of the twist, the side and sign of the twist and the
+slot order of T_glob, the N=2 closed form admits this one convention;
+factorization_check writes it out, and the test suite re-derives it from a
+search over all the alternatives.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -109,17 +113,14 @@ def _block_offsets(dims: Sequence[int]) -> list[int]:
     return offs
 
 
-def _assemble(offs: Sequence[int], blocks: dict, unit: bool = False) -> MatQ:
+def _assemble(offs: Sequence[int], blocks: dict) -> MatQ:
     """The matrix with block (s, t), a map slot_s -> slot_t, at block row t
-    and column s, and zero blocks elsewhere, plus the identity if `unit`:
-    integer rows over the lcm of the block denominators.  Each block is
-    canonical, so these rows are too."""
+    and column s, and zero blocks elsewhere: integer rows over the lcm of
+    the block denominators.  Each block is canonical, so these rows are
+    too."""
     size = offs[-1]
     den = math.lcm(*[b.den for b in blocks.values()])
     num = [[0] * size for _ in range(size)]
-    if unit:
-        for r in range(size):
-            num[r][r] = den
     for (s, t), b in blocks.items():
         lo, hi, f = offs[s], offs[s + 1], den // b.den
         for r, row in enumerate(b.num, offs[t]):
@@ -196,10 +197,21 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
         descending          T_N^{-1} ... T_2^{-1} T_1^{-1}
 
     Each factor is T_{i,Psi}^{-1} = Id + e_i b_i (Jacobson), with
-    e_i = a_i T_{i,Phi}^{-1} the column blocks of one matrix,
-    T_{i,Phi} = Id - m_ii and its inverse read from m, and b_i the
-    projection onto slot i.  Right-multiplying by it changes column block i
-    alone, so that block is final right after its own factor:
+    e_i = a_i T_{i,Phi}^{-1} the column blocks of _jacobson_arms, and
+    _arm_product multiplies them out."""
+    if kind not in ("ascending", "descending"):
+        raise InvalidInput(f"unknown monodromy product {kind!r}")
+    offs = _block_offsets(m.dims)
+    return _arm_product(_jacobson_arms(m, offs), offs, kind == "ascending")
+
+
+def _arm_product(e: MatQ, offs: Sequence[int], ascending: bool) -> MatQ:
+    """The ordered product of the factors Id + e_i b_i, e_i column block i
+    of e and b_i the projection onto slot i, in increasing slot order if
+    `ascending` and in decreasing order otherwise.
+
+    Right-multiplying by a factor changes column block i alone, so that
+    block is final right after its own factor:
 
         T[:, i] = Id[:, i] + T[:, done] e_i[done] + e_i[not done],
 
@@ -208,18 +220,14 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
     as an integer vector over its own denominator, the final columns are
     kept as rows over the lcm of theirs, and one matrix is built at the end:
     about D^3 / 2 multiply-adds in all."""
-    if kind not in ("ascending", "descending"):
-        raise InvalidInput(f"unknown monodromy product {kind!r}")
-    ascending = kind == "ascending"
-    offs = _block_offsets(m.dims)
     size = offs[-1]
-    e = _jacobson_arms(m, offs)
     e_cols, de = list(zip(*e.num)), e.den
     # rows[r] is row r of T[:, done] over dt, with done the columns [0, lo)
     # ascending and [hi, size) descending; the other rows of e_i are `rest`
     rows: list[list[int]] = [[] for _ in range(size)]
     dt = 1
-    for i in range(m.n) if ascending else range(m.n - 1, -1, -1):
+    n = len(offs) - 1
+    for i in range(n) if ascending else range(n - 1, -1, -1):
         lo, hi = offs[i], offs[i + 1]
         if ascending:
             done, rest = slice(0, lo), slice(lo, size)
@@ -264,49 +272,116 @@ def iterated_transport(m: TransportData, vertices: Sequence[int]) -> MatQ:
 # Stokes matrices as convex-path sums
 
 
+def _block(x: MatQ, offs: Sequence[int], s: int, t: int) -> MatQ:
+    """Block (s, t) of x, a map slot_s -> slot_t: the rows of block t and the
+    columns of block s, in lowest terms."""
+    lo, hi = offs[s], offs[s + 1]
+    rows = x.num[offs[t]:offs[t + 1]]
+    return MatQ._reduced(tuple([row[lo:hi] for row in rows]), x.den, hi - lo)
+
+
 @dataclass(frozen=True)
 class StokesPair:
     order: tuple[int, ...]          # slot -> original index
     dims: tuple[int, ...]           # per slot
     c_plus: MatQ
     c_minus: MatQ
-    # every off-diagonal path sum, keyed (source slot, target slot): the
-    # blocks of C+ for s < t and of C- for s > t
-    blocks: dict
+
+    @functools.cached_property
+    def blocks(self) -> dict:
+        """Every off-diagonal path sum, keyed (source slot, target slot): the
+        blocks of C+ for s < t and of C- for s > t."""
+        offs = _block_offsets(self.dims)
+        return {(s, t): _block(self.c_plus if s < t else self.c_minus, offs, s, t)
+                for s, t in itertools.permutations(range(len(self.dims)), 2)}
 
 
-def _chain_sums(
-    m: TransportData, order: Sequence[int], t, turn: int, sign: int = 1
-) -> dict[int, MatQ]:
-    """For the source i = order[0] and each later v, the sum over the chains
-    from i to v that run forward in `order` and turn with t[u][x][w] == turn
-    at every intermediate vertex x, of the product of their edge blocks,
-    each times `sign`.
+def _chain_total(states: list, width: int) -> list[list[int]]:
+    """The sum of chain states, integer rows of at most `width` entries each,
+    as rows of exactly `width` entries."""
+    out = [list(map(sum, itertools.zip_longest(*rows, fillvalue=0))) for rows in zip(*states)]
+    for row in out:
+        row += [0] * (width - len(row))
+    return out
+
+
+def _chain_step(edge: list, x, unit: int, width: int) -> list[list[int]]:
+    """The chain state edge . (x | unit Id): the rows of edge times the
+    `width` columns of x (zero if x is None or has no rows), then edge times
+    unit."""
+    if not x:
+        return [[0] * width + [unit * v for v in row] for row in edge]
+    cols = list(zip(*x))
+    return [[sum(map(mul, row, col)) for col in cols] + [unit * v for v in row]
+            for row in edge]
+
+
+def _chain_matrix(
+    m: TransportData, seq: Sequence[int], t, turn: int, sign: int = 1
+) -> MatQ:
+    """The block unit lower triangular matrix whose block (p, q), p > q, is
+    the sum over the chains from seq[q] to seq[p] that run forward in seq and
+    turn with t[a][b][c] == turn at every intermediate vertex b, of the
+    product of their edge blocks, each times `sign`; block p has the
+    dimension of seq[p].
 
     A transfer-matrix DP over convex chains (Eppstein, Overmars, Rote and
-    Woeginger, DCG 1992; Mitchell, Rote, Sundaram and Woeginger, IPL 1995).
-    S(u, v) sums the chains whose last edge is u -> v, starting from
-    S(i, v) = sign m_iv.  When v comes up in `order` every edge into v is
-    final, so block v is the sum of the S(u, v), and a chain through v
-    continues to a later w when it turns there:
-    S(v, w) = sign m_vw (sum of those S(u, v)).  Each distinct set of
-    turning predecessors u is summed once per v; the full set is block v."""
-    blk = m.m if sign == 1 else [[-x for x in row] for row in m.m]
-    i = order[0]
-    into = {v: {i: blk[i][v]} for v in order[1:]}  # into[v][u] = S(u, v)
-    sums: dict[int, MatQ] = {}
-    for a, v in enumerate(order[1:], 2):
-        last = into[v]
-        sums[v] = MatQ.total(list(last.values()))
-        # one sum per distinct set of predecessors that turn toward some w
-        memo = {tuple(last): sums[v]}
-        for w in order[a:]:
-            turns = tuple([u for u in last if t[u][v][w] == turn])
-            if turns:
-                if turns not in memo:
-                    memo[turns] = MatQ.total([last[u] for u in turns])
-                into[w][v] = blk[v][w] @ memo[turns]
-    return sums
+    Woeginger, DCG 1992; Mitchell, Rote, Sundaram and Woeginger, IPL 1995),
+    run once for every source, each source a column block.  S(a, b) sums the
+    chains whose last edge is a -> b.  When b comes up in seq every edge
+    into b is final, so row block b is E_b + the sum of the S(a, b), E_b the
+    unit in column block b (the chain that starts at b), and a chain through
+    b continues to a later c when it turns there:
+
+        S(b, c) = sign m_bc X(b, c),   X(b, c) = E_b + sum of the S(a, b)
+                                                 whose a turns at b toward c.
+
+    So each pair b, c costs one block product (_chain_step) and each
+    distinct set of turning predecessors at b one sum (_chain_total); the
+    full set is row block b.  Everything is integer rows: with delta the lcm
+    of the edge block denominators, the states into the vertex at position p
+    are kept times delta^p, and each edge scales its block by the power of
+    delta that its positions call for, so no denominator is formed before
+    the one division of the result."""
+    n = len(seq)
+    offs = _block_offsets([m.dims[v] for v in seq])
+    size = offs[-1]
+    delta = math.lcm(*[m.m[b][c].den for k, b in enumerate(seq) for c in seq[k + 1:]])
+    into: list[dict] = [{} for _ in range(n)]  # into[c][a] = S(a, c) delta^c
+    rows = []
+    for pb, b in enumerate(seq):
+        lo, hi = offs[pb], offs[pb + 1]
+        unit, last = delta ** pb, into[pb]
+        # one sum per distinct set of predecessors that turn toward some c;
+        # the full set is row block b
+        sums = {(): None}
+        if last:
+            sums[tuple(last)] = _chain_total(list(last.values()), lo)
+        full = sums[tuple(last)] or [[0] * lo for _ in range(lo, hi)]
+        scale = delta ** (n - 1 - pb)
+        for r, row in enumerate(full):
+            row = row + [0] * r + [unit] + [0] * (size - lo - 1 - r)
+            rows.append(tuple(row) if scale == 1 else tuple([v * scale for v in row]))
+        for pc in range(pb + 1, n):
+            c = seq[pc]
+            turns = tuple([a for a in last if t[seq[a]][b][c] == turn])
+            if turns not in sums:
+                sums[turns] = _chain_total([last[a] for a in turns], lo)
+            blk = m.m[b][c]
+            f = sign * delta ** (pc - pb - 1) * (delta // blk.den)
+            edge = [[v * f for v in row] for row in blk.num]
+            into[pc][pb] = _chain_step(edge, sums[turns], unit, lo)
+    return MatQ._reduced(tuple(rows), delta ** (n - 1), size)
+
+
+def _reversed_blocks(x: MatQ, dims: Sequence[int]) -> MatQ:
+    """x, with blocks of the given dims, with the order of its row blocks and
+    of its column blocks reversed."""
+    offs = _block_offsets(dims)
+    spans = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])][::-1]
+    return MatQ._wrap(tuple([
+        tuple([v for cs in spans for v in row[cs]]) for rs in spans for row in x.num[rs]
+    ]), x.den, x.cols)
 
 
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
@@ -320,28 +395,14 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     if not rep.strong_lin_general:
         raise DegeneratePosition("Stokes sums need strong general position")
     order = fourier_order(A, zeta0)
-    slot = {i: s for s, i in enumerate(order)}
     dims = [m.dims[i] for i in order]
-    offs = _block_offsets(dims)
     t = A.sign_table()
     # ell along conj(zeta0) is minus ell along -conj(zeta0), so C- runs over
     # the reversed order; both convexities take the clockwise turn
     # t[u][v][w] == -1 of enumerate_zeta_convex_paths
-    upward, downward = (
-        {
-            (slot[i], slot[v]): b
-            for k, i in enumerate(seq)
-            for v, b in _chain_sums(m, seq[k:], t, -1).items()
-        }
-        for seq in (order, order[::-1])
-    )
-    return StokesPair(
-        tuple(order),
-        tuple(dims),
-        _assemble(offs, upward, unit=True),
-        _assemble(offs, downward, unit=True),
-        {**upward, **downward},
-    )
+    c_plus = _chain_matrix(m, order, t, -1)
+    c_minus = _reversed_blocks(_chain_matrix(m, order[::-1], t, -1), dims[::-1])
+    return StokesPair(tuple(order), tuple(dims), c_plus, c_minus)
 
 
 def dressed_transport(
@@ -394,17 +455,32 @@ def factorization_check(
     product, Delta the block diagonal of the inverse local monodromies and
     C-tilde = Id - (C- - Id) Delta.  C-tilde is block upper unitriangular,
     so the identity holds exactly when T_glob . C-tilde == C+ . Delta, and
-    nothing is inverted or solved.  Products with Delta go one column block
-    at a time, and the product with C-tilde reads only its block upper part
-    (_times_block_upper checks that the rest is zero).  T_glob comes from
-    the monodromy product and C+ . Delta from the chain sums, separately."""
-    mt, pair = dressed_transport(m, A, zeta0)
-    offs = _block_offsets(mt.dims)
-    inv = [mt.local_monodromy_inverse(s) for s in range(mt.n)]
-    lhs = monodromy_product(mt, "ascending")
+    nothing is inverted or solved.
+
+    No dressed TransportData is built.  Its arms are C+ - Id, C- - Id and
+    the diagonal blocks m_ss, so the Jacobson arms of T_glob are
+
+        e = C+ Delta + (C- - Id) Delta + blockdiag((m_ss - Id) Delta_s),
+
+    from C+ Delta and (C- - Id) Delta, each formed once (one column block
+    at a time).  e is not written as C+ Delta - C-tilde, which puts -Id in
+    place of the blocks (m_ss - Id) Delta_s: for every block lower U and
+    block upper unitriangular V, the ascending product of the arms U - V
+    times V is U, so the verdict would hold by construction.  Written as
+    above, it holds exactly when every Delta_s inverts Id - m_ss.  The
+    product with C-tilde reads only its block upper part
+    (_times_block_upper checks that the rest is zero)."""
+    pair = stokes_pair(m, A, zeta0)
+    offs = _block_offsets(pair.dims)
+    inv = [m.local_monodromy_inverse(i) for i in pair.order]
     ident = MatQ.identity(offs[-1])
-    c_til = ident - _times_block_diagonal(pair.c_minus - ident, offs, inv)
     c_plus_delta = _times_block_diagonal(pair.c_plus, offs, inv)
+    c_minus_delta = _times_block_diagonal(pair.c_minus - ident, offs, inv)
+    own = {(s, s): (-d).plus_product(m.m[i][i], d)
+           for s, (i, d) in enumerate(zip(pair.order, inv))}
+    e = MatQ.total([c_plus_delta, c_minus_delta, _assemble(offs, own)])
+    lhs = _arm_product(e, offs, True)
+    c_til = ident - c_minus_delta
     ok = _times_block_upper(lhs, offs, c_til) == c_plus_delta
     return FactorizationReport(
         ok, lhs, pair.c_plus, pair.c_minus, c_til,
@@ -424,8 +500,8 @@ def _circum_chain_sum(m: TransportData, A: Config, i: int, j: int, sign: int) ->
     w_i come in decreasing angle about w_i from the ray to w_j, which
     t[i][a][b] compares; points on the line through w_i and w_j are never
     corners.  The chains through the sorted points that turn by -side at
-    every corner are exactly these polygons, so one _chain_sums run sums
-    them."""
+    every corner are exactly these polygons, so they are block (0, last)
+    of one _chain_matrix run."""
     hull = A.hull()
     if frozenset((i, j)) not in {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}:
         raise EdgePrecondition(f"[{i},{j}] is not a hull edge")
@@ -433,7 +509,9 @@ def _circum_chain_sum(m: TransportData, A: Config, i: int, j: int, sign: int) ->
     others = [w for w in range(len(A)) if w not in (i, j) and t[i][j][w]]
     side = t[i][j][others[0]] if others else 1
     others.sort(key=functools.cmp_to_key(lambda a, b: side * t[i][a][b]))
-    return _chain_sums(m, [i, *others, j], t, -side, sign)[j]
+    seq = [i, *others, j]
+    c = _chain_matrix(m, seq, t, -side, sign)
+    return _block(c, _block_offsets([m.dims[v] for v in seq]), 0, len(seq) - 1)
 
 
 def circum_sum(m: TransportData, A: Config, i: int, j: int) -> MatQ:

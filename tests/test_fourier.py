@@ -16,7 +16,9 @@ from infrared.geometry import Dir, config, general_position, infinity_generic, i
 from infrared.linalg import MatQ, _over
 from infrared.fourier import (
     FourierDiagram,
+    _block,
     _block_offsets,
+    _chain_matrix,
     _jacobson_arms,
     _times_block_upper,
     alt_circum_sum,
@@ -616,54 +618,143 @@ def test_fourier_diagram_matches_the_rank_update_oracle(inverse_calls):
     assert dims == {0, 1, 2, 3}
 
 
-def turn_set_counts(A, zeta0):
-    """Over the chain-sum runs of stokes_pair: the number of (source, v)
-    states, the distinct nonempty turn sets at them that are not the full
-    predecessor set, and the (v, w) steps whose turn set repeats an earlier
-    one at the same v (the full set counts as already summed)."""
+def _chain_sums(m, order, t, turn, sign=1):
+    """Oracle: for the source i = order[0] and each later v, the sum over the
+    chains from i to v that run forward in `order` and turn with
+    t[u][x][w] == turn at every intermediate vertex x, of the product of
+    their edge blocks, each times `sign`, by a transfer-matrix DP for this
+    one source.  S(u, v) sums the chains whose last edge is u -> v, starting
+    from S(i, v) = sign m_iv; when v comes up every edge into v is final, so
+    block v is the sum of the S(u, v), and S(v, w) = sign m_vw (sum of the
+    S(u, v) whose u turns at v toward w)."""
+    blk = m.m if sign == 1 else [[-x for x in row] for row in m.m]
+    i = order[0]
+    into = {v: {i: blk[i][v]} for v in order[1:]}  # into[v][u] = S(u, v)
+    sums = {}
+    for a, v in enumerate(order[1:], 2):
+        last = into[v]
+        sums[v] = MatQ.total(list(last.values()))
+        for w in order[a:]:
+            turns = [u for u in last if t[u][v][w] == turn]
+            if turns:
+                into[w][v] = blk[v][w] @ MatQ.total([last[u] for u in turns])
+    return sums
+
+
+def maximally_concave_for(r, n, zeta0):
+    """maximally_concave_config, redrawn until generic for the spider
+    direction of zeta0."""
+    spider = zeta0.conjugate().opposite()
+    while True:
+        A = maximally_concave_config(r, n)
+        if infinity_generic(A, spider):
+            return A
+
+
+def jittered_arc_for(r, n, zeta0):
+    """jittered_arc, redrawn until generic for the spider direction of zeta0."""
+    spider = zeta0.conjugate().opposite()
+    while True:
+        A = jittered_arc(r, n)
+        if infinity_generic(A, spider):
+            return A
+
+
+def test_chain_matrix_matches_the_per_source_oracle():
+    """One _chain_matrix pass per direction, with every source a column
+    block, equals the per-source chain sums block for block, for the
+    ascending (C+) and the descending (C-) order and for both edge signs; it
+    is block unit lower triangular in its order, and stokes_pair equals the
+    enumerated path sums.  72 seeded draws with N = 1..10, slot dims 0..3
+    (empty slots included), zeta0 in {-1/0, 1/2, -3/-1}: random
+    configurations, jittered arcs and maximally concave chains."""
+    r = rng(69)
+    dims, multi_vertex = set(), 0
+    for k in range(72):
+        n = 1 + k % 10
+        zeta0 = (Z0, Dir(Q(1), Q(2)), Dir(Q(-3), Q(-1)))[k % 3]
+        family = k // 3 % 3
+        if family == 0:
+            A = rand_config(r, n, extra_dirs=(zeta0.conjugate().opposite(),))
+        elif family == 1:
+            A = jittered_arc_for(r, n, zeta0)
+        else:
+            A = maximally_concave_for(r, n, zeta0)
+        m = transport_with_empty_slots(r, n)
+        order = fourier_order(A, zeta0)
+        t = A.sign_table()
+        for seq in (order, order[::-1]):
+            offs = _block_offsets([m.dims[v] for v in seq])
+            for sign in (1, -1):
+                c = _chain_matrix(m, seq, t, -1, sign)
+                for q in range(n):
+                    expect = _chain_sums(m, seq[q:], t, -1, sign)
+                    for p in range(n):
+                        block = _block(c, offs, q, p)
+                        if p > q:
+                            assert block == expect[seq[p]], (k, seq, sign, q, p)
+                        elif p == q:
+                            assert block == MatQ.identity(m.dims[seq[p]])
+                        else:
+                            assert block.is_zero()
+        if n <= 8:
+            blocks, multi = _enumerated_stokes_blocks(m, A, zeta0)
+            assert stokes_pair(m, A, zeta0).blocks == blocks
+            multi_vertex += multi
+        dims.update(m.dims)
+    assert dims == {0, 1, 2, 3} and multi_vertex > 500
+
+
+def chain_work(A, zeta0):
+    """What the two _chain_matrix passes of stokes_pair do: the number of
+    block products (vertex pairs b before c), the number of sums (one per
+    distinct turning set at each vertex with a predecessor, the full set
+    being its row block), and over the (b, c) steps with a nonempty turning
+    set, how many sets are partial and new at b and how many repeat one
+    already summed at b."""
     order = fourier_order(A, zeta0)
     t = A.sign_table()
-    states = partial = repeats = 0
+    products = sums = partial = repeats = 0
     for seq in (order, order[::-1]):
-        for k in range(len(seq)):
-            run = seq[k:]
-            into = {v: [run[0]] for v in run[1:]}
-            for a, v in enumerate(run[1:], 2):
-                states += 1
-                seen = {tuple(into[v])}
-                for w in run[a:]:
-                    turns = tuple(u for u in into[v] if t[u][v][w] == -1)
-                    if turns:
-                        into[w].append(v)
-                        repeats += turns in seen
-                        partial += turns not in seen
-                        seen.add(turns)
-    return states, partial, repeats
+        for pb, b in enumerate(seq):
+            products += len(seq) - 1 - pb
+            seen = {tuple(seq[:pb])} if pb else set()
+            sums += len(seen)
+            for c in seq[pb + 1:]:
+                turns = tuple(a for a in seq[:pb] if t[a][b][c] == -1)
+                if turns:
+                    repeats += turns in seen
+                    partial += turns not in seen
+                    sums += turns not in seen
+                    seen.add(turns)
+    return products, sums, partial, repeats
 
 
 def test_chain_sums_add_once_per_distinct_turn_set(monkeypatch):
-    """The chain sums, with one sum per distinct set of turning predecessors
-    at each vertex, equal the enumerated path sums; MatQ.total runs once per
-    (source, v) state and once per distinct partial turn set, on draws where
-    turn sets both repeat and differ."""
-    calls = []
-    total = MatQ.total
+    """The chain matrices of stokes_pair, one block product per ordered pair
+    of vertices and direction and one sum per distinct set of turning
+    predecessors at each vertex, equal the enumerated path sums; counted on
+    draws where turn sets both repeat and differ."""
+    import infrared.fourier
 
-    def counting(mats):
-        calls.append(len(mats))
-        return total(mats)
+    calls = {"step": 0, "total": 0}
+    for name, key in (("_chain_step", "step"), ("_chain_total", "total")):
+        def counting(*args, fn=getattr(infrared.fourier, name), key=key):
+            calls[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(MatQ, "total", staticmethod(counting))
+        monkeypatch.setattr(infrared.fourier, name, counting)
     r = rng(66)
     partial = repeats = 0
     for k in range(24):
         n = 3 + k % 6
         A = jittered_arc(r, n) if k % 4 == 3 else rand_config(r, n, extra_dirs=(Z_RIGHT,))
         m = rand_transport(r, n, max_dim=2)
-        calls.clear()
+        calls.update(step=0, total=0)
         pair = stokes_pair(m, A, Z0)
-        states, part, rep = turn_set_counts(A, Z0)
-        assert len(calls) == states + part
+        products, sums, part, rep = chain_work(A, Z0)
+        assert calls == {"step": products, "total": sums}
+        assert products == n * (n - 1)
         assert pair.blocks == _enumerated_stokes_blocks(m, A, Z0)[0]
         partial += part
         repeats += rep
@@ -710,8 +801,18 @@ def test_block_upper_product_refuses_a_planted_entry(monkeypatch):
 
 
 def test_a_perturbed_c_minus_fails_both_factorizations(monkeypatch):
-    """One C- block off by one entry: factorization_check and the dense
-    oracle both return ok False, with the same factors."""
+    """One entry of a C- block off by one, in the pair that
+    factorization_check reads through the module's stokes_pair.
+
+    On a diagonal block, C- is no longer unitriangular and both
+    factorizations fail: factorization_check, and the true T_glob times the
+    perturbed C-tilde against C+ Delta.  On the block (4, 1) above the
+    diagonal, the dense oracle (T_glob of the true dressed data, the
+    perturbed C-) fails as before; factorization_check builds T_glob from the
+    C- it reads, so the perturbation moves T_glob and C-tilde together.  Its
+    factors are then those of the dense oracle on the perturbed blocks, and
+    its verdict holds, because the ascending product of the arms U - V times
+    V is U for every block upper unitriangular V."""
     import dataclasses
 
     import infrared.fourier
@@ -720,18 +821,53 @@ def test_a_perturbed_c_minus_fails_both_factorizations(monkeypatch):
     A = jittered_arc(r, 6)
     m = rand_transport(r, 6, max_dim=3)
     pair = stokes_pair(m, A, Z0)
+    true = factorization_check(m, A, Z0)
+    size = sum(pair.dims)
+
+    def unit(row, col):
+        return MatQ([[int((a, b) == (row, col)) for b in range(size)] for a in range(size)])
+
+    lo = _block_offsets(pair.dims)[2]
+    patched = dataclasses.replace(pair, c_minus=pair.c_minus + unit(lo, lo))
+    monkeypatch.setattr(infrared.fourier, "stokes_pair", lambda *args: patched)
+    rep = factorization_check(m, A, Z0)
+    ident = MatQ.identity(size)
+    assert rep.c_minus_twisted == ident - (patched.c_minus - ident) @ true.delta
+    assert rep.ok is False
+    assert true.lhs @ rep.c_minus_twisted != true.c_plus @ true.delta
+
     down = {k: b for k, b in pair.blocks.items() if k[0] > k[1]}
     key = (4, 1)
     b = down[key]
     down[key] = b + MatQ([[int(i == j == 0) for j in range(b.cols)] for i in range(b.rows)])
     bad = dense_unitriangular(pair.dims, down)
     assert bad != pair.c_minus
-    monkeypatch.setattr(
-        infrared.fourier, "stokes_pair",
-        lambda *args: dataclasses.replace(pair, c_minus=bad),
-    )
+    patched = dataclasses.replace(pair, c_minus=bad)
     rep = factorization_check(m, A, Z0)
-    expect = dense_factorization(m, pair, down)
+    assert dense_factorization(m, pair, down)["ok"] is False
+    assert rep.lhs != true.lhs and rep.ok is True
+    assert report_parts(rep) == dense_factorization(m, patched)
+
+
+def test_an_inexact_delta_fails_the_factorization(monkeypatch):
+    """One local monodromy inverse off by one entry, so that Delta_s no
+    longer inverts Id - m_ss: factorization_check and the dense oracle both
+    return ok False, with the same factors."""
+    r = rng(70)
+    A = jittered_arc(r, 6)
+    m = rand_transport(r, 6, max_dim=3)
+    good = m.local_monodromy_inverse(3)
+    off = good + MatQ([[int(i == j == 0) for j in range(good.cols)] for i in range(good.rows)])
+    exact = TransportData.local_monodromy_inverse
+
+    def inexact(self, i):
+        # the dressed data of the oracle carries the same inverses
+        inv = exact(self, i)
+        return off if inv is good else inv
+
+    monkeypatch.setattr(TransportData, "local_monodromy_inverse", inexact)
+    rep = factorization_check(m, A, Z0)
+    expect = dense_factorization(m, stokes_pair(m, A, Z0))
     assert rep.ok is False and expect["ok"] is False
     assert report_parts(rep) == expect
 

@@ -55,9 +55,9 @@ def test_tracer_counts_the_crossings_of_a_walk(tracing, capsys):
 def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
     """Over one traced `infrared stokes` on the 8-point arc, the tracer
     records one `stokes_pair` and one `factorization_check` span, the only
-    inversions are the 8 local monodromies of the transport data, and the
-    only matrix products are the 56 chain-sum steps of C+ (one per triple
-    of the arc): neither the monodromy product nor the check runs `@`."""
+    inversions are the 8 local monodromies of the transport data, and no
+    `MatQ` product runs: the chain matrices multiply integer rows, and
+    neither the monodromy product nor the check runs `@`."""
     from infrared.cli import main
 
     tracer = tracing.Tracer()
@@ -72,7 +72,7 @@ def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
     assert counts["fourier.stokes_pair.calls"] == 1
     assert counts["fourier.factorization_check.calls"] == 1
     assert counts["linalg.MatQ.inverse.calls"] == 8
-    assert counts["linalg.MatQ.matmul.calls"] == 56
+    assert counts.get("linalg.MatQ.matmul.calls", 0) == 0
     assert counts["fourier.stokes_pair.s"] > 0
     assert counts["fourier.factorization_check.s"] > 0
 
