@@ -51,7 +51,6 @@ from .paths import (
 from .perverse import (
     Quiver,
     TransportData,
-    adjoints,
     braid_act_quiver,
     braid_act_transport,
     cy_check,

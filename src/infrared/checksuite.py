@@ -25,6 +25,10 @@ from .wallcross import CrossingSpec, apply_crossing
 
 Q = Fraction
 
+# the largest block size `run` accepts: it draws matrices of up to dim + 1
+# rows and columns, and at dim 24 the suite takes a few seconds
+MAX_DIM = 24
+
 
 def run(seed: int = 0, n: int = 4, dim: int = 2) -> dict:
     r = rng(seed)

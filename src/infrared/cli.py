@@ -287,8 +287,8 @@ def cmd_check(inst_or_none, args) -> dict:
 
     if args.n < 2:
         raise InvalidInput(f"--n must be at least 2, got {args.n}")
-    if args.dim < 1:
-        raise InvalidInput(f"--dim must be at least 1, got {args.dim}")
+    if not 1 <= args.dim <= checksuite.MAX_DIM:
+        raise InvalidInput(f"--dim must be 1..{checksuite.MAX_DIM}, got {args.dim}")
     return checksuite.run(seed=args.seed, n=args.n, dim=args.dim)
 
 

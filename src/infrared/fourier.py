@@ -387,9 +387,10 @@ def _reversed_blocks(x: MatQ, dims: Sequence[int]) -> MatQ:
 def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     """Both Stokes matrices of the transform in direction zeta0.
 
-    Slots follow fourier_order(A, zeta0), i.e. ell along -conj(zeta0)
-    increasing; C+ sums iterated transports over (-conj(zeta0))-convex
-    paths upward in slots, C- over (conj(zeta0))-convex paths downward.
+    Slots follow fourier_order(A, zeta0), i.e. the infinity keys of
+    -conj(zeta0) increasing; C+ sums iterated transports over
+    (-conj(zeta0))-convex paths upward in slots, C- over (conj(zeta0))-convex
+    paths downward.
     """
     rep = general_position(A)
     if not rep.strong_lin_general:
@@ -397,7 +398,7 @@ def stokes_pair(m: TransportData, A: Config, zeta0: Dir) -> StokesPair:
     order = fourier_order(A, zeta0)
     dims = [m.dims[i] for i in order]
     t = A.sign_table()
-    # ell along conj(zeta0) is minus ell along -conj(zeta0), so C- runs over
+    # the keys of conj(zeta0) are minus those of -conj(zeta0), so C- runs over
     # the reversed order; both convexities take the clockwise turn
     # t[u][v][w] == -1 of enumerate_zeta_convex_paths
     c_plus = _chain_matrix(m, order, t, -1)

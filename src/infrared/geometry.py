@@ -19,14 +19,16 @@ Conventions
   ``area2`` of every triangle of points and ``Config.sign_table()`` its
   signs, both filled in one pass per configuration; predicates read the
   signs, and the secondary layer reads triangle areas, from them.
-* The dominance value of a point w in direction zeta is
-  ``Re(zeta * w) = dx*x - dy*y`` (complex product).
 * The "infinity" linear form for zeta is ``cross(zeta, w) = dx*y - dy*x``;
   a configuration is in general position including zeta-infinity when these
-  values are pairwise distinct.  ``infinity_order`` sorts by it on integer
-  keys (the form on ``int_points()`` with zeta scaled to integers), for the
-  spider order, the genericity test and the pair orders of ``paths`` and
-  ``plot``.
+  values are pairwise distinct.  ``infinity_keys`` is the one projection
+  routine: the form on ``int_points()`` with zeta scaled to integers.  Every
+  order and tie test of points along a direction reads it: the spider
+  order, the genericity test, the zeta-hulls, heights and pair orders of
+  ``paths``, framings and ``plot``.
+* The dominance value of a point w in direction zeta is
+  ``Re(zeta * w) = dx*x - dy*y`` (complex product), the infinity form of
+  (-dy, -dx); ``dominance_order`` is the infinity order of that direction.
 * Wall events along a straight leg are computed on the leg scaled to integer
   coordinates.  Their times are roots of integer polynomials of degree <= 2
   (``AlgebraicTime``).  Whether a time lies in (0, 1), and its order among
@@ -45,6 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegeneratePosition, InvalidInput, PathNotGeneric
@@ -89,10 +92,6 @@ class Dir:
 
     def conjugate(self) -> "Dir":
         return Dir(self.dx, -self.dy)
-
-    def dominance_value(self, p: Pt) -> Fraction:
-        """Re(zeta * w): growth order of exp(w z) along the zeta ray."""
-        return self.dx * p.x - self.dy * p.y
 
     def infinity_form(self, p: Pt) -> Fraction:
         """cross(zeta, w) = Im(conj(zeta) w): position across the zeta ray."""
@@ -230,14 +229,18 @@ class GPReport:
     incl_infinity: Optional[bool]
 
 
-def infinity_order(A: Config, zeta: Dir) -> tuple[list[int], bool]:
-    """The indices of A sorted by the zeta-infinity form, ties in index
-    order, and whether the form takes pairwise distinct values on A.  The
-    keys are the form on `A.int_points()` with zeta scaled to integers, a
-    positive multiple of `zeta.infinity_form`, so the order and the ties
-    are the same."""
+def infinity_keys(A: Config, zeta: Dir) -> list[int]:
+    """The zeta-infinity form on `A.int_points()`, with zeta scaled to
+    integers: at each point a positive multiple, common to all points, of
+    `zeta.infinity_form`, so every order and tie along zeta is the same."""
     (dx, dy), _ = _int_row((zeta.dx, zeta.dy))
-    keys = [dx * y - dy * x for x, y in A.int_points()[0]]
+    return [dx * y - dy * x for x, y in A.int_points()[0]]
+
+
+def infinity_order(A: Config, zeta: Dir) -> tuple[list[int], bool]:
+    """The indices of A sorted by `infinity_keys`, ties in index order, and
+    whether the keys are pairwise distinct."""
+    keys = infinity_keys(A, zeta)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return order, all(keys[a] != keys[b] for a, b in zip(order, order[1:]))
 
@@ -285,7 +288,7 @@ def convex_hull(A: Config, subset: Optional[Iterable[int]] = None) -> list[int]:
     index."""
     t = A.sign_table()
     pts = range(len(A)) if subset is None else set(subset)
-    idx = sorted(pts, key=lambda i: (A[i].x, A[i].y))
+    idx = sorted(pts, key=A.int_points()[0].__getitem__)
     if len(idx) == 1:
         return [idx[0]]
 
@@ -307,25 +310,17 @@ def convex_hull(A: Config, subset: Optional[Iterable[int]] = None) -> list[int]:
 
 
 def dominance_order(A: Config, zeta: Dir) -> list[int]:
-    """Indices sorted by increasing Re(zeta w).  Ties are an error."""
-    keyed = sorted(range(len(A)), key=lambda i: zeta.dominance_value(A[i]))
-    for a, b in zip(keyed, keyed[1:]):
-        if zeta.dominance_value(A[a]) == zeta.dominance_value(A[b]):
+    """Indices sorted by increasing Re(zeta w) = dx*x - dy*y, the infinity
+    keys of (-dy, -dx).  Ties are an error."""
+    keys = infinity_keys(A, Dir(-zeta.dy, -zeta.dx))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if keys[a] == keys[b]:
             raise DegeneratePosition(
                 f"dominance tie between points {a} and {b} for direction "
                 f"({zeta.dx},{zeta.dy})"
             )
-    return keyed
-
-
-def anti_stokes_directions(A: Config) -> list[tuple[int, int, Dir]]:
-    """For every pair {i, j} the two opposite switching directions are
-    +-(dy, dx) where (dx, dy) = w_i - w_j.  One representative per pair."""
-    out = []
-    for i, j in itertools.combinations(range(len(A)), 2):
-        d = A[i] - A[j]
-        out.append((i, j, Dir(d.y, d.x)))
-    return out
+    return order
 
 
 def anti_stokes_sequence(
@@ -336,42 +331,36 @@ def anti_stokes_sequence(
     Rotating zeta from zeta0 to -zeta0 (counterclockwise by default,
     clockwise with rotation="cw"), each anti-Stokes direction switches two
     adjacent elements of the dominance order; the word records the 1-based
-    positions of those switches, i.e. letters s_1 .. s_{N-1}.
+    positions of those switches, i.e. letters s_1 .. s_{N-1}.  The pair
+    {i, j} switches at +-(dy, dx), (dx, dy) = w_i - w_j, read in the integer
+    frame; strong general position makes these directions pairwise
+    non-parallel, so the sign of a cross product orders them.
     """
     if rotation not in ("ccw", "cw"):
         raise InvalidInput("rotation must be 'ccw' or 'cw'")
-    rep = general_position(A, zeta0)
-    if not rep.strong_lin_general:
+    if not general_position(A).strong_lin_general:
         raise DegeneratePosition("anti-Stokes scan needs strong general position")
-    want_positive = rotation == "ccw"
+    sign = 1 if rotation == "ccw" else -1
+    (zx, zy), _ = _int_row((zeta0.dx, zeta0.dy))
+    pts = A.int_points()[0]
     events = []
-    for i, j, u in anti_stokes_directions(A):
-        side = zeta0.dx * u.dy - zeta0.dy * u.dx  # cross(zeta0, u)
+    for i, j in itertools.combinations(range(len(A)), 2):
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        ux, uy = yi - yj, xi - xj
+        side = zx * uy - zy * ux  # cross(zeta0, u)
         if side == 0:
             raise DegeneratePosition(
                 f"start direction is anti-Stokes for pair ({i},{j})"
             )
-        if (side > 0) != want_positive:
-            u = u.opposite()
-        events.append((i, j, u))
-
-    def earlier(u: Dir, v: Dir) -> bool:
-        c = u.dx * v.dy - u.dy * v.dx
-        if c == 0:
-            raise DegeneratePosition("coincident anti-Stokes directions")
-        return (c > 0) if want_positive else (c < 0)
-
-    # insertion sort with the exact angular comparator
-    ordered: list[tuple[int, int, Dir]] = []
-    for ev in events:
-        lo = 0
-        while lo < len(ordered) and earlier(ordered[lo][2], ev[2]):
-            lo += 1
-        ordered.insert(lo, ev)
+        if side * sign < 0:
+            ux, uy = -ux, -uy
+        events.append((ux, uy, i, j))
+    # u before v when the turn from u to v has the sign of the rotation
+    events.sort(key=cmp_to_key(lambda u, v: sign * (u[1] * v[0] - u[0] * v[1])))
 
     order = dominance_order(A, zeta0)
     word = []
-    for i, j, _ in ordered:
+    for _, _, i, j in events:
         pi, pj = order.index(i), order.index(j)
         if abs(pi - pj) != 1:
             raise DegeneratePosition(

@@ -4,12 +4,13 @@ For a direction zeta, the zeta-hull of a point set B is the convex hull of
 the union of rays w + zeta*R_{>=0}, w in B.  A polygonal path with vertices
 in the configuration is *zeta-convex* when it equals the finite part of the
 boundary of the zeta-hull of its own vertex set.  Paths are traversed with
-the linear form
+the zeta-infinity form
 
-    ell_zeta(w) = cross(zeta, w) = dx*y - dy*x
+    cross(zeta, w) = dx*y - dy*x
 
 strictly increasing, and a zeta-convex chain turns clockwise at every
-intermediate vertex (the hull region lies on its right).
+intermediate vertex (the hull region lies on its right).  Every order and
+tie test along zeta reads that form as `geometry.infinity_keys`.
 
 The height set h(gamma) collects all configuration points lying in the
 zeta-hull of gamma apart from the endpoints; intermediate vertices form
@@ -22,7 +23,6 @@ of the infrared differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,11 +30,7 @@ from .errors import (
     InvalidEndpoints,
     InvalidReduction,
 )
-from .geometry import Config, Dir, Pt
-
-
-def ell(zeta: Dir, p: Pt) -> Fraction:
-    return zeta.infinity_form(p)
+from .geometry import Config, Dir, infinity_keys, infinity_order
 
 
 @dataclass(frozen=True)
@@ -88,14 +84,15 @@ class IncidenceEntry:
 
 def zeta_hull_chain(A: Config, subset: Iterable[int], zeta: Dir) -> list[int]:
     """Finite boundary part of the zeta-hull of the given points, as the
-    index chain ordered by increasing ell_zeta.  A single point for |S|=1."""
+    index chain ordered by increasing infinity keys.  A single point for
+    |S|=1."""
     subset = list(dict.fromkeys(subset))
     if not subset:
         raise InvalidEndpoints("empty point set")
-    keys = {i: ell(zeta, A[i]) for i in subset}
-    if len(set(keys.values())) != len(subset):
+    keys = infinity_keys(A, zeta)
+    if len({keys[i] for i in subset}) != len(subset):
         raise DegeneratePosition("projection tie inside zeta-hull input")
-    order = sorted(subset, key=keys.get)
+    order = sorted(subset, key=keys.__getitem__)
     t = A.sign_table()
     chain: list[int] = []
     for i in order:
@@ -132,18 +129,18 @@ def height_data(path: PolyPath) -> HeightData:
     A, zeta = path.config, path.zeta
     chain = path.vertices
     lset = tuple(sorted(chain[1:-1]))
-    lo = ell(zeta, A[chain[0]])
-    hi = ell(zeta, A[chain[-1]])
+    keys = infinity_keys(A, zeta)
+    lo, hi = keys[chain[0]], keys[chain[-1]]
     members = set(chain[1:-1])
     t = A.sign_table()
     for w in range(len(A)):
         if w in chain:
             continue
-        lw = ell(zeta, A[w])
+        lw = keys[w]
         if not (lo < lw < hi):
             continue
         for a, b in zip(chain, chain[1:]):
-            if ell(zeta, A[a]) < lw < ell(zeta, A[b]):
+            if keys[a] < lw < keys[b]:
                 if t[a][b][w] <= 0:
                     members.add(w)
                 break
@@ -156,24 +153,21 @@ def enumerate_zeta_convex_paths(
     """All zeta-convex paths from w_i to w_j with vertices in A, in
     lexicographic vertex order.
 
-    DFS over vertices sorted by the ell_zeta projection, pruning on the
-    strict clockwise-turn condition; correctness against the hull-equality
-    oracle is asserted in the test suite.
+    DFS over the points between w_i and w_j in `infinity_order`, pruning on
+    the strict clockwise-turn condition; correctness against the
+    hull-equality oracle is asserted in the test suite.
     """
-    proj = [ell(zeta, p) for p in A]
-    if len(set(proj)) != len(proj):
+    order, generic = infinity_order(A, zeta)
+    if not generic:
         raise DegeneratePosition(
             "configuration not in general position including zeta-infinity"
         )
-    li, lj = proj[i], proj[j]
-    if not li < lj:
+    pi, pj = order.index(i), order.index(j)
+    if not pi < pj:
         raise InvalidEndpoints(
             f"projection of source {i} must be strictly below target {j}"
         )
-    between = sorted(
-        (w for w in range(len(A)) if li < proj[w] < lj and w != j),
-        key=proj.__getitem__,
-    )
+    between = order[pi + 1:pj]
     t = A.sign_table()
     found: list[PolyPath] = []
 

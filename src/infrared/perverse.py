@@ -281,10 +281,6 @@ def left_adjoint(f: MatQ, b_src: MatQ, b_tgt: MatQ) -> MatQ:
     return b_src.T.inverse() @ f.T @ b_tgt.T
 
 
-def adjoints(f: MatQ, b_src: MatQ, b_tgt: MatQ) -> tuple[MatQ, MatQ]:
-    return right_adjoint(f, b_src, b_tgt), left_adjoint(f, b_src, b_tgt)
-
-
 def is_isometry(t: MatQ, B: MatQ) -> bool:
     return t.T @ B @ t == B
 

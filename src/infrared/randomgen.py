@@ -22,12 +22,8 @@ def rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def rand_fraction(r: random.Random) -> Fraction:
-    return Fraction(r.randint(-2, 2), r.randint(1, 3))
-
-
 def rand_matrix(r: random.Random, rows: int, cols: int) -> MatQ:
-    """Entries drawn as `rand_fraction` draws them, in the same order, and
+    """Entries Fraction(randint(-2, 2), randint(1, 3)), drawn in row order,
     kept as integers over 6, the lcm of the denominators 1..3."""
     return MatQ._reduced(tuple([
         tuple([r.randint(-2, 2) * (6 // r.randint(1, 3)) for _ in range(cols)])

@@ -36,7 +36,7 @@ no coordinate arithmetic: signs come from `Config.sign_table()`, triangle
 areas (`geometry.area2`) from `Config.area_table()`, a polygon's as a sum
 of them, lifts and edge directions from `Config.int_points()`
 (each the true value times a positive factor of the configuration), and
-the framing projection from `Dir.infinity_form`.
+the framing projection from `geometry.infinity_keys` on that frame.
 
 Two routines rest on standard facts about subdivisions of a configuration
 in linear general position, no three points collinear (De Loera, Rambau and
@@ -65,7 +65,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from .geometry import Config, Dir, convex_hull, general_position
+from .geometry import Config, Dir, convex_hull, general_position, infinity_keys
 from .linalg import MatQ, _int_row, int_kernel, int_rank
 
 Q = Fraction
@@ -738,7 +738,8 @@ def framing(A: Config, polygon: Sequence[int], zeta: Dir) -> Framing:
     poly = _canon_cycle(list(polygon))
     if _area(A, poly) < 0:
         poly = _canon_cycle(list(reversed(poly)))
-    vals = [zeta.infinity_form(A[w]) for w in poly]
+    keys = infinity_keys(A, zeta)
+    vals = [keys[w] for w in poly]
     if len(set(vals)) != len(vals):
         raise DegeneratePosition("projection tie on the polygon's corners")
     ai = vals.index(min(vals))

@@ -241,7 +241,7 @@ def test_poset_labels_name_the_omitted_points(capsys):
     from infrared.plotting import _label
     from infrared.secondary import enumerate_subdivisions
 
-    for name in sorted(os.listdir(DATA)):
+    for name in sorted(n for n in os.listdir(DATA) if n.endswith(".json")):
         with open(os.path.join(DATA, name)) as fh:
             doc = json.load(fh)
         if "config" in doc:
@@ -510,6 +510,38 @@ def test_a_negative_zeta_may_follow_as_its_own_word(argv, zeta, capsys):
         (["fourier", "stokes_random.json", "--zeta", "1/1"], "stokes_random.fourier_1_1.json"),
         (["fourier", "stokes_arc.json"], "stokes_arc.fourier.json"),
         (["fourier", "stokes_arc.json", "--zeta", "1/1"], "stokes_arc.fourier_1_1.json"),
+        (["matroid", "seven.json", "--zeta", "1/0"], "seven.matroid_1_0.json"),
+        (["antistokes", "seven.json", "--zeta", "1/0"], "seven.antistokes_1_0.json"),
+        (["antistokes", "seven.json", "--rotation", "cw", "--zeta", "1/0"],
+         "seven.antistokes_cw_1_0.json"),
+        (["paths", "seven.json", "--zeta", "1/0"], "seven.paths_1_0.json"),
+        (["paths", "seven.json", "--format", "jsonl", "--zeta", "1/0"],
+         "seven.paths_jsonl_1_0.jsonl"),
+        (["plot", "seven.json", "--format", "svg", "--zeta", "1/0"], "seven.svg_1_0.json"),
+        (["matroid", "seven.json", "--zeta", "-1/2"], "seven.matroid_m1_2.json"),
+        (["antistokes", "seven.json", "--zeta", "-1/2"], "seven.antistokes_m1_2.json"),
+        (["antistokes", "seven.json", "--rotation", "cw", "--zeta", "-1/2"],
+         "seven.antistokes_cw_m1_2.json"),
+        (["paths", "seven.json", "--zeta", "-1/2"], "seven.paths_m1_2.json"),
+        (["paths", "seven.json", "--format", "jsonl", "--zeta", "-1/2"],
+         "seven.paths_jsonl_m1_2.jsonl"),
+        (["plot", "seven.json", "--format", "svg", "--zeta", "-1/2"], "seven.svg_m1_2.json"),
+        (["matroid", "walk_leg.json", "--zeta", "0/1"], "walk_leg.matroid_0_1.json"),
+        (["antistokes", "walk_leg.json", "--zeta", "0/1"], "walk_leg.antistokes_0_1.json"),
+        (["antistokes", "walk_leg.json", "--rotation", "cw", "--zeta", "0/1"],
+         "walk_leg.antistokes_cw_0_1.json"),
+        (["paths", "walk_leg.json", "--zeta", "0/1"], "walk_leg.paths_0_1.json"),
+        (["paths", "walk_leg.json", "--format", "jsonl", "--zeta", "0/1"],
+         "walk_leg.paths_jsonl_0_1.jsonl"),
+        (["plot", "walk_leg.json", "--format", "svg", "--zeta", "0/1"], "walk_leg.svg_0_1.json"),
+        (["matroid", "walk_leg.json", "--zeta", "-1/2"], "walk_leg.matroid_m1_2.json"),
+        (["antistokes", "walk_leg.json", "--zeta", "-1/2"], "walk_leg.antistokes_m1_2.json"),
+        (["antistokes", "walk_leg.json", "--rotation", "cw", "--zeta", "-1/2"],
+         "walk_leg.antistokes_cw_m1_2.json"),
+        (["paths", "walk_leg.json", "--zeta", "-1/2"], "walk_leg.paths_m1_2.json"),
+        (["paths", "walk_leg.json", "--format", "jsonl", "--zeta", "-1/2"],
+         "walk_leg.paths_jsonl_m1_2.jsonl"),
+        (["plot", "walk_leg.json", "--format", "svg", "--zeta", "-1/2"], "walk_leg.svg_m1_2.json"),
     ],
 )
 def test_cli_output_is_pinned(argv, expected, capsys):
@@ -517,11 +549,18 @@ def test_cli_output_is_pinned(argv, expected, capsys):
     on a 5-point leg and on an 8-point leg there and back, the poset plots
     of the pentagon, the poset CSV of the 7-point `seven` and `fourier` on
     both 8-point instances at the default zeta and at 1/1 print exactly the
-    committed output."""
+    committed output.  So do `matroid`, `antistokes` in both rotations,
+    `paths` as json and jsonl and the SVG plot of `seven` and of the 5-point
+    `walk_leg`, each at two directions; a committed output that is an error
+    is printed with exit code 2: `antistokes` of `seven` at -1/2 (a start
+    direction that is anti-Stokes) and `paths` of `walk_leg` at 0/1 (a tie
+    of the infinity form)."""
     argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
-    assert main(argv) == 0
+    code = main(argv)
     with open(os.path.join(DATA, expected), "rb") as fh:
-        assert capsys.readouterr().out.encode() == fh.read()
+        golden = fh.read()
+    assert capsys.readouterr().out.encode() == golden
+    assert code == (2 if golden.startswith(b'{"error": ') else 0)
 
 
 def _pinned_leg(name, target):
@@ -704,6 +743,23 @@ def test_check_rejects_a_dimension_below_one(capsys):
     code, data = run_cli(["check", "--dim", "0"], capsys)
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
+
+
+def test_check_rejects_a_dimension_above_the_bound(capsys, monkeypatch):
+    """A `--dim` above `checksuite.MAX_DIM` is invalid input before any
+    draw: a value of 10**100 would allocate nothing, and `run` is not
+    called."""
+    from infrared import checksuite
+
+    def no_run(**kwargs):
+        raise AssertionError("checksuite.run was called")
+
+    monkeypatch.setattr(checksuite, "run", no_run)
+    for dim in (checksuite.MAX_DIM + 1, 10**100):
+        code, data = run_cli(["check", "--dim", str(dim)], capsys)
+        assert code == 2
+        assert data["error"]["code"] == "invalid_input"
+        assert "--dim" in data["error"]["message"]
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])

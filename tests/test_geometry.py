@@ -24,6 +24,7 @@ from infrared.geometry import (
     dominance_order,
     general_position,
     infinity_generic,
+    infinity_keys,
     orient,
     pt,
     segment_wall_events,
@@ -471,6 +472,138 @@ def test_anti_stokes_words_against_sampled_oracle():
             start = dominance_order(A, Z_RIGHT)
             assert apply_word(start, word) == start[::-1]
             assert word == sampled_rotation_oracle(A, rotation)
+
+
+def fraction_dominance_order(A, zeta):
+    """Oracle: indices sorted by Re(zeta w) = dx*x - dy*y on the Fraction
+    coordinates.  Ties are an error."""
+    def value(i):
+        return zeta.dx * A[i].x - zeta.dy * A[i].y
+
+    keyed = sorted(range(len(A)), key=value)
+    for a, b in zip(keyed, keyed[1:]):
+        if value(a) == value(b):
+            raise DegeneratePosition(
+                f"dominance tie between points {a} and {b} for direction "
+                f"({zeta.dx},{zeta.dy})"
+            )
+    return keyed
+
+
+def insertion_sort_anti_stokes_sequence(A, zeta0, rotation="ccw"):
+    """Oracle: the half-turn scan on Fraction directions, the pair {i, j}
+    switching at +-(dy, dx) with (dx, dy) = w_i - w_j, put in order by an
+    insertion sort with the exact angular comparator."""
+    if not general_position(A, zeta0).strong_lin_general:
+        raise DegeneratePosition("anti-Stokes scan needs strong general position")
+    want_positive = rotation == "ccw"
+    events = []
+    for i, j in itertools.combinations(range(len(A)), 2):
+        d = A[i] - A[j]
+        u = Dir(d.y, d.x)
+        side = zeta0.dx * u.dy - zeta0.dy * u.dx
+        if side == 0:
+            raise DegeneratePosition(f"start direction is anti-Stokes for pair ({i},{j})")
+        if (side > 0) != want_positive:
+            u = u.opposite()
+        events.append((i, j, u))
+
+    def earlier(u, v):
+        c = u.dx * v.dy - u.dy * v.dx
+        if c == 0:
+            raise DegeneratePosition("coincident anti-Stokes directions")
+        return (c > 0) if want_positive else (c < 0)
+
+    ordered = []
+    for ev in events:
+        lo = 0
+        while lo < len(ordered) and earlier(ordered[lo][2], ev[2]):
+            lo += 1
+        ordered.insert(lo, ev)
+    order = fraction_dominance_order(A, zeta0)
+    word = []
+    for i, j, _ in ordered:
+        pi, pj = order.index(i), order.index(j)
+        if abs(pi - pj) != 1:
+            raise DegeneratePosition(
+                f"switch of non-adjacent elements {i},{j}: configuration is "
+                "not generic for the scan"
+            )
+        lo = min(pi, pj)
+        word.append(lo + 1)
+        order[lo], order[lo + 1] = order[lo + 1], order[lo]
+    return word
+
+
+def tie_prone_draws(seed, count):
+    """(configuration, direction) pairs on small grids, so that ties of the
+    projections along a direction are common: the even draws are in linear
+    general position but not always in strong position, the odd ones may
+    hold collinear triples and are left in draw order.  The directions have
+    rational entries."""
+    r = rng(seed)
+    out = []
+    for k in range(count):
+        n = r.randint(2, 7)
+        if k % 2 == 0:
+            A = rand_config(r, n, require_strong=False, box=2 + k % 3)
+        else:
+            pts = []
+            while len(pts) < n:
+                p = tuple(Q(r.randint(-3, 3), r.randint(1, 2)) for _ in range(2))
+                if p not in pts:
+                    pts.append(p)
+            A = config(*pts)
+        dx, dy = 0, 0
+        while dx == dy == 0:
+            dx, dy = r.randint(-2, 2), r.randint(-2, 2)
+        out.append((A, Dir(Q(dx, r.randint(1, 3)), Q(dy, r.randint(1, 3)))))
+    return out
+
+
+def _result(fn, *args):
+    """fn(*args), or the type and message of the DegeneratePosition it raises."""
+    try:
+        return fn(*args)
+    except DegeneratePosition as exc:
+        return "DegeneratePosition", str(exc)
+
+
+def test_infinity_keys_are_one_positive_multiple_of_the_form():
+    """`infinity_keys` is the infinity form times den * lcm(zeta's
+    denominators), at every point of every draw."""
+    for A, zeta in tie_prone_draws(31, 200):
+        scale = A.int_points()[1] * math.lcm(zeta.dx.denominator, zeta.dy.denominator)
+        assert infinity_keys(A, zeta) == [scale * zeta.infinity_form(p) for p in A]
+
+
+def test_dominance_order_matches_the_fraction_oracle():
+    """`dominance_order`, the infinity order of (-dy, -dx), gives the order
+    of the Fraction values Re(zeta w), or the same tie message, on 600
+    tie-prone draws; both outcomes occur."""
+    ties = 0
+    for A, zeta in tie_prone_draws(32, 600):
+        got = _result(dominance_order, A, zeta)
+        assert got == _result(fraction_dominance_order, A, zeta), (A, zeta)
+        ties += isinstance(got, tuple)
+    assert 50 < ties < 550
+
+
+def test_anti_stokes_sequence_matches_the_insertion_sort_oracle():
+    """On 600 tie-prone draws, in both rotations, the scan on the integer
+    frame gives the word of the insertion-sort scan on Fraction directions,
+    or raises DegeneratePosition with the same message; words, refusals for
+    strong position and anti-Stokes start directions all occur."""
+    seen = {}
+    for A, zeta in tie_prone_draws(33, 600):
+        for rotation in ("ccw", "cw"):
+            got = _result(anti_stokes_sequence, A, zeta, rotation)
+            assert got == _result(insertion_sort_anti_stokes_sequence, A, zeta, rotation), (
+                A, zeta, rotation)
+            kind = got[1].split(" ")[0] if isinstance(got, tuple) else "word"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"word", "anti-Stokes", "start"}
+    assert min(seen.values()) > 50, seen
 
 
 def test_wall_events_constant_path():

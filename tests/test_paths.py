@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from infrared.errors import EdgePrecondition, InvalidEndpoints, InvalidReduction
+from infrared.errors import (
+    DegeneratePosition,
+    EdgePrecondition,
+    InvalidEndpoints,
+    InvalidReduction,
+)
 from infrared.geometry import Config, config, convex_hull, direction
 from infrared.paths import (
     PolyPath,
@@ -17,6 +22,7 @@ from infrared.paths import (
     zeta_hull_chain,
 )
 from infrared.randomgen import maximally_concave_config, rand_config, rng
+from test_geometry import tie_prone_draws
 
 Z = direction(1, 0)
 
@@ -123,6 +129,89 @@ def test_enumeration_examples():
         (0, 1, 2),
         (0, 2),
     ]
+
+
+def form_hull_chain(A, subset, zeta):
+    """Oracle: the finite boundary of the zeta-hull, sorted by
+    `Dir.infinity_form` and turned by Fraction cross products."""
+    subset = list(dict.fromkeys(subset))
+    keys = {i: zeta.infinity_form(A[i]) for i in subset}
+    if len(set(keys.values())) != len(subset):
+        raise DegeneratePosition("projection tie inside zeta-hull input")
+    chain = []
+    for i in sorted(subset, key=keys.get):
+        while len(chain) >= 2 and (A[chain[-1]] - A[chain[-2]]).cross(A[i] - A[chain[-2]]) >= 0:
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
+def form_height_data(path):
+    """Oracle: height_data with the projection `Dir.infinity_form` and the
+    side of each point from Fraction cross products."""
+    A, zeta, chain = path.config, path.zeta, path.vertices
+    ell = [zeta.infinity_form(p) for p in A]
+    members = set(chain[1:-1])
+    for w in range(len(A)):
+        if w in chain or not ell[chain[0]] < ell[w] < ell[chain[-1]]:
+            continue
+        for a, b in zip(chain, chain[1:]):
+            if ell[a] < ell[w] < ell[b]:
+                if (A[b] - A[a]).cross(A[w] - A[a]) <= 0:
+                    members.add(w)
+                break
+    return tuple(sorted(chain[1:-1])), tuple(sorted(members))
+
+
+def test_hull_chains_and_heights_match_the_form_oracles():
+    """On 400 tie-prone draws, some with collinear triples, `zeta_hull_chain`
+    of random subsets equals the chain keyed by `Dir.infinity_form`, or both
+    raise the same tie; `height_data` equals its oracle on each chain and on
+    a random sequence of distinct points."""
+    r = rng(34)
+    ties = chains = 0
+    for A, zeta in tie_prone_draws(34, 400):
+        n = len(A)
+        for _ in range(4):
+            subset = r.sample(range(n), r.randint(1, n))
+            try:
+                chain = zeta_hull_chain(A, subset, zeta)
+            except DegeneratePosition as exc:
+                with pytest.raises(DegeneratePosition, match=str(exc)):
+                    form_hull_chain(A, subset, zeta)
+                ties += 1
+                continue
+            assert chain == form_hull_chain(A, subset, zeta), (A, zeta, subset)
+            chains += 1
+            for seq in (chain, r.sample(range(n), r.randint(2, n))):
+                if len(seq) >= 2:
+                    p = PolyPath(A, tuple(seq), zeta)
+                    hd = height_data(p)
+                    assert (hd.l_set, hd.h_set) == form_height_data(p), (A, zeta, seq)
+    assert ties > 100 and chains > 100
+
+
+def test_enumeration_on_tie_prone_draws():
+    """On 150 tie-prone draws, `enumerate_zeta_convex_paths` refuses a
+    configuration exactly when `Dir.infinity_form` ties on it; otherwise each
+    pair in the order of the form gives the brute-force paths one way and
+    InvalidEndpoints the other."""
+    refused = 0
+    for A, zeta in tie_prone_draws(35, 150):
+        ell = [zeta.infinity_form(p) for p in A]
+        if len(set(ell)) < len(A):
+            with pytest.raises(DegeneratePosition):
+                enumerate_zeta_convex_paths(A, 0, 1, zeta)
+            refused += 1
+            continue
+        order = sorted(range(len(A)), key=ell.__getitem__)
+        for a, i in enumerate(order):
+            for j in order[a + 1:]:
+                got = [p.vertices for p in enumerate_zeta_convex_paths(A, i, j, zeta)]
+                assert got == brute_force_lambda(A, i, j, zeta), (A, zeta, i, j)
+                with pytest.raises(InvalidEndpoints):
+                    enumerate_zeta_convex_paths(A, j, i, zeta)
+    assert 20 < refused < 130
 
 
 def test_maximally_concave_single_segments():

@@ -8,7 +8,6 @@ from infrared.linalg import MatQ
 from infrared.perverse import (
     Quiver,
     TransportData,
-    adjoints,
     braid_act_quiver,
     braid_act_transport,
     braid_act_word,
@@ -24,15 +23,14 @@ from infrared.perverse import (
     spherical_report,
     straight_line_vassiliev,
 )
-from infrared.randomgen import (
-    rand_fraction,
-    rand_matrix,
-    rand_quiver,
-    rand_transport,
-    rng,
-)
+from infrared.randomgen import rand_matrix, rand_quiver, rand_transport, rng
 from test_fourier import solve_unit_upper_right, submatrix
 from test_linalg import block_diagonal
+
+
+def rand_fraction(r) -> Q:
+    """An entry as `rand_matrix` draws one: {-2..2}/{1..3}."""
+    return Q(r.randint(-2, 2), r.randint(1, 3))
 
 
 def local_monodromy(data: TransportData, i: int) -> MatQ:
@@ -254,16 +252,15 @@ def test_double_dual():
 
 
 def test_adjoints():
-    ra, la = adjoints(MatQ.identity(2), MatQ.identity(2), MatQ.identity(2))
-    assert ra == MatQ.identity(2) and la == MatQ.identity(2)
-    ra, la = adjoints(scalar(2), scalar(3), scalar(5))
-    assert ra == scalar(Q(10, 3))
+    one = MatQ.identity(2)
+    assert right_adjoint(one, one, one) == one and left_adjoint(one, one, one) == one
+    assert right_adjoint(scalar(2), scalar(3), scalar(5)) == scalar(Q(10, 3))
     # symmetric forms make both adjoints coincide
     b_src = MatQ([[2, 1], [1, 3]])
     b_tgt = MatQ([[1, 0], [0, 4]])
     r = rng(26)
     f = rand_matrix(r, 2, 2)
-    ra, la = adjoints(f, b_src, b_tgt)
+    ra, la = right_adjoint(f, b_src, b_tgt), left_adjoint(f, b_src, b_tgt)
     assert ra == la
     # defining property as matrices: B_tgt^t f = (f*)^t B_src^t
     assert b_tgt.T @ f == ra.T @ b_src.T

@@ -33,6 +33,7 @@ from infrared.secondary import (
     secondary_fan,
 )
 from infrared.randomgen import rand_config, rng
+from test_geometry import tie_prone_draws
 from test_kernels import BIG, PRIMES
 
 CIRCUIT_A = config((0, 0), (3, 0), (4, 3), (-1, 2))
@@ -314,6 +315,30 @@ def test_framing_and_content():
         assert content(tri, fr) == 0
     both = {len(fr.d_plus), len(fr.d_minus)}
     assert both == {2, 3}
+
+
+def test_framing_matches_the_infinity_form():
+    """On 300 tie-prone draws, `framing` of the hull polygon, given in
+    either orientation, puts alpha and omega at the least and greatest
+    `Dir.infinity_form` of its corners, or raises the same tie when two
+    corners share a value; both occur."""
+    ties = framed = 0
+    for A, zeta in tie_prone_draws(36, 300):
+        poly = convex_hull(A)
+        if len(poly) < 3:
+            continue
+        vals = [zeta.infinity_form(A[w]) for w in poly]
+        for given in (poly, poly[::-1]):
+            if len(set(vals)) < len(vals):
+                with pytest.raises(DegeneratePosition, match="projection tie"):
+                    framing(A, given, zeta)
+                ties += 1
+                continue
+            fr = framing(A, given, zeta)
+            assert fr.alpha == poly[vals.index(min(vals))]
+            assert fr.omega == poly[vals.index(max(vals))]
+            framed += 1
+    assert ties > 20 and framed > 100
 
 
 def test_content_additivity():

@@ -160,15 +160,26 @@ def test_only_linalg_reads_the_fraction_grid_of_a_matrix():
 
 
 def test_secondary_reads_no_point_coordinate():
-    """`secondary.py` reads no `.x` or `.y`: its geometry comes from the
-    integer frame that `geometry` keeps (`Config.sign_table()`,
-    `geometry.area2` and `Config.int_points()`), so that frame stays the one
-    path."""
-    tree = ast.parse((ROOT / "src" / "infrared" / "secondary.py").read_text())
+    """`secondary.py`, `paths.py` and `fourier.py` read no `.x` or `.y`:
+    their geometry comes from the integer frame that `geometry` keeps
+    (`Config.sign_table()`, `geometry.area2`, `Config.int_points()` and
+    `geometry.infinity_keys`), so that frame stays the one path.  And no
+    module of `src/` but `geometry.py` calls `infinity_form`, so every order
+    along a direction is read from `infinity_keys`."""
+    src = ROOT / "src" / "infrared"
     hits = [
-        node.lineno
-        for node in ast.walk(tree)
+        (name, node.lineno)
+        for name in ("secondary.py", "paths.py", "fourier.py")
+        for node in ast.walk(ast.parse((src / name).read_text()))
         if isinstance(node, ast.Attribute) and node.attr in ("x", "y")
+    ]
+    hits += [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path != src / "geometry.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "infinity_form"
     ]
     assert hits == []
 
