@@ -12,7 +12,9 @@ Conventions
   configuration.  ``area2(A, cycle)``, the shoelace sum over that frame, is
   den^2 times the doubled signed area of a polygon of A's points, so its
   sign, and every comparison between areas of one configuration, is exact;
-  it is the package's one area routine.  Strong general position compares
+  it is the package's one area routine, and sums the triangle areas of
+  ``Config.area_table()`` over the fan of the polygon from its first
+  corner.  Strong general position compares
   the directions of segments in that frame, reduced by their gcd.
 * ``orient(a, b, c) = +1`` means the triangle (a, b, c) is counterclockwise;
   it is the sign of ``area2(A, (a, b, c))``.  ``Config.area_table()`` holds
@@ -205,13 +207,11 @@ def config(*coords) -> Config:
 def area2(A: Config, cycle: Sequence[int]) -> int:
     """The shoelace sum of the polygon `cycle` over `A.int_points()`: den^2
     times its doubled signed area, positive when the cycle runs
-    counterclockwise."""
-    pts = A.int_points()[0]
-    total = 0
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        (ax, ay), (bx, by) = pts[a], pts[b]
-        total += ax * by - bx * ay
-    return total
+    counterclockwise, and 0 for fewer than three points.  It is taken about
+    the first corner, as the sum of `A.area_table()` over the fan of
+    triangles from it."""
+    a = A.area_table()
+    return sum(a[cycle[0]][u][v] for u, v in zip(cycle[1:], cycle[2:]))
 
 
 def orient(A: Config, i: int, j: int, k: int) -> int:
@@ -334,7 +334,12 @@ def anti_stokes_sequence(
     positions of those switches, i.e. letters s_1 .. s_{N-1}.  The pair
     {i, j} switches at +-(dy, dx), (dx, dy) = w_i - w_j, read in the integer
     frame; strong general position makes these directions pairwise
-    non-parallel, so the sign of a cross product orders them.
+    non-parallel, so the sign of a cross product orders them.  The pair is
+    adjacent in the dominance order when it switches: strong general
+    position (checked first) and no pair anti-Stokes at zeta0 leave one pair
+    tied at each anti-Stokes direction, and a point between the pair before
+    its switch would tie with both there, so two pairs would share that
+    direction.
     """
     if rotation not in ("ccw", "cw"):
         raise InvalidInput("rotation must be 'ccw' or 'cw'")
@@ -361,13 +366,7 @@ def anti_stokes_sequence(
     order = dominance_order(A, zeta0)
     word = []
     for _, _, i, j in events:
-        pi, pj = order.index(i), order.index(j)
-        if abs(pi - pj) != 1:
-            raise DegeneratePosition(
-                f"switch of non-adjacent elements {i},{j}: configuration is "
-                "not generic for the scan"
-            )
-        lo = min(pi, pj)
+        lo = min(order.index(i), order.index(j))
         word.append(lo + 1)
         order[lo], order[lo + 1] = order[lo + 1], order[lo]
     return word

@@ -4,13 +4,16 @@ polytope combinatorics.
 A subdivision is a list of marked cells (convex polygon with vertex indices
 in the configuration, plus a marked subset containing the polygon's
 corners); points marked nowhere are `omitted`.  A `Subdivision` is checked
-when it is built, so no routine here checks one.  Regularity is exact strict
-feasibility of the lifting system in the heights psi: on each cell the lift
-is the affine function through psi at three of its corners, and it must
-take the value psi at every other marked point of the cell (equality rows),
-break convexly across every interior edge and pass strictly below every
-unmarked point of the cell (strict rows).  Every row is integral: a
-barycentric row times the doubled area of its basis triangle.
+when it is built, so no routine here checks one, and it keeps only its
+cells and its edge mask: a routine that needs its edges one by one (the
+interior edges, the folds of the lift) reads them off the cells' boundary
+cycles.  Regularity is exact strict feasibility of the lifting system in
+the heights psi: on each cell the lift is the affine function through psi
+at three of its corners, and it must take the value psi at every other
+marked point of the cell (equality rows), break convexly across every
+interior edge and pass strictly below every unmarked point of the cell
+(strict rows).  Every row is integral: a barycentric row times the doubled
+area of its basis triangle.
 
 `secondary_fan` decides it for a whole family on the secondary fan (Gelfand,
 Kapranov and Zelevinsky, *Discriminants, Resultants and Multidimensional
@@ -33,10 +36,11 @@ exceptionality.
 
 Only signs and equalities of determinants matter here, so the module does
 no coordinate arithmetic: signs come from `Config.sign_table()`, triangle
-areas (`geometry.area2`) from `Config.area_table()`, a polygon's as a sum
-of them, lifts and edge directions from `Config.int_points()`
-(each the true value times a positive factor of the configuration), and
-the framing projection from `geometry.infinity_keys` on that frame.
+areas from `Config.area_table()`, a polygon's from `geometry.area2` (the
+fan of table areas about its first corner), lifts and edge directions from
+`Config.int_points()` (each the true value times a positive factor of the
+configuration), and the framing projection from `geometry.infinity_keys`
+on that frame.
 
 Two routines rest on standard facts about subdivisions of a configuration
 in linear general position, no three points collinear (De Loera, Rambau and
@@ -59,13 +63,13 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import DegeneratePosition, EnumerationLimit, InvalidInput
-from .geometry import Config, Dir, convex_hull, general_position, infinity_keys
+from .geometry import Config, Dir, area2, convex_hull, general_position, infinity_keys
 from .linalg import MatQ, _int_row, int_kernel, int_rank
 
 Q = Fraction
@@ -97,16 +101,6 @@ class Cell:
         if not set(self.polygon) <= self.marked:
             raise InvalidInput("marked set must contain the cell's corners")
 
-    def edges(self) -> list[frozenset[int]]:
-        poly = self.polygon
-        return [_edge(a, b) for a, b in zip(poly, poly[1:] + poly[:1])]
-
-
-@cache
-def _edge(a: int, b: int) -> frozenset[int]:
-    """The segment ab: one set per index pair, shared by all edge maps."""
-    return frozenset((a, b))
-
 
 def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     k = cycle.index(min(cycle))
@@ -116,8 +110,10 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 class Subdivision:
     """A polygonal decomposition of (Conv(A), A) into marked cells.  The
     constructor checks it and raises InvalidInput on a bad one, so every
-    Subdivision is valid.  Its key, omitted set and edge map are computed
-    on first use and kept.
+    Subdivision is valid.  It keeps its cells, sorted into one canonical
+    order, and `edge_mask`, bit a n + b for each cell edge ab (a < b); its
+    `bits` and omitted set are computed on first use and kept.  Whatever
+    else a reader needs of its edges, it works out from the cells.
 
     Each cell has positive area and all its marked points, corners
     included, weakly inside, so it is convex and counterclockwise.  The
@@ -127,7 +123,10 @@ class Subdivision:
     of the cell boundaries, which is the hull ring, so each point off the
     edges lies in as many cells as the ring winds about it: one inside the
     hull, none outside.  So the cells cover the hull without overlap, meet
-    along whole common edges, and no corner lies inside another cell."""
+    along whole common edges, and no corner lies inside another cell.  It
+    follows that each hull edge is a side of one cell and each other edge
+    of two, so the corners of the cells number 2 E + |hull| over the E
+    interior edges."""
 
     def __init__(self, A: Config, cells: Iterable[Cell]):
         cells, n = list(cells), len(A)
@@ -152,17 +151,19 @@ class Subdivision:
         if not self.cells:
             raise InvalidInput("empty subdivision")
         darts: set[tuple[int, int]] = set()
+        mask = 0
         for c in self.cells:
             poly = c.polygon
-            if _area(A, poly) <= 0:
+            if area2(A, poly) <= 0:
                 raise InvalidInput(f"cell {poly} is not counterclockwise")
             for w in c.marked:
                 if not _point_in_polygon(A, poly, w):
                     raise InvalidInput(f"marked point {w} outside cell {poly}")
-            for d in zip(poly, poly[1:] + poly[:1]):
-                if d in darts:
-                    raise InvalidInput(f"cells overlap left of edge {d[0]}->{d[1]}")
-                darts.add(d)
+            for a, b in zip(poly, poly[1:] + poly[:1]):
+                if (a, b) in darts:
+                    raise InvalidInput(f"cells overlap left of edge {a}->{b}")
+                darts.add((a, b))
+                mask |= 1 << (a * n + b if a < b else b * n + a)
         hull = A.hull()
         ring = set(zip(hull, hull[1:] + hull[:1]))
         loose = {d for d in darts if d[::-1] not in darts}
@@ -170,22 +171,17 @@ class Subdivision:
             a, b = min(loose ^ ring)
             raise InvalidInput(f"cells do not tile the hull: their boundary "
                                f"is not the hull ring at edge {a}->{b}")
-
-    @cached_property
-    def _key(self):
-        return tuple([(c.polygon, tuple(sorted(c.marked))) for c in self.cells])
+        self.edge_mask = mask
 
     def key(self):
-        return self._key
+        return tuple([(c.polygon, tuple(sorted(c.marked))) for c in self.cells])
 
     @cached_property
     def bits(self) -> int:
-        """The edges and the omitted points as one int: bit a n + b for the
-        edge ab (a < b) and bit n n + w for an omitted point w.  `refines`
-        is a test on these bits."""
+        """The edges and the omitted points as one int: `edge_mask` and bit
+        n n + w for an omitted point w.  `refines` is a test on these bits."""
         n = len(self.config)
-        return sum(1 << (min(e) * n + max(e)) for e in self.edge_cells) + sum(
-            1 << (n * n + w) for w in self.omitted)
+        return self.edge_mask + sum(1 << (n * n + w) for w in self.omitted)
 
     @cached_property
     def omitted(self) -> frozenset[int]:
@@ -193,21 +189,11 @@ class Subdivision:
         return frozenset(range(len(self.config))).difference(
             *[c.marked for c in self.cells])
 
-    @cached_property
-    def edge_cells(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Each cell edge -> the indices of the cells that have it, in cell
-        order: two for an interior edge, one for a hull edge."""
-        owners: dict[frozenset[int], list[int]] = {}
-        for ci, c in enumerate(self.cells):
-            for e in c.edges():
-                owners.setdefault(e, []).append(ci)
-        return {e: tuple(o) for e, o in owners.items()}
-
     def __eq__(self, other):
-        return isinstance(other, Subdivision) and self.key() == other.key()
+        return isinstance(other, Subdivision) and self.cells == other.cells
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.cells)
 
     def __repr__(self):
         cells = "; ".join(
@@ -216,10 +202,9 @@ class Subdivision:
         return f"Subdivision[{cells}; omitted {sorted(self.omitted)}]"
 
     def interior_edges(self) -> list[frozenset[int]]:
-        return sorted(
-            (e for e, owners in self.edge_cells.items() if len(owners) == 2),
-            key=sorted,
-        )
+        darts = _dart_cells(self)
+        return [frozenset(d) for d in sorted(darts)
+                if d[0] < d[1] and d[::-1] in darts]
 
     def interior_vertices(self) -> list[int]:
         corners = {w for c in self.cells for w in c.polygon}
@@ -250,6 +235,17 @@ class Subdivision:
         )
 
 
+def _dart_cells(sub: Subdivision) -> dict[tuple[int, int], int]:
+    """Each directed edge (a, b) of a cell's ccw boundary -> the index of
+    that cell, in cell order: an interior edge has both directions, in two
+    cells, a hull edge one."""
+    return {
+        d: ci
+        for ci, c in enumerate(sub.cells)
+        for d in zip(c.polygon, c.polygon[1:] + c.polygon[:1])
+    }
+
+
 def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
     """Weak containment of point w in the closed convex ccw polygon."""
     t = A.sign_table()
@@ -257,13 +253,6 @@ def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
         if t[a][b][w] < 0:
             return False
     return True
-
-
-def _area(A: Config, cycle: Sequence[int]) -> int:
-    """area2(A, cycle) as the sum of `A.area_table()` over the fan of
-    triangles from its first corner (the shoelace sum taken about it)."""
-    a = A.area_table()
-    return sum(a[cycle[0]][u][v] for u, v in zip(cycle[1:], cycle[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +324,9 @@ def _lift_rows(
     in the cell, or the fold across an interior edge).  A lift psi induces
     `sub` exactly when every equality row is 0 at psi and every strict row
     is negative there.  Rows come cell by cell, each cell's equality rows
-    first, and then the folds; with `strict` false, only the equality rows.
+    first, and then the folds, one per interior edge in the order of the
+    edge's first occurrence on the cells' boundaries; with `strict` false,
+    only the equality rows.
     Areas are read from `A.area_table()`."""
     n = len(A)
     fixed = A.hull()[:3]
@@ -365,10 +356,11 @@ def _lift_rows(
                 if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
                     rows.append(excess(cell, w, True))
     if strict:
-        for e, owners in sub.edge_cells.items():
-            if len(owners) == 2:
-                ci, cj = owners
-                probe = next(w for w in sub.cells[cj].polygon if w not in e)
+        darts = _dart_cells(sub)
+        for (a, b), ci in darts.items():
+            cj = darts.get((b, a), -1)
+            if cj > ci:  # the edge's first cell, ci, and the other, cj
+                probe = next(w for w in sub.cells[cj].polygon if w != a and w != b)
                 rows.append(excess(sub.cells[ci], probe, True))
     return var, rows
 
@@ -665,13 +657,14 @@ def deformation_complex(A: Config, sub: Subdivision) -> DefComplexReport:
     edge function at one endpoint) has one entry when that endpoint is an
     interior vertex, and every interior vertex ends an interior edge, so d1
     is onto.  The Euler relation h0 - exc + h2 = 3 C - 2 E + V, over the C
-    cells, E interior edges and V interior vertices, then gives exc."""
+    cells, E interior edges and V interior vertices, then gives exc; E is
+    (corners - |hull|) / 2 by the degree count of `Subdivision`."""
     var, rows = _lift_rows(A, sub, strict=False)
     codim = len(var) - int_rank(rows)
     omitted = len(sub.omitted)
     h0 = codim + 3 - omitted
     cells = len(sub.cells)
-    edges = len(sub.interior_edges())
+    edges = (sum(len(c.polygon) for c in sub.cells) - len(A.hull())) // 2
     verts = len(sub.interior_vertices())
     return DefComplexReport(
         cells, edges, verts, 3 * cells, 2 * edges, verts,
@@ -685,12 +678,11 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
     map, whose integer rows are one positive multiple of the true ones.  Its
     dimension equals the exceptionality."""
     verts = sub.interior_vertices()
-    vix = {v: t for t, v in enumerate(verts)}
-    relevant = sorted(
-        (e for e in sub.edge_cells if any(w in vix for w in e)), key=sorted
-    )
     if not verts:
         return []
+    vix = {v: t for t, v in enumerate(verts)}
+    # a hull edge joins two hull corners, so only interior edges are relevant
+    relevant = [e for e in sub.interior_edges() if any(w in vix for w in e)]
     pts = A.int_points()[0]
     rows = []
     for e in relevant:
@@ -736,7 +728,7 @@ def framing(A: Config, polygon: Sequence[int], zeta: Dir) -> Framing:
     to zeta; d_plus is the counterclockwise boundary arc from alpha to
     omega."""
     poly = _canon_cycle(list(polygon))
-    if _area(A, poly) < 0:
+    if area2(A, poly) < 0:
         poly = _canon_cycle(list(reversed(poly)))
     keys = infinity_keys(A, zeta)
     vals = [keys[w] for w in poly]

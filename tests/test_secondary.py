@@ -458,6 +458,17 @@ def test_a_subdivision_read_from_json_is_checked():
         Subdivision.from_json(A, bad)
 
 
+def edge_owners(cells):
+    """Each edge of the cells, as a set of two indices -> the indices of the
+    cells that have it, in cell order and keyed in the order of first
+    occurrence: the edge map that a `Subdivision` once kept."""
+    owners = {}
+    for ci, c in enumerate(cells):
+        for e in zip(c.polygon, c.polygon[1:] + c.polygon[:1]):
+            owners.setdefault(frozenset(e), []).append(ci)
+    return owners
+
+
 def tiles_by_area_edges_and_corners(A, cells) -> bool:
     """The three tiling checks that the oriented-edge check of the
     constructor replaced, kept as its oracle, for counterclockwise cells:
@@ -468,11 +479,8 @@ def tiles_by_area_edges_and_corners(A, cells) -> bool:
     if sum(area2(A, c.polygon) for c in cells) != area2(A, hull):
         return False
     hull_edges = {frozenset(e) for e in zip(hull, hull[1:] + hull[:1])}
-    counts = {}
-    for c in cells:
-        for e in c.edges():
-            counts[e] = counts.get(e, 0) + 1
-    if any(k != (1 if e in hull_edges else 2) for e, k in counts.items()):
+    if any(len(o) != (1 if e in hull_edges else 2)
+           for e, o in edge_owners(cells).items()):
         return False
     t = A.sign_table()
     corners = {w for c in cells for w in c.polygon}
@@ -503,7 +511,7 @@ def with_midpoint(r, A, subs):
     for s in subs:
         cells = list(s.cells)
         lists.append(cells)
-        owners = s.edge_cells.get(frozenset((a, b)), ())
+        owners = edge_owners(cells).get(frozenset((a, b)), ())
         if len(owners) == 2:
             both = [split(c) if i in owners else c for i, c in enumerate(cells)]
             one = [split(c) if i == owners[0] else c for i, c in enumerate(cells)]
@@ -542,20 +550,30 @@ def perturbed(r, A, lists, count):
         yield cells
 
 
+def midpoint_draws():
+    """The draws of the oriented-edge test, in its order: for each of 40
+    random configurations A of 5 to 7 points, and B with its cell lists from
+    `with_midpoint`, the pair [(A, the cell lists of its subdivisions, 400
+    seeded perturbations of them), (B, its cell lists, 400 of theirs)]."""
+    r = rng(26)
+    for n in [5, 6, 7, 5, 6] * 8:
+        A = rand_config(r, n)
+        subs = enumerate_subdivisions(A)
+        B, lists = with_midpoint(r, A, subs)
+        yield [(C, family, list(perturbed(r, C, family, 400)))
+               for C, family in ((A, [list(s.cells) for s in subs]), (B, lists))]
+
+
 def test_the_oriented_edge_check_matches_the_area_edge_and_corner_oracle():
     """On 32,000 seeded perturbations of the subdivisions of 40 random
     configurations of 5 to 7 points, and of 40 more with a collinear triple,
     the constructor accepts exactly the cell lists that are nonempty, hold
     each marked point in its cell and pass the replaced checks."""
-    r = rng(26)
     cases = accepted = 0
     tiling = set()
-    for n in [5, 6, 7, 5, 6] * 8:
-        A = rand_config(r, n)
-        subs = enumerate_subdivisions(A)
-        B, lists = with_midpoint(r, A, subs)
-        for C, family in ((A, [list(s.cells) for s in subs]), (B, lists)):
-            for cells in perturbed(r, C, family, 400):
+    for draw in midpoint_draws():
+        for C, _, shaken in draw:
+            for cells in shaken:
                 want = bool(cells) and tiles_by_area_edges_and_corners(C, cells) and all(
                     _point_in_polygon(C, c.polygon, w) for c in cells for w in c.marked)
                 try:
@@ -700,12 +718,9 @@ def walk_merge_cells(A, sub, drop):
             x = parent[x]
         return x
 
-    edge_owners = {}
-    for ci, cell in enumerate(sub.cells):
-        for e in cell.edges():
-            edge_owners.setdefault(e, []).append(ci)
+    owners_of = edge_owners(sub.cells)
     for e in drop:
-        owners = edge_owners.get(e, [])
+        owners = owners_of.get(e, [])
         if len(owners) != 2:
             return None
         a, b = (find(o) for o in owners)
@@ -717,11 +732,8 @@ def walk_merge_cells(A, sub, drop):
     new_cells = []
     for members in groups.values():
         marked = frozenset().union(*[sub.cells[ci].marked for ci in members])
-        edge_count = {}
-        for ci in members:
-            for e in sub.cells[ci].edges():
-                edge_count[e] = edge_count.get(e, 0) + 1
-        boundary = [e for e, k in edge_count.items() if k == 1]
+        group = edge_owners([sub.cells[ci] for ci in members])
+        boundary = [e for e, o in group.items() if len(o) == 1]
         kept = [e for e in boundary if e not in drop]
         if len(kept) != len(boundary):
             return None
@@ -933,7 +945,7 @@ def full_lift_is_regular(A, sub):
         for w in range(n):
             if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
                 add_le(cell_coords(ci, w) + [(w, Q(-1)), (s_idx, Q(1))])
-    for e, owners in sub.edge_cells.items():
+    for e, owners in edge_owners(sub.cells).items():
         if len(owners) != 2:
             continue
         ci, cj = owners
@@ -948,10 +960,15 @@ def full_lift_is_regular(A, sub):
     return value if value > 0 else None
 
 
-def seven():
-    path = os.path.join(os.path.dirname(__file__), "data", "seven.json")
+def data_config(name):
+    """The configuration of the instance `tests/data/<name>.json`."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
     with open(path) as fh:
         return Config.from_json(json.load(fh)["config"])
+
+
+def seven():
+    return data_config("seven")
 
 
 def test_heights_only_lp_matches_the_full_lift_oracle():
@@ -1178,6 +1195,75 @@ def test_pruned_search_matches_the_unpruned_oracle(fan_families):
 
 
 # ---------------------------------------------------------------------------
+# the edges a subdivision reads off its cells, against an edge-owner map
+
+
+def fold_row(A, var, cell, probe):
+    """The strict lift row of a fold as `_lift_rows` states it: f_cell(probe)
+    - psi_probe times the doubled area det of the cell's basis triangle, over
+    the free heights `var`, then det as the slack coefficient."""
+    area = A.area_table()
+    a, b, c = cell.polygon[:3]
+    det, lb, lc = area[a][b][c], area[a][probe][c], area[a][b][probe]
+    row = [0] * (len(var) + 1)
+    for p, coef in ((a, det - lb - lc), (b, lb), (c, lc), (probe, -det)):
+        if p in var:
+            row[var[p]] += coef
+    row[-1] = det
+    return row
+
+
+def test_the_edges_read_off_the_cells_match_the_edge_owner_oracle():
+    """On every subdivision of the 61 `oracle_configs()`, `concentric.json`,
+    `seven.json` and the collinear-midpoint covers that the constructor
+    accepts in the oriented-edge test, the edges in `bits`, the interior
+    edges, the edge count of `deformation_complex` and the fold rows of
+    `_lift_rows`, in order, are those `edge_owners` gives; and two
+    subdivisions are equal, and hash alike, exactly when their keys are
+    equal, a copy built from rotated cells in reverse order included."""
+    midpoint = []
+    for _, (B, lists, _) in midpoint_draws():
+        covers = []
+        for cells in lists:
+            try:
+                covers.append(Subdivision(B, cells))
+            except InvalidInput:
+                pass
+        midpoint.append((B, covers))
+    # some accepted covers have the midpoint, on a collinear triple, as a corner
+    assert any(len(B) - 1 in c.polygon for B, covers in midpoint
+               for s in covers for c in s.cells)
+    families = [(A, enumerate_subdivisions(A)) for A in
+                oracle_configs() + [data_config("concentric"), seven()]] + midpoint
+    for A, subs in families:
+        n = len(A)
+        for s in subs:
+            owners = edge_owners(s.cells)
+            interior = {e: o for e, o in owners.items() if len(o) == 2}
+            assert s.bits == sum(1 << (min(e) * n + max(e)) for e in owners) + sum(
+                1 << (n * n + w) for w in s.omitted), (A, s)
+            assert s.interior_edges() == sorted(interior, key=sorted), (A, s)
+            assert deformation_complex(A, s).n_interior_edges == len(interior), (A, s)
+            var, rows = _lift_rows(A, s)
+            folds = [
+                fold_row(A, var, s.cells[ci], next(w for w in s.cells[cj].polygon if w not in e))
+                for e, (ci, cj) in interior.items()
+            ]
+            head = sum(
+                len(c.marked.difference(c.polygon[:3])) + sum(
+                    w not in c.marked and _point_in_polygon(A, c.polygon, w)
+                    for w in range(n))
+                for c in s.cells)
+            assert rows[head:] == folds, (A, s)
+            copy = Subdivision(A, [Cell(c.polygon[1:] + c.polygon[:1], c.marked)
+                                   for c in reversed(s.cells)])
+            assert copy == s and hash(copy) == hash(s) and copy.key() == s.key()
+        keyed = [(s, hash(s), s.key()) for s in subs]
+        for (s, hs, ks), (t, ht, kt) in itertools.product(keyed, repeat=2):
+            assert (s == t) == (hs == ht) == (ks == kt), (A, s, t)
+
+
+# ---------------------------------------------------------------------------
 # the Fraction-coordinate routines that the integer frame replaced
 
 
@@ -1185,8 +1271,19 @@ def fraction_area2(A, cycle):
     """The doubled signed area of a polygon by the shoelace sum over the
     Fraction coordinates."""
     total = Q(0)
-    for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+    for a, b in zip(cycle, tuple(cycle[1:]) + tuple(cycle[:1])):
         total += A[a].x * A[b].y - A[b].x * A[a].y
+    return total
+
+
+def shoelace_area2(A, cycle):
+    """The shoelace sum over `A.int_points()` that `area2` took before it
+    summed the fan of `A.area_table()`."""
+    pts = A.int_points()[0]
+    total = 0
+    for a, b in zip(cycle, tuple(cycle[1:]) + tuple(cycle[:1])):
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        total += ax * by - bx * ay
     return total
 
 
@@ -1223,7 +1320,7 @@ def fraction_parallel_deformations(A, sub):
     verts = sub.interior_vertices()
     vix = {v: t for t, v in enumerate(verts)}
     relevant = sorted(
-        (e for e in sub.edge_cells if any(w in vix for w in e)), key=sorted
+        (e for e in edge_owners(sub.cells) if any(w in vix for w in e)), key=sorted
     )
     if not verts:
         return []
@@ -1278,6 +1375,9 @@ def frame_configs():
 
 
 def test_area2_is_den_squared_times_the_fraction_shoelace():
+    """On the `frame_configs()`, `area2` of hulls, triangles, seeded cycles
+    and cycles of fewer than three or of repeated points is the integer
+    shoelace sum and den^2 times the Fraction one."""
     r = rng(94)
     signs = set()
     for A in frame_configs():
@@ -1286,12 +1386,13 @@ def test_area2_is_den_squared_times_the_fraction_shoelace():
         cycles = [A.hull()] + list(itertools.permutations(range(n), 3))
         for _ in range(20):
             cycles.append(tuple(r.sample(range(n), r.randint(3, n))))
+        cycles += [(), (0,), (0, 1), (1, 0), (0, 0, 1), (0, 1, 0, 2)]
         for cyc in cycles:
             got = area2(A, cyc)
             assert type(got) is int
+            assert got == shoelace_area2(A, cyc), (A, cyc)
             assert got == den * den * fraction_area2(A, cyc), (A, cyc)
             assert area2(A, list(cyc)) == got
-            assert secondary._area(A, cyc) == got  # the fan of table areas
             signs.add((got > 0) - (got < 0))
     assert {-1, 1} <= signs  # a self-crossing cycle may have area 0
     collinear = config((0, 0), ("1/3", "1/3"), ("2/7", "2/7"))
@@ -1301,13 +1402,15 @@ def test_area2_is_den_squared_times_the_fraction_shoelace():
 
 def test_area_and_sign_tables_match_area2_and_orient():
     """On the 61 `oracle_configs()` and 20 seeded draws of 4 to 8 points,
-    every ordered triple of the area table is its `area2` and of the sign
-    table its `orient`; an entry with a repeated index is 0 in both."""
+    every ordered triple of the area table is its integer shoelace sum and
+    its `area2`, and of the sign table its `orient`; an entry with a
+    repeated index is 0 in both."""
     r = rng(96)
     configs = oracle_configs() + [rand_config(r, 4 + k % 5) for k in range(20)]
     for A in configs:
         area, sign = A.area_table(), A.sign_table()
         for i, j, k in itertools.product(range(len(A)), repeat=3):
+            assert area[i][j][k] == shoelace_area2(A, (i, j, k)), (A, i, j, k)
             assert area[i][j][k] == area2(A, (i, j, k)), (A, i, j, k)
             if len({i, j, k}) < 3:
                 assert area[i][j][k] == sign[i][j][k] == 0, (A, i, j, k)

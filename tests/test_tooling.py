@@ -232,6 +232,24 @@ def test_only_the_subdivision_constructor_checks_a_subdivision():
     assert hits == []
 
 
+def test_a_subdivision_keeps_no_per_edge_state():
+    """After enumeration, `deformation_complex` and the secondary fan on
+    `seven.json`, every `Subdivision` holds only its configuration, its
+    cells, its edge mask and the kept `bits` and omitted set: no edge map,
+    key copy or other per-subdivision cache, whose memory grows with the
+    family."""
+    from infrared.geometry import Config
+
+    data = json.loads((ROOT / "tests" / "data" / "seven.json").read_text())
+    A = Config.from_json(data["config"])
+    subs = secondary.enumerate_subdivisions(A)
+    codims = [secondary.deformation_complex(A, s).codim for s in subs]
+    secondary.secondary_fan(A, subs, codims)
+    kept = {"config", "cells", "edge_mask", "bits", "omitted"}
+    assert subs and all(set(vars(s)) <= kept for s in subs), [
+        sorted(set(vars(s)) - kept) for s in subs if set(vars(s)) - kept][:1]
+
+
 _WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
