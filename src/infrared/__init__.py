@@ -63,9 +63,7 @@ from .perverse import (
 )
 from .wallcross import (
     CrossingSpec,
-    apply_crossing,
-    cross_collinearity,
-    cross_horizontality,
+    apply_crossings,
     transport_along_path,
 )
 from .fourier import (

@@ -21,7 +21,7 @@ from .perverse import (
     mu,
 )
 from .randomgen import rand_config, rand_matrix, rand_quiver, rand_transport, rng
-from .wallcross import CrossingSpec, apply_crossing
+from .wallcross import CrossingSpec, apply_crossings
 
 Q = Fraction
 
@@ -72,12 +72,12 @@ def run(seed: int = 0, n: int = 4, dim: int = 2) -> dict:
         eps = r.choice([1, -1])
         spec = CrossingSpec("coll", i, j, k, eps_before=eps)
         back = CrossingSpec("coll", i, j, k, eps_before=-eps)
-        ok = ok and apply_crossing(apply_crossing(m, spec), back) == m
+        ok = ok and apply_crossings(m, [spec, back]) == m
         hspec = CrossingSpec(
             "horiz", i, j, motion="above", re_cmp="left"
         )
         hback = CrossingSpec("horiz", i, j, motion="below", re_cmp="left")
-        ok = ok and apply_crossing(apply_crossing(m, hspec), hback) == m
+        ok = ok and apply_crossings(m, [hspec, hback]) == m
     results["wallcross_involutive"] = ok
 
     zeta = Dir(Q(1), Q(0))

@@ -113,9 +113,9 @@ class Config:
         pts = tuple(points)
         if not pts:
             raise InvalidInput("a configuration needs at least one point")
-        if len(set((p.x, p.y) for p in pts)) != len(pts):
-            raise InvalidInput("configuration points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
+        if len(set(self.int_points()[0])) != len(pts):
+            raise InvalidInput("configuration points must be pairwise distinct")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -418,8 +418,9 @@ class AlgebraicTime:
         coefficients), each tagged with its multiplicity, as AlgebraicTime
         values sorted increasingly."""
         # primitive integer form, positive leading coefficient
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        a, b, c = int(a * den), int(b * den), int(c * den)
+        if not (type(a) is type(b) is type(c) is int):
+            den = math.lcm(a.denominator, b.denominator, c.denominator)
+            a, b, c = int(a * den), int(b * den), int(c * den)
         g = math.gcd(a, b, c)
         a, b, c = a // g, b // g, c // g
         if a < 0:
@@ -579,22 +580,25 @@ class CrossingSpec:
     time: Optional[AlgebraicTime] = field(default=None, compare=False)
 
     def __post_init__(self):
+        i, j, k = self.i, self.j, self.k
         if self.kind == "horiz":
-            if self.motion not in ("above", "below"):
+            if self.motion != "above" and self.motion != "below":
                 raise InvalidInput("horizontality needs motion above|below")
-            if self.re_cmp not in ("left", "right"):
+            if self.re_cmp != "left" and self.re_cmp != "right":
                 raise InvalidInput("horizontality needs re_cmp left|right")
-            if self.i == self.j:
+            if i == j:
                 raise InvalidInput("indices must differ")
+            k = 0  # no third point
         elif self.kind == "coll":
-            if len({self.i, self.j, self.k}) != 3:
+            if i == j or j == k or i == k:
                 raise InvalidInput("collinearity needs three distinct indices")
-            if type(self.eps_before) is not int or self.eps_before not in (-1, 1):
+            eps = self.eps_before
+            if type(eps) is not int or (eps != 1 and eps != -1):
                 raise InvalidInput("eps_before must be the integer 1 or -1")
         else:
             raise InvalidInput("kind must be 'horiz' or 'coll'")
-        idx = (self.i, self.j) if self.kind == "horiz" else (self.i, self.j, self.k)
-        if any(type(v) is not int or v < 0 for v in idx):
+        if (type(i) is not int or type(j) is not int or type(k) is not int
+                or i < 0 or j < 0 or k < 0):
             raise InvalidInput("point indices must be nonnegative integers")
 
     def to_json(self) -> dict:
@@ -635,18 +639,14 @@ def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1]
 
 
 def _leg_quadratic(leg, form, i: int, j: int, k: int):
     """Coefficients (a, b, c) of form(w_j - w_i, w_k - w_i) along the leg as a
-    quadratic in t, for form = _cross (orientation) or _dot: with
-    u = u0 + t du and v = v0 + t dv it is
+    quadratic in t, for a bilinear form such as _dot: with u = u0 + t du and
+    v = v0 + t dv it is
     form(du, dv) t^2 + (form(u0, dv) + form(du, v0)) t + form(u0, v0)."""
     xi, yi, dxi, dyi = leg[i]
     xj, yj, dxj, dyj = leg[j]
@@ -675,8 +675,22 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
         raise InvalidInput("configuration sizes differ")
     n = len(A0)
     leg = _integer_leg(A0, A1)
+    # w_j - w_i = (x, y) + t (dx, dy) along the leg, for i < j
+    diff = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        xi, yi, dxi, dyi = leg[i]
+        xj, yj, dxj, dyj = leg[j]
+        diff[i][j] = (xj - xi, yj - yi, dxj - dxi, dyj - dyi)
+    # the orientation quadratic of (i, j, k): cross(u, v) for u = w_j - w_i
+    # and v = w_k - w_i, as in _leg_quadratic
     triples = list(itertools.combinations(range(n), 3))
-    quads = [_leg_quadratic(leg, _cross, i, j, k) for i, j, k in triples]
+    quads = []
+    for i, j, k in triples:
+        ux, uy, dux, duy = diff[i][j]
+        vx, vy, dvx, dvy = diff[i][k]
+        quads.append((dux * dvy - duy * dvx,
+                      ux * dvy - uy * dvx + dux * vy - duy * vx,
+                      ux * vy - uy * vx))
     # the orientation quadratic is c at t = 0 and a + b + c at t = 1; the
     # horizontal infinity form is the height y
     if not (
@@ -694,15 +708,12 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
     # horizontality: Im(w_j - w_i)(t) = d0 + t (d1 - d0) is linear in t, and
     # d0, d1 are nonzero by the distinct heights at both ends
     for i, j in itertools.combinations(range(n), 2):
-        xi, yi, dxi, dyi = leg[i]
-        xj, yj, dxj, dyj = leg[j]
-        d0 = yj - yi
-        d1 = d0 + dyj - dyi
+        e0, d0, de, dd = diff[i][j]
+        d1 = d0 + dd
         if (d0 > 0) == (d1 > 0):
             continue  # t = d0 / (d0 - d1) lies outside (0, 1), if it exists
         # at that t, (d0 - d1) Re(w_j - w_i) = d0 e1 - d1 e0
-        e0 = xj - xi
-        e1 = e0 + dxj - dxi
+        e1 = e0 + de
         re_diff = (d0 * e1 - d1 * e0) * (d0 - d1)
         if re_diff == 0:
             raise PathNotGeneric(f"points {i} and {j} collide on the leg")

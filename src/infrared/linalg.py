@@ -349,7 +349,10 @@ class MatQ:
             return MatQ._reduced(num, da, self.cols)
         den = math.lcm(da, db)
         sa, sb = den // da, sign * (den // db)
-        return MatQ._reduced(tuple([
+        # with one operand over 1, the sum is the other's rows plus multiples
+        # of den, and gcd(den, a + den b) = gcd(den, a) = 1: no gcd pass
+        wrap = MatQ._wrap if da == 1 or db == 1 else MatQ._reduced
+        return wrap(tuple([
             tuple([x * sa + y * sb for x, y in zip(ra, rb)])
             for ra, rb in zip(self.num, other.num)
         ]), den, self.cols)

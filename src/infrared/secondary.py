@@ -112,8 +112,9 @@ class Subdivision:
     constructor checks it and raises InvalidInput on a bad one, so every
     Subdivision is valid.  It keeps its cells, sorted into one canonical
     order, and `edge_mask`, bit a n + b for each cell edge ab (a < b); its
-    `bits` and omitted set are computed on first use and kept.  Whatever
-    else a reader needs of its edges, it works out from the cells.
+    `bits` are computed on first use and kept, and its omitted set is read
+    from them.  Whatever else a reader needs of its edges, it works out
+    from the cells.
 
     Each cell has positive area and all its marked points, corners
     included, weakly inside, so it is convex and counterclockwise.  The
@@ -152,12 +153,13 @@ class Subdivision:
             raise InvalidInput("empty subdivision")
         darts: set[tuple[int, int]] = set()
         mask = 0
+        t = A.sign_table()
         for c in self.cells:
             poly = c.polygon
             if area2(A, poly) <= 0:
                 raise InvalidInput(f"cell {poly} is not counterclockwise")
             for w in c.marked:
-                if not _point_in_polygon(A, poly, w):
+                if not _point_in_polygon(t, poly, w):
                     raise InvalidInput(f"marked point {w} outside cell {poly}")
             for a, b in zip(poly, poly[1:] + poly[:1]):
                 if (a, b) in darts:
@@ -181,13 +183,18 @@ class Subdivision:
         """The edges and the omitted points as one int: `edge_mask` and bit
         n n + w for an omitted point w.  `refines` is a test on these bits."""
         n = len(self.config)
-        return self.edge_mask + sum(1 << (n * n + w) for w in self.omitted)
+        marked = 0
+        for c in self.cells:
+            for w in c.marked:
+                marked |= 1 << w
+        return self.edge_mask + ((~marked & ((1 << n) - 1)) << (n * n))
 
-    @cached_property
+    @property
     def omitted(self) -> frozenset[int]:
-        """The points marked in no cell."""
-        return frozenset(range(len(self.config))).difference(
-            *[c.marked for c in self.cells])
+        """The points marked in no cell, read from `bits`."""
+        n = len(self.config)
+        high = self.bits >> (n * n)
+        return frozenset(w for w in range(n) if high >> w & 1)
 
     def __eq__(self, other):
         return isinstance(other, Subdivision) and self.cells == other.cells
@@ -246,9 +253,9 @@ def _dart_cells(sub: Subdivision) -> dict[tuple[int, int], int]:
     }
 
 
-def _point_in_polygon(A: Config, cycle: Sequence[int], w: int) -> bool:
-    """Weak containment of point w in the closed convex ccw polygon."""
-    t = A.sign_table()
+def _point_in_polygon(t, cycle: Sequence[int], w: int) -> bool:
+    """Weak containment of point w in the closed convex ccw polygon, read
+    from the configuration's `sign_table()` t."""
     for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
         if t[a][b][w] < 0:
             return False
@@ -334,7 +341,7 @@ def _lift_rows(
     s_idx = len(var)
     nvars = s_idx + 1
 
-    area = A.area_table()
+    area, t = A.area_table(), A.sign_table()
 
     def excess(cell: Cell, w: int, slack: bool) -> list[int]:
         a, b, c = cell.polygon[:3]
@@ -353,7 +360,7 @@ def _lift_rows(
             rows.append(excess(cell, w, False))
         if strict:
             for w in range(n):
-                if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
+                if w not in cell.marked and _point_in_polygon(t, cell.polygon, w):
                     rows.append(excess(cell, w, True))
     if strict:
         darts = _dart_cells(sub)
@@ -568,7 +575,7 @@ def enumerate_subdivisions(A: Config) -> list[Subdivision]:
         cycles = _cell_cycles(A, nbrs)
         loose = [w for w in range(n) if w not in nbrs]
         home = {
-            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A, cyc, w))
+            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(t, cyc, w))
             for w in loose
         }
         # cells that mark no extra point share their corner set
@@ -747,9 +754,10 @@ def content(A: Config, fr: Framing) -> int:
     arc: interior points plus those strictly inside d_minus."""
     inside = 0
     plus = set(fr.d_plus)
+    t = A.sign_table()
     for w in range(len(A)):
         if w in plus:
             continue
-        if _point_in_polygon(A, fr.polygon, w):
+        if _point_in_polygon(t, fr.polygon, w):
             inside += 1
     return inside

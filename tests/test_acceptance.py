@@ -74,7 +74,7 @@ from infrared.secondary import (
     parallel_deformations,
     refinement_poset,
 )
-from infrared.wallcross import CrossingSpec, apply_crossing, transport_along_path
+from infrared.wallcross import CrossingSpec, apply_crossings, transport_along_path
 from test_fourier import FACTORIZATION_CONVENTION, solve_factorization_convention
 from test_linalg import block_diagonal
 from test_perverse import rand_invertible
@@ -209,11 +209,11 @@ def test_criterion_05_wall_crossing():
         eps = r.choice((1, -1))
         spec = CrossingSpec("coll", i, j, k, eps_before=eps)
         undo = CrossingSpec("coll", i, j, k, eps_before=-eps)
-        assert apply_crossing(apply_crossing(m, spec), undo) == m
+        assert apply_crossings(apply_crossings(m, [spec]), [undo]) == m
         for re_cmp in ("left", "right"):
             up = CrossingSpec("horiz", i, j, motion="above", re_cmp=re_cmp)
             down = CrossingSpec("horiz", i, j, motion="below", re_cmp=re_cmp)
-            assert apply_crossing(apply_crossing(m, up), down) == m
+            assert apply_crossings(apply_crossings(m, [up]), [down]) == m
     # global monodromy invariance along 50 seeded collinearity legs
     legs = 0
     while legs < 50:

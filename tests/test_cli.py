@@ -322,6 +322,19 @@ def test_error_reporting(tmp_path, capsys):
     assert code == 2 and out["error"]["code"] == "invalid_input"
 
 
+def test_a_point_written_twice_in_two_forms_is_invalid_input(tmp_path, capsys):
+    """Distinctness is decided on the integer frame, so "1/2" and "2/4" are
+    one coordinate: the configuration repeats a point, invalid_input and
+    exit 2."""
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(
+        {"config": {"points": [["1/2", "1"], ["0", "0"], ["2/4", "1"]]}}))
+    code, out = run_cli(["matroid", str(path)], capsys)
+    assert code == 2
+    assert out["error"] == {"code": "invalid_input",
+                            "message": "configuration points must be pairwise distinct"}
+
+
 def test_json_round_trips():
     A = config((0, 0), ("1/2", "-3/7"))
     assert Config.from_json(A.to_json()) == A
@@ -671,7 +684,8 @@ def test_decimal_exponents_up_to_the_bound_are_read():
 
 
 def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
-    from infrared.geometry import _cross, _integer_leg, _leg_quadratic, segment_wall_events
+    from infrared.geometry import _integer_leg, _leg_quadratic, segment_wall_events
+    from test_geometry import _cross
 
     for name, target in PINNED_LEGS:
         a0, a1 = _pinned_leg(name, target)

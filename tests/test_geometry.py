@@ -12,7 +12,6 @@ from infrared.geometry import (
     Dir,
     GPReport,
     Pt,
-    _cross,
     _dot,
     _integer_leg,
     _leg_quadratic,
@@ -32,6 +31,12 @@ from infrared.geometry import (
 from infrared.randomgen import rand_config, rng
 
 Z_RIGHT = direction(1, 0)
+
+
+def _cross(u, v):
+    """The orientation form, for `_leg_quadratic`: the engine builds its
+    orientation quadratics from the pair differences of the leg instead."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def test_orient_examples():

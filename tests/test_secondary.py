@@ -575,7 +575,7 @@ def test_the_oriented_edge_check_matches_the_area_edge_and_corner_oracle():
         for C, _, shaken in draw:
             for cells in shaken:
                 want = bool(cells) and tiles_by_area_edges_and_corners(C, cells) and all(
-                    _point_in_polygon(C, c.polygon, w) for c in cells for w in c.marked)
+                    _point_in_polygon(C.sign_table(), c.polygon, w) for c in cells for w in c.marked)
                 try:
                     Subdivision(C, cells)
                     got = True
@@ -636,7 +636,7 @@ def test_point_in_polygon_matches_cross_products():
         edges = list(zip(cyc, cyc[1:] + cyc[:1]))
         for w in range(n):
             inside = cross_point_in_polygon(A, cyc, w)
-            assert _point_in_polygon(A, cyc, w) == inside, (cyc, w)
+            assert _point_in_polygon(A.sign_table(), cyc, w) == inside, (cyc, w)
             on_edge = any(
                 w not in e and (A[e[1]] - A[e[0]]).cross(A[w] - A[e[0]]) == 0
                 for e in edges
@@ -869,7 +869,7 @@ def containment_refines(fine, coarse):
     marked set contains the fine cell's."""
     for c in fine.cells:
         if not any(
-            all(_point_in_polygon(fine.config, big.polygon, w) for w in c.polygon)
+            all(_point_in_polygon(fine.config.sign_table(), big.polygon, w) for w in c.polygon)
             and c.marked <= big.marked
             for big in coarse.cells
         ):
@@ -943,7 +943,7 @@ def full_lift_is_regular(A, sub):
             add_le(terms)
             add_le([(i, -c) for i, c in terms])
         for w in range(n):
-            if w not in cell.marked and _point_in_polygon(A, cell.polygon, w):
+            if w not in cell.marked and _point_in_polygon(A.sign_table(), cell.polygon, w):
                 add_le(cell_coords(ci, w) + [(w, Q(-1)), (s_idx, Q(1))])
     for e, owners in edge_owners(sub.cells).items():
         if len(owners) != 2:
@@ -1170,7 +1170,7 @@ def unpruned_subdivisions(A):
         cycles = secondary._cell_cycles(A, nbrs)
         loose = [w for w in range(n) if w not in nbrs]
         home = {
-            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A, cyc, w))
+            w: next(k for k, cyc in enumerate(cycles) if _point_in_polygon(A.sign_table(), cyc, w))
             for w in loose
         }
         corners = [frozenset(cyc) for cyc in cycles]
@@ -1240,8 +1240,10 @@ def test_the_edges_read_off_the_cells_match_the_edge_owner_oracle():
         for s in subs:
             owners = edge_owners(s.cells)
             interior = {e: o for e, o in owners.items() if len(o) == 2}
+            omitted = frozenset(range(n)).difference(*[c.marked for c in s.cells])
+            assert s.omitted == omitted, (A, s)
             assert s.bits == sum(1 << (min(e) * n + max(e)) for e in owners) + sum(
-                1 << (n * n + w) for w in s.omitted), (A, s)
+                1 << (n * n + w) for w in omitted), (A, s)
             assert s.interior_edges() == sorted(interior, key=sorted), (A, s)
             assert deformation_complex(A, s).n_interior_edges == len(interior), (A, s)
             var, rows = _lift_rows(A, s)
@@ -1251,7 +1253,7 @@ def test_the_edges_read_off_the_cells_match_the_edge_owner_oracle():
             ]
             head = sum(
                 len(c.marked.difference(c.polygon[:3])) + sum(
-                    w not in c.marked and _point_in_polygon(A, c.polygon, w)
+                    w not in c.marked and _point_in_polygon(A.sign_table(), c.polygon, w)
                     for w in range(n))
                 for c in s.cells)
             assert rows[head:] == folds, (A, s)

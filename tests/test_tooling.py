@@ -52,6 +52,29 @@ def test_tracer_counts_the_crossings_of_a_walk(tracing, capsys):
     assert events == logged == counts["wallcross.apply_crossing.calls"]
 
 
+def test_a_traced_walk_folds_its_crossings_on_one_grid(tracing, capsys):
+    """Over one traced `infrared walk` on `walk_leg8.json`, the crossings
+    fold on one block grid: no `TransportData.replace`, one `TransportData`
+    constructed (the loaded input; the result is assembled from checked
+    parts), and no inversion but the 8 local monodromies of the input."""
+    from infrared.cli import main
+
+    data = ROOT / "tests" / "data"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["walk", str(data / "walk_leg8.json"),
+                     "--to", str(data / "walk_leg8_target.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["events"]
+    counts = tracer.summarize(0)
+    assert counts.get("perverse.TransportData.replace.calls", 0) == 0
+    assert counts["perverse.TransportData.new.calls"] == 1
+    assert counts["linalg.MatQ.inverse.calls"] == 8
+
+
 def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
     """Over one traced `infrared stokes` on the 8-point arc, the tracer
     records one `stokes_pair` and one `factorization_check` span, the only
@@ -235,8 +258,8 @@ def test_only_the_subdivision_constructor_checks_a_subdivision():
 def test_a_subdivision_keeps_no_per_edge_state():
     """After enumeration, `deformation_complex` and the secondary fan on
     `seven.json`, every `Subdivision` holds only its configuration, its
-    cells, its edge mask and the kept `bits` and omitted set: no edge map,
-    key copy or other per-subdivision cache, whose memory grows with the
+    cells, its edge mask and the kept `bits`: no edge map, key copy, omitted
+    set or other per-subdivision cache, whose memory grows with the
     family."""
     from infrared.geometry import Config
 
@@ -245,7 +268,7 @@ def test_a_subdivision_keeps_no_per_edge_state():
     subs = secondary.enumerate_subdivisions(A)
     codims = [secondary.deformation_complex(A, s).codim for s in subs]
     secondary.secondary_fan(A, subs, codims)
-    kept = {"config", "cells", "edge_mask", "bits", "omitted"}
+    kept = {"config", "cells", "edge_mask", "bits"}
     assert subs and all(set(vars(s)) <= kept for s in subs), [
         sorted(set(vars(s)) - kept) for s in subs if set(vars(s)) - kept][:1]
 

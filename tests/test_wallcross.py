@@ -2,11 +2,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from infrared.errors import InvalidInput
+from infrared.errors import InvalidInput, PathNotGeneric
 from infrared.geometry import (
     Dir,
     Pt,
-    _cross,
     _integer_leg,
     _leg_quadratic,
     config,
@@ -18,15 +17,36 @@ from infrared.fourier import dressed_transport, global_monodromy, stokes_pair
 from infrared.randomgen import rand_config, rand_transport, rng
 from infrared.wallcross import (
     CrossingSpec,
-    apply_crossing,
-    cross_collinearity,
-    cross_horizontality,
+    apply_crossings,
     transport_along_path,
 )
+from test_geometry import _cross
 from test_perverse import local_monodromy
 
 Z0 = Dir(Q(-1), Q(0))
 Z_RIGHT = Dir(Q(1), Q(0))
+
+
+def crossing_by_replace(m, spec):
+    """Oracle: one crossing as its own `TransportData`, its two changed
+    blocks swapped in by `replace`, which checks them, with T = Id - m_kk
+    formed and inverted and the collinearity product formed: m_ij T and
+    T^{-1} m_ji for w_j above, left of w_i (T = T_i), the inverse factors
+    below, and T m_ij, m_ji T^{-1} on the right (T = T_j); m_ik - eps m_jk
+    m_ij and m_ki + eps m_ji m_kj."""
+    i, j, g = spec.i, spec.j, m.m
+    if spec.kind == "horiz":
+        left = spec.re_cmp == "left"
+        t = local_monodromy(m, i if left else j)
+        a, b = (t, t.inverse()) if spec.motion == "above" else (t.inverse(), t)
+        if left:
+            return m.replace({(i, j): g[i][j] @ a, (j, i): b @ g[j][i]})
+        return m.replace({(i, j): a @ g[i][j], (j, i): g[j][i] @ b})
+    k, eps = spec.k, spec.eps_before
+    return m.replace({
+        (i, k): g[i][k] - (g[j][k] @ g[i][j]).scale(eps),
+        (k, i): g[k][i] + (g[j][i] @ g[k][j]).scale(eps),
+    })
 
 
 def scalar(x):
@@ -51,13 +71,13 @@ def scalar_transport(entries):
 def test_horizontality_cases():
     m = scalar_transport([[6, 1], [2, 0]])  # T_0 = -5, T_1 = 1
     spec = CrossingSpec("horiz", 0, 1, motion="above", re_cmp="left")
-    out = cross_horizontality(m, spec)
+    out = apply_crossings(m, [spec])
     assert out.m[0][1] == scalar(-5)       # m_01 T_0
     assert out.m[1][0] == scalar(Q(-2, 5))  # T_0^{-1} m_10
     assert out.m[0][0] == m.m[0][0] and out.m[1][1] == m.m[1][1]
     # zero transport entry stays zero
     z = scalar_transport([[6, 0], [0, 0]])
-    assert cross_horizontality(z, spec).m[0][1].is_zero()
+    assert apply_crossings(z, [spec]).m[0][1].is_zero()
 
 
 def test_horizontality_recross_restores():
@@ -66,18 +86,18 @@ def test_horizontality_recross_restores():
     for re_cmp in ("left", "right"):
         up = CrossingSpec("horiz", 0, 2, motion="above", re_cmp=re_cmp)
         down = CrossingSpec("horiz", 0, 2, motion="below", re_cmp=re_cmp)
-        assert apply_crossing(apply_crossing(m, up), down) == m
+        assert apply_crossings(apply_crossings(m, [up]), [down]) == m
 
 
 def test_collinearity_update_and_recross():
     m = scalar_transport([[0, 3, 1], [0, 0, 2], [0, 0, 0]])
     spec = CrossingSpec("coll", 0, 1, 2, eps_before=-1)
-    out = cross_collinearity(m, spec)
+    out = apply_crossings(m, [spec])
     # m'_02 = m_02 - eps m_12 m_01 = 1 + 2*3 = 7
     assert out.m[0][2] == scalar(7)
     assert out.m[1][2] == m.m[1][2] and out.m[0][1] == m.m[0][1]
     back = CrossingSpec("coll", 0, 1, 2, eps_before=1)
-    assert cross_collinearity(out, back) == m
+    assert apply_crossings(out, [back]) == m
 
 
 def test_crossing_spec_validation():
@@ -87,6 +107,31 @@ def test_crossing_spec_validation():
         CrossingSpec("coll", 0, 1, 1, eps_before=1)
     with pytest.raises(InvalidInput):
         CrossingSpec("coll", 0, 1, 2, eps_before=0)
+    # every check, by its message, the first failing one where several fail
+    horiz = dict(motion="above", re_cmp="left")
+    cases = [
+        (("cross", 0, 1), {}, "kind must be 'horiz' or 'coll'"),
+        (("horiz", 0, 1), dict(motion="up", re_cmp="left"), "needs motion above|below"),
+        (("horiz", 0, 1), dict(motion="below", re_cmp="middle"), "needs re_cmp left|right"),
+        (("horiz", 2, 2), horiz, "indices must differ"),
+        (("horiz", True, 1), horiz, "indices must differ"),
+        (("coll", 0, 1, 0), dict(eps_before=1), "three distinct indices"),
+        (("coll", 0, 2, 2), dict(eps_before=0), "three distinct indices"),
+        (("coll", 0, 1, 2), dict(eps_before=True), "the integer 1 or -1"),
+        (("coll", 0, 1, 2), dict(eps_before=2), "the integer 1 or -1"),
+        (("horiz", -1, 1), horiz, "nonnegative integers"),
+        (("horiz", 0, True), horiz, "nonnegative integers"),
+        (("horiz", 0, 1.0), horiz, "nonnegative integers"),
+        (("coll", 0, 1, -2), dict(eps_before=-1), "nonnegative integers"),
+        (("coll", False, 1, 2), dict(eps_before=1), "nonnegative integers"),
+        (("coll", 0, "1", 2), dict(eps_before=1), "nonnegative integers"),
+        (("coll", [0], 1, 2), dict(eps_before=1), "nonnegative integers"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(InvalidInput, match=message.replace("|", r"\|")):
+            CrossingSpec(*args, **kwargs)
+    # a horizontality has no third point, so its k is not checked
+    assert CrossingSpec("horiz", 1, 0, k="x", **horiz).k == "x"
 
 
 def test_transport_along_constant_path():
@@ -105,14 +150,57 @@ def test_transport_single_collinearity_leg():
     out, log = transport_along_path(m, a0, a1)
     mm = m
     for spec in log:
-        mm = apply_crossing(mm, spec)
+        mm = apply_crossings(mm, [spec])
     assert out == mm
     colls = [s for s in log if s.kind == "coll"]
     assert len(colls) == 1
-    single = cross_collinearity(m, colls[0])
+    single = apply_crossings(m, [colls[0]])
     # the only other event is a horizontality touching m_01/m_10
     assert out.m[0][2] == single.m[0][2]
     assert out.m[2][0] == single.m[2][0]
+
+
+def test_the_fold_matches_the_per_crossing_oracle_on_engine_legs():
+    """On 50 seeded legs of `segment_wall_events` (N = 3-8, blocks of size
+    1-3), run out and back, `apply_crossings` on one grid equals the
+    per-crossing `replace` route of `crossing_by_replace` and carries the
+    inverses of the data it folds, and the way back restores the data
+    exactly.  Half the legs move every point, half one point, so the legs
+    meet horizontality walls and collinearity walls at rational and at
+    irrational times."""
+    r = rng(50)
+    met = set()
+    legs = 0
+    while legs < 50:
+        n = 3 + legs // 2 % 6
+        a0 = rand_config(r, n, require_strong=False, extra_dirs=(Z_RIGHT,))
+        if legs % 2:
+            a1 = rand_config(r, n, require_strong=False, extra_dirs=(Z_RIGHT,))
+        else:
+            k = r.randrange(n)
+            pts = [(p.x, p.y) for p in a0.points]
+            pts[k] = (pts[k][0] + Q(r.randint(-12, 12), 2), pts[k][1] + Q(r.randint(-12, 12), 2))
+            try:
+                a1 = config(*pts)
+            except InvalidInput:
+                continue
+        try:
+            fwd = segment_wall_events(a0, a1)
+        except PathNotGeneric:
+            continue
+        back = segment_wall_events(a1, a0)
+        m = rand_transport(r, n, max_dim=3)
+        out = apply_crossings(m, fwd)
+        for start, specs, end in ((m, fwd, out), (out, back, m)):
+            oracle = start
+            for spec in specs:
+                oracle = crossing_by_replace(oracle, spec)
+            assert apply_crossings(start, specs) == oracle == end
+            assert [end.local_monodromy_inverse(i) for i in range(n)] == [
+                local_monodromy(end, i).inverse() for i in range(n)]
+        met |= {(e.kind, e.time.rational is not None) for e in fwd + back}
+        legs += 1
+    assert met == {("horiz", True), ("coll", True), ("coll", False)}
 
 
 def test_walk_leg_reads_the_stored_inverses(inverse_calls):
