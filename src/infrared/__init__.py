@@ -17,7 +17,7 @@ secondary  marked subdivisions, regularity by exact LP, deformation
            complexes, exceptionality, framings and content
 lp         exact simplex on fraction-free integer rows
 plotting   CSV, SVG and DOT plot data for configurations and posets
-checksuite seeded random invariant suite behind `infrared check`
+checksuite the registry of identities behind `infrared check` and the tests
 randomgen  seeded random configurations, matrices, quivers and transports
 errors     the error hierarchy and its JSON error codes
 cli        JSON-driven command line front end

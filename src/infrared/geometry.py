@@ -639,21 +639,14 @@ def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _leg_quadratic(leg, form, i: int, j: int, k: int):
-    """Coefficients (a, b, c) of form(w_j - w_i, w_k - w_i) along the leg as a
-    quadratic in t, for a bilinear form such as _dot: with u = u0 + t du and
-    v = v0 + t dv it is
-    form(du, dv) t^2 + (form(u0, dv) + form(du, v0)) t + form(u0, v0)."""
-    xi, yi, dxi, dyi = leg[i]
-    xj, yj, dxj, dyj = leg[j]
-    xk, yk, dxk, dyk = leg[k]
-    u0, du = (xj - xi, yj - yi), (dxj - dxi, dyj - dyi)
-    v0, dv = (xk - xi, yk - yi), (dxk - dxi, dyk - dyi)
-    return form(du, dv), form(u0, dv) + form(du, v0), form(u0, v0)
+def _dot_quadratic(u, v):
+    """Coefficients (a, b, c) of the dot product of two pair differences of a
+    leg, u = (x, y) + t (dx, dy) and v likewise, as a quadratic in t."""
+    ux, uy, dux, duy = u
+    vx, vy, dvx, dvy = v
+    return (dux * dvx + duy * dvy,
+            ux * dvx + uy * dvy + dux * vx + duy * vy,
+            ux * vx + uy * vy)
 
 
 def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
@@ -682,7 +675,7 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
         xj, yj, dxj, dyj = leg[j]
         diff[i][j] = (xj - xi, yj - yi, dxj - dxi, dyj - dyi)
     # the orientation quadratic of (i, j, k): cross(u, v) for u = w_j - w_i
-    # and v = w_k - w_i, as in _leg_quadratic
+    # and v = w_k - w_i
     triples = list(itertools.combinations(range(n), 3))
     quads = []
     for i, j, k in triples:
@@ -733,7 +726,7 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
                 continue
         elif not a:
             root = AlgebraicTime.from_rational(Fraction(-c, b))
-            events.append(_collinearity_event(leg, i, j, k, a, b, root))
+            events.append(_collinearity_event(diff, i, j, k, a, b, root))
             continue
         for root, mult in AlgebraicTime.quadratic_roots(a, b, c):
             if not 0 <= root.floor64() < 1 << 64:
@@ -742,7 +735,7 @@ def segment_wall_events(A0: Config, A1: Config) -> list[CrossingSpec]:
                 raise PathNotGeneric(
                     f"tangential collinearity of ({i},{j},{k})"
                 )
-            events.append(_collinearity_event(leg, i, j, k, a, b, root))
+            events.append(_collinearity_event(diff, i, j, k, a, b, root))
 
     events.sort(key=lambda e: (e.time.floor64(), e.time))
     for e, f in zip(events, events[1:]):
@@ -759,7 +752,7 @@ def _name(e: CrossingSpec) -> str:
     return f"D({e.i},{e.j},{e.k})"
 
 
-def _collinearity_event(leg, i, j, k, a, b, root) -> CrossingSpec:
+def _collinearity_event(diff, i, j, k, a, b, root) -> CrossingSpec:
     """Identify which point crosses which open segment and the sign before.
 
     The orientation of (i, j, k) just before the simple root of
@@ -770,12 +763,15 @@ def _collinearity_event(leg, i, j, k, a, b, root) -> CrossingSpec:
     # collision on the leg is a horizontality event with equal real parts,
     # rejected before any collinearity.  The point in the open segment
     # between the other two is the apex whose vectors to them have a
-    # negative dot product; if neither j nor i is that point, k is.
-    # (lo, mid, hi) in the order tried; the sign was computed for the
-    # ascending triple (i, j, k), so correct by the permutation parity
-    for lo, mid, hi, parity in ((i, j, k, 1), (j, i, k, -1)):
-        if root.sign_at(*_leg_quadratic(leg, _dot, mid, lo, hi)) < 0:
-            break
+    # negative dot product; if neither j nor i is that point, k is.  The
+    # vectors are pair differences: w_i - w_j = -diff[i][j] and
+    # w_k - w_j = diff[j][k] at apex j, diff[i][j] and diff[i][k] at apex
+    # i.  The sign was computed for the ascending triple (i, j, k), so a
+    # middle point other than j flips it
+    if root.sign_at(*_dot_quadratic(diff[i][j], diff[j][k])) > 0:
+        lo, mid, hi, parity = i, j, k, 1
+    elif root.sign_at(*_dot_quadratic(diff[i][j], diff[i][k])) < 0:
+        lo, mid, hi, parity = j, i, k, -1
     else:
         lo, mid, hi, parity = i, k, j, -1
     return CrossingSpec(

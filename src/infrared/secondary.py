@@ -596,6 +596,22 @@ def enumerate_triangulations(A: Config) -> list[Subdivision]:
     return [s for s in enumerate_subdivisions(A) if s.is_triangulation()]
 
 
+def gkz_vector(A: Config, T: Subdivision) -> list[int]:
+    """The GKZ vector of the triangulation T: entry i sums the
+    `A.area_table()` areas of the triangles of T with corner i, so it is 0
+    at a point T omits.  The vectors of the regular triangulations are the
+    vertices of the secondary polytope (Gelfand, Kapranov and Zelevinsky,
+    Ch. 7)."""
+    if not T.is_triangulation():
+        raise InvalidInput("a GKZ vector needs a triangulation")
+    a, phi = A.area_table(), [0] * len(A)
+    for cell in T.cells:
+        i, j, k = cell.polygon
+        for w in cell.polygon:
+            phi[w] += a[i][j][k]
+    return phi
+
+
 def refines(fine: Subdivision, coarse: Subdivision) -> bool:
     """fine <= coarse: every fine cell sits in a coarse cell, markings
     included.  Both must subdivide one configuration in linear general

@@ -2,37 +2,27 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  All tolerances are exact equality of rational matrices or
-integer counts; nothing is approximate.
+integer counts; nothing is approximate.  Criteria 01, 02 and 04-07 run
+the identities of `infrared.checksuite` on their tier-1 draws
+(`test_checksuite.run_tier1`); the identities are written there once.
 """
 
 import itertools
 import math
 from fractions import Fraction as Q
 
-import pytest
-
+from infrared import checksuite
 from infrared.errors import NotInvertible
 from infrared.geometry import (
-    Config,
     Dir,
-    Pt,
     anti_stokes_sequence,
     config,
     convex_hull,
     direction,
     dominance_order,
-    general_position,
     orient,
-    segment_wall_events,
 )
 from infrared.linalg import MatQ
-from infrared.fourier import (
-    factorization_check,
-    fourier_diagram,
-    global_monodromy,
-    monodromy_product,
-    stokes_pair,
-)
 from infrared.paths import (
     enumerate_zeta_convex_paths,
     height_data,
@@ -41,29 +31,17 @@ from infrared.paths import (
     reduce_path,
     wedge_sign,
 )
-from infrared.perverse import (
-    braid_act_quiver,
-    braid_act_transport,
-    braid_act_word,
-    double_dual_check,
-    dual_pair,
-    gmv_embed,
-    jacobson,
-    mu,
-    spherical_report,
-)
+from infrared.perverse import spherical_report
 from infrared.randomgen import (
     maximally_concave_config,
     rand_config,
     rand_matrix,
-    rand_quiver,
     rand_transport,
     rng,
 )
 from infrared.secondary import (
     Cell,
     Subdivision,
-    coarse_subdivisions,
     content,
     deformation_complex,
     enumerate_subdivisions,
@@ -74,7 +52,7 @@ from infrared.secondary import (
     parallel_deformations,
     refinement_poset,
 )
-from infrared.wallcross import CrossingSpec, apply_crossings, transport_along_path
+from test_checksuite import leg_coverage, run_tier1
 from test_fourier import FACTORIZATION_CONVENTION, solve_factorization_convention
 from test_linalg import block_diagonal
 from test_perverse import rand_invertible
@@ -89,28 +67,12 @@ def report(num, text):
 
 
 def test_criterion_01_jacobson():
-    r = rng(101)
-    checked = 0
-    while checked < 200:
-        rows, cols = r.randint(1, 4), r.randint(1, 4)
-        u, v = rand_matrix(r, rows, cols), rand_matrix(r, cols, rows)
-        try:
-            lhs, rhs = jacobson(u, v)
-        except NotInvertible:
-            continue
-        assert lhs == rhs
-        checked += 1
+    run_tier1("jacobson")
     report(1, "Jacobson identity exact on 200 seeded pairs, dims <= 4")
 
 
 def test_criterion_02_duality_round_trip():
-    r = rng(102)
-    checked = 0
-    while checked < 100:
-        q = rand_quiver(r, 1, max_dim=3)
-        a, b = q.a[0], q.b[0]
-        assert double_dual_check(a, b)
-        checked += 1
+    run_tier1("duality_round_trip")
     report(2, "duality round trip with e_Phi = -(1-ba)^{-1} on 100 instances")
 
 
@@ -161,86 +123,26 @@ def test_criterion_03_spherical_package():
 
 
 def test_criterion_04_braid_relations():
-    r = rng(104)
-    for n in (3, 4, 5):
-        for _ in range(3):
-            q = rand_quiver(r, n, max_dim=2)
-            m = rand_transport(r, n, max_dim=2)
-            for i in range(1, n - 1):
-                assert braid_act_word(q, [i, i + 1, i]) == braid_act_word(
-                    q, [i + 1, i, i + 1]
-                )
-                assert braid_act_word(m, [i, i + 1, i]) == braid_act_word(
-                    m, [i + 1, i, i + 1]
-                )
-            for i, j in itertools.combinations(range(1, n), 2):
-                if abs(i - j) >= 2:
-                    assert braid_act_word(q, [i, j]) == braid_act_word(q, [j, i])
-                    assert braid_act_word(m, [i, j]) == braid_act_word(m, [j, i])
-            for g in list(range(1, n)) + [-k for k in range(1, n)]:
-                assert mu(braid_act_quiver(q, g)) == braid_act_transport(mu(q), g)
+    run_tier1("braid_relations_naturality")
     report(4, "braid + commutation relations and naturality, N = 3..5, dims <= 2")
 
 
-def _collinearity_leg(r, n):
-    """A straight leg moving one point horizontally: the dominance order is
-    untouched, so only collinearity walls can be crossed."""
-    while True:
-        a0 = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        k = r.randrange(n)
-        pts = list(a0.points)
-        pts[k] = Pt(pts[k].x + Q(r.randint(-40, 40), 2), pts[k].y)
-        try:
-            a1 = Config(pts)
-            events = segment_wall_events(a0, a1)
-        except Exception:
-            continue
-        if events and all(e.kind == "coll" for e in events):
-            return a0, a1, events
-
-
 def test_criterion_05_wall_crossing():
-    r = rng(105)
-    # involutivity of every single crossing
-    for _ in range(25):
-        n = r.choice((3, 4, 5))
-        m = rand_transport(r, n, max_dim=2)
-        i, j, k = sorted(r.sample(range(n), 3))
-        eps = r.choice((1, -1))
-        spec = CrossingSpec("coll", i, j, k, eps_before=eps)
-        undo = CrossingSpec("coll", i, j, k, eps_before=-eps)
-        assert apply_crossings(apply_crossings(m, [spec]), [undo]) == m
-        for re_cmp in ("left", "right"):
-            up = CrossingSpec("horiz", i, j, motion="above", re_cmp=re_cmp)
-            down = CrossingSpec("horiz", i, j, motion="below", re_cmp=re_cmp)
-            assert apply_crossings(apply_crossings(m, [up]), [down]) == m
-    # global monodromy invariance along 50 seeded collinearity legs
-    legs = 0
-    while legs < 50:
-        n = r.choice((3, 4, 5))
-        a0, a1, events = _collinearity_leg(r, n)
-        m0 = rand_transport(r, n, max_dim=2)
-        m1, log = transport_along_path(m0, a0, a1)
-        assert all(s.kind == "coll" for s in log)
-        assert global_monodromy(m0, a0, Z0) == global_monodromy(m1, a1, Z0)
-        legs += 1
-    report(5, "single-crossing involutivity; T_glob invariant on 50 collinearity legs")
+    run_tier1("wallcross_involutive")
+    coll_only, horiz, events = leg_coverage(run_tier1("isomonodromy_legs"))
+    assert coll_only >= 50 and horiz >= 6
+    assert {rational for rational, _ in events} == {True, False}
+    assert {sign for _, sign in events} >= {1, -1}
+    report(5, "single-crossing involutivity; legs round trip; Stokes data and "
+              "T_glob invariant on 50 collinearity legs")
 
 
 def test_criterion_06_fourier_monodromy():
-    r = rng(106)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(4):
-            A = rand_config(r, n, require_strong=False, extra_dirs=(Z_RIGHT,))
-            m = rand_transport(r, n, max_dim=3)
-            diag = fourier_diagram(m, Z_RIGHT, A)
-            assert diag.monodromy() == monodromy_product(
-                m.permuted(diag.order), "descending"
-            )
+    run_tier1("fourier_monodromy")
     report(6, "Id - b-check a-check equals the clockwise product, N <= 5, dims <= 3")
 
 
-def test_criterion_07_stokes_factorization():
+def test_criterion_07_stokes_factorization(monkeypatch):
     r = rng(107)
     # convention fixed once by the N=2 symbolic oracle
     oracle = [
@@ -249,28 +151,14 @@ def test_criterion_07_stokes_factorization():
     ]
     survivors = solve_factorization_convention(oracle)
     assert FACTORIZATION_CONVENTION in survivors
-    # (a) maximally concave instances N <= 5
-    for n in (2, 3, 4, 5):
-        for _ in range(3):
-            A = maximally_concave_config(r, n)
-            m = rand_transport(r, n, max_dim=2)
-            assert factorization_check(m, A, Z0).ok
-    # (b) 50 seeded generic-chamber instances N <= 4
-    for trial in range(50):
-        n = 2 + trial % 3
-        A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        m = rand_transport(r, n, max_dim=2)
-        assert factorization_check(m, A, Z0).ok
-    # stays passing after collinearity wall-crossings, left side unchanged
-    for _ in range(5):
-        n = r.choice((3, 4))
-        a0, a1, _ = _collinearity_leg(r, n)
-        m0 = rand_transport(r, n, max_dim=2)
-        m1, _ = transport_along_path(m0, a0, a1)
-        rep0 = factorization_check(m0, a0, Z0)
-        rep1 = factorization_check(m1, a1, Z0)
-        assert rep0.ok and rep1.ok and rep0.lhs == rep1.lhs
-    report(7, "Stokes factorization: oracle-pinned convention, concave + generic + walls")
+    # maximally concave and generic-chamber instances, N = 2..5
+    concave = []
+    draw = checksuite.maximally_concave_config
+    monkeypatch.setattr(checksuite, "maximally_concave_config",
+                        lambda r, n: concave.append(draw(r, n)) or concave[-1])
+    drawn = run_tier1("stokes_factorization")
+    assert len(concave) >= 12 and len(drawn) - len(concave) >= 50
+    report(7, "Stokes factorization: oracle-pinned convention, concave + generic")
 
 
 def _brute_force_lambda(A, i, j, zeta):

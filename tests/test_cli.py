@@ -684,8 +684,8 @@ def test_decimal_exponents_up_to_the_bound_are_read():
 
 
 def test_pinned_walk_leg_meets_irrational_events_of_both_leading_signs():
-    from infrared.geometry import _integer_leg, _leg_quadratic, segment_wall_events
-    from test_geometry import _cross
+    from infrared.geometry import _integer_leg, segment_wall_events
+    from test_geometry import _cross, _leg_quadratic
 
     for name, target in PINNED_LEGS:
         a0, a1 = _pinned_leg(name, target)

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from infrared.checksuite import IDENTITIES
 from infrared.errors import (
     DegeneratePosition,
     EdgePrecondition,
@@ -33,7 +34,7 @@ from infrared.fourier import (
     stokes_pair,
 )
 from infrared.paths import enumerate_zeta_convex_paths
-from infrared.perverse import Quiver, TransportData, gmv_embed, mu
+from infrared.perverse import TransportData, gmv_embed, mu
 from infrared.randomgen import (
     maximally_concave_config,
     rand_config,
@@ -89,16 +90,12 @@ def test_fourier_diagram_zero():
 
 
 def test_fourier_monodromy_product():
+    """The registry's Fourier entry (the clockwise product and the one-point
+    quiver of the transform) on the draws of seed 51, N = 2..5."""
+    entry = IDENTITIES["fourier_monodromy"]
     r = rng(51)
     for n in (2, 3, 4, 5):
-        A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        m = rand_transport(r, n, max_dim=3)
-        diag = fourier_diagram(m, Z_RIGHT, A)
-        mm = m.permuted(diag.order)
-        assert diag.monodromy() == monodromy_product(mm, "descending")
-        # the transform is a valid one-singularity diagram (N = 1 quiver)
-        a = MatQ.from_blocks([[blk] for blk in diag.a_check])
-        Quiver([diag.d_psi], sum(diag.dims), [a], [diag.b_check])
+        assert entry(r, n, 3) is None
 
 
 # The factorization identity carries a finite convention freedom: the
@@ -399,11 +396,6 @@ def test_factorization_zero_and_random():
     rep = factorization_check(zero, A, Z0)
     rhs = solve_unit_upper_right(rep.c_plus @ rep.delta, rep.c_minus_twisted)
     assert rep.ok and rep.lhs == MatQ.identity(2) == rhs
-    r = rng(53)
-    for n in (2, 3, 4):
-        A = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        m = rand_transport(r, n, max_dim=2)
-        assert factorization_check(m, A, Z0).ok
 
 
 def solve_unit_upper_right(b: MatQ, u: MatQ) -> MatQ:

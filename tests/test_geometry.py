@@ -12,9 +12,7 @@ from infrared.geometry import (
     Dir,
     GPReport,
     Pt,
-    _dot,
     _integer_leg,
-    _leg_quadratic,
     _name,
     anti_stokes_sequence,
     config,
@@ -34,9 +32,27 @@ Z_RIGHT = direction(1, 0)
 
 
 def _cross(u, v):
-    """The orientation form, for `_leg_quadratic`: the engine builds its
-    orientation quadratics from the pair differences of the leg instead."""
+    """The orientation form, for `_leg_quadratic`."""
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _leg_quadratic(leg, form, i: int, j: int, k: int):
+    """Coefficients (a, b, c) of form(w_j - w_i, w_k - w_i) along the leg as a
+    quadratic in t, for a bilinear form such as _dot: with u = u0 + t du and
+    v = v0 + t dv it is
+    form(du, dv) t^2 + (form(u0, dv) + form(du, v0)) t + form(u0, v0).
+    The engine builds the same quadratics from the pair differences of the
+    leg, which it forms once."""
+    xi, yi, dxi, dyi = leg[i]
+    xj, yj, dxj, dyj = leg[j]
+    xk, yk, dxk, dyk = leg[k]
+    u0, du = (xj - xi, yj - yi), (dxj - dxi, dyj - dyi)
+    v0, dv = (xk - xi, yk - yi), (dxk - dxi, dyk - dyi)
+    return form(du, dv), form(u0, dv) + form(du, v0), form(u0, v0)
 
 
 def test_orient_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from infrared.checksuite import IDENTITIES
 from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
 from infrared.linalg import MatQ
 from infrared.perverse import (
@@ -10,7 +11,6 @@ from infrared.perverse import (
     TransportData,
     braid_act_quiver,
     braid_act_transport,
-    braid_act_word,
     cy_check,
     double_dual_check,
     dual_pair,
@@ -60,14 +60,6 @@ def test_jacobson_examples():
     assert lhs == MatQ.identity(2) == rhs
     lhs, rhs = jacobson(scalar(2), scalar(3))
     assert lhs == scalar(Q(-1, 5)) == rhs
-    r = rng(21)
-    for _ in range(10):
-        u, v = rand_matrix(r, 3, 3), rand_matrix(r, 3, 3)
-        try:
-            lhs, rhs = jacobson(u, v)
-        except NotInvertible:
-            continue
-        assert lhs == rhs
 
 
 def test_matrix_inverse_errors():
@@ -237,15 +229,6 @@ def test_dual_monodromy():
 def test_double_dual():
     assert double_dual_check(scalar(2), scalar(3))
     assert double_dual_check(scalar(0), scalar(5))
-    r = rng(25)
-    for _ in range(10):
-        a = rand_matrix(r, 2, 3)
-        b = rand_matrix(r, 3, 2)
-        try:
-            (MatQ.identity(3) - b @ a).inverse()
-        except NotInvertible:
-            continue
-        assert double_dual_check(a, b)
     # composing twice gives a'' = -a(1-ba), e.g. 10 for a=2, b=3
     a2, _ = dual_pair(*dual_pair(scalar(2), scalar(3)))
     assert a2 == scalar(10)
@@ -392,16 +375,14 @@ def test_braid_moves_carry_the_stored_inverses(inverse_calls):
                 want = local_monodromy(data, k).inverse()
                 assert data.local_monodromy_inverse(k) == want
 
+
 def test_braid_relations():
+    """The registry's braid entry (every relation, far commutation and +-g)
+    on the draws of seed 30, one at each N = 3, 4, 5."""
+    entry = IDENTITIES["braid_relations_naturality"]
     r = rng(30)
     for n in (3, 4, 5):
-        q = rand_quiver(r, n, max_dim=2)
-        m = rand_transport(r, n, max_dim=2)
-        assert braid_act_word(q, [1, 2, 1]) == braid_act_word(q, [2, 1, 2])
-        assert braid_act_word(m, [1, 2, 1]) == braid_act_word(m, [2, 1, 2])
-        if n >= 4:
-            assert braid_act_word(q, [1, 3]) == braid_act_word(q, [3, 1])
-            assert braid_act_word(m, [1, 3]) == braid_act_word(m, [3, 1])
+        assert entry(r, n, 2) is None
 
 
 def test_braid_naturality():

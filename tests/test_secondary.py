@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from infrared import lp, secondary
+from infrared import checksuite, lp, secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
 from infrared.geometry import (
     Config, area2, config, convex_hull, direction, general_position, orient, pt)
@@ -25,6 +25,7 @@ from infrared.secondary import (
     enumerate_subdivisions,
     enumerate_triangulations,
     framing,
+    gkz_vector,
     induced_subdivision,
     is_regular,
     parallel_deformations,
@@ -33,6 +34,7 @@ from infrared.secondary import (
     secondary_fan,
 )
 from infrared.randomgen import rand_config, rng
+from test_checksuite import run_tier1
 from test_geometry import tie_prone_draws
 from test_kernels import BIG, PRIMES
 
@@ -1032,6 +1034,36 @@ def test_graded_covers_match_the_refinement_matrix():
     assert refinement_poset([only], [deformation_complex(triangle, only).codim]) == {
         "covers": [], "height": 0}
     assert refinement_poset([], []) == {"covers": [], "height": 0}
+
+
+def test_gkz_vector_of_the_square():
+    """On the integer frame each half of the square of side 2 has doubled
+    area 4, so the two corners on the diagonal sum 8; a subdivision that is
+    not a triangulation has no GKZ vector."""
+    A = config((0, 0), (2, 0), (2, 2), (0, 2))
+    subs = enumerate_subdivisions(A)
+    assert sorted(gkz_vector(A, s) for s in subs if s.is_triangulation()) == [
+        [4, 8, 4, 8], [8, 4, 8, 4]]
+    (whole,) = [s for s in subs if not s.is_triangulation()]
+    with pytest.raises(InvalidInput, match="triangulation"):
+        gkz_vector(A, whole)
+
+
+def test_gkz_identities_hold_on_the_oracle_configurations():
+    """The identities of the `secondary_gkz` entry (face dimensions from the
+    GKZ vectors, the Euler characteristic of every face, the circuit of
+    every edge and the poset height) on the 61 `oracle_configs()`, the
+    nested triangles, `concentric.json` and `seven.json`."""
+    configs = oracle_configs() + [
+        concentric_triangles()[0], data_config("concentric"), seven()]
+    assert len(configs) == 64
+    holds = checksuite.IDENTITIES["secondary_gkz"].holds
+    for A in configs:
+        assert holds(config=A), A
+
+
+def test_secondary_gkz_on_tier1_draws():
+    run_tier1("secondary_gkz")
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,13 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
 
 
 def test_src_has_no_catch_all_handler():
-    """No `except Exception` (or bare `except:`) can hide a failure."""
+    """No handler of Exception or BaseException, and no bare one, can hide
+    a failure, in `src/` or in `tests/`."""
     pattern = re.compile(r"except\s*(:|\(?\s*(Base)?Exception\b)")
     hits = [
-        f"{path.name}:{n}"
-        for path in sorted((ROOT / "src").rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{n}"
+        for tree in ("src", "tests")
+        for path in sorted((ROOT / tree).rglob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]

@@ -2,15 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from infrared.checksuite import IDENTITIES
 from infrared.errors import InvalidInput, PathNotGeneric
-from infrared.geometry import (
-    Dir,
-    Pt,
-    _integer_leg,
-    _leg_quadratic,
-    config,
-    segment_wall_events,
-)
+from infrared.geometry import Dir, _integer_leg, config, segment_wall_events
 from infrared.linalg import MatQ
 from infrared.perverse import TransportData, braid_act_transport
 from infrared.fourier import dressed_transport, global_monodromy, stokes_pair
@@ -20,7 +14,7 @@ from infrared.wallcross import (
     apply_crossings,
     transport_along_path,
 )
-from test_geometry import _cross
+from test_geometry import _cross, _leg_quadratic
 from test_perverse import local_monodromy
 
 Z0 = Dir(Q(-1), Q(0))
@@ -220,57 +214,29 @@ def test_walk_leg_reads_the_stored_inverses(inverse_calls):
             assert data.local_monodromy_inverse(i) == local_monodromy(data, i).inverse()
 
 
+
 def test_out_and_back_restores():
+    """The registry's leg entry on the draws of seed 44: six legs at N = 3
+    or 4, each walked out and back to the same data."""
+    entry = IDENTITIES["isomonodromy_legs"]
     r = rng(44)
-    count = 0
-    while count < 6:
-        n = r.choice((3, 4))
-        a0 = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        k = r.randrange(n)
-        pts = list(a0.points)
-        pts[k] = Pt(pts[k].x + Q(r.randint(-5, 5), 2), pts[k].y + Q(r.randint(-5, 5), 2))
-        try:
-            a1 = config(*[(p.x, p.y) for p in pts])
-            fwd = segment_wall_events(a0, a1)
-        except Exception:
-            continue
-        if not fwd:
-            continue
-        m = rand_transport(r, n, max_dim=2)
-        out, _ = transport_along_path(m, a0, a1)
-        back, _ = transport_along_path(out, a1, a0)
-        assert back == m
-        count += 1
+    for _ in range(6):
+        assert entry(r, r.choice((3, 4)), 2) is None
 
 
 def test_stokes_blocks_invariant_under_collinearity():
     """Crossing a collinearity wall re-sums the convex paths in the new
     chamber to exactly the same block values (far transports are isotopy
-    invariants)."""
+    invariants): the registry's leg entry on the first eight legs of seed
+    45 that meet collinearity walls only."""
+    entry = IDENTITIES["isomonodromy_legs"]
     r = rng(45)
     count = 0
     while count < 8:
-        n = r.choice((3, 4))
-        a0 = rand_config(r, n, extra_dirs=(Z_RIGHT,))
-        k = r.randrange(n)
-        pts = list(a0.points)
-        pts[k] = Pt(pts[k].x + Q(r.randint(-6, 6), 2), pts[k].y + Q(r.randint(-6, 6), 2))
-        try:
-            a1 = config(*[(p.x, p.y) for p in pts])
-            events = segment_wall_events(a0, a1)
-        except Exception:
-            continue
-        if not events or any(e.kind != "coll" for e in events):
-            continue
-        m0 = rand_transport(r, n, max_dim=2)
-        m1, _ = transport_along_path(m0, a0, a1)
-        p0 = stokes_pair(m0, a0, Z0)
-        p1 = stokes_pair(m1, a1, Z0)
-        assert p0.order == p1.order
-        assert p0.c_plus == p1.c_plus
-        assert p0.c_minus == p1.c_minus
-        assert global_monodromy(m0, a0, Z0) == global_monodromy(m1, a1, Z0)
-        count += 1
+        parts = entry.draw(r, r.choice((3, 4)), 2)
+        if all(e.kind == "coll" for e in segment_wall_events(parts["config"], parts["target"])):
+            assert entry.holds(**parts)
+            count += 1
 
 
 def test_isomonodromy_two_movers_irrational_negative_leading():
