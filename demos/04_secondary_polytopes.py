@@ -3,8 +3,8 @@ complexes and exceptionality.
 
 Regularity is decided on the secondary fan (`secondary_fan`, as `infrared
 secondary` does), with an exact rational LP (`is_regular`, used below) as
-its fallback and its oracle; the witness lift reproduces the subdivision
-through its lower hull.  A `Subdivision` is checked when it is built.
+its oracle; the witness lift reproduces the subdivision through its lower
+hull.  A `Subdivision` is checked when it is built.
 The deformation complex counts piecewise-affine data: its middle cohomology
 (the exceptionality) is the dimension of the space of parallel
 deformations, and jumps the codimension of the corresponding face of the

@@ -29,8 +29,7 @@ from .perverse import Quiver, braid_act_word, double_dual_check, jacobson, mu
 from .randomgen import (
     maximally_concave_config, rand_config, rand_matrix, rand_quiver, rand_transport, rng)
 from .secondary import (
-    deformation_complex, enumerate_subdivisions, gkz_vector, refinement_poset, refines,
-    secondary_fan)
+    gkz_vector, induced_subdivision, is_regular, refinement_poset, refines, secondary_fan)
 from .wallcross import CrossingSpec, apply_crossings, transport_along_path
 
 Q = Fraction
@@ -74,21 +73,21 @@ def _draw_arms(r, n, dim):
 
 
 def _draw_braid(r, n, dim):
-    nn = max(3, min(n, 5))
+    nn = max(2, min(n, 5))
     return {"quiver": rand_quiver(r, nn, max_dim=dim),
             "transport": rand_transport(r, nn, max_dim=dim)}
 
 
 def _braid(quiver, transport):
-    """On both models every relation (i, i+1, i) = (i+1, i, i+1) and every
-    commutation of generators two or more apart; on transport data every
-    generator +-g undone by its inverse; and mu natural for every +-g."""
+    """On both models every relation (i, i+1, i) = (i+1, i, i+1), every
+    commutation of generators two or more apart and every generator +-g
+    undone by its inverse; and mu natural for every +-g."""
     n, collapsed = quiver.n, mu(quiver)
     relations = [([i, i + 1, i], [i + 1, i, i + 1]) for i in range(1, n - 1)] + [
         ([i, j], [j, i]) for i, j in itertools.combinations(range(1, n), 2) if j - i >= 2]
     return all(braid_act_word(x, lhs) == braid_act_word(x, rhs)
                for lhs, rhs in relations for x in (quiver, transport)) and all(
-        braid_act_word(transport, [g, -g]) == transport
+        all(braid_act_word(x, [g, -g]) == x for x in (quiver, transport))
         and mu(braid_act_word(quiver, [g])) == braid_act_word(collapsed, [g])
         for k in range(1, n) for g in (k, -k))
 
@@ -195,10 +194,7 @@ def _gkz(config):
          GKZ vectors differ exactly there;
     and the refinement poset has height N - 3."""
     A, top = config, len(config) - 3
-    subs = enumerate_subdivisions(A)
-    codims = [deformation_complex(A, s).codim for s in subs]
-    regular = [(s, c) for s, c, wit in zip(subs, codims, secondary_fan(A, subs, codims))
-               if wit is not None]
+    regular = [(s, rep.codim) for s, rep, wit in secondary_fan(A) if wit is not None]
     if refinement_poset(*zip(*regular))["height"] != top:
         return False
     vertex = {s: gkz_vector(A, s) for s, _ in regular if s.is_triangulation()}
@@ -216,6 +212,30 @@ def _gkz(config):
     return True
 
 
+def _draw_fan(r, n, dim):
+    """Half the draws 5 or 6 random points, half an outer triangle and a
+    shrunk, shifted copy inside it: six points with irregular subdivisions,
+    which random draws of this size almost never have."""
+    if r.randrange(2):
+        return {"config": rand_config(r, r.randint(5, 6))}
+    outer = [(Q(0), Q(0)), (Q(12), Q(0)), (Q(6), Q(12))]
+    while True:
+        s, dx, dy = Q(r.randint(2, 4), 10), Q(r.randint(-3, 3), 7), Q(r.randint(-3, 3), 7)
+        A = config(*outer, *((6 + s * (x - 6) + dx, 4 + s * (y - 4) + dy) for x, y in outer))
+        if general_position(A).lin_general:
+            return {"config": A}
+
+
+def _fan_lp(config):
+    """`secondary_fan` decides every subdivision as the exact LP
+    `is_regular` does, and each of its witnesses has slack 1 and induces
+    its subdivision."""
+    return all(
+        (wit is None) == (is_regular(config, sub) is None)
+        and (wit is None or wit.slack == 1 and induced_subdivision(config, wit.psi) == sub)
+        for sub, _, wit in secondary_fan(config))
+
+
 IDENTITIES = {
     "jacobson": Identity(20, _draw_jacobson, lambda u, v: eq(*jacobson(u, v))),
     "duality_round_trip": Identity(15, _draw_arms, double_dual_check),
@@ -227,6 +247,7 @@ IDENTITIES = {
     "isomonodromy_legs": Identity(4, _draw_leg, _isomonodromy),
     "secondary_gkz": Identity(
         2, lambda r, n, dim: {"config": rand_config(r, r.randint(5, 6))}, _gkz),
+    "secondary_fan_lp": Identity(2, _draw_fan, _fan_lp),
 }
 
 

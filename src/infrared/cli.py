@@ -8,9 +8,10 @@ Subcommands operate on a JSON instance file:
      "zeta":      "dx/dy"}                                      (optional)
 
 with rational entries as canonical "num/den" strings; any other key is
-invalid input.  All reports are machine-readable JSON (--pretty for
-indentation); errors surface as {"error": {"code", "message"}} with a
-nonzero exit code.
+invalid input.  A given --zeta wins over the instance's "zeta", which wins
+over the subcommand's default.  All reports are machine-readable JSON
+(--pretty for indentation); errors surface as {"error": {"code",
+"message"}} with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .geometry import (
 from .paths import enumerate_zeta_convex_paths, height_data
 from .perverse import Quiver, TransportData, mu
 from .fourier import factorization_check, fourier_diagram
-from .secondary import deformation_complex, enumerate_subdivisions, secondary_fan
+from .secondary import secondary_fan
 from .wallcross import CrossingSpec, apply_crossings, transport_along_path
 
 
@@ -49,6 +50,15 @@ def _parse_zeta(text: str) -> Dir:
         raise InvalidInput(
             f"zeta expects 'dx/dy' with integer components, got {text!r}"
         ) from None
+
+
+def _zeta(inst: "Instance", args, default: str | None = None) -> Dir | None:
+    """The direction a subcommand reads: --zeta when it is given, else the
+    instance's "zeta", else `default`.  A given --zeta is parsed even when
+    the instance has its own, so a malformed one is invalid input."""
+    if args.zeta is not None:
+        return _parse_zeta(args.zeta)
+    return inst.zeta or (default and _parse_zeta(default))
 
 
 def _load(path: str, build):
@@ -132,7 +142,7 @@ def cmd_matroid(inst: Instance, args) -> dict:
     _need(inst, "config")
     A = inst.config
     t = A.sign_table()
-    zeta = inst.zeta or (args.zeta and _parse_zeta(args.zeta))
+    zeta = _zeta(inst, args)
     rep = general_position(A, zeta)
     return {
         "n": len(A),
@@ -149,7 +159,7 @@ def cmd_matroid(inst: Instance, args) -> dict:
 
 def cmd_antistokes(inst: Instance, args) -> dict:
     _need(inst, "config")
-    zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
+    zeta = _zeta(inst, args, "1/0")
     word = anti_stokes_sequence(inst.config, zeta, rotation=args.rotation)
     return {
         "initial_order": dominance_order(inst.config, zeta),
@@ -161,7 +171,7 @@ def cmd_antistokes(inst: Instance, args) -> dict:
 
 def cmd_paths(inst: Instance, args) -> dict:
     _need(inst, "config")
-    zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
+    zeta = _zeta(inst, args, "1/0")
     A = inst.config
     out = []
     if (args.source is None) != (args.target is None):
@@ -201,7 +211,7 @@ def cmd_paths(inst: Instance, args) -> dict:
 
 def cmd_stokes(inst: Instance, args) -> dict:
     _need(inst, "config", "transport")
-    zeta0 = inst.zeta or _parse_zeta(args.zeta or "-1/0")
+    zeta0 = _zeta(inst, args, "-1/0")
     rep = factorization_check(inst.transport, inst.config, zeta0)
     return {
         "order": list(rep.order),
@@ -215,7 +225,7 @@ def cmd_stokes(inst: Instance, args) -> dict:
 
 def cmd_fourier(inst: Instance, args) -> dict:
     _need(inst, "config", "transport")
-    zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
+    zeta = _zeta(inst, args, "1/0")
     diag = fourier_diagram(inst.transport, zeta, inst.config)
     mono = diag.monodromy()
     return {
@@ -255,9 +265,7 @@ def cmd_walk(inst: Instance, args) -> dict:
 def cmd_secondary(inst: Instance, args) -> dict:
     _need(inst, "config")
     A = inst.config
-    subs = enumerate_subdivisions(A)
-    reps = [deformation_complex(A, sub) for sub in subs]
-    witnesses = secondary_fan(A, subs, [rep.codim for rep in reps])
+    fan = secondary_fan(A)
     reports = [
         {
             "subdivision": sub.to_json(),
@@ -268,13 +276,13 @@ def cmd_secondary(inst: Instance, args) -> dict:
             "exc": rep.exc,
             "h2": rep.h2,
         }
-        for sub, rep, wit in zip(subs, reps, witnesses)
+        for sub, rep, wit in fan
     ]
-    regular = [rep.codim for rep, wit in zip(reps, witnesses) if wit is not None]
+    regular = [rep.codim for _, rep, wit in fan if wit is not None]
     return {
         "n": len(A),
         "triangulations": sum(1 for r in reports if r["triangulation"]),
-        "subdivisions": len(subs),
+        "subdivisions": len(fan),
         "regular": len(regular),
         "poset_height": max(regular) - min(regular) if regular else 0,
         "coarse": regular.count(1),
@@ -296,10 +304,10 @@ def cmd_plot(inst: Instance, args) -> dict:
     _need(inst, "config")
     from . import plotting
 
+    zeta = _zeta(inst, args, "1/0")
     if args.format == "svg":
         if args.poset:
             raise InvalidInput("--poset needs --format csv or dot")
-        zeta = inst.zeta or _parse_zeta(args.zeta or "1/0")
         text = plotting.config_svg(inst.config, zeta)
     elif args.zeta is not None:
         raise InvalidInput("--zeta needs --format svg")

@@ -172,6 +172,14 @@ class Quiver:
             except NotInvertible:
                 raise NotInvertible(f"Id - b[{i}] a[{i}] is singular") from None
 
+    @classmethod
+    def _checked(cls, dims, d_psi, a, b) -> "Quiver":
+        """Assemble from arms whose shapes are known to fit and whose
+        Id - b_i a_i are known to be invertible."""
+        out = object.__new__(cls)
+        out.dims, out.d_psi, out.a, out.b = dims, d_psi, a, b
+        return out
+
     @property
     def n(self) -> int:
         return len(self.dims)
@@ -381,7 +389,10 @@ def _gen_index(g: int, n: int) -> tuple[int, bool]:
 def braid_act_quiver(q: Quiver, g: int) -> Quiver:
     """Twist generator tau_k (g=+k) or its inverse (g=-k) on the quiver:
     tau_k swaps slots k, k+1, replacing the new slot-k arm by
-    (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1})."""
+    (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1}).  A twisted pair (T a, b T^{-1})
+    keeps the shapes and Id - b a, so the T_{Phi} of the result are those of
+    q with the two slots swapped, all invertible: the result is assembled
+    from these checked parts, and T_{Psi} is the one matrix inverted."""
     i, inverse = _gen_index(g, q.n)
     dims = list(q.dims)
     a, b = list(q.a), list(q.b)
@@ -398,7 +409,7 @@ def braid_act_quiver(q: Quiver, g: int) -> Quiver:
     dims[i], dims[i + 1] = dims[i + 1], dims[i]
     a[i], a[i + 1] = new_ai, new_ai1
     b[i], b[i + 1] = new_bi, new_bi1
-    return Quiver(dims, q.d_psi, a, b)
+    return Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b))
 
 
 def braid_act_transport(m: TransportData, g: int) -> TransportData:

@@ -5,12 +5,9 @@ the covers that `secondary.refinement_poset` builds level by level."""
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .geometry import Config, Dir, convex_hull, infinity_order
 from .paths import enumerate_zeta_convex_paths
-from .secondary import (
-    deformation_complex, enumerate_subdivisions, refinement_poset, secondary_fan)
+from .secondary import refinement_poset, secondary_fan
 
 
 def config_csv(A: Config) -> str:
@@ -70,11 +67,8 @@ def config_svg(A: Config, zeta: Dir | None = None, width: int = 480) -> str:
 def _poset_covers(A: Config):
     """Regular subdivisions of A and the covering pairs (fine, coarse) of
     their refinement poset."""
-    subs = enumerate_subdivisions(A)
-    codims = [deformation_complex(A, s).codim for s in subs]
-    keep = [w is not None for w in secondary_fan(A, subs, codims)]
-    regs = list(compress(subs, keep))
-    return regs, refinement_poset(regs, list(compress(codims, keep)))["covers"]
+    regs, codims = zip(*((s, rep.codim) for s, rep, w in secondary_fan(A) if w is not None))
+    return regs, refinement_poset(regs, codims)["covers"]
 
 
 def _label(sub) -> str:

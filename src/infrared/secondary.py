@@ -21,9 +21,9 @@ Determinants*, 1994, Ch. 7; De Loera, Rambau and Santos, *Triangulations*,
 2010, Ch. 5), level by codim: the lifts of S modulo affine functions are the
 kernel of its equality rows, of dimension codim S; at codim 1 the sign of
 the strict rows at the one kernel vector decides S and gives its ray, and
-above, the sum of the rays S refines certifies S.  An exact LP in the
-heights and a slack (`is_regular`) decides what no certificate settles, and
-is the oracle of the route.
+above, S is regular exactly when the sum of the rays S refines induces it.
+An exact LP in the heights and a slack (`is_regular`) is the oracle of the
+route.
 
 The three-term deformation complex of a subdivision has cells, interior
 edges and interior vertices in degrees 0, 1, 2 with restriction
@@ -381,8 +381,8 @@ def _witness(var: dict[int, int], psi: Sequence[Fraction], slack=Q(1)) -> Regula
 
 def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
     """Strict-feasibility test by exact LP; returns a witness or None
-    (irregular).  `secondary_fan` decides most subdivisions without it; this
-    is its fallback and the oracle it is tested against.
+    (irregular).  `secondary_fan` decides every subdivision without it; this
+    is the oracle it is tested against.
 
     The unknowns are the free heights of `_lift_rows` and the slack s,
     maximized subject to s <= 1: each equality row is two inequalities,
@@ -407,34 +407,40 @@ def is_regular(A: Config, sub: Subdivision) -> Optional[RegularityWitness]:
 
 
 def secondary_fan(
-    A: Config, subs: Sequence[Subdivision], codims: Sequence[int]
-) -> list[Optional[RegularityWitness]]:
-    """The witness of each of `subs` (None when irregular), codims[i] being
-    the codim of subs[i] (`deformation_complex`), decided level by level on
-    the secondary fan.  The lifts of S modulo affine functions are the
-    kernel of its equality rows (`_lift_rows`), of dimension codim S.
+    A: Config,
+) -> list[tuple[Subdivision, DefComplexReport, Optional[RegularityWitness]]]:
+    """Every marked subdivision of A, in the order of
+    `enumerate_subdivisions`, with its `deformation_complex` report and its
+    witness (None when irregular), decided level by level on the secondary
+    fan.  The lifts of S modulo affine functions are the kernel of its
+    equality rows (`_lift_rows`), of dimension codim S.
       * codim 0: psi = 0 is the only lift, so S is regular exactly when it
         has no strict row;
       * codim 1: every lift is t v for the one kernel vector v, so S is
         regular exactly when every strict row has one strict sign at v; the
         ray is the primitive integer vector +-v making them negative;
       * codim >= 2: psi_S is the sum of the rays of the regular codim-1 S'
-        that S refines.  When every equality row is 0 and every strict row
-        negative at psi_S, it induces S; otherwise `is_regular` decides.
-    For regular S the last step never falls back: its cone is generated by
-    its rays, so psi_S is interior to it.  Each witness is scaled so that
-    its least strict margin -row.psi / area is exactly 1."""
+        that S refines, and S is regular exactly when psi_S induces it.
+    The last step needs no other test.  The cone of a regular S is generated
+    by the rays of the regular codim-1 subdivisions that S refines, and the
+    family is the whole of `enumerate_subdivisions(A)`, so every one of
+    those rays is among the ones summed: psi_S, the sum of a cone's
+    generators, is interior to the cone and induces S.  So an S that psi_S
+    does not induce is irregular.  Each witness is scaled so that its least
+    strict margin -row.psi / area is exactly 1."""
+    subs = enumerate_subdivisions(A)
+    reps = [deformation_complex(A, sub) for sub in subs]
     witnesses: list[Optional[RegularityWitness]] = [None] * len(subs)
     rays: list[tuple[Subdivision, list[int]]] = []
-    for i in sorted(range(len(subs)), key=codims.__getitem__):
-        sub, codim = subs[i], codims[i]
+    for i in sorted(range(len(subs)), key=lambda i: reps[i].codim):
+        sub, codim = subs[i], reps[i].codim
         var, rows = _lift_rows(A, sub)
         s_idx = len(var)
         psi = [0] * s_idx
         if codim == 1:
             (v,) = int_kernel([row for row in rows if not row[s_idx]], s_idx)
             psi = v if _induces(rows, s_idx, v) else [-x for x in v]
-        elif codim >= 2:
+        else:  # at codim 0 no ray is known yet, and psi stays 0
             for ray, vec in rays:
                 if refines(sub, ray):
                     psi = list(map(add, psi, vec))
@@ -442,9 +448,7 @@ def secondary_fan(
             witnesses[i] = _scaled(var, rows, psi)
             if codim == 1:
                 rays.append((sub, psi))
-        elif codim >= 2:
-            witnesses[i] = is_regular(A, sub)
-    return witnesses
+    return list(zip(subs, reps, witnesses))
 
 
 def _induces(rows: list[list[int]], s_idx: int, psi: list[int]) -> bool:
@@ -725,12 +729,7 @@ def parallel_deformations(A: Config, sub: Subdivision) -> list[tuple]:
 def coarse_subdivisions(A: Config) -> list[Subdivision]:
     """Regular subdivisions indexing codimension-1 faces of the secondary
     polytope: the rays of the secondary fan."""
-    subs = enumerate_subdivisions(A)
-    codims = [deformation_complex(A, s).codim for s in subs]
-    return [
-        s for s, c, w in zip(subs, codims, secondary_fan(A, subs, codims))
-        if c == 1 and w is not None
-    ]
+    return [s for s, rep, w in secondary_fan(A) if rep.codim == 1 and w is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ IDENTITIES = checksuite.IDENTITIES
 TIER1 = {
     "jacobson": (101, 200, [(2, 3, 200)]),  # blocks of 1..4 rows and columns
     "duality_round_trip": (102, 100, [(2, 3, 100)]),
-    "braid_relations_naturality": (104, 9, [(n, 2, 3) for n in (3, 4, 5)]),
+    "braid_relations_naturality": (104, 9, [(n, 2, 3) for n in (2, 3, 4, 5)]),
     "wallcross_involutive": (105, 25, [(3, 2, 9), (4, 2, 8), (5, 2, 8)]),
     "fourier_monodromy": (106, 20, [(n, 3, 4) for n in (1, 2, 3, 4, 5)]),
     "stokes_factorization": (107, 62, [(n, 2, 33) for n in (2, 3, 4, 5)]),
     "isomonodromy_legs": (108, 56, [(n, 2, 40) for n in (3, 4, 5)]),
     "secondary_gkz": (110, 12, [(5, 1, 12)]),
+    "secondary_fan_lp": (111, 40, [(5, 1, 40)]),
 }
 
 
@@ -137,6 +138,19 @@ def _last_wall_twice(real):
     return walk
 
 
+def _an_irregular_subdivision_called_regular(real):
+    """The fan with its first irregular subdivision given the witness of the
+    first regular one: a fault only a family with an irregular subdivision
+    shows, so `secondary_gkz`, which reads the same fan, does not see it."""
+    def fan(A):
+        out = real(A)
+        k = next((k for k, (_, _, wit) in enumerate(out) if wit is None), None)
+        if k is not None:
+            out[k] = (*out[k][:2], next(wit for _, _, wit in out if wit is not None))
+        return out
+    return fan
+
+
 # name: (module, attribute, fault): the library call each entry checks, and
 # a wrong version of it built from the real one
 FAULTS = {
@@ -153,6 +167,7 @@ FAULTS = {
     "stokes_factorization": (checksuite, "factorization_check", _inexact_delta_0),
     "isomonodromy_legs": (checksuite, "transport_along_path", _last_wall_twice),
     "secondary_gkz": (checksuite, "gkz_vector", lambda real: lambda A, T: real(A, T)[::-1]),
+    "secondary_fan_lp": (checksuite, "secondary_fan", _an_irregular_subdivision_called_regular),
 }
 
 

@@ -576,6 +576,49 @@ def test_cli_output_is_pinned(argv, expected, capsys):
     assert code == (2 if golden.startswith(b'{"error": ') else 0)
 
 
+_ZETA_COMMANDS = [
+    (["matroid"], "seven.matroid_m1_2.json"),
+    (["antistokes"], "seven.antistokes_m1_2.json"),
+    (["antistokes", "--rotation", "cw"], "seven.antistokes_cw_m1_2.json"),
+    (["paths"], "seven.paths_m1_2.json"),
+    (["paths", "--format", "jsonl"], "seven.paths_jsonl_m1_2.jsonl"),
+    (["plot", "--format", "svg"], "seven.svg_m1_2.json"),
+]
+
+
+def with_file_zeta(tmp_path, name):
+    """The instance file `name` of the test data with `"zeta": "1/0"` added."""
+    with open(os.path.join(DATA, name)) as fh:
+        data = json.load(fh)
+    path = tmp_path / name
+    path.write_text(json.dumps({**data, "zeta": "1/0"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, expected", _ZETA_COMMANDS)
+def test_a_given_zeta_wins_over_the_file(command, expected, tmp_path, capsys):
+    """On `seven.json` with `"zeta": "1/0"` added, `--zeta -1/2` is the
+    direction read: the output is the committed one at -1/2."""
+    path = with_file_zeta(tmp_path, "seven.json")
+    code = main([command[0], path, *command[1:], "--zeta", "-1/2"])
+    with open(os.path.join(DATA, expected), "rb") as fh:
+        golden = fh.read()
+    assert capsys.readouterr().out.encode() == golden
+    assert code == (2 if golden.startswith(b'{"error": ') else 0)
+
+
+@pytest.mark.parametrize("command", [c for c, _ in _ZETA_COMMANDS] + [
+    ["stokes"], ["fourier"], ["plot", "--format", "csv"]])
+def test_a_malformed_zeta_is_invalid_even_when_the_file_has_one(command, tmp_path, capsys):
+    """A malformed `--zeta` is invalid input, exit 2, though the instance
+    file holds a valid `"zeta"`."""
+    path = with_file_zeta(tmp_path, "stokes_arc.json")
+    code, data = run_cli([command[0], path, *command[1:], "--zeta", "garbage"], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "garbage" in data["error"]["message"]
+
+
 def _pinned_leg(name, target):
     with open(os.path.join(DATA, name)) as fh:
         a0 = Config.from_json(json.load(fh)["config"])

@@ -1066,31 +1066,42 @@ def test_secondary_gkz_on_tier1_draws():
     run_tier1("secondary_gkz")
 
 
+def test_secondary_fan_lp_on_tier1_draws():
+    """The registry's fan-against-LP entry on its tier-1 draws, of which
+    the nested triangles have irregular subdivisions at codims 1, 2 and 3."""
+    irregular = set()
+    for parts in run_tier1("secondary_fan_lp"):
+        irregular |= {rep.codim for _, rep, wit in secondary_fan(parts["config"]) if wit is None}
+    assert irregular == {1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # the secondary fan route against the LP
 
 
 @pytest.fixture(scope="module")
 def fan_families():
-    """(name, A, subdivisions, codims, witnesses, fallbacks) for the 61
+    """(name, A, subdivisions, codims, witnesses, lp_calls) for the 61
     `oracle_configs()`, the nested triangles, the pinwheel points,
-    `seven.json` and `rand_config(rng(5), 8)`: the witnesses of
-    `secondary_fan` and the subdivisions it passed to `is_regular`."""
+    `seven.json` and `rand_config(rng(5), 8)`: the family, codims and
+    witnesses that `secondary_fan(A)` returns, and the names of the LP
+    routines (`is_regular`, `lp.maximize`) it called."""
     named = [("oracle", A) for A in oracle_configs()] + [
         ("nested", concentric_triangles()[0]),
         ("pinwheel", config(*PINWHEEL_POINTS)),
         ("seven", seven()),
         ("rand8", rand_config(rng(5), 8)),
     ]
-    out = []
+    out, maximize = [], lp.maximize
     with pytest.MonkeyPatch.context() as mp:
         for name, A in named:
-            subs = enumerate_subdivisions(A)
-            codims = [deformation_complex(A, s).codim for s in subs]
-            fallbacks = []
+            lp_calls = []
             mp.setattr(secondary, "is_regular",
-                       lambda A, sub: fallbacks.append(sub) or is_regular(A, sub))
-            out.append((name, A, subs, codims, secondary_fan(A, subs, codims), fallbacks))
+                       lambda A, sub: lp_calls.append("is_regular") or is_regular(A, sub))
+            mp.setattr(lp, "maximize",
+                       lambda *args: lp_calls.append("lp.maximize") or maximize(*args))
+            subs, reps, witnesses = map(list, zip(*secondary_fan(A)))
+            out.append((name, A, subs, [rep.codim for rep in reps], witnesses, lp_calls))
     return out
 
 
@@ -1136,15 +1147,18 @@ def test_deformation_complex_matches_the_cooriented_oracle(
 
 def test_the_fan_route_matches_the_lp(fan_families):
     """On the same families, `secondary_fan` decides regularity as
-    `is_regular` does; each of its witnesses induces its subdivision, with
-    slack 1 and least strict margin exactly 1; and only irregular
-    subdivisions of codim >= 2 fall back to the LP, each once (8 each on the
-    nested triangles and the pinwheel points, none elsewhere)."""
-    counts = {}
-    for name, A, subs, codims, witnesses, fallbacks in fan_families:
-        for sub, wit in zip(subs, witnesses):
+    `is_regular` does, with no LP of its own; each of its witnesses induces
+    its subdivision, with slack 1 and least strict margin exactly 1.  The
+    nested triangles and the pinwheel points have 14 irregular subdivisions
+    each, 6 at codim 1, 6 at codim 2 and 2 at codim 3, and the other
+    families none."""
+    irregular = {}
+    for name, A, subs, codims, witnesses, lp_calls in fan_families:
+        assert lp_calls == [], name
+        for sub, codim, wit in zip(subs, codims, witnesses):
             assert (wit is None) == (is_regular(A, sub) is None), (name, sub)
             if wit is None:
+                irregular.setdefault(name, [0, 0, 0, 0])[codim] += 1
                 continue
             assert wit.slack == 1 and induced_subdivision(A, wit.psi) == sub
             var, rows = _lift_rows(A, sub)
@@ -1152,10 +1166,7 @@ def test_the_fan_route_matches_the_lp(fan_families):
             margins = [-sum(map(operator.mul, row, free)) / row[-1]
                        for row in rows if row[-1]]
             assert not margins or min(margins) == 1, (name, sub)
-        assert sorted(fallbacks, key=subs.index) == [
-            s for s, c, w in zip(subs, codims, witnesses) if w is None and c >= 2], name
-        counts[name] = counts.get(name, 0) + len(fallbacks)
-    assert counts == {"oracle": 0, "nested": 8, "pinwheel": 8, "seven": 0, "rand8": 0}
+    assert irregular == {"nested": [0, 6, 6, 2], "pinwheel": [0, 6, 6, 2]}
 
 
 def unpruned_subdivisions(A):

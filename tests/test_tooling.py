@@ -100,13 +100,13 @@ def test_tracer_sees_the_layers_of_a_stokes_run(tracing, capsys):
     assert counts["fourier.factorization_check.s"] > 0
 
 
-def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
-    """Over a traced `infrared secondary`, `is_regular` and its LP run once
-    per fallback of the secondary fan route, that is per irregular
-    subdivision of codim >= 2, `deformation_complex` once per subdivision,
-    and the refinement poset is not built: no LP on the pentagon, four plus
-    one and `seven.json`, and 8 each on the pinwheel points and the
-    concentric triangles."""
+def test_traced_secondary_runs_no_lp(tracing, capsys, tmp_path):
+    """Over a traced `infrared secondary`, neither `is_regular` nor an LP
+    runs, `deformation_complex` runs once per subdivision, and the
+    refinement poset is not built.  The irregular subdivisions, read off
+    the output as `subdivisions - regular`, are the ones `is_regular`
+    rejects: none on the pentagon, four plus one and `seven.json`, 14 each
+    on the pinwheel points and the concentric triangles."""
     from infrared.cli import main
     from infrared.geometry import Config
 
@@ -117,13 +117,10 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
     paths = {name: data / (name + ".json")
              for name in ("pentagon", "four_plus_one", "seven", "concentric")}
     paths["pinwheel"] = pinwheel
-    lps = {}
+    irregular = {}
     for name, path in paths.items():
         A = Config.from_json(json.loads(path.read_text())["config"])
         subs = secondary.enumerate_subdivisions(A)
-        fallbacks = sum(
-            secondary.deformation_complex(A, s).codim >= 2
-            and secondary.is_regular(A, s) is None for s in subs)
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -131,17 +128,17 @@ def test_traced_secondary_runs_one_lp_per_fallback(tracing, capsys, tmp_path):
         finally:
             tracer.uninstall()
         assert code == 0
-        capsys.readouterr()
+        out = json.loads(capsys.readouterr().out)
+        irregular[name] = out["subdivisions"] - out["regular"]
+        assert irregular[name] == sum(secondary.is_regular(A, s) is None for s in subs), name
         counts = tracer.summarize(0)
-        lps[name] = counts.get("lp.maximize.calls", 0)
-        assert lps[name] == fallbacks == counts.get("secondary.is_regular.calls", 0)
-        assert counts.get("secondary.irregular", 0) == fallbacks, name
-        assert counts.get("secondary.regular", 0) == 0, name
+        assert counts.get("lp.maximize.calls", 0) == 0, name
+        assert counts.get("secondary.is_regular.calls", 0) == 0, name
         assert counts.get("secondary.refinement_poset.calls", 0) == 0, name
         assert counts["secondary.deformation_complex.calls"] == counts[
             "secondary.subdivisions"] == len(subs), name
-    assert lps == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "concentric": 8,
-                   "pinwheel": 8}
+    assert irregular == {"pentagon": 0, "four_plus_one": 0, "seven": 0, "concentric": 14,
+                         "pinwheel": 14}
 
 
 def test_src_has_no_catch_all_handler():
@@ -267,9 +264,7 @@ def test_a_subdivision_keeps_no_per_edge_state():
 
     data = json.loads((ROOT / "tests" / "data" / "seven.json").read_text())
     A = Config.from_json(data["config"])
-    subs = secondary.enumerate_subdivisions(A)
-    codims = [secondary.deformation_complex(A, s).codim for s in subs]
-    secondary.secondary_fan(A, subs, codims)
+    subs = [sub for sub, _, _ in secondary.secondary_fan(A)]
     kept = {"config", "cells", "edge_mask", "bits"}
     assert subs and all(set(vars(s)) <= kept for s in subs), [
         sorted(set(vars(s)) - kept) for s in subs if set(vars(s)) - kept][:1]

@@ -75,12 +75,12 @@ def test_horizontality_cases():
 
 
 def test_horizontality_recross_restores():
-    r = rng(41)
-    m = rand_transport(r, 3, max_dim=2)
-    for re_cmp in ("left", "right"):
-        up = CrossingSpec("horiz", 0, 2, motion="above", re_cmp=re_cmp)
-        down = CrossingSpec("horiz", 0, 2, motion="below", re_cmp=re_cmp)
-        assert apply_crossings(apply_crossings(m, [up]), [down]) == m
+    """The registry's crossing entry, which crosses each wall and back in one
+    fold and in two, on the horizontality walls of (0, 2), w_2 left and
+    right of w_0, for the transport data of seed 41."""
+    m = rand_transport(rng(41), 3, max_dim=2)
+    assert IDENTITIES["wallcross_involutive"].holds(transport=m, events=[
+        CrossingSpec("horiz", 0, 2, motion="above", re_cmp=side) for side in ("left", "right")])
 
 
 def test_collinearity_update_and_recross():
