@@ -8,13 +8,14 @@ geometry   exact predicates, hulls, dominance orders, anti-Stokes words,
 paths      zeta-convex polygonal paths, height filtration, reductions and
            the incidence structure of the infrared differential
 linalg     exact matrices over Q
-perverse   quiver and transport-matrix models, dualities, spherical maps,
-           Calabi-Yau checks, braid actions
+perverse   quiver and transport-matrix models, their opposite involution,
+           dualities, spherical maps, Calabi-Yau checks, braid actions
 wallcross  isomonodromic wall-crossing engine on transport data
 fourier    the decategorified Fourier transform, convex-path Stokes
            matrices and the monodromy factorization
-secondary  marked subdivisions, regularity by exact LP, deformation
-           complexes, exceptionality, framings and content
+secondary  marked subdivisions, regularity read off the secondary fan (the
+           exact LP is its oracle), deformation complexes, exceptionality,
+           framings and content
 lp         exact simplex on fraction-free integer rows
 plotting   CSV, SVG and DOT plot data for configurations and posets
 checksuite the registry of identities behind `infrared check` and the tests

@@ -415,7 +415,7 @@ def main(argv=None) -> int:
         if isinstance(result, dict) and "__stream__" in result:
             text = result["__stream__"].rstrip("\n")
         else:
-            text = json.dumps(result, indent=2 if args.pretty else None, default=str)
+            text = json.dumps(result, indent=2 if args.pretty else None)
         if args.out and args.command != "plot":
             _write(args.out, text + "\n")
             return 0

@@ -19,7 +19,9 @@ Each factor is, in the Jacobson form
     (Id - a_i b_i)^{-1} = Id + a_i (Id - b_i a_i)^{-1} b_i,
 
 a rank-d_i update that changes only column block i of the running product,
-so the product is built one final column block at a time, in integers.
+so the product is built one final column block at a time, in integers, in
+ascending slot order; the descending product is the block reversal of the
+ascending product of the slots taken in reverse.
 For the spider representative gmv_embed(m), T_{i,Phi} = Id - m_ii is the
 local monodromy T_i, so the update reads the inverse that TransportData
 owns and inverts nothing itself.  With these arms e_i, the stacked a-check
@@ -198,48 +200,46 @@ def monodromy_product(m: TransportData, kind: str = "ascending") -> MatQ:
 
     Each factor is T_{i,Psi}^{-1} = Id + e_i b_i (Jacobson), with
     e_i = a_i T_{i,Phi}^{-1} the column blocks of _jacobson_arms, and
-    _arm_product multiplies them out."""
+    _arm_product multiplies them out in ascending order.  Reversing the
+    slots conjugates every factor by the block reversal of Psi, so the
+    descending product is the block reversal of the ascending product of
+    the reversed data."""
     if kind not in ("ascending", "descending"):
         raise InvalidInput(f"unknown monodromy product {kind!r}")
+    if kind == "descending":
+        rev = m.permuted(range(m.n - 1, -1, -1))
+        return _reversed_blocks(monodromy_product(rev), rev.dims)
     offs = _block_offsets(m.dims)
-    return _arm_product(_jacobson_arms(m, offs), offs, kind == "ascending")
+    return _arm_product(_jacobson_arms(m, offs), offs)
 
 
-def _arm_product(e: MatQ, offs: Sequence[int], ascending: bool) -> MatQ:
-    """The ordered product of the factors Id + e_i b_i, e_i column block i
-    of e and b_i the projection onto slot i, in increasing slot order if
-    `ascending` and in decreasing order otherwise.
+def _arm_product(e: MatQ, offs: Sequence[int]) -> MatQ:
+    """The product of the factors Id + e_i b_i in increasing slot order, e_i
+    column block i of e and b_i the projection onto slot i.
 
     Right-multiplying by a factor changes column block i alone, so that
     block is final right after its own factor:
 
-        T[:, i] = Id[:, i] + T[:, done] e_i[done] + e_i[not done],
+        T[:, i] = Id[:, i] + T[:, :lo] e_i[:lo] + e_i[lo:],
 
-    where `done` are the slots whose factors came first (their columns are
-    final; every other column is still that of Id).  Each column is found
-    as an integer vector over its own denominator, the final columns are
-    kept as rows over the lcm of theirs, and one matrix is built at the end:
-    about D^3 / 2 multiply-adds in all."""
+    where lo = offs[i] (the columns left of block i are final; every other
+    column is still that of Id).  Each column is found as an integer vector
+    over its own denominator, the final columns are kept as rows over the
+    lcm of theirs, and one matrix is built at the end: about D^3 / 2
+    multiply-adds in all."""
     size = offs[-1]
     e_cols, de = list(zip(*e.num)), e.den
-    # rows[r] is row r of T[:, done] over dt, with done the columns [0, lo)
-    # ascending and [hi, size) descending; the other rows of e_i are `rest`
+    # rows[r] is row r of T[:, :lo] over dt
     rows: list[list[int]] = [[] for _ in range(size)]
     dt = 1
-    n = len(offs) - 1
-    for i in range(n) if ascending else range(n - 1, -1, -1):
-        lo, hi = offs[i], offs[i + 1]
-        if ascending:
-            done, rest = slice(0, lo), slice(lo, size)
-        else:
-            done, rest = slice(hi, size), slice(0, hi)
+    for lo, hi in zip(offs, offs[1:]):
         den = dt * de
         block = []
         for c in range(lo, hi):
             ec = e_cols[c]
-            head = ec[done]
+            head = ec[:lo]
             col = [sum(map(mul, row, head)) for row in rows]
-            col[rest] = [x + y * dt for x, y in zip(col[rest], ec[rest])]
+            col[lo:] = [x + y * dt for x, y in zip(col[lo:], ec[lo:])]
             col[c] += den
             g = math.gcd(den, *col)
             block.append((col, g, den // g))
@@ -249,10 +249,7 @@ def _arm_product(e: MatQ, offs: Sequence[int], ascending: bool) -> MatQ:
             rows = [[v * f for v in row] for row in rows]
         new = zip(*[[v // g * (dt // d) for v in col] for col, g, d in block])
         for row, vals in zip(rows, new):
-            if ascending:
-                row.extend(vals)
-            else:
-                row[:0] = vals
+            row.extend(vals)
     # every column is in lowest terms over its own denominator and dt is
     # their lcm, so these rows are canonical
     return MatQ._wrap(tuple(map(tuple, rows)), dt, size)
@@ -425,9 +422,9 @@ def dressed_transport(
 def global_monodromy(m: TransportData, A: Config, zeta0: Dir) -> MatQ:
     """Ascending product (Id - a_1 b_1)^{-1} (Id - a_2 b_2)^{-1} ... of the
     dressed (spider) representative: the monodromy invariant preserved by
-    every collinearity wall-crossing."""
-    mt, _ = dressed_transport(m, A, zeta0)
-    return monodromy_product(mt, "ascending")
+    every collinearity wall-crossing.  It is the left side of the
+    factorization, which reads its arms from the Stokes matrices."""
+    return factorization_check(m, A, zeta0).lhs
 
 
 @dataclass(frozen=True)
@@ -480,7 +477,7 @@ def factorization_check(
     own = {(s, s): (-d).plus_product(m.m[i][i], d)
            for s, (i, d) in enumerate(zip(pair.order, inv))}
     e = MatQ.total([c_plus_delta, c_minus_delta, _assemble(offs, own)])
-    lhs = _arm_product(e, offs, True)
+    lhs = _arm_product(e, offs)
     c_til = ident - c_minus_delta
     ok = _times_block_upper(lhs, offs, c_til) == c_plus_delta
     return FactorizationReport(

@@ -193,7 +193,11 @@ class Config:
 
     @staticmethod
     def from_json(data: dict) -> "Config":
-        return Config(pt(x, y) for x, y in data["points"])
+        points = data["points"]
+        for p in points:
+            if isinstance(p, str):
+                raise InvalidInput(f"a point is a pair of rationals, not the string {p!r}")
+        return Config(pt(x, y) for x, y in points)
 
 
 def config(*coords) -> Config:

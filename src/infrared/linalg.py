@@ -191,6 +191,8 @@ class MatQ:
         # canonical with no gcd pass.
         num, den = [], 1
         for row in entries:
+            if isinstance(row, str):
+                raise InvalidInput(f"a matrix row is a list of rationals, not the string {row!r}")
             out = []
             for x in row:
                 n, d = x.as_integer_ratio() if type(x) is Fraction else _ratio(x)

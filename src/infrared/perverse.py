@@ -16,6 +16,14 @@ Two equivalent pictures are implemented, both with exact rational matrices:
 Braid generators act on both models; the transport-side action is the
 mutation table, the quiver-side action twists by T_{i,Psi} = Id - a_i b_i.
 
+``opposite`` reverses the order of the slots and transposes every map, on
+both models: slot s of the result is slot N-1-s, m'_st = (m_{N-1-t,N-1-s})^T
+and the arms are (a'_s, b'_s) = (b_{N-1-s}^T, a_{N-1-s}^T).  It is an
+involution that commutes with mu, and it carries each generator tau_k to
+tau_{N-k}^{-1} (Gaiotto, Moore and Witten, arXiv:1506.04087), so the inverse
+generators reuse the forward table and twist:
+tau_k^{-1} = opp . tau_{N-k} . opp.
+
 Everything here is index-based: slot i means the i-th marked point in the
 configuration ordering (0-based).
 """
@@ -72,7 +80,7 @@ def _monodromy_inverse(i: int, blk: MatQ) -> MatQ:
 class TransportData:
     """Dimension vector plus the full grid of rectilinear transports; owns
     T_i^{-1} = (Id - m_ii)^{-1}, kept from the constructor's invertibility
-    check and carried over by `replace` and `permuted`."""
+    check and carried over by `replace`, `permuted` and `opposite`."""
 
     __slots__ = ("dims", "m", "_t_inv")
 
@@ -123,6 +131,13 @@ class TransportData:
             tuple(tuple(self.m[pi][pj] for pj in perm) for pi in perm),
             tuple(self._t_inv[p] for p in perm),
         )
+
+    def opposite(self) -> "TransportData":
+        """Slots reversed, every map transposed: m'_st = (m_{N-1-t,N-1-s})^T,
+        and the kept T_s^{-1} are those of slot N-1-s, transposed."""
+        grid = tuple([tuple([b.T for b in col[::-1]]) for col in list(zip(*self.m))[::-1]])
+        t_inv = tuple([t.T for t in self._t_inv[::-1]])
+        return TransportData._checked(self.dims[::-1], grid, t_inv)
 
     def __eq__(self, other):
         return (
@@ -191,6 +206,12 @@ class Quiver:
     def t_psi(self, i: int) -> MatQ:
         """T_{i,Psi} = Id - a_i b_i on Psi."""
         return MatQ.identity(self.d_psi) - self.a[i] @ self.b[i]
+
+    def opposite(self) -> "Quiver":
+        """Slots reversed, arm s = (b_{N-1-s}^T, a_{N-1-s}^T): its Id - b a is
+        the transpose of the old one, so invertible."""
+        a, b = tuple([x.T for x in self.b[::-1]]), tuple([x.T for x in self.a[::-1]])
+        return Quiver._checked(self.dims[::-1], self.d_psi, a, b)
 
     def __eq__(self, other):
         return (
@@ -285,8 +306,9 @@ def right_adjoint(f: MatQ, b_src: MatQ, b_tgt: MatQ) -> MatQ:
 
 
 def left_adjoint(f: MatQ, b_src: MatQ, b_tgt: MatQ) -> MatQ:
-    """*f = (B_src^t)^{-1} f^t B_tgt^t."""
-    return b_src.T.inverse() @ f.T @ b_tgt.T
+    """*f = (B_src^t)^{-1} f^t B_tgt^t, the right adjoint for the transposed
+    forms."""
+    return right_adjoint(f, b_src.T, b_tgt.T)
 
 
 def is_isometry(t: MatQ, B: MatQ) -> bool:
@@ -392,30 +414,25 @@ def braid_act_quiver(q: Quiver, g: int) -> Quiver:
     (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1}).  A twisted pair (T a, b T^{-1})
     keeps the shapes and Id - b a, so the T_{Phi} of the result are those of
     q with the two slots swapped, all invertible: the result is assembled
-    from these checked parts, and T_{Psi} is the one matrix inverted."""
+    from these checked parts, and T_{Psi} is the one matrix inverted.  The
+    inverse is the same twist on the opposite quiver,
+    tau_k^{-1} = opp . tau_{N-k} . opp."""
     i, inverse = _gen_index(g, q.n)
-    dims = list(q.dims)
-    a, b = list(q.a), list(q.b)
-    if not inverse:
-        t = q.t_psi(i)
-        t_inv = t.inverse()
-        new_ai, new_bi = t @ a[i + 1], b[i + 1] @ t_inv
-        new_ai1, new_bi1 = a[i], b[i]
-    else:
-        t = q.t_psi(i + 1)
-        t_inv = t.inverse()
-        new_ai, new_bi = a[i + 1], b[i + 1]
-        new_ai1, new_bi1 = t_inv @ a[i], b[i] @ t
+    if inverse:
+        q, i = q.opposite(), q.n - 2 - i
+    t = q.t_psi(i)
+    dims, a, b = list(q.dims), list(q.a), list(q.b)
     dims[i], dims[i + 1] = dims[i + 1], dims[i]
-    a[i], a[i + 1] = new_ai, new_ai1
-    b[i], b[i + 1] = new_bi, new_bi1
-    return Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b))
+    a[i], a[i + 1] = t @ a[i + 1], a[i]
+    b[i], b[i + 1] = b[i + 1] @ t.inverse(), b[i]
+    out = Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b))
+    return out.opposite() if inverse else out
 
 
 def braid_act_transport(m: TransportData, g: int) -> TransportData:
     """Mutation of transport data under tau_k / tau_k^{-1}.
 
-    The forward table (slots i = k-1, i+1 swapped, T_i = Id - m_ii):
+    The table (slots i = k-1, i+1 swapped, T_i = Id - m_ii):
       m'_{v,j} = m_{v,j}                          v, j not in {i, i+1}
       m'_{v,i+1} = m_{v,i}                        v not in {i, i+1}
       m'_{i+1,j} = m_{i,j}                        j not in {i, i+1}
@@ -424,9 +441,12 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
       m'_{i,i+1} = T_i m_{i+1,i}
       m'_{i+1,i} = m_{i,i+1} T_i^{-1}
       m'_{i,i} = m_{i+1,i+1},  m'_{i+1,i+1} = m_{i,i}
-    The inverse table is obtained by solving the forward relations.
+    The inverse is the same table on the opposite data,
+    tau_k^{-1} = opp . tau_{N-k} . opp.
     """
     i, inverse = _gen_index(g, m.n)
+    if inverse:
+        m, i = m.opposite(), m.n - 2 - i
     n = m.n
     old = m.m
     dims = list(m.dims)
@@ -434,37 +454,25 @@ def braid_act_transport(m: TransportData, g: int) -> TransportData:
     grid = [[None] * n for _ in range(n)]
     others = [v for v in range(n) if v not in (i, i + 1)]
     # T = Id - m_kk enters only through rank updates, T x = x - m_kk x and
-    # x T = x - x m_kk, and m_{i,i+1} T_i^{-1} (forward) or T_{i+1}^{-1}
-    # m_{i,i+1} (inverse) is formed once
-    if not inverse:
-        u = old[i][i + 1] @ m.local_monodromy_inverse(i)
-        for v in others:
-            for j in others:
-                grid[v][j] = old[v][j]
-            grid[v][i + 1] = old[v][i]
-            grid[i + 1][v] = old[i][v]
-            grid[v][i] = old[v][i + 1].plus_product(u, old[v][i])
-            grid[i][v] = old[i + 1][v].plus_product(old[i][v], old[i + 1][i], -1)
-        grid[i][i + 1] = old[i + 1][i].plus_product(old[i][i], old[i + 1][i], -1)
-        grid[i + 1][i] = u
-    else:
-        u = m.local_monodromy_inverse(i + 1) @ old[i][i + 1]
-        for v in others:
-            for j in others:
-                grid[v][j] = old[v][j]
-            grid[v][i] = old[v][i + 1]
-            grid[i][v] = old[i + 1][v]
-            grid[v][i + 1] = old[v][i].plus_product(old[i + 1][i], old[v][i + 1], -1)
-            grid[i + 1][v] = old[i][v].plus_product(old[i + 1][v], u)
-        grid[i][i + 1] = old[i + 1][i].plus_product(old[i + 1][i], old[i + 1][i + 1], -1)
-        grid[i + 1][i] = u
+    # x T = x - x m_kk, and m_{i,i+1} T_i^{-1} is formed once
+    u = old[i][i + 1] @ m.local_monodromy_inverse(i)
+    for v in others:
+        for j in others:
+            grid[v][j] = old[v][j]
+        grid[v][i + 1] = old[v][i]
+        grid[i + 1][v] = old[i][v]
+        grid[v][i] = old[v][i + 1].plus_product(u, old[v][i])
+        grid[i][v] = old[i + 1][v].plus_product(old[i][v], old[i + 1][i], -1)
+    grid[i][i + 1] = old[i + 1][i].plus_product(old[i][i], old[i + 1][i], -1)
+    grid[i + 1][i] = u
     grid[i][i] = old[i + 1][i + 1]
     grid[i + 1][i + 1] = old[i][i]
     # every block is built from blocks of the right shapes, and the new
     # diagonal is the old one with slots i and i+1 swapped
     inverses = list(m._t_inv)
     inverses[i], inverses[i + 1] = inverses[i + 1], inverses[i]
-    return TransportData._checked(tuple(dims), tuple(map(tuple, grid)), tuple(inverses))
+    out = TransportData._checked(tuple(dims), tuple(map(tuple, grid)), tuple(inverses))
+    return out.opposite() if inverse else out
 
 
 def braid_act_word(obj, word: Sequence[int]):

@@ -720,6 +720,52 @@ def test_result_entries_past_the_digit_limit_are_invalid_input(command, tmp_path
     assert "digit" in data["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "where", ["stokes-block", "walk-block", "quiver-arm", "matroid-point", "walk-target"])
+def test_a_string_in_place_of_a_list_is_invalid_input(where, tmp_path, capsys):
+    """A JSON string where a matrix row or a point belongs is refused with
+    invalid_input and exit 2, not read one character at a time: ["12"] is
+    not the row [1, 2], nor "12" the point (1, 2).  Each instance has the
+    right shapes when so misread."""
+    points = [["0", "0"], ["1", "2"]]
+    m = [[[["0", "0"], ["0", "0"]], [["1", "2"]]], [[["0"], ["0"]], [["0"]]]]
+    inst = {"config": {"points": points}, "transport": {"dims": [2, 1], "m": m}}
+    path, other = tmp_path / "inst.json", tmp_path / "other.json"
+    argv = ["stokes", str(path)]
+    if where.endswith("block"):
+        m[0][1] = ["12"]
+    if where == "quiver-arm":
+        inst["quiver"] = {"dims": [1, 1], "dPsi": 2, "a": [[["0"], ["1"]], [["0"], ["1"]]],
+                          "b": [["12"], [["0", "0"]]]}
+        del inst["transport"]
+    if where == "matroid-point":
+        points[1] = "12"
+        argv[0] = "matroid"
+    if where == "walk-block":
+        other.write_text(json.dumps({"events": []}))
+        argv = ["walk", str(path), "--events", str(other)]
+    if where == "walk-target":
+        other.write_text(json.dumps({"config": {"points": [["0", "0"], "34"]}}))
+        argv = ["walk", str(path), "--to", str(other)]
+    path.write_text(json.dumps(inst))
+    code, data = run_cli(argv, capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "not the string" in data["error"]["message"]
+
+
+def test_a_handler_result_that_is_not_json_raises(circuit_file, monkeypatch, capsys):
+    """Results are written by json.dumps with no fallback: a value that no
+    handler should return, here a Fraction, raises TypeError instead of
+    being printed as the string "1/2"."""
+    import infrared.cli
+
+    monkeypatch.setattr(infrared.cli, "convex_hull", lambda A: [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        main(["matroid", circuit_file])
+    assert capsys.readouterr().out == ""
+
+
 def test_decimal_exponents_up_to_the_bound_are_read():
     """The bound is inclusive, and exponents in range still read exactly."""
     assert MatQ([["1e1000", "1e-1000", "-1.5e3", " 2E+1_0 "]]) == MatQ(

@@ -940,11 +940,13 @@ def test_factorization_after_wall_crossing():
 
 
 def test_global_monodromy_matches_factorization_lhs():
+    """T_glob, the left side of the factorization, is the ascending
+    monodromy product of the dressed transport data."""
     r = rng(57)
     A = rand_config(r, 3, extra_dirs=(Z_RIGHT,))
     m = rand_transport(r, 3, max_dim=2)
-    rep = factorization_check(m, A, Z0)
-    assert rep.lhs == global_monodromy(m, A, Z0)
+    want = monodromy_product(dressed_transport(m, A, Z0)[0], "ascending")
+    assert global_monodromy(m, A, Z0) == want
 
 
 def test_circum_sums():

@@ -5,6 +5,7 @@ import pytest
 
 from infrared.checksuite import IDENTITIES
 from infrared.errors import InvalidInput, NotInvertible, NotSpherical, ShapeMismatch
+from infrared.fourier import monodromy_product
 from infrared.linalg import MatQ
 from infrared.perverse import (
     Quiver,
@@ -24,7 +25,7 @@ from infrared.perverse import (
     straight_line_vassiliev,
 )
 from infrared.randomgen import rand_matrix, rand_quiver, rand_transport, rng
-from test_fourier import solve_unit_upper_right, submatrix
+from test_fourier import solve_unit_upper_right, submatrix, transport_with_empty_slots
 from test_linalg import block_diagonal
 
 
@@ -387,6 +388,134 @@ def test_braid_moves_carry_the_stored_inverses(inverse_calls):
             for k in range(data.n):
                 want = local_monodromy(data, k).inverse()
                 assert data.local_monodromy_inverse(k) == want
+
+
+def solved_inverse_transport(m: TransportData, k: int) -> TransportData:
+    """Oracle: tau_k^{-1} on transport data by the table solved from the
+    forward relations (slots i = k-1, i+1 swapped, T_i = Id - m_ii):
+      m'_{v,i} = m_{v,i+1},  m'_{i,j} = m_{i+1,j}       v, j not in {i, i+1}
+      m'_{v,i+1} = m_{v,i} - m_{i+1,i} m_{v,i+1}
+      m'_{i+1,j} = m_{i,j} + m_{i+1,j} T_{i+1}^{-1} m_{i,i+1}
+      m'_{i,i+1} = m_{i+1,i} T_{i+1},  m'_{i+1,i} = T_{i+1}^{-1} m_{i,i+1}
+    and the diagonal swapped, each T inverted afresh."""
+    i, old = k - 1, m.m
+    u = local_monodromy(m, i + 1).inverse() @ old[i][i + 1]
+    grid = [list(row) for row in old]
+    for v in range(m.n):
+        if v not in (i, i + 1):
+            grid[v][i] = old[v][i + 1]
+            grid[i][v] = old[i + 1][v]
+            grid[v][i + 1] = old[v][i] - old[i + 1][i] @ old[v][i + 1]
+            grid[i + 1][v] = old[i][v] + old[i + 1][v] @ u
+    grid[i][i + 1] = old[i + 1][i] @ local_monodromy(m, i + 1)
+    grid[i + 1][i] = u
+    grid[i][i], grid[i + 1][i + 1] = old[i + 1][i + 1], old[i][i]
+    dims = list(m.dims)
+    dims[i], dims[i + 1] = dims[i + 1], dims[i]
+    return TransportData(dims, grid)
+
+
+def solved_inverse_quiver(q: Quiver, k: int) -> Quiver:
+    """Oracle: tau_k^{-1} on the quiver, the slots i = k-1, i+1 swapped and
+    the new slot-(i+1) arm (T_{i+1,Psi}^{-1} a_i, b_i T_{i+1,Psi})."""
+    i = k - 1
+    t = q.t_psi(i + 1)
+    dims, a, b = list(q.dims), list(q.a), list(q.b)
+    dims[i], dims[i + 1] = dims[i + 1], dims[i]
+    a[i], a[i + 1] = a[i + 1], t.inverse() @ a[i]
+    b[i], b[i + 1] = b[i + 1], b[i] @ t
+    return Quiver(dims, q.d_psi, a, b)
+
+
+def quiver_with_empty_slots(r, n):
+    """Random quiver with slot dims and dPsi drawn from 0..3."""
+    while True:
+        dims, d_psi = [r.randint(0, 3) for _ in range(n)], r.randint(0, 3)
+        a = [rand_matrix(r, d_psi, d) for d in dims]
+        b = [rand_matrix(r, d, d_psi) for d in dims]
+        try:
+            return Quiver(dims, d_psi, a, b)
+        except NotInvertible:
+            continue
+
+
+def test_inverse_moves_match_the_solved_tables():
+    """tau_k^{-1} = opp . tau_{N-k} . opp equals the solved inverse tables
+    exactly, the kept inverse local monodromies included, and each undoes
+    tau_k, on seeded draws with N = 2..5 and slot
+    dims 0..3 (empty slots included), for both signs of every generator."""
+    r = rng(9)
+    dims = set()
+    for n in (2, 3, 4, 5):
+        for _ in range(8):
+            m = transport_with_empty_slots(r, n)
+            q = quiver_with_empty_slots(r, n)
+            for k in range(1, n):
+                out, want = braid_act_transport(m, -k), solved_inverse_transport(m, k)
+                assert out == want
+                assert all(out.local_monodromy_inverse(s) == want.local_monodromy_inverse(s)
+                           for s in range(n))
+                assert solved_inverse_transport(braid_act_transport(m, k), k) == m
+                assert braid_act_quiver(q, -k) == solved_inverse_quiver(q, k)
+                assert solved_inverse_quiver(braid_act_quiver(q, k), k) == q
+            dims.update(m.dims + q.dims + (q.d_psi,))
+    assert dims == {0, 1, 2, 3}
+
+
+def test_opposite_is_an_involution_that_commutes_with_mu():
+    """opp . opp = id on both models, mu . opp = opp . mu, and the inverse
+    local monodromies that opp carries are those of its blocks."""
+    r = rng(5)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            m = transport_with_empty_slots(r, n)
+            q = quiver_with_empty_slots(r, n)
+            assert m.opposite().opposite() == m and q.opposite().opposite() == q
+            assert mu(q.opposite()) == mu(q).opposite()
+            opp = m.opposite()
+            assert opp.dims == m.dims[::-1]
+            for s in range(n):
+                assert opp.m[s][s] == m.m[n - 1 - s][n - 1 - s].T
+                assert opp.local_monodromy_inverse(s) == local_monodromy(opp, s).inverse()
+
+
+def _power_traces(x: MatQ) -> list[Q]:
+    """tr x, tr x^2, ..., tr x^D: the characteristic polynomial of x."""
+    out, acc = [], MatQ.identity(x.rows)
+    for _ in range(x.rows):
+        acc = acc @ x
+        out.append(sum(acc[s, s] for s in range(x.rows)))
+    return out
+
+
+def _descending_psi_product(q: Quiver) -> MatQ:
+    acc = MatQ.identity(q.d_psi)
+    for i in range(q.n - 1, -1, -1):
+        acc = acc @ q.t_psi(i).inverse()
+    return acc
+
+
+def test_braid_moves_keep_the_descending_monodromy():
+    """Every +-generator keeps the characteristic polynomial of the
+    descending monodromy product of transport data, and on quivers the
+    descending product of the T_{i,Psi}^{-1} itself, on seeded draws with
+    N = 2..5 and dims <= 3.  The ascending product of transport data is not
+    kept: it changes on some of the same moves."""
+    r = rng(3)
+    moved = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            m = rand_transport(r, n, max_dim=3)
+            q = rand_quiver(r, n, max_dim=3)
+            before = _power_traces(monodromy_product(m, "descending"))
+            asc = _power_traces(monodromy_product(m, "ascending"))
+            for g in [s * k for k in range(1, n) for s in (1, -1)]:
+                out = braid_act_transport(m, g)
+                assert _power_traces(monodromy_product(out, "descending")) == before, (n, g)
+                moved += _power_traces(monodromy_product(out, "ascending")) != asc
+                assert _descending_psi_product(braid_act_quiver(q, g)) == \
+                    _descending_psi_product(q), (n, g)
+    assert moved > 0
 
 
 def test_braid_relations():

@@ -141,6 +141,27 @@ def test_traced_secondary_runs_no_lp(tracing, capsys, tmp_path):
                          "pinwheel": 14}
 
 
+def test_output_digest_hashes_every_call_on_a_pool(monkeypatch):
+    """`tools/output_digest.py` on the one-item `secondary-nested` pool: one
+    sha256 and the count of its seven calls (matroid, antistokes, paths,
+    secondary and three plots on a configuration file), the same on a second
+    run and changed when one output changes."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import output_digest
+
+    first = output_digest.digest(["secondary-nested"], [1])
+    assert list(first) == ["secondary-nested"]
+    assert re.fullmatch(r"[0-9a-f]{64}", first["secondary-nested"]["sha256"])
+    assert first["secondary-nested"]["outputs"] == 7
+    assert output_digest.digest(["secondary-nested"], [1]) == first
+    import infrared.cli
+
+    monkeypatch.setattr(infrared.cli, "convex_hull", lambda A: [])
+    changed = output_digest.digest(["secondary-nested"], [1])["secondary-nested"]
+    assert changed["sha256"] != first["secondary-nested"]["sha256"]
+    assert changed["outputs"] == 7
+
+
 def test_src_has_no_catch_all_handler():
     """No handler of Exception or BaseException, and no bare one, can hide
     a failure, in `src/` or in `tests/`."""
