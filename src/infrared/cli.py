@@ -169,7 +169,7 @@ def cmd_antistokes(inst: Instance, args) -> dict:
     }
 
 
-def cmd_paths(inst: Instance, args) -> dict:
+def cmd_paths(inst: Instance, args) -> dict | str:
     _need(inst, "config")
     zeta = _zeta(inst, args, "1/0")
     A = inst.config
@@ -203,9 +203,7 @@ def cmd_paths(inst: Instance, args) -> dict:
                 }
             )
     if args.format == "jsonl":
-        return {
-            "__stream__": "\n".join(json.dumps(entry) for entry in out) + "\n"
-        }
+        return "\n".join(json.dumps(entry) for entry in out)
     return {"zeta": [str(zeta.dx), str(zeta.dy)], "paths": out}
 
 
@@ -364,9 +362,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
     add("stokes", cmd_stokes, zeta=True)
     add("fourier", cmd_fourier, zeta=True)
-    p = add("walk", cmd_walk)
-    p.add_argument("--to", help="target configuration JSON")
-    p.add_argument("--events", help="explicit crossing list JSON")
+    leg = add("walk", cmd_walk).add_mutually_exclusive_group()
+    leg.add_argument("--to", help="target configuration JSON")
+    leg.add_argument("--events", help="explicit crossing list JSON")
     add("secondary", cmd_secondary)
     p = add("check", cmd_check, needs_instance=False)
     p.add_argument("--seed", type=int, default=0)
@@ -411,9 +409,10 @@ def main(argv=None) -> int:
         inst = None
         if getattr(args, "instance", None):
             inst = Instance.load(args.instance)
+        # a handler returns its output text, or a report to dump as JSON
         result = args.fn(inst, args)
-        if isinstance(result, dict) and "__stream__" in result:
-            text = result["__stream__"].rstrip("\n")
+        if isinstance(result, str):
+            text = result
         else:
             text = json.dumps(result, indent=2 if args.pretty else None)
         if args.out and args.command != "plot":

@@ -26,7 +26,8 @@ For the spider representative gmv_embed(m), T_{i,Phi} = Id - m_ii is the
 local monodromy T_i, so the update reads the inverse that TransportData
 owns and inverts nothing itself.  With these arms e_i, the stacked a-check
 is (Id - L)^{-1}, L the strictly block-lower part of the matrix of arms,
-inverted by MatQ.inverse.
+read as the transpose of the ascending arm product of L^T, so
+fourier_diagram inverts nothing either.
 
 Block (i, j) of the Stokes matrix C+ is the sum of the iterated
 rectilinear transports over the (-conj(zeta0))-convex paths from w_i to
@@ -173,19 +174,19 @@ def fourier_diagram(m: TransportData, zeta: Dir, A: Config) -> FourierDiagram:
 
     With T_{j,Psi}^{-1} = Id + e_j b_j, row block i of the stacked a-check
     is b_i + sum_{j<i} (b_i e_j) a-check_j, so the stack is (Id - L)^{-1}
-    for L the strictly block-lower part of the Jacobson arms e."""
+    for L the strictly block-lower part of the Jacobson arms e.  L^T is
+    strictly block upper, so (Id - L^T)^{-1} is the ascending _arm_product."""
     order = fourier_order(A, zeta)
     mm = m.permuted(order)
     offs = _block_offsets(mm.dims)
     size = offs[-1]
     e = _jacobson_arms(mm, offs)
-    # row r of Id - L, r in block [lo, hi): minus row r of e left of lo,
-    # then the unit entry, over the denominator of e
-    id_minus_l = MatQ._reduced(tuple([
-        tuple([-v for v in row[:lo]]) + (0,) * (r - lo) + (e.den,) + (0,) * (size - 1 - r)
-        for lo, hi in zip(offs, offs[1:]) for r, row in enumerate(e.num[lo:hi], lo)
+    # row r of L, r in block [lo, hi): row r of e left of lo, then zeros
+    low = MatQ._reduced(tuple([
+        row[:lo] + (0,) * (size - lo)
+        for lo, hi in zip(offs, offs[1:]) for row in e.num[lo:hi]
     ]), e.den, size)
-    stack = id_minus_l.inverse()
+    stack = _arm_product(low.T, offs).T
     a_check = tuple([MatQ._reduced(stack.num[lo:hi], stack.den, size)
                      for lo, hi in zip(offs, offs[1:])])
     return FourierDiagram(tuple(order), tuple(mm.dims), size, a_check, -e)
@@ -413,7 +414,10 @@ def dressed_transport(
     These are the transports along paths through the faraway point; unlike
     the raw rectilinear entries they are invariant under collinearity
     wall-crossing, which makes them the right input for global-monodromy
-    statements.
+    statements.  This is the dressed-data API: no function of the library
+    calls it (factorization_check reads the Stokes matrices directly), and
+    the chamber invariance of the monodromy, closed loops as braids and the
+    Stokes data as zeta0 rotates (ROADMAP items 1, 3 and 4) read it.
     """
     pair = stokes_pair(m, A, zeta0)
     return m.permuted(pair.order).replace(pair.blocks), pair

@@ -154,8 +154,10 @@ def enumerate_zeta_convex_paths(
     lexicographic vertex order.
 
     DFS over the points between w_i and w_j in `infinity_order`, pruning on
-    the strict clockwise-turn condition; correctness against the
-    hull-equality oracle is asserted in the test suite.
+    the strict clockwise-turn condition, on an explicit stack of (chain,
+    start) so that no recursive closure is left for the cycle collector;
+    correctness against the hull-equality oracle is asserted in the test
+    suite.
     """
     order, generic = infinity_order(A, zeta)
     if not generic:
@@ -167,24 +169,21 @@ def enumerate_zeta_convex_paths(
         raise InvalidEndpoints(
             f"projection of source {i} must be strictly below target {j}"
         )
-    between = order[pi + 1:pj]
+    ahead = order[pi + 1:pj + 1]
     t = A.sign_table()
     found: list[PolyPath] = []
-
-    def extend(chain: list[int], start: int):
-        # between[start:] are the points above chain[-1] in projection
+    # ahead[start:] are the points above chain[-1] in projection, w_j last
+    stack = [((i,), 0)]
+    while stack:
+        chain, start = stack.pop()
         last = chain[-1]
-        for k, w in enumerate(between[start:] + [j], start):
+        for k, w in enumerate(ahead[start:], start):
             if len(chain) >= 2 and t[chain[-2]][last][w] >= 0:
                 continue
-            chain.append(w)
             if w == j:
-                found.append(PolyPath(A, tuple(chain), zeta))
+                found.append(PolyPath(A, chain + (w,), zeta))
             else:
-                extend(chain, k + 1)
-            chain.pop()
-
-    extend([i], 0)
+                stack.append((chain + (w,), k + 1))
     found.sort(key=lambda p: p.vertices)
     return found
 

@@ -4,17 +4,24 @@ Two equivalent pictures are implemented, both with exact rational matrices:
 
 * ``TransportData`` (the localized model): vanishing-cycle spaces Phi_i with
   rectilinear transport matrices m[i][j] : Phi_i -> Phi_j for all pairs,
-  subject to Id - m[i][i] invertible.  It is the one owner of the inverse
-  local monodromies T_i^{-1}; every other layer reads them from it.
+  subject to Id - m[i][i] invertible.
 
 * ``Quiver`` (the full model): a central space Psi with maps
   a_i : Phi_i -> Psi and b_i : Psi -> Phi_i, subject to Id - b_i a_i
   invertible (equivalently Id - a_i b_i, by the Jacobson identity).
 
+Each model owns its inverse local monodromies, kept from its constructor's
+invertibility check: T_i^{-1} = (Id - m_ii)^{-1} on transport data and
+T_{i,Phi}^{-1} = (Id - b_i a_i)^{-1} on a quiver.  They are one quantity,
+T_{i,Phi}(q) = T_i(mu q), so every map between and within the models
+carries them over and inverts nothing; every other layer reads them from
+their owner.
+
 ``mu`` collapses a quiver to transport data via m_ij = b_j a_i, and
 ``gmv_embed`` is its canonical section with Psi = direct sum of the Phi_j.
 Braid generators act on both models; the transport-side action is the
-mutation table, the quiver-side action twists by T_{i,Psi} = Id - a_i b_i.
+mutation table, the quiver-side action twists by T_{i,Psi} = Id - a_i b_i,
+whose inverse Id + a_i T_{i,Phi}^{-1} b_i (Jacobson) is never formed.
 
 ``opposite`` reverses the order of the slots and transposes every map, on
 both models: slot s of the result is slot N-1-s, m'_st = (m_{N-1-t,N-1-s})^T
@@ -69,12 +76,12 @@ def _check_block(dims, i: int, j: int, blk: MatQ) -> None:
         raise ShapeMismatch(f"m[{i}][{j}] must map dim {dims[i]} to dim {dims[j]}")
 
 
-def _monodromy_inverse(i: int, blk: MatQ) -> MatQ:
-    """(Id - m_ii)^{-1} for a square m_ii; raises NotInvertible naming i."""
+def _monodromy_inverse(name: str, blk: MatQ) -> MatQ:
+    """(Id - blk)^{-1} for a square blk; raises NotInvertible naming blk."""
     try:
         return (MatQ.identity(blk.rows) - blk).inverse()
     except NotInvertible:
-        raise NotInvertible(f"Id - m[{i}][{i}] is singular") from None
+        raise NotInvertible(f"Id - {name} is singular") from None
 
 
 class TransportData:
@@ -92,7 +99,7 @@ class TransportData:
             raise ShapeMismatch("transport grid must be N x N")
         for i, j in itertools.product(range(n), repeat=2):
             _check_block(self.dims, i, j, self.m[i][j])
-        self._t_inv = tuple(_monodromy_inverse(i, self.m[i][i]) for i in range(n))
+        self._t_inv = tuple(_monodromy_inverse(f"m[{i}][{i}]", self.m[i][i]) for i in range(n))
 
     @classmethod
     def _checked(cls, dims, m, t_inv) -> "TransportData":
@@ -119,7 +126,7 @@ class TransportData:
             _check_block(self.dims, i, j, blk)
             grid[i] = grid[i][:j] + (blk,) + grid[i][j + 1:]
             if i == j:
-                t_inv = t_inv[:i] + (_monodromy_inverse(i, blk),) + t_inv[i + 1:]
+                t_inv = t_inv[:i] + (_monodromy_inverse(f"m[{i}][{i}]", blk),) + t_inv[i + 1:]
         return TransportData._checked(self.dims, tuple(grid), t_inv)
 
     def permuted(self, perm: Sequence[int]) -> "TransportData":
@@ -164,9 +171,10 @@ class TransportData:
 
 
 class Quiver:
-    """Central space Psi with arms a_i: Phi_i -> Psi, b_i: Psi -> Phi_i."""
+    """Central space Psi with arms a_i: Phi_i -> Psi, b_i: Psi -> Phi_i; owns
+    T_{i,Phi}^{-1} = (Id - b_i a_i)^{-1} as TransportData owns T_i^{-1}."""
 
-    __slots__ = ("dims", "d_psi", "a", "b")
+    __slots__ = ("dims", "d_psi", "a", "b", "_t_inv")
 
     def __init__(self, dims, d_psi: int, a: Sequence[MatQ], b: Sequence[MatQ]):
         self.dims = tuple(_dim(d, "dims entry") for d in dims)
@@ -181,18 +189,15 @@ class Quiver:
                 raise ShapeMismatch(f"a[{i}] must map dim {self.dims[i]} to Psi")
             if (self.b[i].rows, self.b[i].cols) != (self.dims[i], d_psi):
                 raise ShapeMismatch(f"b[{i}] must map Psi to dim {self.dims[i]}")
-        for i in range(n):
-            try:
-                self.t_phi(i).inverse()
-            except NotInvertible:
-                raise NotInvertible(f"Id - b[{i}] a[{i}] is singular") from None
+        self._t_inv = tuple(_monodromy_inverse(f"b[{i}] a[{i}]", self.b[i] @ self.a[i])
+                            for i in range(n))
 
     @classmethod
-    def _checked(cls, dims, d_psi, a, b) -> "Quiver":
+    def _checked(cls, dims, d_psi, a, b, t_inv) -> "Quiver":
         """Assemble from arms whose shapes are known to fit and whose
-        Id - b_i a_i are known to be invertible."""
+        (Id - b_i a_i)^{-1} are known."""
         out = object.__new__(cls)
-        out.dims, out.d_psi, out.a, out.b = dims, d_psi, a, b
+        out.dims, out.d_psi, out.a, out.b, out._t_inv = dims, d_psi, a, b, t_inv
         return out
 
     @property
@@ -207,11 +212,15 @@ class Quiver:
         """T_{i,Psi} = Id - a_i b_i on Psi."""
         return MatQ.identity(self.d_psi) - self.a[i] @ self.b[i]
 
+    def local_monodromy_inverse(self, i: int) -> MatQ:
+        """T_{i,Phi}^{-1} = (Id - b_i a_i)^{-1}, computed when b_i, a_i were set."""
+        return self._t_inv[i]
+
     def opposite(self) -> "Quiver":
-        """Slots reversed, arm s = (b_{N-1-s}^T, a_{N-1-s}^T): its Id - b a is
-        the transpose of the old one, so invertible."""
-        a, b = tuple([x.T for x in self.b[::-1]]), tuple([x.T for x in self.a[::-1]])
-        return Quiver._checked(self.dims[::-1], self.d_psi, a, b)
+        """Slots reversed, arm s = (b_{N-1-s}^T, a_{N-1-s}^T): its Id - b a and
+        its kept inverse are those of slot N-1-s, transposed."""
+        a, b, t_inv = (tuple([x.T for x in xs[::-1]]) for xs in (self.b, self.a, self._t_inv))
+        return Quiver._checked(self.dims[::-1], self.d_psi, a, b, t_inv)
 
     def __eq__(self, other):
         return (
@@ -242,24 +251,20 @@ class Quiver:
 
 
 def mu(q: Quiver) -> TransportData:
-    """Collapse to the localized model: m_ij = b_j a_i (diagonal included)."""
-    grid = [[q.b[j] @ q.a[i] for j in range(q.n)] for i in range(q.n)]
-    return TransportData(q.dims, grid)
+    """Collapse to the localized model: m_ij = b_j a_i, keeping T_i^{-1} = T_{i,Phi}^{-1}."""
+    grid = tuple([tuple([q.b[j] @ q.a[i] for j in range(q.n)]) for i in range(q.n)])
+    return TransportData._checked(q.dims, grid, q._t_inv)
 
 
 def gmv_embed(m: TransportData) -> Quiver:
     """Canonical section of mu: Psi = direct sum of the Phi_j, a_i stacks the
-    blocks m_ij, b_i is the projection onto slot i."""
-    n = m.n
-    a = [MatQ.from_blocks([[m.m[i][j]] for j in range(n)]) for i in range(n)]
-    b = []
-    for i in range(n):
-        blocks = [
-            MatQ.identity(m.dims[i]) if j == i else MatQ.zeros(m.dims[i], m.dims[j])
-            for j in range(n)
-        ]
-        b.append(MatQ.from_blocks([blocks]))
-    return Quiver(m.dims, sum(m.dims), a, b)
+    blocks m_ij, b_i is the projection onto slot i (rows of Id_Psi).  Then
+    b_i a_i = m_ii, so the result keeps the T_i^{-1} of m."""
+    n, d_psi = m.n, sum(m.dims)
+    a = tuple([MatQ.from_blocks([[m.m[i][j]] for j in range(n)]) for i in range(n)])
+    rows, offs = MatQ.identity(d_psi).num, list(itertools.accumulate(m.dims, initial=0))
+    b = tuple([MatQ._wrap(rows[lo:hi], 1, d_psi) for lo, hi in zip(offs, offs[1:])])
+    return Quiver._checked(m.dims, d_psi, a, b, m._t_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +283,14 @@ def double_dual_check(a: MatQ, b: MatQ) -> bool:
     """Dualizing twice reproduces (a, b) up to the isomorphism with
     e_Psi = Id and e_Phi = -(1-ba)^{-1}.
 
-    Composing the duality formulas gives the closed forms
-    a'' = -a (1-ba) and b'' = -(1-ba)^{-1} b, and the intertwining squares
-    a'' = e_Psi a e_Phi^{-1}, b'' = e_Phi b e_Psi^{-1} commute exactly.
+    With e_Psi = Id and e_Phi^{-1} = -(1-ba), the intertwining squares
+    a'' = e_Psi a e_Phi^{-1} and b'' = e_Phi b e_Psi^{-1} are the closed
+    forms a'' = -a (1-ba) and b'' = -(1-ba)^{-1} b, tested exactly.
     """
     a1, b1 = dual_pair(a, b)
     a2, b2 = dual_pair(a1, b1)
     t_phi = MatQ.identity(b.rows) - b @ a
-    if a2 != -(a @ t_phi) or b2 != -(t_phi.inverse() @ b):
-        return False
-    e_phi = -t_phi.inverse()
-    return a2 == a @ e_phi.inverse() and b2 == e_phi @ b
+    return a2 == -(a @ t_phi) and b2 == -(t_phi.inverse() @ b)
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +413,21 @@ def _gen_index(g: int, n: int) -> tuple[int, bool]:
 def braid_act_quiver(q: Quiver, g: int) -> Quiver:
     """Twist generator tau_k (g=+k) or its inverse (g=-k) on the quiver:
     tau_k swaps slots k, k+1, replacing the new slot-k arm by
-    (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1}).  A twisted pair (T a, b T^{-1})
-    keeps the shapes and Id - b a, so the T_{Phi} of the result are those of
-    q with the two slots swapped, all invertible: the result is assembled
-    from these checked parts, and T_{Psi} is the one matrix inverted.  The
-    inverse is the same twist on the opposite quiver,
-    tau_k^{-1} = opp . tau_{N-k} . opp."""
+    (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1}), two rank updates with the
+    kept T_{k,Phi}^{-1}: T_{k,Psi}^{-1} = Id + a_k T_{k,Phi}^{-1} b_k (Jacobson).
+    A twisted pair (T a, b T^{-1}) keeps the shapes and Id - b a, so the kept
+    inverses of the result are those of q with the two slots swapped, and
+    nothing is inverted.  The inverse is the same twist on the opposite
+    quiver, tau_k^{-1} = opp . tau_{N-k} . opp."""
     i, inverse = _gen_index(g, q.n)
     if inverse:
         q, i = q.opposite(), q.n - 2 - i
-    t = q.t_psi(i)
-    dims, a, b = list(q.dims), list(q.a), list(q.b)
+    dims, a, b, t_inv = list(q.dims), list(q.a), list(q.b), list(q._t_inv)
     dims[i], dims[i + 1] = dims[i + 1], dims[i]
-    a[i], a[i + 1] = t @ a[i + 1], a[i]
-    b[i], b[i + 1] = b[i + 1] @ t.inverse(), b[i]
-    out = Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b))
+    a[i], a[i + 1] = a[i + 1].plus_product(a[i], b[i] @ a[i + 1], -1), a[i]
+    b[i], b[i + 1] = b[i + 1].plus_product(b[i + 1] @ q.a[i] @ t_inv[i], b[i]), b[i]
+    t_inv[i], t_inv[i + 1] = t_inv[i + 1], t_inv[i]
+    out = Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b), tuple(t_inv))
     return out.opposite() if inverse else out
 
 

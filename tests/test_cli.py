@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from infrared.cli import main
+from infrared.cli import Instance, main
 from infrared.geometry import Config, config
 from infrared.errors import ShapeMismatch
-from infrared.perverse import Quiver, TransportData
-from infrared.randomgen import rand_config, rng
+from infrared.perverse import Quiver, TransportData, mu
+from infrared.randomgen import rand_config, rand_quiver, rng
 from infrared.linalg import MatQ
 from infrared.secondary import Subdivision, induced_subdivision
 
@@ -994,3 +994,68 @@ def test_walk_events_at_the_last_index(tmp_path, capsys):
     code, data = run_cli(["walk", os.path.join(DATA, "walk_leg.json"), "--events", str(ev)], capsys)
     assert code == 0
     assert [e["kind"] for e in data["events"]] == ["coll", "horiz"]
+
+
+@pytest.mark.parametrize("order", [("--to", "--events"), ("--events", "--to")])
+def test_walk_rejects_a_leg_and_events_together(order, tmp_path, capsys):
+    """`walk` takes a target configuration or a crossing list, not both: the
+    pair is invalid input, exit 2, in either order, and nothing is walked."""
+    ev = tmp_path / "events.json"
+    ev.write_text(json.dumps({"events": []}))
+    files = {"--to": os.path.join(DATA, "walk_leg_target.json"), "--events": str(ev)}
+    argv = ["walk", os.path.join(DATA, "walk_leg.json")]
+    for flag in order:
+        argv += [flag, files[flag]]
+    code, data = run_cli(argv, capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "not allowed with" in data["error"]["message"]
+    assert all(flag in data["error"]["message"] for flag in order)
+
+
+@pytest.mark.parametrize("zeta, expected", [
+    ("1/0", "seven.paths_jsonl_1_0.jsonl"), ("-1/2", "seven.paths_jsonl_m1_2.jsonl")])
+def test_paths_jsonl_writes_the_golden_to_out(zeta, expected, tmp_path, capsys):
+    """`paths --format jsonl --out` writes exactly the bytes that it prints
+    without --out, the committed output, and prints nothing."""
+    out = tmp_path / "paths.jsonl"
+    argv = ["paths", os.path.join(DATA, "seven.json"), "--format", "jsonl", "--zeta", zeta]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(os.path.join(DATA, expected), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_a_quiver_instance_reads_as_its_collapse(tmp_path, capsys, inverse_calls):
+    """Loading a `"quiver"` instance inverts one Id - b_i a_i per slot and
+    nothing more, as the collapse mu(q) keeps those inverses; `stokes` and
+    `fourier` then print exactly what they print for the instance that
+    holds mu(q) as transport data.  A singular slot is named, in either
+    model."""
+    with open(os.path.join(DATA, "stokes_random.json")) as fh:
+        points = json.load(fh)["config"]
+    r = rng(37)
+    q = rand_quiver(r, len(points["points"]), max_dim=2)
+    quiver_file, transport_file = tmp_path / "quiver.json", tmp_path / "transport.json"
+    quiver_file.write_text(json.dumps({"config": points, "quiver": q.to_json()}))
+    transport_file.write_text(json.dumps({"config": points, "transport": mu(q).to_json()}))
+    inverse_calls.clear()
+    Instance.load(str(quiver_file))
+    assert len(inverse_calls) == q.n
+    for command in (["stokes"], ["fourier"], ["fourier", "--zeta", "1/1"]):
+        outputs = []
+        for path in (quiver_file, transport_file):
+            assert main([command[0], str(path), *command[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    singular = {
+        "quiver": {"dims": [1, 1], "dPsi": 1, "a": [[["0"]], [["1"]]], "b": [[["0"]], [["1"]]]},
+        "transport": {"dims": [1, 1], "m": [[[["0"]], [["0"]]], [[["0"]], [["1"]]]]},
+    }
+    for model, text in (("quiver", "Id - b[1] a[1] is singular"),
+                        ("transport", "Id - m[1][1] is singular")):
+        path = tmp_path / f"singular_{model}.json"
+        path.write_text(json.dumps({model: singular[model]}))
+        code, data = run_cli(["walk", str(path), "--events", str(path)], capsys)
+        assert code == 2
+        assert data["error"] == {"code": "not_invertible", "message": text}

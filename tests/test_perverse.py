@@ -360,19 +360,23 @@ def test_braid_round_trip():
         assert entry(r, n, 2) is None
 
 
-def test_braid_quiver_inverts_only_the_twist(inverse_calls):
-    """A braid move on a quiver inverts T_{Psi} and nothing else: the
-    twisted arms keep Id - b a, so the T_{Phi} of the result are the old
-    ones with the two slots swapped, and the result is not checked again."""
+def test_braid_quiver_inverts_nothing(inverse_calls):
+    """A braid move on a quiver inverts nothing: T_{Psi} and its inverse
+    enter as rank updates through the kept T_{Phi}^{-1}, the twisted arms
+    keep Id - b a, so the T_{Phi} of the result and their kept inverses are
+    the old ones with the two slots swapped, and the result is not checked
+    again."""
     q = rand_quiver(rng(34), 4, max_dim=3)
     for g in (1, -1, 2, -2, 3, -3):
         inverse_calls.clear()
         out = braid_act_quiver(q, g)
-        assert len(inverse_calls) == 1
+        assert inverse_calls == []
         k = abs(g) - 1
         swap = list(range(q.n))
         swap[k], swap[k + 1] = k + 1, k
         assert [out.t_phi(s) for s in range(q.n)] == [q.t_phi(s) for s in swap]
+        assert [out.local_monodromy_inverse(s) for s in range(q.n)] == \
+            [q.local_monodromy_inverse(s) for s in swap]
 
 
 
@@ -458,6 +462,71 @@ def test_inverse_moves_match_the_solved_tables():
                 assert solved_inverse_transport(braid_act_transport(m, k), k) == m
                 assert braid_act_quiver(q, -k) == solved_inverse_quiver(q, k)
                 assert solved_inverse_quiver(braid_act_quiver(q, k), k) == q
+            dims.update(m.dims + q.dims + (q.d_psi,))
+    assert dims == {0, 1, 2, 3}
+
+
+def twisted_quiver(q: Quiver, g: int) -> Quiver:
+    """Oracle: tau_k (g = k) with T_{i,Psi} formed and inverted, i = k-1: the
+    slots i, i+1 swapped and the new slot-i arm
+    (T_{i,Psi} a_{i+1}, b_{i+1} T_{i,Psi}^{-1}); tau_k^{-1} (g = -k) is the
+    solved inverse table, which inverts T_{i+1,Psi}.  Both are built by the
+    validating constructor."""
+    if g < 0:
+        return solved_inverse_quiver(q, -g)
+    i = g - 1
+    t = q.t_psi(i)
+    dims, a, b = list(q.dims), list(q.a), list(q.b)
+    dims[i], dims[i + 1] = dims[i + 1], dims[i]
+    a[i], a[i + 1] = t @ a[i + 1], a[i]
+    b[i], b[i + 1] = b[i + 1] @ t.inverse(), b[i]
+    return Quiver(dims, q.d_psi, a, b)
+
+
+def validated_mu(q: Quiver) -> TransportData:
+    """Oracle: m_ij = b_j a_i through the validating constructor."""
+    return TransportData(q.dims, [[q.b[j] @ q.a[i] for j in range(q.n)] for i in range(q.n)])
+
+
+def validated_embed(m: TransportData) -> Quiver:
+    """Oracle: a_i stacks the m_ij, b_i is the row of blocks Id on slot i and
+    zero elsewhere, through the validating constructor."""
+    n, d = m.n, m.dims
+    a = [MatQ.from_blocks([[m.m[i][j]] for j in range(n)]) for i in range(n)]
+    b = [MatQ.from_blocks([[MatQ.identity(d[i]) if j == i else MatQ.zeros(d[i], d[j])
+                            for j in range(n)]]) for i in range(n)]
+    return Quiver(d, sum(d), a, b)
+
+
+def kept_inverses(x) -> list[MatQ]:
+    return [x.local_monodromy_inverse(s) for s in range(x.n)]
+
+
+def test_kept_inverse_routes_match_the_validating_constructors(inverse_calls):
+    """The quiver twist, mu and gmv_embed assemble from checked parts and
+    invert nothing; they equal exactly the routes that form T_{Psi}, invert
+    it and rebuild through the validating constructors, the kept inverse
+    local monodromies included, on seeded draws with N = 2..5, slot dims
+    and dPsi 0..3 (empty slots included), for both signs of every
+    generator."""
+    r = rng(36)
+    dims = set()
+    for n in (2, 3, 4, 5):
+        for _ in range(8):
+            q = quiver_with_empty_slots(r, n)
+            m = transport_with_empty_slots(r, n)
+            for g in [s * k for k in range(1, n) for s in (1, -1)]:
+                inverse_calls.clear()
+                out = braid_act_quiver(q, g)
+                assert inverse_calls == []
+                want = twisted_quiver(q, g)
+                assert out == want and kept_inverses(out) == kept_inverses(want)
+            for route, oracle, x in ((mu, validated_mu, q), (gmv_embed, validated_embed, m)):
+                inverse_calls.clear()
+                out = route(x)
+                assert inverse_calls == []
+                want = oracle(x)
+                assert out == want and kept_inverses(out) == kept_inverses(want)
             dims.update(m.dims + q.dims + (q.d_psi,))
     assert dims == {0, 1, 2, 3}
 

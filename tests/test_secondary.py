@@ -10,9 +10,12 @@ import pytest
 
 from infrared import checksuite, lp, secondary
 from infrared.errors import DegeneratePosition, EnumerationLimit, InvalidInput
+from infrared.cli import main
 from infrared.geometry import (
-    Config, area2, config, convex_hull, direction, general_position, orient, pt)
+    Config, Dir, area2, config, convex_hull, direction, general_position, infinity_order,
+    orient, pt)
 from infrared.linalg import MatQ, int_kernel, int_rank
+from infrared.paths import enumerate_zeta_convex_paths
 from infrared.secondary import (
     Cell,
     _canon_cycle,
@@ -664,6 +667,37 @@ def test_full_triangulations_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_convex_path_enumeration_leaves_no_reference_cycles(capsys):
+    """Convex-path enumeration keeps its search state on an explicit stack
+    too: enumerating every pair of `seven.json` along 1/0, and the `paths`
+    and SVG `plot` commands that enumerate, leave nothing for the cycle
+    collector."""
+    seven = os.path.join(os.path.dirname(__file__), "data", "seven.json")
+    with open(seven) as fh:
+        A = Config.from_json(json.load(fh)["config"])
+    zeta = Dir(Q(1), Q(0))
+    order = infinity_order(A, zeta)[0]
+    # the first CLI call of a process builds the argument parser, whose
+    # help formatters argparse leaves in cycles once
+    main(["check", "--n", "x"])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        found = [enumerate_zeta_convex_paths(A, i, j, zeta)
+                 for a, i in enumerate(order) for j in order[a + 1:]]
+        assert sum(map(len, found)) > len(found)
+        assert gc.collect() == 0
+        for argv in (["paths", seven, "--zeta", "1/0"],
+                     ["plot", seven, "--format", "svg", "--zeta", "1/0"]):
+            assert main(argv) == 0
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_eight_points_are_pinned():

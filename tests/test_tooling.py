@@ -246,6 +246,23 @@ def _functions(node, prefix=""):
             yield from _functions(child, prefix)
 
 
+def test_only_the_monodromy_helper_and_the_form_layer_invert():
+    """`MatQ.inverse` is called from `perverse._monodromy_inverse`, through
+    which both models keep their inverse local monodromies, and from the
+    bilinear-form layer of `perverse`; no other function of `src/infrared`
+    inverts a matrix, so no T_{i,Psi} or Id - L is formed to be inverted."""
+    callers = {
+        (path.name, name)
+        for path in sorted((ROOT / "src" / "infrared").glob("*.py"))
+        for name, fn in _functions(ast.parse(path.read_text()))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "inverse"
+    }
+    assert callers == {("perverse.py", name) for name in (
+        "_monodromy_inverse", "jacobson", "dual_pair", "double_dual_check",
+        "serre_operator", "right_adjoint", "spherical_report")}
+
+
 def test_only_the_subdivision_constructor_checks_a_subdivision():
     """The subdivision checks raise in `Subdivision.__init__` and in no
     other function of `src/infrared`, so a subdivision is checked once,
