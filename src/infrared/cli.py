@@ -5,6 +5,7 @@ Subcommands operate on a JSON instance file:
     {"config":    {"points": [["x", "y"], ...]},
      "transport": {"dims": [...], "m": [[matrix, ...], ...]},   (optional)
      "quiver":    {"dims": [...], "dPsi": n, "a": [...], "b": [...]},
+                                                     (in place of "transport")
      "zeta":      "dx/dy"}                                      (optional)
 
 with rational entries as canonical "num/den" strings; any other key is
@@ -110,15 +111,16 @@ class Instance:
                     f"unknown instance key {key!r}; expected one of "
                     + ", ".join(_INSTANCE_KEYS)
                 )
+        if "transport" in data and "quiver" in data:
+            raise InvalidInput("give transport or quiver, not both")
         self.config = Config.from_json(data["config"]) if "config" in data else None
         self.transport = (
             TransportData.from_json(data["transport"])
             if "transport" in data
             else None
         )
-        self.quiver = Quiver.from_json(data["quiver"]) if "quiver" in data else None
-        if self.transport is None and self.quiver is not None:
-            self.transport = mu(self.quiver)
+        if "quiver" in data:
+            self.transport = mu(Quiver.from_json(data["quiver"]))
         self.zeta = _parse_zeta(data["zeta"]) if "zeta" in data else None
         if (
             self.config is not None

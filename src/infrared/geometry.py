@@ -344,12 +344,15 @@ def anti_stokes_sequence(
     tied at each anti-Stokes direction, and a point between the pair before
     its switch would tie with both there, so two pairs would share that
     direction.
+
+    The clockwise scan meets the same pairs in reverse order, at the
+    opposite directions, where the dominance order is reversed; so its word
+    is the counterclockwise word reversed, each letter p read as N - p.
     """
     if rotation not in ("ccw", "cw"):
         raise InvalidInput("rotation must be 'ccw' or 'cw'")
     if not general_position(A).strong_lin_general:
         raise DegeneratePosition("anti-Stokes scan needs strong general position")
-    sign = 1 if rotation == "ccw" else -1
     (zx, zy), _ = _int_row((zeta0.dx, zeta0.dy))
     pts = A.int_points()[0]
     events = []
@@ -361,11 +364,11 @@ def anti_stokes_sequence(
             raise DegeneratePosition(
                 f"start direction is anti-Stokes for pair ({i},{j})"
             )
-        if side * sign < 0:
+        if side < 0:
             ux, uy = -ux, -uy
         events.append((ux, uy, i, j))
-    # u before v when the turn from u to v has the sign of the rotation
-    events.sort(key=cmp_to_key(lambda u, v: sign * (u[1] * v[0] - u[0] * v[1])))
+    # u before v when the turn from u to v is counterclockwise
+    events.sort(key=cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
 
     order = dominance_order(A, zeta0)
     word = []
@@ -373,7 +376,7 @@ def anti_stokes_sequence(
         lo = min(order.index(i), order.index(j))
         word.append(lo + 1)
         order[lo], order[lo + 1] = order[lo + 1], order[lo]
-    return word
+    return word if rotation == "ccw" else [len(A) - p for p in reversed(word)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +562,13 @@ class AlgebraicTime:
 # wall events along straight configuration legs
 
 
+# the JSON keys of a crossing, by kind, in the order `to_json` writes them
+_CROSSING_KEYS = {
+    "horiz": ("kind", "i", "j", "motion", "re_cmp"),
+    "coll": ("kind", "i", "j", "k", "eps_before"),
+}
+
+
 @dataclass(frozen=True)
 class CrossingSpec:
     """One transversal wall crossing, as met on a leg or given by hand.
@@ -606,27 +616,22 @@ class CrossingSpec:
             raise InvalidInput("point indices must be nonnegative integers")
 
     def to_json(self) -> dict:
-        if self.kind == "horiz":
-            return {
-                "kind": "horiz", "i": self.i, "j": self.j,
-                "motion": self.motion, "re_cmp": self.re_cmp,
-            }
-        return {
-            "kind": "coll", "i": self.i, "j": self.j, "k": self.k,
-            "eps_before": self.eps_before,
-        }
+        return {key: getattr(self, key) for key in _CROSSING_KEYS[self.kind]}
 
     @staticmethod
     def from_json(data: dict) -> "CrossingSpec":
-        if data["kind"] == "horiz":
-            return CrossingSpec(
-                "horiz", data["i"], data["j"],
-                motion=data["motion"], re_cmp=data["re_cmp"],
+        """A crossing from its `to_json` form; an unknown kind, or a key
+        outside its kind's, is invalid input."""
+        keys = _CROSSING_KEYS.get(data["kind"])
+        if keys is None:
+            raise InvalidInput("kind must be 'horiz' or 'coll'")
+        extra = [key for key in data if key not in keys]
+        if extra:
+            raise InvalidInput(
+                f"unknown {data['kind']} crossing key {extra[0]!r}; expected "
+                + ", ".join(keys)
             )
-        return CrossingSpec(
-            "coll", data["i"], data["j"], data["k"],
-            eps_before=data["eps_before"],
-        )
+        return CrossingSpec(**{key: data[key] for key in keys})
 
 
 def _integer_leg(A0: Config, A1: Config) -> list[tuple[int, int, int, int]]:

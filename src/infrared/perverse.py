@@ -19,17 +19,19 @@ their owner.
 
 ``mu`` collapses a quiver to transport data via m_ij = b_j a_i, and
 ``gmv_embed`` is its canonical section with Psi = direct sum of the Phi_j.
-Braid generators act on both models; the transport-side action is the
-mutation table, the quiver-side action twists by T_{i,Psi} = Id - a_i b_i,
-whose inverse Id + a_i T_{i,Phi}^{-1} b_i (Jacobson) is never formed.
+Braid generators act on both models, each move a slot swap followed by rank
+updates (`MatQ.plus_product`): the quiver-side action twists one arm by
+T_{i,Psi} = Id - a_i b_i, whose inverse Id + a_i T_{i,Phi}^{-1} b_i
+(Jacobson) is never formed, and the transport-side action, its image under
+mu, updates one block row and one block column of the swapped data.
 
 ``opposite`` reverses the order of the slots and transposes every map, on
 both models: slot s of the result is slot N-1-s, m'_st = (m_{N-1-t,N-1-s})^T
 and the arms are (a'_s, b'_s) = (b_{N-1-s}^T, a_{N-1-s}^T).  It is an
 involution that commutes with mu, and it carries each generator tau_k to
-tau_{N-k}^{-1} (Gaiotto, Moore and Witten, arXiv:1506.04087), so the inverse
-generators reuse the forward table and twist:
-tau_k^{-1} = opp . tau_{N-k} . opp.
+tau_{N-k}^{-1} (Gaiotto, Moore and Witten, arXiv:1506.04087), so one
+wrapper decodes a signed generator for both models and runs each inverse
+as the forward move on the opposite data: tau_k^{-1} = opp . tau_{N-k} . opp.
 
 Everything here is index-based: slot i means the i-th marked point in the
 configuration ordering (0-based).
@@ -203,10 +205,6 @@ class Quiver:
     @property
     def n(self) -> int:
         return len(self.dims)
-
-    def t_phi(self, i: int) -> MatQ:
-        """T_{i,Phi} = Id - b_i a_i on Phi_i."""
-        return MatQ.identity(self.dims[i]) - self.b[i] @ self.a[i]
 
     def t_psi(self, i: int) -> MatQ:
         """T_{i,Psi} = Id - a_i b_i on Psi."""
@@ -402,79 +400,67 @@ def cy_check(a: MatQ, b_phi: MatQ, b_psi: MatQ, parity: str) -> bool:
 # braid actions
 
 
-def _gen_index(g: int, n: int) -> tuple[int, bool]:
-    """Decode a signed generator: +k / -k for 1 <= k <= n-1; returns the
-    0-based left slot and whether the generator is inverse."""
+def _generator(x, g: int, forward):
+    """tau_k (g = +k) or tau_k^{-1} (g = -k), 1 <= k <= N-1, on either model,
+    given forward(x, i) = tau_{i+1} x: the inverse runs the forward move on
+    the opposite data, tau_k^{-1} = opp . tau_{N-k} . opp."""
+    n = x.n
     if g == 0 or abs(g) > n - 1:
         raise InvalidInput(f"braid generator {g} out of range for N={n}")
-    return abs(g) - 1, g < 0
+    if g > 0:
+        return forward(x, g - 1)
+    return forward(x.opposite(), n - 1 + g).opposite()
 
 
-def braid_act_quiver(q: Quiver, g: int) -> Quiver:
-    """Twist generator tau_k (g=+k) or its inverse (g=-k) on the quiver:
-    tau_k swaps slots k, k+1, replacing the new slot-k arm by
-    (T_{k,Psi} a_{k+1},  b_{k+1} T_{k,Psi}^{-1}), two rank updates with the
-    kept T_{k,Phi}^{-1}: T_{k,Psi}^{-1} = Id + a_k T_{k,Phi}^{-1} b_k (Jacobson).
-    A twisted pair (T a, b T^{-1}) keeps the shapes and Id - b a, so the kept
-    inverses of the result are those of q with the two slots swapped, and
-    nothing is inverted.  The inverse is the same twist on the opposite
-    quiver, tau_k^{-1} = opp . tau_{N-k} . opp."""
-    i, inverse = _gen_index(g, q.n)
-    if inverse:
-        q, i = q.opposite(), q.n - 2 - i
+def _twist(q: Quiver, i: int) -> Quiver:
     dims, a, b, t_inv = list(q.dims), list(q.a), list(q.b), list(q._t_inv)
     dims[i], dims[i + 1] = dims[i + 1], dims[i]
     a[i], a[i + 1] = a[i + 1].plus_product(a[i], b[i] @ a[i + 1], -1), a[i]
     b[i], b[i + 1] = b[i + 1].plus_product(b[i + 1] @ q.a[i] @ t_inv[i], b[i]), b[i]
     t_inv[i], t_inv[i + 1] = t_inv[i + 1], t_inv[i]
-    out = Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b), tuple(t_inv))
-    return out.opposite() if inverse else out
+    return Quiver._checked(tuple(dims), q.d_psi, tuple(a), tuple(b), tuple(t_inv))
+
+
+def braid_act_quiver(q: Quiver, g: int) -> Quiver:
+    """Twist generator tau_k (g=+k) or its inverse (g=-k) on the quiver:
+    with i = k-1 the 0-based left slot, tau_k swaps slots i, i+1, replacing
+    the new slot-i arm by (T_{i,Psi} a_{i+1},  b_{i+1} T_{i,Psi}^{-1}), two
+    rank updates with the kept T_{i,Phi}^{-1}:
+    T_{i,Psi}^{-1} = Id + a_i T_{i,Phi}^{-1} b_i (Jacobson).
+    A twisted pair (T a, b T^{-1}) keeps the shapes and Id - b a, so the kept
+    inverses of the result are those of q with the two slots swapped, and
+    nothing is inverted."""
+    return _generator(q, g, _twist)
+
+
+def _mutate(m: TransportData, i: int) -> TransportData:
+    p = m.permuted([*range(i), i + 1, i, *range(i + 2, m.n)])
+    # the kept inverse of old slot i sits at slot i+1 of p
+    u = p.m[i + 1][i] @ p.local_monodromy_inverse(i + 1)
+    grid = [list(row) for row in p.m]
+    for v in range(m.n):
+        if v != i:
+            grid[i][v] = p.m[i][v].plus_product(p.m[i + 1][v], p.m[i][i + 1], -1)
+        if v != i and v != i + 1:
+            grid[v][i] = p.m[v][i].plus_product(u, p.m[v][i + 1])
+    grid[i + 1][i] = u
+    return TransportData._checked(p.dims, tuple(map(tuple, grid)), p._t_inv)
 
 
 def braid_act_transport(m: TransportData, g: int) -> TransportData:
-    """Mutation of transport data under tau_k / tau_k^{-1}.
+    """Mutation of transport data under tau_k (g=+k) or tau_k^{-1} (g=-k),
+    the image under mu of the quiver twist.
 
-    The table (slots i = k-1, i+1 swapped, T_i = Id - m_ii):
-      m'_{v,j} = m_{v,j}                          v, j not in {i, i+1}
-      m'_{v,i+1} = m_{v,i}                        v not in {i, i+1}
-      m'_{i+1,j} = m_{i,j}                        j not in {i, i+1}
-      m'_{v,i} = m_{v,i+1} + m_{i,i+1} T_i^{-1} m_{v,i}
-      m'_{i,j} = m_{i+1,j} - m_{i,j} m_{i+1,i}
-      m'_{i,i+1} = T_i m_{i+1,i}
-      m'_{i+1,i} = m_{i,i+1} T_i^{-1}
-      m'_{i,i} = m_{i+1,i+1},  m'_{i+1,i+1} = m_{i,i}
-    The inverse is the same table on the opposite data,
-    tau_k^{-1} = opp . tau_{N-k} . opp.
+    With i = k-1 the 0-based left slot and p = m with slots i, i+1 swapped
+    (`permuted`, which carries the kept inverses), tau_k changes only block
+    row i and block column i of p, each block by one rank update:
+      p'_{i,v} = p_{i,v} - p_{i+1,v} p_{i,i+1}           v != i
+      p'_{v,i} = p_{v,i} + m_{i,i+1} T_i^{-1} p_{v,i+1}   v not in {i, i+1}
+      p'_{i+1,i} = m_{i,i+1} T_i^{-1}
+    with T_i^{-1} = (Id - m_ii)^{-1} the kept inverse.  The diagonal is p's,
+    so nothing is inverted.
     """
-    i, inverse = _gen_index(g, m.n)
-    if inverse:
-        m, i = m.opposite(), m.n - 2 - i
-    n = m.n
-    old = m.m
-    dims = list(m.dims)
-    dims[i], dims[i + 1] = dims[i + 1], dims[i]
-    grid = [[None] * n for _ in range(n)]
-    others = [v for v in range(n) if v not in (i, i + 1)]
-    # T = Id - m_kk enters only through rank updates, T x = x - m_kk x and
-    # x T = x - x m_kk, and m_{i,i+1} T_i^{-1} is formed once
-    u = old[i][i + 1] @ m.local_monodromy_inverse(i)
-    for v in others:
-        for j in others:
-            grid[v][j] = old[v][j]
-        grid[v][i + 1] = old[v][i]
-        grid[i + 1][v] = old[i][v]
-        grid[v][i] = old[v][i + 1].plus_product(u, old[v][i])
-        grid[i][v] = old[i + 1][v].plus_product(old[i][v], old[i + 1][i], -1)
-    grid[i][i + 1] = old[i + 1][i].plus_product(old[i][i], old[i + 1][i], -1)
-    grid[i + 1][i] = u
-    grid[i][i] = old[i + 1][i + 1]
-    grid[i + 1][i + 1] = old[i][i]
-    # every block is built from blocks of the right shapes, and the new
-    # diagonal is the old one with slots i and i+1 swapped
-    inverses = list(m._t_inv)
-    inverses[i], inverses[i + 1] = inverses[i + 1], inverses[i]
-    out = TransportData._checked(tuple(dims), tuple(map(tuple, grid)), tuple(inverses))
-    return out.opposite() if inverse else out
+    return _generator(m, g, _mutate)
 
 
 def braid_act_word(obj, word: Sequence[int]):

@@ -974,10 +974,16 @@ def test_paths_between_given_endpoints(capsys):
         {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": True},
         {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 1.0},
         {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 2},
+        {"kind": "vertical", "i": 0, "j": 1, "k": 2, "eps_before": 1},
+        {"kind": "horiz", "i": 0, "j": 1, "motion": "above", "re_cmp": "left",
+         "k": 2, "eps_before": 1},
+        {"kind": "coll", "i": 0, "j": 1, "k": 2, "eps_before": 1, "motion": "above"},
     ],
 )
 def test_walk_events_are_checked(event, tmp_path, capsys):
-    """Crossing indices lie in 0..N-1 and eps_before is the integer 1 or -1."""
+    """Crossing indices lie in 0..N-1, eps_before is the integer 1 or -1, the
+    kind is horiz or coll (an unknown kind is not read as coll), and an
+    event holds only its kind's keys."""
     ev = tmp_path / "events.json"
     ev.write_text(json.dumps({"events": [event]}))
     code, data = run_cli(["walk", os.path.join(DATA, "walk_leg.json"), "--events", str(ev)], capsys)
@@ -1059,3 +1065,21 @@ def test_a_quiver_instance_reads_as_its_collapse(tmp_path, capsys, inverse_calls
         code, data = run_cli(["walk", str(path), "--events", str(path)], capsys)
         assert code == 2
         assert data["error"] == {"code": "not_invertible", "message": text}
+
+
+def test_an_instance_with_transport_and_quiver_is_invalid_input(tmp_path, capsys):
+    """An instance gives its data as transport or as a quiver: with both,
+    where mu(quiver) is not the transport data, nothing is computed from
+    either and the instance is invalid input, exit 2."""
+    with open(os.path.join(DATA, "stokes_random.json")) as fh:
+        inst = json.load(fh)
+    dims = inst["transport"]["dims"]
+    zero = Quiver(dims, 1, [MatQ.zeros(1, d) for d in dims], [MatQ.zeros(d, 1) for d in dims])
+    assert mu(zero) != TransportData.from_json(inst["transport"])
+    inst["quiver"] = zero.to_json()
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(inst))
+    code, data = run_cli(["stokes", str(path)], capsys)
+    assert code == 2
+    assert data["error"] == {"code": "invalid_input",
+                             "message": "give transport or quiver, not both"}

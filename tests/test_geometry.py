@@ -627,6 +627,26 @@ def test_anti_stokes_sequence_matches_the_insertion_sort_oracle():
     assert min(seen.values()) > 50, seen
 
 
+def test_clockwise_word_mirrors_the_counterclockwise_scan():
+    """On 300 `rand_config` draws with N = 3..9 and a random rational start
+    direction, the clockwise word is the counterclockwise word reversed,
+    each letter p read as N - p, and both rotations give the words of the
+    insertion-sort scan."""
+    r = rng(36)
+    for k in range(300):
+        n = 3 + k % 7
+        dx = dy = 0
+        while dx == dy == 0:
+            dx, dy = r.randint(-3, 3), r.randint(-3, 3)
+        zeta = Dir(Q(dx, r.randint(1, 3)), Q(dy, r.randint(1, 3)))
+        # generic for the dominance form, so no pair is anti-Stokes at zeta
+        A = rand_config(r, n, extra_dirs=(Dir(-zeta.dy, -zeta.dx),))
+        ccw, cw = (anti_stokes_sequence(A, zeta, rot) for rot in ("ccw", "cw"))
+        assert cw == [n - p for p in reversed(ccw)], (A, zeta)
+        assert ccw == insertion_sort_anti_stokes_sequence(A, zeta, "ccw"), (A, zeta)
+        assert cw == insertion_sort_anti_stokes_sequence(A, zeta, "cw"), (A, zeta)
+
+
 def test_wall_events_constant_path():
     A = config((0, 0), (2, 1), (1, 3))
     assert segment_wall_events(A, A) == []

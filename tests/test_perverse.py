@@ -39,6 +39,11 @@ def local_monodromy(data: TransportData, i: int) -> MatQ:
     return MatQ.identity(data.dims[i]) - data.m[i][i]
 
 
+def t_phi(q: Quiver, i: int) -> MatQ:
+    """T_{i,Phi} = Id - b_i a_i on Phi_i."""
+    return MatQ.identity(q.dims[i]) - q.b[i] @ q.a[i]
+
+
 def rand_invertible(r, n: int) -> MatQ:
     """A rand_matrix draw that is invertible, within 200 tries."""
     for _ in range(200):
@@ -374,7 +379,7 @@ def test_braid_quiver_inverts_nothing(inverse_calls):
         k = abs(g) - 1
         swap = list(range(q.n))
         swap[k], swap[k + 1] = k + 1, k
-        assert [out.t_phi(s) for s in range(q.n)] == [q.t_phi(s) for s in swap]
+        assert [t_phi(out, s) for s in range(q.n)] == [t_phi(q, s) for s in swap]
         assert [out.local_monodromy_inverse(s) for s in range(q.n)] == \
             [q.local_monodromy_inverse(s) for s in swap]
 
@@ -392,6 +397,70 @@ def test_braid_moves_carry_the_stored_inverses(inverse_calls):
             for k in range(data.n):
                 want = local_monodromy(data, k).inverse()
                 assert data.local_monodromy_inverse(k) == want
+
+
+def gmv_table_transport(m: TransportData, g: int) -> TransportData:
+    """Oracle: tau_k (g = +k) by the 9-case mutation table, slots i = k-1,
+    i+1 swapped, T_i = Id - m_ii:
+      m'_{v,j} = m_{v,j}                          v, j not in {i, i+1}
+      m'_{v,i+1} = m_{v,i}                        v not in {i, i+1}
+      m'_{i+1,j} = m_{i,j}                        j not in {i, i+1}
+      m'_{v,i} = m_{v,i+1} + m_{i,i+1} T_i^{-1} m_{v,i}
+      m'_{i,j} = m_{i+1,j} - m_{i,j} m_{i+1,i}
+      m'_{i,i+1} = T_i m_{i+1,i}
+      m'_{i+1,i} = m_{i,i+1} T_i^{-1}
+      m'_{i,i} = m_{i+1,i+1},  m'_{i+1,i+1} = m_{i,i}
+    with the kept inverses swapped; tau_k^{-1} (g = -k) is the same table on
+    the opposite data, tau_k^{-1} = opp . tau_{N-k} . opp."""
+    i, n = abs(g) - 1, m.n
+    if g < 0:
+        m, i = m.opposite(), n - 2 - i
+    old = m.m
+    dims = list(m.dims)
+    dims[i], dims[i + 1] = dims[i + 1], dims[i]
+    grid = [[None] * n for _ in range(n)]
+    others = [v for v in range(n) if v not in (i, i + 1)]
+    u = old[i][i + 1] @ m.local_monodromy_inverse(i)
+    for v in others:
+        for j in others:
+            grid[v][j] = old[v][j]
+        grid[v][i + 1] = old[v][i]
+        grid[i + 1][v] = old[i][v]
+        grid[v][i] = old[v][i + 1].plus_product(u, old[v][i])
+        grid[i][v] = old[i + 1][v].plus_product(old[i][v], old[i + 1][i], -1)
+    grid[i][i + 1] = old[i + 1][i].plus_product(old[i][i], old[i + 1][i], -1)
+    grid[i + 1][i] = u
+    grid[i][i] = old[i + 1][i + 1]
+    grid[i + 1][i + 1] = old[i][i]
+    inverses = list(m._t_inv)
+    inverses[i], inverses[i + 1] = inverses[i + 1], inverses[i]
+    out = TransportData._checked(tuple(dims), tuple(map(tuple, grid)), tuple(inverses))
+    return out.opposite() if g < 0 else out
+
+
+def test_braid_move_matches_the_mutation_table(inverse_calls):
+    """`braid_act_transport`, a slot swap and the rank updates of one block
+    row and one block column, equals the 9-case mutation table exactly,
+    dims, blocks and kept inverse local monodromies, and inverts nothing:
+    for every +-k and for random words of length 6, on seeded draws with
+    N = 2..6 and slot dims 0..3 (empty slots included)."""
+    r = rng(37)
+    dims = set()
+    for n in (2, 3, 4, 5, 6):
+        gens = [s * k for k in range(1, n) for s in (1, -1)]
+        for _ in range(8):
+            m = transport_with_empty_slots(r, n)
+            inverse_calls.clear()
+            for word in [[g] for g in gens] + [[r.choice(gens) for _ in range(6)]
+                                                 for _ in range(3)]:
+                out, want = m, m
+                for g in word:
+                    out, want = braid_act_transport(out, g), gmv_table_transport(want, g)
+                    assert out.dims == want.dims and out.m == want.m, (n, word)
+                    assert kept_inverses(out) == kept_inverses(want), (n, word)
+            assert inverse_calls == []
+            dims.update(m.dims)
+    assert dims == {0, 1, 2, 3}
 
 
 def solved_inverse_transport(m: TransportData, k: int) -> TransportData:

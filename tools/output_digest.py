@@ -8,7 +8,8 @@ Builds the perfbench pools for the given seeds with `perfbench/workloads.py`
 `infrared.cli.main`, each subcommand that accepts an item's files:
 
 - on every file of an item that holds a configuration: `matroid`,
-  `antistokes`, `paths`, `secondary` and `plot` in its three formats;
+  `antistokes` in both rotations, `paths`, `secondary` and `plot` in its
+  three formats;
 - on every file that also holds transport data: `stokes` and `fourier`;
 - on a `walk` item: the round trip that `perfbench/run.py` times, `walk`
   from the first file to the second and back with the transport it
@@ -38,8 +39,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 CONFIG_CALLS = (
-    ["matroid"], ["antistokes"], ["paths"], ["secondary"],
-    ["plot", "--format", "svg"], ["plot", "--format", "csv"], ["plot", "--format", "dot"],
+    ["matroid"], ["antistokes"], ["antistokes", "--rotation", "cw"], ["paths"],
+    ["secondary"], ["plot", "--format", "svg"], ["plot", "--format", "csv"],
+    ["plot", "--format", "dot"],
 )
 TRANSPORT_CALLS = (["stokes"], ["fourier"])
 
