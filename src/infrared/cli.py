@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands operate on a JSON instance file:
+Every subcommand but `check` reads a JSON instance file:
 
     {"config":    {"points": [["x", "y"], ...]},
      "transport": {"dims": [...], "m": [[matrix, ...], ...]},   (optional)
@@ -9,8 +9,10 @@ Subcommands operate on a JSON instance file:
      "zeta":      "dx/dy"}                                      (optional)
 
 with rational entries as canonical "num/den" strings; any other key is
-invalid input.  A given --zeta wins over the instance's "zeta", which wins
-over the subcommand's default.  All reports are machine-readable JSON
+invalid input.  The subcommand table in `_parser` says which instance parts
+each handler reads and which direction it defaults to; `main` loads and
+checks them and resolves zeta once: a given --zeta, else the instance's
+"zeta", else the default.  All reports are machine-readable JSON
 (--pretty for indentation); errors surface as {"error": {"code",
 "message"}} with a nonzero exit code.
 """
@@ -51,15 +53,6 @@ def _parse_zeta(text: str) -> Dir:
         raise InvalidInput(
             f"zeta expects 'dx/dy' with integer components, got {text!r}"
         ) from None
-
-
-def _zeta(inst: "Instance", args, default: str | None = None) -> Dir | None:
-    """The direction a subcommand reads: --zeta when it is given, else the
-    instance's "zeta", else `default`.  A given --zeta is parsed even when
-    the instance has its own, so a malformed one is invalid input."""
-    if args.zeta is not None:
-        return _parse_zeta(args.zeta)
-    return inst.zeta or (default and _parse_zeta(default))
 
 
 def _load(path: str, build):
@@ -140,11 +133,9 @@ def _need(instance: Instance, *fields):
             raise InvalidInput(f"instance file is missing '{f}'")
 
 
-def cmd_matroid(inst: Instance, args) -> dict:
-    _need(inst, "config")
+def cmd_matroid(inst: Instance, zeta: Dir | None, args) -> dict:
     A = inst.config
     t = A.sign_table()
-    zeta = _zeta(inst, args)
     rep = general_position(A, zeta)
     return {
         "n": len(A),
@@ -159,9 +150,7 @@ def cmd_matroid(inst: Instance, args) -> dict:
     }
 
 
-def cmd_antistokes(inst: Instance, args) -> dict:
-    _need(inst, "config")
-    zeta = _zeta(inst, args, "1/0")
+def cmd_antistokes(inst: Instance, zeta: Dir, args) -> dict:
     word = anti_stokes_sequence(inst.config, zeta, rotation=args.rotation)
     return {
         "initial_order": dominance_order(inst.config, zeta),
@@ -171,9 +160,7 @@ def cmd_antistokes(inst: Instance, args) -> dict:
     }
 
 
-def cmd_paths(inst: Instance, args) -> dict | str:
-    _need(inst, "config")
-    zeta = _zeta(inst, args, "1/0")
+def cmd_paths(inst: Instance, zeta: Dir, args) -> dict | str:
     A = inst.config
     out = []
     if (args.source is None) != (args.target is None):
@@ -209,9 +196,7 @@ def cmd_paths(inst: Instance, args) -> dict | str:
     return {"zeta": [str(zeta.dx), str(zeta.dy)], "paths": out}
 
 
-def cmd_stokes(inst: Instance, args) -> dict:
-    _need(inst, "config", "transport")
-    zeta0 = _zeta(inst, args, "-1/0")
+def cmd_stokes(inst: Instance, zeta0: Dir, args) -> dict:
     rep = factorization_check(inst.transport, inst.config, zeta0)
     return {
         "order": list(rep.order),
@@ -223,9 +208,7 @@ def cmd_stokes(inst: Instance, args) -> dict:
     }
 
 
-def cmd_fourier(inst: Instance, args) -> dict:
-    _need(inst, "config", "transport")
-    zeta = _zeta(inst, args, "1/0")
+def cmd_fourier(inst: Instance, zeta: Dir, args) -> dict:
     diag = fourier_diagram(inst.transport, zeta, inst.config)
     mono = diag.monodromy()
     return {
@@ -237,8 +220,7 @@ def cmd_fourier(inst: Instance, args) -> dict:
     }
 
 
-def cmd_walk(inst: Instance, args) -> dict:
-    _need(inst, "transport")
+def cmd_walk(inst: Instance, zeta: None, args) -> dict:
     if args.to is not None:
         _need(inst, "config")
         target = _load(args.to, lambda data: Config.from_json(data["config"]))
@@ -262,8 +244,7 @@ def cmd_walk(inst: Instance, args) -> dict:
     }
 
 
-def cmd_secondary(inst: Instance, args) -> dict:
-    _need(inst, "config")
+def cmd_secondary(inst: Instance, zeta: None, args) -> dict:
     A = inst.config
     fan = secondary_fan(A)
     reports = [
@@ -290,7 +271,7 @@ def cmd_secondary(inst: Instance, args) -> dict:
     }
 
 
-def cmd_check(inst_or_none, args) -> dict:
+def cmd_check(inst: None, zeta: None, args) -> dict:
     from . import checksuite
 
     if args.n < 2:
@@ -300,11 +281,9 @@ def cmd_check(inst_or_none, args) -> dict:
     return checksuite.run(seed=args.seed, n=args.n, dim=args.dim)
 
 
-def cmd_plot(inst: Instance, args) -> dict:
-    _need(inst, "config")
+def cmd_plot(inst: Instance, zeta: Dir, args) -> dict:
     from . import plotting
 
-    zeta = _zeta(inst, args, "1/0")
     if args.format == "svg":
         if args.poset:
             raise InvalidInput("--poset needs --format csv or dot")
@@ -336,43 +315,48 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand offers
-    only the options its handler reads, and --out and --pretty."""
+    """The argument parser, built once per process; its `add` calls are the
+    subcommand table.  Each subcommand offers only the options its handler
+    reads, and --out and --pretty."""
     parser = _Parser(
         prog="infrared",
         description="exact workbench for planar perverse-sheaf combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_instance=True, zeta=False):
+    def add(name, fn, reads=("config",), zeta=False):
+        """Subcommand `name`, run as fn(inst, zeta, args).  It takes the
+        instance file when it reads some part of it (`reads`, checked
+        present), and --zeta unless `zeta` is False; `zeta` is then its
+        default direction, or None for none."""
         p = sub.add_parser(name)
-        if needs_instance:
-            p.add_argument("instance", nargs="?", help="instance JSON file")
-        if zeta:
+        if reads:
+            p.add_argument("instance", help="instance JSON file")
+        if zeta is not False:
             p.add_argument("--zeta", help="direction dx/dy (integers)")
         p.add_argument("--out", help="output file")
         p.add_argument("--pretty", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, reads=reads, zeta_default=zeta and _parse_zeta(zeta))
         return p
 
-    add("matroid", cmd_matroid, zeta=True)
-    p = add("antistokes", cmd_antistokes, zeta=True)
+    add("matroid", cmd_matroid, zeta=None)
+    p = add("antistokes", cmd_antistokes, zeta="1/0")
     p.add_argument("--rotation", choices=("ccw", "cw"), default="ccw")
-    p = add("paths", cmd_paths, zeta=True)
+    p = add("paths", cmd_paths, zeta="1/0")
     p.add_argument("--source", type=int)
     p.add_argument("--target", type=int)
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
-    add("stokes", cmd_stokes, zeta=True)
-    add("fourier", cmd_fourier, zeta=True)
-    leg = add("walk", cmd_walk).add_mutually_exclusive_group()
+    add("stokes", cmd_stokes, ("config", "transport"), zeta="-1/0")
+    add("fourier", cmd_fourier, ("config", "transport"), zeta="1/0")
+    leg = add("walk", cmd_walk, ("transport",)).add_mutually_exclusive_group()
     leg.add_argument("--to", help="target configuration JSON")
     leg.add_argument("--events", help="explicit crossing list JSON")
     add("secondary", cmd_secondary)
-    p = add("check", cmd_check, needs_instance=False)
+    p = add("check", cmd_check, ())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--dim", type=int, default=2)
-    p = add("plot", cmd_plot, zeta=True)
+    p = add("plot", cmd_plot, zeta="1/0")
     p.add_argument("--format", choices=("svg", "csv", "dot"), required=True)
     p.add_argument("--poset", action="store_true",
                    help="emit the refinement poset instead of the points")
@@ -408,11 +392,16 @@ def _join_zeta(argv) -> list[str]:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_zeta(sys.argv[1:] if argv is None else argv))
-        inst = None
-        if getattr(args, "instance", None):
+        inst = zeta = None
+        if args.reads:
             inst = Instance.load(args.instance)
+            _need(inst, *args.reads)
+        if "zeta" in args:
+            # a given --zeta is parsed even when the file has its own
+            zeta = (_parse_zeta(args.zeta) if args.zeta is not None
+                    else inst.zeta or args.zeta_default)
         # a handler returns its output text, or a report to dump as JSON
-        result = args.fn(inst, args)
+        result = args.fn(inst, zeta, args)
         if isinstance(result, str):
             text = result
         else:

@@ -113,8 +113,10 @@ class Config:
         pts = tuple(points)
         if not pts:
             raise InvalidInput("a configuration needs at least one point")
-        object.__setattr__(self, "points", pts)
-        if len(set(self.int_points()[0])) != len(pts):
+        self.points = pts
+        xy, den = _int_row([c for p in pts for c in (p.x, p.y)])
+        self._ints = (tuple(zip(xy[::2], xy[1::2])), den)
+        if len(set(self._ints[0])) != len(pts):
             raise InvalidInput("configuration points must be pairwise distinct")
 
     def __len__(self) -> int:
@@ -168,13 +170,7 @@ class Config:
 
     def int_points(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """The points times the lcm `den` of their coordinate denominators,
-        as integer pairs, and `den`; computed on first use and kept."""
-        try:
-            return self._ints
-        except AttributeError:
-            pass
-        xy, den = _int_row([c for p in self.points for c in (p.x, p.y)])
-        self._ints = (tuple(zip(xy[::2], xy[1::2])), den)
+        as integer pairs, and `den`; computed by the constructor."""
         return self._ints
 
     def hull(self) -> tuple[int, ...]:

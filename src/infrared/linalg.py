@@ -182,7 +182,7 @@ class MatQ:
     """An immutable rows x cols matrix over Q: the integer rows `num` over the
     positive denominator `den`, with gcd(den, *num) == 1."""
 
-    __slots__ = ("rows", "cols", "num", "den", "_entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
         # one pass: den is the lcm of the reduced denominators read so far,
@@ -207,7 +207,6 @@ class MatQ:
         if any(len(row) != cols for row in num):
             raise ShapeMismatch("ragged matrix rows")
         self.rows, self.cols, self.num, self.den = len(num), cols, tuple(map(tuple, num)), den
-        self._entries = None
 
     @classmethod
     def _wrap(cls, num: tuple[tuple[int, ...], ...], den: int, cols: int) -> "MatQ":
@@ -216,7 +215,6 @@ class MatQ:
         rows keeps it."""
         out = object.__new__(cls)
         out.rows, out.cols, out.num, out.den = len(num), cols, num, den
-        out._entries = None
         return out
 
     @classmethod
@@ -280,11 +278,10 @@ class MatQ:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as a grid of Fractions, formed on first use."""
-        if self._entries is None:
-            d = self.den
-            self._entries = tuple([tuple([Q(v, d) for v in row]) for row in self.num])
-        return self._entries
+        """The entries as a grid of Fractions, formed on each use: only tests
+        and `repr` read it."""
+        d = self.den
+        return tuple([tuple([Q(v, d) for v in row]) for row in self.num])
 
     def __getitem__(self, rc) -> Fraction:
         r, c = rc

@@ -619,6 +619,17 @@ def test_a_malformed_zeta_is_invalid_even_when_the_file_has_one(command, tmp_pat
     assert "garbage" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("command", [["matroid"], ["stokes"], ["plot", "--format", "csv"]])
+def test_an_empty_zeta_is_invalid_even_when_the_file_has_one(command, tmp_path, capsys):
+    """`--zeta=` names no direction: invalid input, exit 2, and not a
+    fall-back to the file's `"zeta"` or the default."""
+    path = with_file_zeta(tmp_path, "stokes_arc.json")
+    code, data = run_cli([command[0], path, *command[1:], "--zeta="], capsys)
+    assert code == 2
+    assert data["error"]["code"] == "invalid_input"
+    assert "got ''" in data["error"]["message"]
+
+
 def _pinned_leg(name, target):
     with open(os.path.join(DATA, name)) as fh:
         a0 = Config.from_json(json.load(fh)["config"])
@@ -873,6 +884,10 @@ def test_check_rejects_fewer_than_two_points(n, capsys):
     assert "--n" in data["error"]["message"]
 
 
+INSTANCE_COMMANDS = ("matroid", "antistokes", "paths", "stokes", "fourier", "walk",
+                     "secondary")
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [
@@ -884,16 +899,87 @@ def test_check_rejects_fewer_than_two_points(n, capsys):
         (["antistokes", "{circuit}", "--rotation", "up"], "--rotation"),
         (["check", "--n"], "--n"),
         (["no-such-command"], "no-such-command"),
-    ],
+    ] + [([command], "instance") for command in INSTANCE_COMMANDS]
+      + [(["plot", "--format", "svg"], "instance")],
 )
 def test_usage_errors_are_invalid_input(args, flag, circuit_file, capsys):
     """An option the subcommand does not read, an unknown option, a bad
-    choice or a missing value is reported as JSON, exit code 2, naming the
-    offending argument, instead of as usage text."""
-    code, data = run_cli([a.format(circuit=circuit_file) for a in args], capsys)
+    choice, a missing value or a missing instance file is reported as JSON,
+    exit code 2, naming the offending argument, instead of as usage text."""
+    code = main([a.format(circuit=circuit_file) for a in args])
+    out, err = capsys.readouterr()
+    data = json.loads(out)
     assert code == 2
     assert data["error"]["code"] == "invalid_input"
     assert flag in data["error"]["message"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS + ("plot", "check"))
+def test_usage_line_shows_the_instance_file_as_required(command, capsys):
+    """Every subcommand but `check` reads the instance file and shows it as
+    required (`instance`, not `[instance]`); `check` takes none."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    if command == "check":
+        assert "instance" not in usage
+    else:
+        assert usage.split()[-1] == "instance"
+
+
+def _sweep_instance(r, n):
+    """A small instance drawn for the boundary sweep: n points with
+    coordinates in {-3..3}/{1, 2}, repeats allowed; transport data with
+    slot dims 0..2 on most draws, their diagonal blocks zero on most of
+    those; and on some a file "zeta", 0/0 allowed."""
+    rational = lambda k: str(Fraction(r.randint(-k, k), r.choice((1, 2))))
+    inst = {"config": {"points": [[rational(3), rational(3)] for _ in range(n)]}}
+    if r.random() < 0.8:
+        dims = [r.randint(0, 2) for _ in range(n)]
+        diagonal = r.random() < 0.25
+        inst["transport"] = {"dims": dims, "m": [
+            [[[rational(2) if i != j or diagonal else "0" for _ in range(dims[i])]
+              for _ in range(dims[j])] for j in range(n)]
+            for i in range(n)]}
+    if r.random() < 0.3:
+        inst["zeta"] = f"{r.randint(-2, 2)}/{r.randint(-2, 2)}"
+    return inst
+
+
+def test_seeded_sweep_of_the_cli_boundary(tmp_path, capsys):
+    """On 200 seeded small instances, every subcommand that reads one (and
+    each of them without its file) exits 0 or 2 and raises nothing; on 2,
+    stdout is one JSON error object and stderr is empty."""
+    r = rng(37)
+    inst_path, target_path = str(tmp_path / "inst.json"), str(tmp_path / "target.json")
+    codes = set()
+    for draw in range(200):
+        n = r.randint(1, 6)
+        with open(inst_path, "w") as fh:
+            json.dump(_sweep_instance(r, n), fh)
+        with open(target_path, "w") as fh:
+            json.dump({"config": _sweep_instance(r, n)["config"]}, fh)
+        zeta = r.choice(["0/0", "", f"{r.randint(-2, 2)}/{r.randint(-2, 2)}"])
+        calls = [["matroid"], ["antistokes"], ["antistokes", "--rotation", "cw"],
+                 ["secondary"], ["paths"],
+                 ["paths", "--source", str(r.randrange(n)), "--target", str(r.randrange(n))],
+                 ["stokes"], ["stokes", f"--zeta={zeta}"],
+                 ["fourier"], ["fourier", f"--zeta={zeta}"],
+                 ["plot", "--format", "svg"], ["plot", "--format", "csv"],
+                 ["plot", "--format", "dot"], ["walk", "--to", target_path]]
+        argvs = [[c[0], inst_path, *c[1:]] for c in calls]
+        argvs += [[c] for c in INSTANCE_COMMANDS] + [["plot", "--format", "svg"]]
+        for argv in argvs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, err) in ((0, ""), (2, "")), (draw, argv)
+            if code == 2:
+                data = json.loads(out)
+                assert list(data) == ["error"], (draw, argv)
+                assert set(data["error"]) == {"code", "message"}, (draw, argv)
+            codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_non_integer_enumeration_bound_is_invalid_input(

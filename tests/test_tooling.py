@@ -141,11 +141,12 @@ def test_traced_secondary_runs_no_lp(tracing, capsys, tmp_path):
                          "pinwheel": 14}
 
 
-def test_output_digest_hashes_every_call_on_a_pool(monkeypatch):
+def test_output_digest_hashes_every_call_on_a_pool(monkeypatch, capsys):
     """`tools/output_digest.py` on the one-item `secondary-nested` pool: one
     sha256 and the count of its eight calls (matroid, antistokes in both
     rotations, paths, secondary and three plots on a configuration file),
-    the same on a second run and changed when one output changes."""
+    the same on a second run and with `--src` naming this checkout's `src/`,
+    and changed when one output changes."""
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import output_digest
 
@@ -154,6 +155,9 @@ def test_output_digest_hashes_every_call_on_a_pool(monkeypatch):
     assert re.fullmatch(r"[0-9a-f]{64}", first["secondary-nested"]["sha256"])
     assert first["secondary-nested"]["outputs"] == 8
     assert output_digest.digest(["secondary-nested"], [1]) == first
+    assert output_digest.main(["--seeds", "1", "--workloads", "secondary-nested",
+                               "--src", str(ROOT / "src")]) == 0
+    assert json.loads(capsys.readouterr().out) == first
     import infrared.cli
 
     monkeypatch.setattr(infrared.cli, "convex_hull", lambda A: [])

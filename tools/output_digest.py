@@ -2,6 +2,7 @@
 
     python3 tools/output_digest.py                        # seeds 1 and 2, all five pools
     python3 tools/output_digest.py --seeds 1 --workloads secondary-nested
+    python3 tools/output_digest.py --src ../parent/src   # another checkout's code
 
 Builds the perfbench pools for the given seeds with `perfbench/workloads.py`
 (read, not changed) in a temporary directory, and runs, in-process through
@@ -17,9 +18,10 @@ Builds the perfbench pools for the given seeds with `perfbench/workloads.py`
 
 Prints one JSON line: per workload, the sha256 over the seed, argv (with
 file names for paths), exit code and standard output of every call, and
-the number of calls.  Run it in two checkouts to compare their outputs:
-it imports `infrared` from the `src/` of the checkout it lives in.
-Standard library only.
+the number of calls.  It imports `infrared` from the `src/` of the
+checkout it lives in, or from the `src/` directory given as `--src`, so
+one checkout can hash another's outputs with its own call list.  The
+pools are built by the imported package.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,10 +80,17 @@ def _item_calls(cli, item: dict):
             yield argv, *_run(cli, argv)
 
 
-def digest(workload_names, seeds) -> dict:
-    """{workload: {"sha256": hex, "outputs": count}} over the given seeds."""
+def digest(workload_names, seeds, src=None) -> dict:
+    """{workload: {"sha256": hex, "outputs": count}} over the given seeds,
+    with `infrared` imported from `src` when it is given."""
     workloads.require_infrared()
+    if src is not None:
+        src = os.path.abspath(src)
+        sys.path.insert(0, src)  # ahead of this checkout's src
     from infrared import cli
+
+    if src is not None and not cli.__file__.startswith(src + os.sep):
+        raise SystemExit(f"output_digest: infrared was already imported from {cli.__file__}")
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,8 +114,12 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     p.add_argument("--workloads", nargs="+", choices=sorted(workloads.POOLS),
                    default=list(workloads.POOLS))
+    p.add_argument("--src", help="the src/ directory to import infrared from")
     args = p.parse_args(argv)
-    print(json.dumps(digest(args.workloads, args.seeds)))
+    if args.src is not None and not os.path.isfile(
+            os.path.join(args.src, "infrared", "__init__.py")):
+        p.error(f"no infrared package under {args.src}")
+    print(json.dumps(digest(args.workloads, args.seeds, args.src)))
     return 0
 
 
